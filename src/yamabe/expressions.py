@@ -22,13 +22,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import EvaluationError, ExpressionSyntaxError
+import numpy as np
+
+from .errors import BranchDomainError, EvaluationError, ExpressionSyntaxError
 from .lambertw import lambert_w
 
 __all__ = [
     "Node", "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "parse_expression", "to_text", "evaluate", "differentiate",
-    "compile_callable", "FUNCTIONS", "CONSTANTS",
+    "compile_callable", "compile_array", "FUNCTIONS", "CONSTANTS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs", "W")
@@ -277,9 +279,8 @@ def _eval(node: Node, xi: float) -> float:
 
 def compile_callable(node: Node) -> Callable[[float], float]:
     """Close over the AST once; repeated evaluation skips re-dispatch cost."""
-    src = _pysrc(node)
-    namespace = {"math": math, "_sec": _sec, "_W": _FN_IMPL["W"]}
-    fn = eval(compile(f"lambda xi: {src}", "<expression>", "eval"), namespace)
+    fn = _compile(node, _PY_FORMS, {"math": math, "_sec": _sec,
+                                    "_W": _FN_IMPL["W"]})
 
     def call(xi: float) -> float:
         try:
@@ -293,12 +294,74 @@ def compile_callable(node: Node) -> Callable[[float], float]:
     return call
 
 
-_PY_FN = {"sin": "math.sin", "cos": "math.cos", "tan": "math.tan",
-          "sec": "_sec", "exp": "math.exp", "ln": "math.log",
-          "sqrt": "math.sqrt", "abs": "abs", "W": "_W"}
+def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
+    """The same source as ``compile_callable`` evaluated on a whole array at
+    once. Returns a float array shaped like its input; a point where the
+    expression cannot be evaluated comes back non-finite instead of raising.
+
+    sin, cos and sqrt are numpy's, which on x86-64 round as libm does.
+    numpy's SIMD exp, log, tan and power round differently in the last bit
+    on some inputs, and derivatives amplify that past a few ulp, so those go
+    through libm one element at a time (``^`` through ``np.float_power``).
+    """
+    fn = _compile(node, _ARRAY_FORMS, {"np": np, "_sec": _sec_array,
+                                       "_W": _w_array, **_LIBM_ARRAY})
+
+    def call(xs):
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(xs), dtype=float)
+        return out if out.shape == xs.shape else np.full(xs.shape, out)
+
+    return call
 
 
-def _pysrc(node: Node) -> str:
+def _compile(node: Node, forms: dict[str, str], namespace: dict):
+    src = _pysrc(node, forms)
+    return eval(compile(f"lambda xi: {src}", "<expression>", "eval"), namespace)
+
+
+def _elementwise(fn: Callable[[float], float], errors) -> Callable:
+    """fn applied to every element of an array; elements that raise one of
+    ``errors`` become NaN."""
+    def guarded(x: float) -> float:
+        try:
+            return fn(x)
+        except errors:
+            return math.nan
+
+    def apply(xs):
+        xs = np.asarray(xs, dtype=float)
+        values = xs.ravel().tolist()
+        try:
+            out = list(map(fn, values))
+        except errors:
+            out = list(map(guarded, values))
+        return np.array(out, dtype=float).reshape(xs.shape)
+
+    return apply
+
+
+_MATH_ERRORS = (ValueError, OverflowError)
+_LIBM_ARRAY = {f"_{name}": _elementwise(getattr(math, name), _MATH_ERRORS)
+               for name in ("exp", "log", "tan")}
+_w_array = _elementwise(_FN_IMPL["W"], _MATH_ERRORS + (BranchDomainError,))
+
+
+def _sec_array(x):
+    return 1.0 / np.cos(x)
+
+
+_PY_FORMS = {"sin": "math.sin", "cos": "math.cos", "tan": "math.tan",
+             "sec": "_sec", "exp": "math.exp", "ln": "math.log",
+             "sqrt": "math.sqrt", "abs": "abs", "W": "_W",
+             "^": "({}**{})"}
+_ARRAY_FORMS = {"sin": "np.sin", "cos": "np.cos", "tan": "_tan", "sec": "_sec",
+                "exp": "_exp", "ln": "_log", "sqrt": "np.sqrt", "abs": "abs",
+                "W": "_W", "^": "np.float_power({}, {})"}
+
+
+def _pysrc(node: Node, forms: dict[str, str]) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -306,12 +369,14 @@ def _pysrc(node: Node) -> str:
     if isinstance(node, Const):
         return repr(CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return f"(-{_pysrc(node.arg)})"
+        return f"(-{_pysrc(node.arg, forms)})"
     if isinstance(node, Call):
-        return f"{_PY_FN[node.fn]}({_pysrc(node.arg)})"
+        return f"{forms[node.fn]}({_pysrc(node.arg, forms)})"
     if isinstance(node, BinOp):
-        op = "**" if node.op == "^" else node.op
-        return f"({_pysrc(node.left)}{op}{_pysrc(node.right)})"
+        left, right = _pysrc(node.left, forms), _pysrc(node.right, forms)
+        if node.op == "^":
+            return forms["^"].format(left, right)
+        return f"({left}{node.op}{right})"
     raise TypeError(f"not an expression node: {node!r}")
 
 

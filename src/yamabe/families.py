@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (BranchDomainError, FamilyConstructionError,
                      QuadratureError)
 from .geometry import SignatureSpec, TranslationDirection
 from .lambertw import lambert_w
-from .numerics import CachedAntiderivative, invert_monotone
+from .numerics import CachedAntiderivative, invert_monotone, solve_ivp
 from .profiles import Interval, Profile, grid_points
 from .soliton import WarpedSolitonSpec, certify
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, EvaluationError
+from .numerics import solve_ivp
 from .soliton import WarpedSolitonSpec
 
 __all__ = [

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMetricError
+from .numerics import square
 from .profiles import Profile
 
 __all__ = [
@@ -206,9 +207,9 @@ def warped_scalar_curvature(s_base: float, f_value: float, laplacian_f: float,
     if sign_variant not in ("minus", "plus"):
         raise ValueError(f"sign_variant must be 'minus' or 'plus', got {sign_variant!r}")
     sign = -1.0 if sign_variant == "minus" else 1.0
-    return (s_base + lambda_f / f_value ** 2
+    return (s_base + lambda_f / square(f_value)
             - 2.0 * d * laplacian_f / f_value
-            + sign * d * (d - 1) * gradsq_f / f_value ** 2)
+            + sign * d * (d - 1) * gradsq_f / square(f_value))
 
 
 # --- metric samplers --------------------------------------------------------

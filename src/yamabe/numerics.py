@@ -12,11 +12,13 @@ import math
 from bisect import bisect_left, insort
 from typing import Callable
 
+import numpy as np
+
 from .errors import QuadratureError, RootFindError
 
 __all__ = [
     "adaptive_simpson", "CachedAntiderivative", "invert_monotone",
-    "central_d1", "central_d2", "DEFAULT_QUAD_TOL",
+    "central_d1", "central_d2", "square", "solve_ivp", "DEFAULT_QUAD_TOL",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10  # absolute tolerance per integral
@@ -195,3 +197,19 @@ def central_d2(f: Callable[[float], float], x: float,
     s_h = (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
     s_h2 = (f(x + 0.5 * h) - 2.0 * fx + f(x - 0.5 * h)) / (0.25 * h * h)
     return (4.0 * s_h2 - s_h) / 3.0
+
+
+def square(x):
+    """x ** 2 for a float or an array, rounded as Python rounds float powers
+    (libm pow). numpy's own x ** 2 is x * x, and numpy's power loop has its
+    own SIMD kernel; both differ from libm in the last bit on some inputs,
+    and array and scalar residuals must agree bitwise."""
+    return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call. Importing
+    scipy.integrate takes about 0.8 s and 50 MB, and only the ODE paths
+    (geodesics, the phase portrait, the thm15 ODE construction) need it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)

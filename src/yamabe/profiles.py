@@ -4,6 +4,10 @@ A profile carries an open domain and three callables (value, d1, d2). The
 expression constructor differentiates symbolically; the callable constructor
 falls back to central differences when derivatives are not supplied, which is
 why numeric-callback specs certify against a looser default tolerance.
+
+``Profile.jet`` evaluates all three on an array of points at once. Expression
+and constant profiles, and shifted, scaled and summed versions of them, have
+numpy forms; any other profile is run point by point.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import expressions
 from .errors import DomainError, PositivityError
 from .numerics import central_d1, central_d2
 
-__all__ = ["Interval", "Profile", "grid_points", "DEFAULT_GRID_MARGIN"]
+__all__ = ["Interval", "Profile", "grid_points", "leading_jets",
+           "DEFAULT_GRID_MARGIN"]
 
 DEFAULT_GRID_MARGIN = 0.01  # fraction of interval length clipped at each end
 
@@ -85,6 +92,9 @@ class Profile:
         self._d1 = d1
         self._d2 = d2
         self.analytic_derivatives = analytic_derivatives
+        # (xs, value) -> (value or None, d1, d2) on in-domain points, for the
+        # profiles that have a numpy form
+        self._arrays = None
 
     def _check(self, xi: float) -> None:
         if not self.domain.contains(xi):
@@ -105,6 +115,55 @@ class Profile:
 
     __call__ = value
 
+    def jet(self, xs, value: bool = True):
+        """(value, d1, d2) as arrays over the 1-D points xs; value is None
+        unless asked for. Entries equal the scalar ``value``/``d1``/``d2``.
+
+        Expression and constant profiles, and shifted, scaled and summed
+        ones built from them, evaluate in numpy and return non-finite entries
+        where they cannot be evaluated. Any other profile runs its scalar
+        callables point by point, in order, and never calls value unless
+        asked; the first exception stops the loop and propagates. A point
+        outside the domain raises DomainError naming the first one.
+        """
+        jet, error = self._leading_jet(np.asarray(xs, dtype=float), value)
+        if error is not None:
+            raise error
+        return jet
+
+    def _leading_jet(self, xs: np.ndarray, value: bool):
+        """The jet over the longest prefix of xs on which nothing raises,
+        and the exception raised at the point after it (None if none)."""
+        error = None
+        inside = (self.domain.lo < xs) & (xs < self.domain.hi)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            error = DomainError(f"xi={float(xs[k])!r} outside declared "
+                                f"domain {self.domain.as_tuple()!r}")
+            xs = xs[:k]
+        if self._arrays is not None:
+            return self._arrays(xs, value), error
+        rows = [self._value, self._d1, self._d2] if value else [self._d1,
+                                                                self._d2]
+        out = np.empty((len(rows), len(xs)))
+        for i, x in enumerate(xs.tolist()):
+            try:
+                for row, fn in enumerate(rows):
+                    out[row, i] = fn(x)
+            except Exception as exc:
+                out, error = out[:, :i], exc
+                break
+        return (out[0] if value else None, out[-2], out[-1]), error
+
+    def _derived(self, value, d1, d2, domain, analytic_derivatives,
+                 arrays) -> "Profile":
+        """A profile built from this one (and maybe another); it has a numpy
+        form when ``arrays`` is given, i.e. when its parents have one."""
+        out = Profile(value, d1, d2, domain,
+                      analytic_derivatives=analytic_derivatives)
+        out._arrays = arrays
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -114,10 +173,12 @@ class Profile:
         ast = expressions.parse_expression(text)
         d1_ast = expressions.differentiate(ast)
         d2_ast = expressions.differentiate(d1_ast)
-        return cls(expressions.compile_callable(ast),
-                   expressions.compile_callable(d1_ast),
-                   expressions.compile_callable(d2_ast),
-                   domain, source=text, analytic_derivatives=True)
+        out = cls(expressions.compile_callable(ast),
+                  expressions.compile_callable(d1_ast),
+                  expressions.compile_callable(d2_ast),
+                  domain, source=text, analytic_derivatives=True)
+        out._arrays = _expression_arrays(ast, d1_ast, d2_ast)
+        return out
 
     @classmethod
     def from_callable(cls, value: Callable[[float], float],
@@ -132,33 +193,55 @@ class Profile:
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf)
                  ) -> "Profile":
         zero = lambda xi: 0.0
-        return cls(lambda xi: c, zero, zero, domain,
-                   source=repr(float(c)), analytic_derivatives=True)
+        out = cls(lambda xi: c, zero, zero, domain,
+                  source=repr(float(c)), analytic_derivatives=True)
+        out._arrays = lambda xs, value: (
+            np.full(xs.shape, float(c)) if value else None,
+            np.zeros(xs.shape), np.zeros(xs.shape))
+        return out
 
     # -- wrappers (used by invariance checks and families) ----------------
 
     def shifted(self, c: float) -> "Profile":
         """Profile + c; derivatives are shared, so residuals that depend only
         on derivatives are bitwise unchanged."""
-        return Profile(lambda xi: self._value(xi) + c, self._d1, self._d2,
-                       self.domain,
-                       analytic_derivatives=self.analytic_derivatives)
+        arrays = self._arrays
+
+        def shifted_arrays(xs, value):
+            v, d1, d2 = arrays(xs, value)
+            return (v + c if value else None, d1, d2)
+
+        return self._derived(lambda xi: self._value(xi) + c, self._d1,
+                             self._d2, self.domain, self.analytic_derivatives,
+                             arrays and shifted_arrays)
 
     def scaled(self, c: float) -> "Profile":
-        return Profile(lambda xi: c * self._value(xi),
-                       lambda xi: c * self._d1(xi),
-                       lambda xi: c * self._d2(xi),
-                       self.domain,
-                       analytic_derivatives=self.analytic_derivatives)
+        arrays = self._arrays
+
+        def scaled_arrays(xs, value):
+            v, d1, d2 = arrays(xs, value)
+            return (c * v if value else None, c * d1, c * d2)
+
+        return self._derived(lambda xi: c * self._value(xi),
+                             lambda xi: c * self._d1(xi),
+                             lambda xi: c * self._d2(xi),
+                             self.domain, self.analytic_derivatives,
+                             arrays and scaled_arrays)
 
     def plus(self, other: "Profile") -> "Profile":
-        dom = self.domain.clipped(other.domain)
-        return Profile(lambda xi: self._value(xi) + other._value(xi),
-                       lambda xi: self._d1(xi) + other._d1(xi),
-                       lambda xi: self._d2(xi) + other._d2(xi),
-                       dom,
-                       analytic_derivatives=(self.analytic_derivatives
-                                             and other.analytic_derivatives))
+        mine, theirs = self._arrays, other._arrays
+
+        def sum_arrays(xs, value):
+            (v, d1, d2), (w, e1, e2) = mine(xs, value), theirs(xs, value)
+            return (v + w if value else None, d1 + e1, d2 + e2)
+
+        return self._derived(lambda xi: self._value(xi) + other._value(xi),
+                             lambda xi: self._d1(xi) + other._d1(xi),
+                             lambda xi: self._d2(xi) + other._d2(xi),
+                             self.domain.clipped(other.domain),
+                             (self.analytic_derivatives
+                              and other.analytic_derivatives),
+                             mine and theirs and sum_arrays)
 
     def require_positive(self, interval: Interval, samples: int = 64,
                          name: str = "profile") -> None:
@@ -173,3 +256,39 @@ class Profile:
         src = f" source={self.source!r}" if self.source else ""
         return (f"Profile(domain={self.domain.as_tuple()!r},"
                 f" analytic={self.analytic_derivatives}{src})")
+
+
+def leading_jets(xs, wanted):
+    """Jets of several profiles, given as (profile, value) pairs, over the
+    longest prefix xs[:stop] on which none of them raises. Returns the jets,
+    stop, and the exception raised at xs[stop] by the first profile that
+    raises there (None when all of xs evaluates)."""
+    xs = np.asarray(xs, dtype=float)
+    jets, stop, error = [], len(xs), None
+    for profile, value in wanted:
+        jet, err = profile._leading_jet(xs[:stop], value)
+        if err is not None:
+            stop, error = len(jet[-1]), err
+        jets.append(jet)
+    return ([tuple(a if a is None else a[:stop] for a in jet) for jet in jets],
+            stop, error)
+
+
+def _expression_arrays(*nodes):
+    """Numpy form of an expression profile from the ASTs of its value, d1 and
+    d2. Each is compiled on first use, so building a profile costs what it
+    did before any array evaluation existed."""
+    compiled = [None] * len(nodes)
+
+    def arrays(xs, value):
+        out = []
+        for k, node in enumerate(nodes):
+            if k == 0 and not value:
+                out.append(None)
+                continue
+            if compiled[k] is None:
+                compiled[k] = expressions.compile_array(node)
+            out.append(compiled[k](xs))
+        return tuple(out)
+
+    return arrays

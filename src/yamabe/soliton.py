@@ -25,9 +25,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import (SignatureSpec, TranslationDirection, base_point_for_xi,
+from .geometry import (SignatureSpec, TranslationDirection,
                        warped_scalar_curvature)
-from .profiles import Interval, Profile, grid_points
+from .numerics import square
+from .profiles import Interval, Profile, grid_points, leading_jets
 
 __all__ = [
     "WarpedSolitonSpec", "PointEval", "ResidualReport", "EquationStat",
@@ -90,7 +91,8 @@ class WarpedSolitonSpec:
 
 @dataclass(frozen=True)
 class PointEval:
-    """All profile values needed at one xi, computed once."""
+    """All profile values needed at one xi, computed once. ``certify`` fills
+    the same fields with arrays over its grid."""
 
     xi: float
     phi: float
@@ -116,14 +118,76 @@ def point_eval(spec: WarpedSolitonSpec, xi: float,
         rho=spec.rho_at(xi))
 
 
-def _bracket_terms(spec: WarpedSolitonSpec, pv: PointEval) -> tuple[float, float, float]:
-    """The three ||alpha||^2-bracket blocks shared by both diagonal equations."""
-    n, d = spec.n, spec.d
-    a_term = (n - 1) * (2.0 * pv.phi * pv.ddphi - n * pv.dphi ** 2)
-    b_term = (2.0 * d / pv.f) * (pv.phi ** 2 * pv.ddf
-                                 - (n - 2) * pv.phi * pv.dphi * pv.df)
-    c_term = (d * (d - 1) / pv.f ** 2) * pv.phi ** 2 * pv.df ** 2
-    return a_term, b_term, c_term
+class _Terms:
+    """Every residual formula of the package, once, over a PointEval of
+    floats at one xi or of arrays over a grid. Both run the same operations
+    in the same order (squares through ``numerics.square``), so they agree
+    bitwise."""
+
+    def __init__(self, spec: WarpedSolitonSpec, pv: PointEval,
+                 sign_variant: str = "minus"):
+        self.spec, self.pv, self.sign_variant = spec, pv, sign_variant
+        self.rhs = pv.rho - spec.lambda_f / square(pv.f)
+        # S_base, Lap f, <grad f, grad h>, |grad f|^2, Lap h, <grad ln f,
+        # grad h>: each carries ||alpha||^2, so lightlike annihilates them
+        norm, n = spec.direction.norm, spec.n
+        if norm == 0.0:
+            self.base = (0.0,) * 6
+            return
+        p2 = square(pv.phi)
+        self.base = (
+            norm * (n - 1) * (2.0 * pv.phi * pv.ddphi - n * square(pv.dphi)),
+            norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df),
+            norm * p2 * pv.df * pv.dh,
+            norm * p2 * square(pv.df),
+            norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh),
+            norm * p2 * (pv.df / pv.f) * pv.dh)
+
+    def reduced(self) -> dict:
+        """{'h-ode', 'diag-1', 'diag-2'}, or {'h-ode', 'lightlike'}."""
+        spec, pv = self.spec, self.pv
+        r_h = pv.ddh + 2.0 * (pv.dphi / pv.phi) * pv.dh
+        norm, n, d = spec.direction.norm, spec.n, spec.d
+        if norm == 0.0:
+            return {"h-ode": r_h, "lightlike": self.rhs}
+        # the ||alpha||^2 bracket shared by both diagonal equations
+        p2 = square(pv.phi)
+        bracket = ((n - 1) * (2.0 * pv.phi * pv.ddphi - n * square(pv.dphi))
+                   - (2.0 * d / pv.f) * (p2 * pv.ddf
+                                         - (n - 2) * pv.phi * pv.dphi * pv.df)
+                   - (d * (d - 1) / square(pv.f)) * p2 * square(pv.df))
+        return {"h-ode": r_h,
+                "diag-1": norm * (bracket + pv.phi * pv.dphi * pv.dh) - self.rhs,
+                "diag-2": norm * (bracket - (p2 / pv.f) * pv.df * pv.dh) - self.rhs}
+
+    def tensor(self) -> tuple:
+        """(n x n base block (S - rho) g_ij - Hess(h)_ij, fiber block per
+        unit fiber metric component (S - rho) f^2 - f <grad f, grad h>)."""
+        spec, pv = self.spec, self.pv
+        s_base, lap_f, pair, grad2, _, _ = self.base
+        factor = warped_scalar_curvature(s_base, pv.f, lap_f, grad2,
+                                         spec.lambda_f, spec.d,
+                                         self.sign_variant) - pv.rho
+
+        def col(x):  # one value per point, broadcast along a last axis
+            return np.asarray(x)[..., None]
+
+        n = spec.n
+        eps = np.asarray(spec.sig.epsilon, dtype=float)
+        outer = np.outer(spec.direction.alpha, spec.direction.alpha)
+        block = -(outer * col(col(pv.ddh))  # -Hess(h), then + (S - rho) g
+                  + (2.0 * outer - np.diag(eps) * spec.direction.norm)
+                  * col(col(pv.dphi / pv.phi)) * col(col(pv.dh)))
+        block[..., range(n), range(n)] += col(factor) * (eps / col(square(pv.phi)))
+        return block, factor * square(pv.f) - pv.f * pair
+
+    def lemma(self, s: float) -> tuple:
+        """See ``lemma_identities``."""
+        pv, d = self.pv, self.spec.d
+        s_base, lap_f, pair, grad2, lap_h, pair_ln = self.base
+        lam = (self.rhs + 2.0 * d * lap_f / pv.f
+               + d * (d - 1) * grad2 / square(pv.f))
+        return lam, s_base - pair / pv.f - lam, lap_h - s * pair_ln
 
 
 def reduced_residuals(spec: WarpedSolitonSpec, xi: float) -> dict[str, float]:
@@ -132,36 +196,7 @@ def reduced_residuals(spec: WarpedSolitonSpec, xi: float) -> dict[str, float]:
     Non-lightlike: {'h-ode', 'diag-1', 'diag-2'}; lightlike: {'h-ode',
     'lightlike'}. All vanish exactly on a soliton.
     """
-    pv = point_eval(spec, xi)
-    r_h = pv.ddh + 2.0 * (pv.dphi / pv.phi) * pv.dh
-    norm = spec.direction.norm
-    if norm == 0.0:
-        return {"h-ode": r_h,
-                "lightlike": pv.rho - spec.lambda_f / pv.f ** 2}
-    a_term, b_term, c_term = _bracket_terms(spec, pv)
-    rhs = pv.rho - spec.lambda_f / pv.f ** 2
-    r1 = norm * (a_term - b_term - c_term + pv.phi * pv.dphi * pv.dh) - rhs
-    r2 = norm * (a_term - b_term - c_term
-                 - (pv.phi ** 2 / pv.f) * pv.df * pv.dh) - rhs
-    return {"h-ode": r_h, "diag-1": r1, "diag-2": r2}
-
-
-def _scalar_curvature_parts(spec: WarpedSolitonSpec, pv: PointEval,
-                            sign_variant: str) -> tuple[float, float, float, float]:
-    """(S_base, Laplacian f, <grad f, grad h>, warped scalar)."""
-    n = spec.n
-    norm = spec.direction.norm
-    if norm == 0.0:
-        s_base = lap = pair = grad2 = 0.0
-    else:
-        s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi - n * pv.dphi ** 2)
-        p2 = pv.phi ** 2
-        lap = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
-        pair = norm * p2 * pv.df * pv.dh
-        grad2 = norm * p2 * pv.df ** 2
-    s_bar = warped_scalar_curvature(s_base, pv.f, lap, grad2,
-                                    spec.lambda_f, spec.d, sign_variant)
-    return s_base, lap, pair, s_bar
+    return _Terms(spec, point_eval(spec, xi)).reduced()
 
 
 def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
@@ -175,22 +210,11 @@ def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
     sides and are returned as exact zeros.
     """
     xi = spec.direction.xi_at(base_point)
-    pv = point_eval(spec, xi)
+    block, fiber = _Terms(spec, point_eval(spec, xi), sign_variant).tensor()
     n = spec.n
-    _, _, pair, s_bar = _scalar_curvature_parts(spec, pv, sign_variant)
-    factor = s_bar - pv.rho
-
-    eps = np.asarray(spec.sig.epsilon, dtype=float)
-    a = np.asarray(spec.direction.alpha)
-    ratio = pv.dphi / pv.phi
-    outer = np.outer(a, a)
-    hess = (outer * pv.ddh
-            + (2.0 * outer - np.diag(eps) * spec.direction.norm)
-            * ratio * pv.dh)
     out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = factor * np.diag(eps / pv.phi ** 2) - hess
-    # fiber block: (S - rho) f^2 g_F(V,V) - f g_F(V,V) <grad f, grad h>
-    out[n, n] = fiber_block_scale * (factor * pv.f ** 2 - pv.f * pair)
+    out[:n, :n] = block
+    out[n, n] = fiber_block_scale * fiber
     return out
 
 
@@ -205,25 +229,8 @@ def lemma_identities(spec: WarpedSolitonSpec, xi: float,
     to n: tracing the base equation of a certified spec gives
     Lap h = n <grad f, grad h>/f pointwise, which fixes the exponent.
     """
-    pv = point_eval(spec, xi)
-    n, d = spec.n, spec.d
-    norm = spec.direction.norm
-    if norm == 0.0:
-        s_base = lap_f = pair = grad2 = lap_h = pair_ln = 0.0
-    else:
-        s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi - n * pv.dphi ** 2)
-        p2 = pv.phi ** 2
-        lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
-        pair = norm * p2 * pv.df * pv.dh
-        grad2 = norm * p2 * pv.df ** 2
-        lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
-        pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
-    lam = (pv.rho - spec.lambda_f / pv.f ** 2
-           + 2.0 * d * lap_f / pv.f + d * (d - 1) * grad2 / pv.f ** 2)
-    scalar_residual = s_base - pair / pv.f - lam
-    s_exp = float(n) if s is None else float(s)
-    weighted_residual = lap_h - s_exp * pair_ln
-    return lam, scalar_residual, weighted_residual
+    s_exp = float(spec.n) if s is None else float(s)
+    return _Terms(spec, point_eval(spec, xi)).lemma(s_exp)
 
 
 # --- classification ----------------------------------------------------------
@@ -335,13 +342,15 @@ class ResidualReport:
 def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
             tolerance: Optional[float] = None,
             interval: Optional[Interval] = None,
-            sign_variant: str = "minus",
-            include_full_tensor: bool = True) -> ResidualReport:
+            sign_variant: str = "minus") -> ResidualReport:
     """Grid certification: margin-clipped uniform grid, reduced and full
     tensor residuals, verdict by comparison against the tolerance.
 
-    Verdict 'inconclusive' means some residual failed to evaluate to a finite
-    number (typically a singularity inside the interval); 'rejected' means
+    The whole grid is evaluated in one pass over arrays. Verdict
+    'inconclusive' means that at some grid point a profile could not be
+    evaluated, or a profile value or residual is not finite (typically a
+    singularity inside the interval); the first such point is named in a
+    note, and the maxima come from the points before it. 'rejected' means
     every evaluation was finite but some residual exceeds the tolerance.
     """
     interval = (interval or spec.domain).clipped(spec.domain)
@@ -349,53 +358,40 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
         tolerance = ANALYTIC_TOL if spec.analytic else NUMERIC_TOL
     pts = grid_points(interval, grid_size)
 
-    maxima: dict[str, tuple[float, float]] = {}
-    notes: list[str] = []
-    failed = False
-    min_inequality = math.inf  # S_base - (rho - lambda_F/f^2), informational
+    wanted = [(spec.phi, True), (spec.f, True), (spec.h, False)]
+    if spec.is_almost:
+        wanted.append((spec.rho, True))
+    (phi, f, h, *rho), stop, error = leading_jets(pts, wanted)
+    failure = (None if error is None
+               else f"evaluation failed at xi={pts[stop]!r}: {error}")
+    # PointEval fields in order; h itself is not needed, h' and h'' are
+    pv = PointEval(np.array(pts[:stop]), *phi, *f, 0.0, *h[1:],
+                   rho[0][0] if rho else spec.rho)
+    with np.errstate(all="ignore"):
+        terms = _Terms(spec, pv, sign_variant)
+        block, fiber = terms.tensor()
+        residuals = {**terms.reduced(),
+                     "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
+                     "tensor-fiber": fiber}
+        inequality = terms.base[0] - terms.rhs
+    size = stop
+    for name, values in {**vars(pv), **residuals}.items():
+        bad = np.flatnonzero(~np.isfinite(np.broadcast_to(values, (size,))))
+        if bad.size and bad[0] < stop:
+            stop = int(bad[0])
+            failure = f"evaluation failed at xi={pts[stop]!r}: non-finite {name}"
+    notes = [] if failure is None else [failure]
 
-    def record(key: str, value: float, xi: float):
-        nonlocal failed
-        if not math.isfinite(value):
-            failed = True
-            value = math.inf
-        cur = maxima.get(key)
-        if cur is None or abs(value) > cur[0]:
-            maxima[key] = (abs(value), xi)
-
-    for xi in pts:
-        try:
-            reduced = reduced_residuals(spec, xi)
-            for key, value in reduced.items():
-                record(key, value, xi)
-            pv = point_eval(spec, xi)
-            s_base, _, _, _ = _scalar_curvature_parts(spec, pv, sign_variant)
-            min_inequality = min(min_inequality,
-                                 s_base - (pv.rho - spec.lambda_f / pv.f ** 2))
-            if include_full_tensor:
-                point = base_point_for_xi(spec.direction, xi)
-                tensor = full_tensor_residual(spec, point,
-                                              sign_variant=sign_variant)
-                n = spec.n
-                base_block = tensor[:n, :n]
-                if not np.all(np.isfinite(tensor)):
-                    record("tensor-base", math.inf, xi)
-                else:
-                    idx = np.unravel_index(np.argmax(np.abs(base_block)),
-                                           base_block.shape)
-                    record("tensor-base", float(base_block[idx]), xi)
-                    record("tensor-fiber", float(tensor[n, n]), xi)
-        except Exception as exc:  # evaluation failure => inconclusive
-            failed = True
-            notes.append(f"evaluation failed at xi={xi!r}: {exc}")
-            break
-
-    stats = {key: EquationStat(v, x, len(pts)) for key, (v, x) in maxima.items()}
+    # argmax takes the first of tied maxima
+    maxima = {key: np.abs(np.broadcast_to(values, (size,))[:stop])
+              for key, values in residuals.items()} if stop else {}
+    stats = {key: EquationStat(float(v.max()), pts[int(v.argmax())], len(pts))
+             for key, v in maxima.items()}
     cls = classify(spec)
     if cls.rejected:
         notes.extend(cls.guards)
 
-    if failed:
+    if failure is not None:
         verdict = "inconclusive"
     elif cls.rejected:
         verdict = "rejected"
@@ -404,6 +400,8 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     else:
         verdict = "rejected"
 
+    min_inequality = np.fmin.reduce(np.broadcast_to(inequality, (size,))[:stop],
+                                    initial=math.inf)
     if math.isfinite(min_inequality):
         state = "holds" if min_inequality >= 0.0 else "violated"
         notes.append(

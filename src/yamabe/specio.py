@@ -277,13 +277,19 @@ def family_document(fid: str, params: dict, *, n: int, d: int,
 def document_from_spec(spec: WarpedSolitonSpec, profiles: dict[str, str]
                        ) -> dict:
     """Document for a spec whose profiles have expression forms (the caller
-    supplies the expression strings; quadrature profiles have none)."""
+    supplies the expression strings; quadrature profiles have none). An
+    almost soliton's rho profile has no such form: its document is the
+    almost-lightlike family document."""
+    if spec.is_almost:
+        raise SpecValidationError(
+            "rho", "an almost soliton's rho is a profile, which only a "
+                   "family document can carry")
     lo, hi = spec.domain.as_tuple()
     return {
         "n": spec.n, "d": spec.d,
         "signature": list(spec.sig.epsilon),
         "alpha": [float(a) for a in spec.direction.alpha],
-        "rho": spec.rho if isinstance(spec.rho, float) else "profile",
+        "rho": float(spec.rho),
         "lambda_f": spec.lambda_f,
         "domain": [None if math.isinf(lo) else lo,
                    None if math.isinf(hi) else hi],

@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from yamabe import families, specio
 from yamabe.catalog import build_example, catalog
-from yamabe.errors import DimensionMismatchError, PositivityError
+from yamabe.errors import (DimensionMismatchError, DomainError,
+                           PositivityError)
 from yamabe.geometry import (SignatureSpec, TranslationDirection,
                              base_point_for_xi)
 from yamabe.profiles import Interval, Profile, grid_points
@@ -151,13 +155,6 @@ class TestTensorReducedEquivalence:
         assert {"tensor-base", "tensor-fiber"} <= set(report.equations)
         assert report.equations["tensor-base"].max_abs_residual <= report.tolerance
 
-    def test_tensor_block_can_be_skipped(self):
-        spec = build_example("example-2")
-        report = certify(spec, interval=Interval(1.0, 20.0),
-                         include_full_tensor=False)
-        assert "tensor-base" not in report.equations
-        assert report.verdict == "certified"
-
 
 class TestLemmaIdentities:
     def test_identities_hold_on_solution(self):
@@ -301,3 +298,200 @@ class TestCertify:
         assert d["classification"]["soliton"] == "trivial"
         assert set(d["equations"]) == set(report.equations)
         assert d["tolerance"] == report.tolerance
+
+
+# --- array certify against the scalar functions ------------------------------
+
+def reference_certify(spec, grid_size=200, interval=None):
+    """(verdict, {key: (max |residual|, argmax xi)}) from the public scalar
+    functions, one grid point at a time, with certify's failure rule: the
+    first point that raises or gives a non-finite residual makes the verdict
+    inconclusive and ends the maxima."""
+    interval = (interval or spec.domain).clipped(spec.domain)
+    tolerance = ANALYTIC_TOL if spec.analytic else NUMERIC_TOL
+    n = spec.n
+    maxima = {}
+    for xi in grid_points(interval, grid_size):
+        try:
+            with np.errstate(all="ignore"):
+                values = dict(reduced_residuals(spec, xi))
+                tensor = full_tensor_residual(
+                    spec, base_point_for_xi(spec.direction, xi))
+        except Exception:
+            return "inconclusive", maxima
+        values["tensor-base"] = np.max(np.abs(tensor[:n, :n]))
+        values["tensor-fiber"] = tensor[n, n]
+        if not all(math.isfinite(v) for v in values.values()):
+            return "inconclusive", maxima
+        for key, value in values.items():
+            if key not in maxima or abs(value) > maxima[key][0]:
+                maxima[key] = (abs(value), xi)
+    if classify(spec).rejected:
+        return "rejected", maxima
+    ok = all(v <= tolerance for v, _ in maxima.values())
+    return ("certified" if ok else "rejected"), maxima
+
+
+def _hostile(phi, f, h, *, lightlike):
+    doc = {"n": 4 if lightlike else 5, "d": 2 if lightlike else 1,
+           "alpha": [1, 1, 0, 0] if lightlike else [1, 0, 0, 0, 0],
+           "domain": [-1, 1], "profiles": {"phi": phi, "f": f, "h": h}}
+    if lightlike:
+        doc["signature"] = [-1, 1, 1, 1]
+    return specio.load_document(doc)[0]
+
+
+def _equivalence_cases():
+    cases = []
+    for key in SOLITON_KEYS:
+        entry = catalog()[key]
+        spec = entry.build()
+        interval = Interval(*entry.certify_interval)
+        cases.append(pytest.param(spec, interval, id=key))
+        twin = dataclasses.replace(spec, rho=spec.rho + 1e-3)
+        cases.append(pytest.param(twin, interval, id=f"{key}+rho"))
+    cases += [
+        pytest.param(_hostile("1", "1/xi", "xi", lightlike=True), None,
+                     id="lightlike-pole-f"),
+        pytest.param(_hostile("xi", "1", "-1/xi", lightlike=True), None,
+                     id="lightlike-zero-phi"),
+        pytest.param(_hostile("1", "1/xi^2", "0", lightlike=False), None,
+                     id="spacelike-pole-f2"),
+        pytest.param(make_spec(Profile.from_callable(math.exp, (-2.0, 2.0)),
+                               "exp(xi)", "xi"), None, id="fd-callable"),
+        pytest.param(make_spec("sqrt(xi)", "exp(xi)", "xi",
+                               domain=(-2.0, 2.0)), None, id="sqrt-negative"),
+    ]
+    return cases
+
+
+class TestArrayCertifyEquivalence:
+    """certify evaluates the grid as arrays; the per-point reference above
+    uses only the scalar public functions."""
+
+    @staticmethod
+    def _assert_same(spec, interval, grid_size=200):
+        report = certify(spec, grid_size=grid_size, interval=interval)
+        verdict, maxima = reference_certify(spec, grid_size, interval)
+        assert report.verdict == verdict
+        assert set(report.equations) == set(maxima)
+        for key, (value, xi) in maxima.items():
+            stat = report.equations[key]
+            assert abs(stat.max_abs_residual - value) <= 1e-14 * value, key
+            assert stat.argmax_xi == xi, key
+            assert stat.samples == grid_size
+
+    @pytest.mark.parametrize("spec,interval", _equivalence_cases())
+    def test_matches_scalar_reference(self, spec, interval):
+        self._assert_same(spec, interval)
+
+    def test_matches_scalar_reference_on_thm15(self):
+        spec = families.family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                                     xi_range=(-0.3, 0.4), run_certify=False)
+        self._assert_same(spec, None, grid_size=60)
+
+    def test_failure_ends_maxima_at_first_bad_point(self):
+        def value(xi):
+            if xi > 0.5:
+                raise ValueError("no value beyond 0.5")
+            return math.exp(xi)
+        phi = Profile.from_callable(value, (-2.0, 2.0), d1=math.exp,
+                                    d2=math.exp)
+        spec = make_spec(phi, "exp(xi)", "xi")
+        report = certify(spec, grid_size=50)
+        pts = grid_points(spec.domain, 50)
+        first_bad = next(x for x in pts if x > 0.5)
+        assert report.verdict == "inconclusive"
+        assert report.notes[0] == (f"evaluation failed at xi={first_bad!r}: "
+                                   "no value beyond 0.5")
+        assert all(st.argmax_xi < first_bad
+                   for st in report.equations.values())
+        self._assert_same(spec, None, grid_size=50)
+
+    def test_non_finite_residual_is_inconclusive_and_strict_json(self):
+        doc = {"n": 3, "d": 1, "alpha": [1, 0, 0], "domain": [0.5, 1.0],
+               "lambda_f": 1.0, "rho": 0.0,
+               "profiles": {"phi": "1", "f": "1e-160", "h": "0"}}
+        spec, _ = specio.load_document(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify(spec)
+        first = grid_points(spec.domain, 200)[0]
+        assert report.verdict == "inconclusive"
+        assert any(note.startswith(f"evaluation failed at xi={first!r}")
+                   for note in report.notes)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_ties_keep_the_first_grid_point(self):
+        report = certify(make_spec("1", "1", "0"), grid_size=20)
+        first = grid_points(Interval(-2.0, 2.0), 20)[0]
+        assert report.verdict == "certified"
+        assert all(st.argmax_xi == first and st.max_abs_residual == 0.0
+                   for st in report.equations.values())
+
+
+class TestProfileJet:
+    XS = np.linspace(-1.4, 1.4, 57)
+
+    @staticmethod
+    def _scalar(profile, xs):
+        return [np.array([fn(x) for x in xs.tolist()])
+                for fn in (profile.value, profile.d1, profile.d2)]
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(2*sec(xi)*exp(xi))", "sqrt(tan(xi/20)+1)", "20*ln(xi+2)",
+        "W(xi^2) + abs(xi - 3)^1.5", "exp(-0.4*xi)/(2 + sin(xi)*cos(xi))",
+        "(xi+3)^-0.5", "pi*e"])
+    def test_numpy_path_within_4_ulp(self, text):
+        profile = Profile.from_expression(text, (-1.5, 1.5))
+        for got, want in zip(profile.jet(self.XS), self._scalar(profile,
+                                                                self.XS)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_wrappers_and_constant_have_numpy_forms(self):
+        p = Profile.from_expression("exp(xi)", (-1.5, 1.5))
+        q = Profile.from_expression("xi^2", (-1.5, 1.5))
+        for profile in (p.shifted(2.5), p.scaled(-3.0), p.plus(q),
+                        Profile.constant(4.0, (-1.5, 1.5))):
+            assert profile._arrays is not None
+            for got, want in zip(profile.jet(self.XS),
+                                 self._scalar(profile, self.XS)):
+                assert np.all(np.abs(got - want)
+                              <= 4 * np.spacing(np.abs(want)))
+
+    def test_fallback_is_bitwise_and_in_grid_order(self):
+        seen = []
+
+        def value(xi):
+            seen.append(xi)
+            return math.cosh(xi)
+        profile = Profile.from_callable(value, (-1.5, 1.5))  # FD derivatives
+        jet = profile.jet(self.XS)
+        grid = self.XS.tolist()
+        # value runs at each grid point (again inside the d2 stencil),
+        # point after point
+        assert list(dict.fromkeys(x for x in seen if x in grid)) == grid
+        for got, want in zip(jet, self._scalar(profile, self.XS)):
+            assert np.array_equal(got, want)
+        assert profile.plus(Profile.from_expression("xi"))._arrays is None
+
+    def test_fallback_skips_value_when_not_asked(self):
+        def value(xi):
+            raise AssertionError("value evaluated")
+        profile = Profile.from_callable(value, (-1.5, 1.5), d1=math.sin,
+                                        d2=math.cos)
+        got, d1, d2 = profile.jet(self.XS, value=False)
+        assert got is None
+        assert np.array_equal(d1, np.sin(self.XS))
+
+    def test_domain_error_names_first_bad_point(self):
+        profile = Profile.from_expression("ln(xi)", (0.0, math.inf))
+        with pytest.raises(DomainError, match=r"xi=-2\.0 outside"):
+            profile.jet([1.0, -2.0, 0.0, -3.0])
+
+    def test_numpy_failure_is_non_finite_not_raised(self):
+        profile = Profile.from_expression("sqrt(xi)", (-2.0, 2.0))
+        value, d1, _ = profile.jet([-1.0, 1.0])
+        assert math.isnan(value[0]) and value[1] == 1.0
+        assert not math.isfinite(d1[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from yamabe.errors import SpecValidationError
 from yamabe.geodesics import integrate_geodesic
 from yamabe.geometry import SignatureSpec
 from yamabe.soliton import certify
-from yamabe.profiles import Interval
+from yamabe.profiles import Interval, Profile
 
 BASE_DOC = {
     "n": 5, "d": 1,
@@ -175,6 +176,22 @@ class TestFamilyDocuments:
         again, _ = specio.load_document(doc)
         assert again.label == "example-2"
         assert again.h.value(3.0) == spec.h.value(3.0)
+
+    def test_integer_rho_document_loads(self):
+        spec, _ = specio.load_document(doc_with())
+        spec = dataclasses.replace(spec, rho=0)
+        doc = specio.document_from_spec(spec, dict(BASE_DOC["profiles"]))
+        assert doc["rho"] == 0.0 and isinstance(doc["rho"], float)
+        again, _ = specio.load_document(json.loads(json.dumps(doc)))
+        assert again.rho == 0.0
+
+    def test_almost_soliton_has_no_expression_document(self):
+        spec, _ = specio.load_document(doc_with())
+        almost = dataclasses.replace(
+            spec, rho=Profile.from_expression("xi", spec.domain))
+        with pytest.raises(SpecValidationError) as err:
+            specio.document_from_spec(almost, dict(BASE_DOC["profiles"]))
+        assert err.value.key == "rho"
 
     def test_floats_survive_json_roundtrip(self):
         values = [0.1, 1e-8, math.pi, 2.0 / 3.0, 1e300]
