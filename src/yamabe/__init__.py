@@ -16,7 +16,7 @@ from .families import (almost_soliton_lightlike, family_thm15, family_thm16,
 from .geodesics import (compare_probe_modes, completeness_probe, energy,
                         fiber_momentum, geodesic_rhs, integrate_geodesic)
 from .geometry import (SignatureSpec, TranslationDirection, causal_class,
-                       conformal_scalar_curvature, signed_norm)
+                       signed_norm)
 from .lambertw import lambert_w
 from .profiles import Interval, Profile, grid_points
 from .soliton import (ANALYTIC_TOL, NUMERIC_TOL, ResidualReport,
@@ -36,8 +36,8 @@ __all__ = [
     "SpecValidationError", "TranslationDirection", "WarpedSolitonSpec",
     "YamabeError", "almost_soliton_lightlike", "build_example", "catalog",
     "causal_class", "certify", "classify", "compare_probe_modes",
-    "compile_callable", "completeness_probe", "conformal_scalar_curvature",
-    "differentiate", "energy", "evaluate", "example5_spec", "family_thm15",
+    "compile_callable", "completeness_probe", "differentiate", "energy",
+    "evaluate", "example5_spec", "family_thm15",
     "family_thm16", "family_thm17", "family_thm18", "fiber_momentum",
     "full_tensor_residual", "geodesic_rhs", "grid_points",
     "integrate_geodesic", "lambert_w", "lemma_identities", "load_document",

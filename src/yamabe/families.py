@@ -28,7 +28,8 @@ from .errors import (BranchDomainError, FamilyConstructionError,
                      QuadratureError)
 from .geometry import SignatureSpec, TranslationDirection
 from .lambertw import lambert_w
-from .numerics import CachedAntiderivative, invert_monotone, solve_ivp
+from .numerics import (CachedAntiderivative, invert_monotone, opposite,
+                       solve_ivp)
 from .profiles import Interval, Profile, grid_points
 from .soliton import WarpedSolitonSpec, certify
 
@@ -262,7 +263,7 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
                 bad = mid
             else:
                 good, gval = mid, gm
-                if gval == 0.0 or gval * gref < 0.0:
+                if gval == 0.0 or opposite(gval, gref):
                     break
             if abs(bad - good) <= 1e-14 * max(1.0, abs(good)):
                 break
@@ -280,7 +281,7 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
             return lo, lo
         if ghi == 0.0:
             return hi, hi
-        if glo * ghi < 0.0:
+        if opposite(glo, ghi):
             return (lo, hi) if lo < hi else (hi, lo)
         if not lo_wall:
             cand = lo / factor
@@ -298,7 +299,8 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
                 hi_wall = True
             else:
                 hi, ghi = cand, gc
-        if lo_wall and hi_wall and glo * ghi > 0.0:
+        if (lo_wall and hi_wall and glo != 0.0 and ghi != 0.0
+                and not opposite(glo, ghi)):
             raise FamilyConstructionError(
                 f"xi target {target!r} lies outside the maximal interval of "
                 f"the implicit relation (phi walls near ({lo!r}, {hi!r}))")
@@ -307,12 +309,18 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
         "singular inside the requested range")
 
 
+def _profile_ode(phi, dphi, p, q):
+    """phi'' from the profile ODE phi^2 phi'' - 3 phi phi'^2 + p phi' =
+    -q phi^3."""
+    return (3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3) / phi ** 2
+
+
 def _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval: Interval) -> Profile:
     xi_c = -k4
 
     def rhs(xi, y):
         phi, dphi = y
-        return [dphi, (3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3) / phi ** 2]
+        return [dphi, _profile_ode(phi, dphi, p, q)]
 
     y0 = [phi0, u_of_phi(phi0) * phi0 ** 3]
     pieces = []
@@ -342,7 +350,7 @@ def _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval: Interval) -> Profile:
 
     def d2(xi):
         phi, dphi = eval_pair(xi)
-        return float((3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3) / phi ** 2)
+        return float(_profile_ode(phi, dphi, p, q))
 
     return Profile(value, d1, d2, interval, analytic_derivatives=True)
 
@@ -489,7 +497,7 @@ def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
     pts = grid_points(interval, 256)
     signs = [den(x) for x in pts]
     for left, right, sl, sr in zip(pts, pts[1:], signs, signs[1:]):
-        if sl == 0.0 or sl * sr < 0.0:
+        if sl == 0.0 or opposite(sl, sr):
             raise FamilyConstructionError(
                 "denominator of the Riccati update crosses zero inside "
                 f"({left!r}, {right!r}); choose a different C or range")
@@ -704,7 +712,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
 
     def rhs(xi, y):
         phi, dphi = y
-        return [dphi, (3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3) / phi ** 2]
+        return [dphi, _profile_ode(phi, dphi, p, q)]
 
     def positivity(xi, y):
         return y[0] - phi_floor

@@ -1,16 +1,19 @@
-"""Closed-form tensors for conformally semi-Euclidean bases, plus FD oracles.
+"""Conformally semi-Euclidean bases: types, metric samplers and FD oracles.
 
 The base metric is g = phi(xi)^-2 * delta on R^n, where delta is the diagonal
 semi-Euclidean metric with entries eps_i in {-1, +1} and xi = sum_i alpha_i x_i.
-All closed forms below depend on position only through xi, so they take xi
-directly. The finite-difference oracle at the bottom knows nothing about the
-closed forms: it differentiates a metric sampler, and exists so the two routes
-can be compared.
+This module holds the signature and direction types, the scalar curvature of
+the warped product assembled from base terms, and metric samplers of the base
+and of the warped product. The closed forms of the base geometry (scalar
+curvature, Laplacians, gradient pairings, Hessian) live once, in
+``soliton.Terms``, which ``certify`` runs; the Christoffel symbols are
+contracted in ``geodesics.geodesic_rhs``. The finite-difference oracles at the
+bottom know nothing about either: they differentiate a metric sampler, and
+exist so the two routes can be compared.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,9 +25,6 @@ from .profiles import Profile
 
 __all__ = [
     "SignatureSpec", "TranslationDirection", "signed_norm", "causal_class",
-    "christoffel_conformal", "conformal_christoffels",
-    "conformal_scalar_curvature", "conformal_hessian",
-    "conformal_hessian_matrix", "conformal_laplacian_and_pairings",
     "warped_scalar_curvature", "conformal_metric_sampler",
     "warped_metric_sampler", "base_point_for_xi",
     "fd_curvature_oracle", "fd_hessian_oracle", "fd_laplacian_oracle",
@@ -102,97 +102,7 @@ def base_point_for_xi(direction: TranslationDirection, xi: float) -> np.ndarray:
     return xi * a / float(a @ a)
 
 
-# --- closed forms -----------------------------------------------------------
-
-def christoffel_conformal(phi: Profile, direction: TranslationDirection,
-                          sig: SignatureSpec, i: int, j: int, k: int,
-                          xi: float) -> float:
-    """Gamma^k_{ij} of g = phi^-2 delta.
-
-    Equivalent to Gamma^k_ij = d^k_i psi_j + d^k_j psi_i - d_ij eps_i eps_k
-    psi_k with psi = -ln(phi): zero for distinct indices, -phi_{,j}/phi on
-    (i,i,j->i), eps_i eps_k phi_{,k}/phi on (i,i)->k, -phi_{,i}/phi on the
-    triple diagonal.
-    """
-    ratio = phi.d1(xi) / phi.value(xi)
-    psi = lambda m: -ratio * direction.alpha[m]
-    out = 0.0
-    if k == i:
-        out += psi(j)
-    if k == j:
-        out += psi(i)
-    if i == j:
-        out -= sig.epsilon[i] * sig.epsilon[k] * psi(k)
-    return out
-
-
-def conformal_christoffels(phi: Profile, direction: TranslationDirection,
-                           sig: SignatureSpec, xi: float) -> np.ndarray:
-    """Array Gamma[k, i, j]."""
-    n = sig.n
-    ratio = phi.d1(xi) / phi.value(xi)
-    psi = -ratio * np.asarray(direction.alpha)
-    eps = np.asarray(sig.epsilon, dtype=float)
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        gamma[k, k, :] += psi
-        gamma[k, :, k] += psi
-        gamma[k, range(n), range(n)] -= eps * eps[k] * psi[k]
-    return gamma
-
-
-def conformal_scalar_curvature(phi: Profile, direction: TranslationDirection,
-                               sig: SignatureSpec, xi: float) -> float:
-    """S = ||alpha||^2 (n-1) (2 phi phi'' - n phi'^2)."""
-    if direction.norm == 0.0:
-        return 0.0
-    p, dp, ddp = phi.value(xi), phi.d1(xi), phi.d2(xi)
-    return direction.norm * (sig.n - 1) * (2.0 * p * ddp - sig.n * dp * dp)
-
-
-def conformal_hessian(h: Profile, phi: Profile,
-                      direction: TranslationDirection, sig: SignatureSpec,
-                      i: int, j: int, xi: float) -> float:
-    """(Hess h)_{ij} = a_i a_j h'' + (2 a_i a_j - d_ij eps_i ||a||^2)
-    (phi'/phi) h'."""
-    a = direction.alpha
-    ratio = phi.d1(xi) / phi.value(xi)
-    term = 2.0 * a[i] * a[j]
-    if i == j:
-        term -= sig.epsilon[i] * direction.norm
-    return a[i] * a[j] * h.d2(xi) + term * ratio * h.d1(xi)
-
-
-def conformal_hessian_matrix(h: Profile, phi: Profile,
-                             direction: TranslationDirection,
-                             sig: SignatureSpec, xi: float) -> np.ndarray:
-    a = np.asarray(direction.alpha)
-    eps = np.asarray(sig.epsilon, dtype=float)
-    ratio = phi.d1(xi) / phi.value(xi)
-    outer = np.outer(a, a)
-    return (outer * h.d2(xi)
-            + (2.0 * outer - np.diag(eps) * direction.norm)
-            * ratio * h.d1(xi))
-
-
-def conformal_laplacian_and_pairings(f: Profile, h: Profile, phi: Profile,
-                                     direction: TranslationDirection,
-                                     sig: SignatureSpec, xi: float
-                                     ) -> tuple[float, float, float]:
-    """(Laplacian f, <grad f, grad h>, |grad f|^2) w.r.t. g = phi^-2 delta.
-
-    All three carry the overall ||alpha||^2 factor, so a lightlike direction
-    annihilates them exactly.
-    """
-    if direction.norm == 0.0:
-        return 0.0, 0.0, 0.0
-    p, dp = phi.value(xi), phi.d1(xi)
-    p2 = p * p
-    lap = direction.norm * p2 * (f.d2(xi) - (sig.n - 2) * (dp / p) * f.d1(xi))
-    pair = direction.norm * p2 * f.d1(xi) * h.d1(xi)
-    grad2 = direction.norm * p2 * f.d1(xi) ** 2
-    return lap, pair, grad2
-
+# --- warped product -------------------------------------------------------
 
 def warped_scalar_curvature(s_base: float, f_value: float, laplacian_f: float,
                             gradsq_f: float, lambda_f: float, d: int,
@@ -271,7 +181,7 @@ def fd_curvature_oracle(metric_sampler: Callable[[np.ndarray], np.ndarray],
     """(Christoffels Gamma[k,i,j], scalar curvature) by central differences.
 
     Truncation error is O(step^2); tests pick the step (and may Richardson-
-    extrapolate two calls). Independent of every closed form above.
+    extrapolate two calls). Independent of every closed form in the package.
     """
     point = np.asarray(point, dtype=float)
     m = len(point)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import QuadratureError, RootFindError
 
 __all__ = [
-    "adaptive_simpson", "CachedAntiderivative", "invert_monotone",
+    "adaptive_simpson", "CachedAntiderivative", "invert_monotone", "opposite",
     "central_d1", "central_d2", "square", "solve_ivp", "DEFAULT_QUAD_TOL",
 ]
 
@@ -99,18 +99,19 @@ class CachedAntiderivative:
         return value
 
 
+def opposite(a: float, b: float) -> bool:
+    """Whether a and b lie on opposite sides of zero (zero counts as
+    non-negative). Sign tests are comparisons, never products: the product of
+    two tiny values underflows to +-0.0 and hides a straddle or fakes one."""
+    return (a < 0.0) != (b < 0.0)
+
+
 def invert_monotone(g: Callable[[float], float], target: float, x0: float,
                     dg: Callable[[float], float] | None = None,
                     bracket: tuple[float, float] | None = None,
                     tol: float = 1e-13, max_expand: int = 60) -> float:
     """Solve g(x) = target for monotone g: bracket by doubling from x0,
     bisect until safe, then Newton-polish (if dg given)."""
-    # sign tests are written as comparisons, never as products: a product of
-    # two subnormal same-sign values underflows to 0.0 and would pass for a
-    # straddle
-    def opposite(a, b):
-        return (a < 0.0) != (b < 0.0)
-
     if bracket is None:
         lo = hi = x0
         glo = ghi = g(x0) - target

@@ -31,7 +31,8 @@ from .numerics import square
 from .profiles import Interval, Profile, grid_points, leading_jets
 
 __all__ = [
-    "WarpedSolitonSpec", "PointEval", "ResidualReport", "EquationStat",
+    "WarpedSolitonSpec", "PointEval", "point_eval", "Terms",
+    "ResidualReport", "EquationStat",
     "Classification", "reduced_residuals", "full_tensor_residual",
     "lemma_identities", "classify", "certify",
     "ANALYTIC_TOL", "NUMERIC_TOL",
@@ -118,30 +119,40 @@ def point_eval(spec: WarpedSolitonSpec, xi: float,
         rho=spec.rho_at(xi))
 
 
-class _Terms:
-    """Every residual formula of the package, once, over a PointEval of
-    floats at one xi or of arrays over a grid. Both run the same operations
-    in the same order (squares through ``numerics.square``), so they agree
-    bitwise."""
+def _col(x):
+    """One value per point, broadcast along a new last axis."""
+    return np.asarray(x)[..., None]
+
+
+class Terms:
+    """The closed forms of the base geometry and every residual formula of
+    the package, once, over a PointEval of floats at one xi or of arrays over
+    a grid. Both run the same operations in the same order (squares through
+    ``numerics.square``), so they agree bitwise.
+
+    Base terms of g = phi^-2 delta: ``s_base`` (scalar curvature), ``lap_f``
+    and ``lap_h`` (Laplacians), ``pair`` = <grad f, grad h>, ``grad2_f`` =
+    |grad f|^2 and ``pair_ln`` = <grad ln f, grad h>. Each carries
+    ||alpha||^2, so a lightlike direction annihilates them exactly.
+    """
 
     def __init__(self, spec: WarpedSolitonSpec, pv: PointEval,
                  sign_variant: str = "minus"):
         self.spec, self.pv, self.sign_variant = spec, pv, sign_variant
         self.rhs = pv.rho - spec.lambda_f / square(pv.f)
-        # S_base, Lap f, <grad f, grad h>, |grad f|^2, Lap h, <grad ln f,
-        # grad h>: each carries ||alpha||^2, so lightlike annihilates them
         norm, n = spec.direction.norm, spec.n
         if norm == 0.0:
-            self.base = (0.0,) * 6
+            self.s_base = self.lap_f = self.pair = 0.0
+            self.grad2_f = self.lap_h = self.pair_ln = 0.0
             return
         p2 = square(pv.phi)
-        self.base = (
-            norm * (n - 1) * (2.0 * pv.phi * pv.ddphi - n * square(pv.dphi)),
-            norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df),
-            norm * p2 * pv.df * pv.dh,
-            norm * p2 * square(pv.df),
-            norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh),
-            norm * p2 * (pv.df / pv.f) * pv.dh)
+        self.s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi
+                                        - n * square(pv.dphi))
+        self.lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
+        self.pair = norm * p2 * pv.df * pv.dh
+        self.grad2_f = norm * p2 * square(pv.df)
+        self.lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
+        self.pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
 
     def reduced(self) -> dict:
         """{'h-ode', 'diag-1', 'diag-2'}, or {'h-ode', 'lightlike'}."""
@@ -160,34 +171,36 @@ class _Terms:
                 "diag-1": norm * (bracket + pv.phi * pv.dphi * pv.dh) - self.rhs,
                 "diag-2": norm * (bracket - (p2 / pv.f) * pv.df * pv.dh) - self.rhs}
 
+    def hessian(self) -> np.ndarray:
+        """Hess(h)_ij of the base, an n x n block per point:
+        a_i a_j h'' + (2 a_i a_j - delta_ij eps_i ||alpha||^2) (phi'/phi) h'."""
+        spec, pv = self.spec, self.pv
+        eps = np.asarray(spec.sig.epsilon, dtype=float)
+        outer = np.outer(spec.direction.alpha, spec.direction.alpha)
+        return (outer * _col(_col(pv.ddh))
+                + (2.0 * outer - np.diag(eps) * spec.direction.norm)
+                * _col(_col(pv.dphi / pv.phi)) * _col(_col(pv.dh)))
+
     def tensor(self) -> tuple:
         """(n x n base block (S - rho) g_ij - Hess(h)_ij, fiber block per
         unit fiber metric component (S - rho) f^2 - f <grad f, grad h>)."""
         spec, pv = self.spec, self.pv
-        s_base, lap_f, pair, grad2, _, _ = self.base
-        factor = warped_scalar_curvature(s_base, pv.f, lap_f, grad2,
-                                         spec.lambda_f, spec.d,
+        factor = warped_scalar_curvature(self.s_base, pv.f, self.lap_f,
+                                         self.grad2_f, spec.lambda_f, spec.d,
                                          self.sign_variant) - pv.rho
-
-        def col(x):  # one value per point, broadcast along a last axis
-            return np.asarray(x)[..., None]
-
         n = spec.n
         eps = np.asarray(spec.sig.epsilon, dtype=float)
-        outer = np.outer(spec.direction.alpha, spec.direction.alpha)
-        block = -(outer * col(col(pv.ddh))  # -Hess(h), then + (S - rho) g
-                  + (2.0 * outer - np.diag(eps) * spec.direction.norm)
-                  * col(col(pv.dphi / pv.phi)) * col(col(pv.dh)))
-        block[..., range(n), range(n)] += col(factor) * (eps / col(square(pv.phi)))
-        return block, factor * square(pv.f) - pv.f * pair
+        block = -self.hessian()
+        block[..., range(n), range(n)] += _col(factor) * (eps / _col(square(pv.phi)))
+        return block, factor * square(pv.f) - pv.f * self.pair
 
     def lemma(self, s: float) -> tuple:
         """See ``lemma_identities``."""
         pv, d = self.pv, self.spec.d
-        s_base, lap_f, pair, grad2, lap_h, pair_ln = self.base
-        lam = (self.rhs + 2.0 * d * lap_f / pv.f
-               + d * (d - 1) * grad2 / square(pv.f))
-        return lam, s_base - pair / pv.f - lam, lap_h - s * pair_ln
+        lam = (self.rhs + 2.0 * d * self.lap_f / pv.f
+               + d * (d - 1) * self.grad2_f / square(pv.f))
+        return (lam, self.s_base - self.pair / pv.f - lam,
+                self.lap_h - s * self.pair_ln)
 
 
 def reduced_residuals(spec: WarpedSolitonSpec, xi: float) -> dict[str, float]:
@@ -196,7 +209,7 @@ def reduced_residuals(spec: WarpedSolitonSpec, xi: float) -> dict[str, float]:
     Non-lightlike: {'h-ode', 'diag-1', 'diag-2'}; lightlike: {'h-ode',
     'lightlike'}. All vanish exactly on a soliton.
     """
-    return _Terms(spec, point_eval(spec, xi)).reduced()
+    return Terms(spec, point_eval(spec, xi)).reduced()
 
 
 def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
@@ -210,7 +223,7 @@ def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
     sides and are returned as exact zeros.
     """
     xi = spec.direction.xi_at(base_point)
-    block, fiber = _Terms(spec, point_eval(spec, xi), sign_variant).tensor()
+    block, fiber = Terms(spec, point_eval(spec, xi), sign_variant).tensor()
     n = spec.n
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = block
@@ -230,7 +243,7 @@ def lemma_identities(spec: WarpedSolitonSpec, xi: float,
     Lap h = n <grad f, grad h>/f pointwise, which fixes the exponent.
     """
     s_exp = float(spec.n) if s is None else float(s)
-    return _Terms(spec, point_eval(spec, xi)).lemma(s_exp)
+    return Terms(spec, point_eval(spec, xi)).lemma(s_exp)
 
 
 # --- classification ----------------------------------------------------------
@@ -368,12 +381,12 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     pv = PointEval(np.array(pts[:stop]), *phi, *f, 0.0, *h[1:],
                    rho[0][0] if rho else spec.rho)
     with np.errstate(all="ignore"):
-        terms = _Terms(spec, pv, sign_variant)
+        terms = Terms(spec, pv, sign_variant)
         block, fiber = terms.tensor()
         residuals = {**terms.reduced(),
                      "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
                      "tensor-fiber": fiber}
-        inequality = terms.base[0] - terms.rhs
+        inequality = terms.s_base - terms.rhs
     size = stop
     for name, values in {**vars(pv), **residuals}.items():
         bad = np.flatnonzero(~np.isfinite(np.broadcast_to(values, (size,))))

@@ -21,15 +21,12 @@ from yamabe import families
 from yamabe.catalog import build_example, catalog, example5_spec
 from yamabe.geodesics import (compare_probe_modes, energy, integrate_geodesic)
 from yamabe.geometry import (TranslationDirection, base_point_for_xi,
-                             conformal_hessian_matrix,
-                             conformal_laplacian_and_pairings,
-                             conformal_metric_sampler,
-                             conformal_scalar_curvature, fd_curvature_oracle,
+                             conformal_metric_sampler, fd_curvature_oracle,
                              fd_hessian_oracle, fd_laplacian_oracle)
 from yamabe.lambertw import lambert_w
 from yamabe.profiles import Interval, Profile, grid_points
-from yamabe.soliton import (WarpedSolitonSpec, certify, classify,
-                            reduced_residuals)
+from yamabe.soliton import (Terms, WarpedSolitonSpec, certify, classify,
+                            point_eval, reduced_residuals)
 from yamabe.geometry import SignatureSpec
 
 REDUCED_KEYS = ("h-ode", "diag-1", "diag-2", "lightlike")
@@ -137,9 +134,9 @@ def test_tensor_reduced_equivalence():
 
 
 def test_oracle_equivalence():
-    """Closed-form curvature, Hessian, and Laplacian against the
-    finite-difference tensor oracle: 100 profiles x 10 points, relative
-    error <= 1e-5."""
+    """Closed-form curvature, Hessian, and Laplacian, as certify computes
+    them (soliton.Terms), against the finite-difference tensor oracle:
+    100 profiles x 10 points, relative error <= 1e-5."""
     with acceptance("oracle-equivalence"):
         rng = np.random.default_rng(321)
 
@@ -159,24 +156,21 @@ def test_oracle_equivalence():
 
             for xi in grid_points(spec.domain, 10):
                 pt = base_point_for_xi(spec.direction, xi)
+                terms = Terms(spec, point_eval(spec, xi))
 
-                s_closed = conformal_scalar_curvature(
-                    spec.phi, spec.direction, spec.sig, xi)
+                s_closed = terms.s_base
                 s_fd = richardson(
                     lambda h: fd_curvature_oracle(sampler, pt, h)[1], 1e-3)
                 assert abs(s_closed - s_fd) <= 1e-5 * max(1.0, abs(s_closed))
 
-                hess = conformal_hessian_matrix(
-                    spec.h, spec.phi, spec.direction, spec.sig, xi)
+                hess = terms.hessian()
                 hess_fd = richardson(
                     lambda h: fd_hessian_oracle(h_field, sampler, pt, h),
                     1e-3)
                 scale = max(1.0, float(np.max(np.abs(hess))))
                 assert np.max(np.abs(hess - hess_fd)) <= 1e-5 * scale
 
-                lap = conformal_laplacian_and_pairings(
-                    spec.f, spec.h, spec.phi, spec.direction, spec.sig,
-                    xi)[0]
+                lap = terms.lap_f
                 lap_fd = richardson(
                     lambda h: fd_laplacian_oracle(f_field, sampler, pt, h),
                     1e-3)
@@ -360,24 +354,19 @@ def test_invariance_suite():
                     assert abs(ra[key] - rb[key]) <= \
                         1e-9 * max(1.0, abs(ra[key])), key
 
-            stretched = TranslationDirection(
-                tuple(c * a for a in spec.direction.alpha), spec.sig)
+            stretched = dataclasses.replace(
+                spec, direction=TranslationDirection(
+                    tuple(c * a for a in spec.direction.alpha), spec.sig))
             for xi in sample_xis:
-                s1 = conformal_scalar_curvature(spec.phi, spec.direction,
-                                                spec.sig, xi)
-                s2 = conformal_scalar_curvature(spec.phi, stretched,
-                                                spec.sig, xi)
+                t1 = Terms(spec, point_eval(spec, xi))
+                t2 = Terms(stretched, point_eval(stretched, xi))
+                s1, s2 = t1.s_base, t2.s_base
                 assert abs(s2 - c * c * s1) <= 1e-12 * max(1.0, abs(s1))
-                h1 = conformal_hessian_matrix(spec.h, spec.phi,
-                                              spec.direction, spec.sig, xi)
-                h2 = conformal_hessian_matrix(spec.h, spec.phi, stretched,
-                                              spec.sig, xi)
+                h1, h2 = t1.hessian(), t2.hessian()
                 scale = 1e-12 * max(1.0, float(np.max(np.abs(h1))))
                 assert np.max(np.abs(h2 - c * c * h1)) <= scale
-                l1 = conformal_laplacian_and_pairings(
-                    spec.f, spec.h, spec.phi, spec.direction, spec.sig, xi)
-                l2 = conformal_laplacian_and_pairings(
-                    spec.f, spec.h, spec.phi, stretched, spec.sig, xi)
+                l1 = (t1.lap_f, t1.pair, t1.grad2_f)
+                l2 = (t2.lap_f, t2.pair, t2.grad2_f)
                 for u, v in zip(l1, l2):
                     assert abs(v - c * c * u) <= 1e-12 * max(1.0, abs(u))
 

@@ -245,6 +245,14 @@ class TestRiccati:
             riccati_general_solution(z0, sec_profile(), 4, 3, -0.1,
                                      (-1.4, 1.4))
 
+    def test_denominator_crossing_found_when_values_underflow(self):
+        # den(xi) = xi here, and the product of two neighbouring values
+        # rounds to -0.0; a product sign test let this range through
+        with pytest.raises(FamilyConstructionError, match="denominator"):
+            riccati_general_solution(Profile.constant(0.0),
+                                     Profile.constant(1.0), 4, 1, 0.0,
+                                     (-1e-162, 1e-162))
+
 
 class TestConstantPotentialFamily:
     def test_reproduces_secant_catalog_warping_up_to_scale(self):

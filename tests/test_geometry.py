@@ -1,22 +1,16 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from yamabe.errors import DimensionMismatchError, SingularMetricError
+from yamabe.geodesics import geodesic_rhs
 from yamabe.geometry import (SignatureSpec, TranslationDirection,
                              base_point_for_xi, causal_class,
-                             christoffel_conformal, conformal_christoffels,
-                             conformal_hessian, conformal_hessian_matrix,
-                             conformal_laplacian_and_pairings,
-                             conformal_metric_sampler,
-                             conformal_scalar_curvature, fd_curvature_oracle,
+                             conformal_metric_sampler, fd_curvature_oracle,
                              fd_hessian_oracle, fd_laplacian_oracle,
                              signed_norm, warped_metric_sampler,
                              warped_scalar_curvature)
 from yamabe.profiles import Profile
+from yamabe.soliton import Terms, WarpedSolitonSpec, point_eval
 
 EPS = SignatureSpec((1, -1, 1, 1))
 ALPHA = (0.6, -0.3, 0.8, 0.2)
@@ -24,6 +18,19 @@ DIRECTION = TranslationDirection(ALPHA, EPS)
 PHI = Profile.from_expression("sec(xi/2)", domain=(-3.0, 3.0))
 F = Profile.from_expression("2 + sin(xi)/3")
 H = Profile.from_expression("exp(xi/5)")
+LIGHT_SIG = SignatureSpec.lorentzian(4)
+LIGHT = TranslationDirection((1.0, 1.0, 0.0, 0.0), LIGHT_SIG)
+
+
+def geometry_spec(direction=DIRECTION, sig=EPS, d=2):
+    return WarpedSolitonSpec(sig, direction, d, 0.0, 0.0, PHI, F, H,
+                             PHI.domain)
+
+
+def terms_at(xi, direction=DIRECTION, sig=EPS):
+    """The closed forms that certify runs, at one xi."""
+    spec = geometry_spec(direction, sig)
+    return Terms(spec, point_eval(spec, xi))
 
 
 def scalar_field(profile, direction):
@@ -87,34 +94,28 @@ class TestDirection:
 
 
 class TestChristoffels:
-    def test_closed_form_matches_fd(self):
-        sampler = conformal_metric_sampler(PHI, DIRECTION, EPS)
-        xi = 0.4
-        point = base_point_for_xi(DIRECTION, xi)
-        gamma_fd, _ = fd_curvature_oracle(sampler, point, step=1e-4)
-        gamma = conformal_christoffels(PHI, DIRECTION, EPS, xi)
-        assert np.max(np.abs(gamma - gamma_fd)) < 1e-7
+    @pytest.mark.parametrize("direction,sig", [(DIRECTION, EPS),
+                                               (LIGHT, LIGHT_SIG)],
+                             ids=["spacelike", "lightlike"])
+    def test_geodesic_rhs_matches_fd(self, direction, sig):
+        """The accelerations of the full geodesic system are -Gamma(w, w)
+        with w = (v, vf) and Gamma the FD Christoffels of the warped metric."""
+        d = 2
+        spec = geometry_spec(direction, sig, d)
+        y = base_point_for_xi(direction, 0.4) + np.array([0.1, -0.2, 0.3, 0.05])
+        v = np.array([0.3, -0.7, 0.5, 0.2])
+        yf, vf = np.array([0.3, -0.1]), np.array([0.4, -0.6])
+        out = geodesic_rhs(spec, "full")(0.0, np.concatenate([y, v, yf, vf]))
+        sampler = warped_metric_sampler(PHI, F, direction, sig, d)
+        point = np.concatenate([y, yf])
 
-    def test_entrywise_matches_array(self):
-        xi = -0.7
-        gamma = conformal_christoffels(PHI, DIRECTION, EPS, xi)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    assert christoffel_conformal(
-                        PHI, DIRECTION, EPS, i, j, k, xi
-                    ) == pytest.approx(gamma[k, i, j], abs=1e-15)
+        def fd(step):
+            return fd_curvature_oracle(sampler, point, step)[0]
 
-    @given(st.lists(st.floats(min_value=-2.0, max_value=2.0),
-                    min_size=4, max_size=4),
-           st.floats(min_value=-1.0, max_value=1.0))
-    @settings(max_examples=80, deadline=None)
-    def test_lower_index_symmetry(self, alpha, xi):
-        if all(abs(a) < 1e-6 for a in alpha):
-            alpha[0] = 1.0
-        direction = TranslationDirection(alpha, EPS)
-        gamma = conformal_christoffels(PHI, direction, EPS, xi)
-        assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+        w = np.concatenate([v, vf])
+        acc = -np.einsum("kij,i,j->k", richardson(fd, 2e-3), w, w)
+        assert np.max(np.abs(out[4:8] - acc[:4])) < 1e-7
+        assert np.max(np.abs(out[10:] - acc[4:])) < 1e-7
 
 
 class TestScalarCurvature:
@@ -126,15 +127,13 @@ class TestScalarCurvature:
         def fd(step):
             return fd_curvature_oracle(sampler, point, step)[1]
 
-        exact = conformal_scalar_curvature(PHI, DIRECTION, EPS, xi)
+        exact = terms_at(xi).s_base
         assert abs(richardson(fd, 2e-3) - exact) < 1e-6 * max(1.0, abs(exact))
 
     def test_lightlike_base_is_flat(self):
-        sig = SignatureSpec.lorentzian(4)
-        light = TranslationDirection((1.0, 1.0, 0.0, 0.0), sig)
-        assert conformal_scalar_curvature(PHI, light, sig, 0.3) == 0.0
-        sampler = conformal_metric_sampler(PHI, light, sig)
-        point = base_point_for_xi(light, 0.3)
+        assert terms_at(0.3, LIGHT, LIGHT_SIG).s_base == 0.0
+        sampler = conformal_metric_sampler(PHI, LIGHT, LIGHT_SIG)
+        point = base_point_for_xi(LIGHT, 0.3)
         _, s_fd = fd_curvature_oracle(sampler, point, step=1e-3)
         assert abs(s_fd) < 1e-6
 
@@ -148,16 +147,14 @@ class TestScalarCurvature:
         def fd(step):
             return fd_curvature_oracle(sampler, point, step)[1]
 
-        s_base = conformal_scalar_curvature(PHI, DIRECTION, EPS, xi)
-        lap, _, grad2 = conformal_laplacian_and_pairings(
-            F, H, PHI, DIRECTION, EPS, xi)
-        exact = warped_scalar_curvature(s_base, F.value(xi), lap, grad2,
-                                        lambda_f, d)
+        t = terms_at(xi)
+        exact = warped_scalar_curvature(t.s_base, F.value(xi), t.lap_f,
+                                        t.grad2_f, lambda_f, d)
         assert abs(richardson(fd, 2e-3) - exact) < 1e-5 * max(1.0, abs(exact))
 
     def test_sign_variants_differ_by_gradient_term(self):
-        lap, _, grad2 = conformal_laplacian_and_pairings(
-            F, H, PHI, DIRECTION, EPS, 0.4)
+        t = terms_at(0.4)
+        lap, grad2 = t.lap_f, t.grad2_f
         fv = F.value(0.4)
         minus = warped_scalar_curvature(1.0, fv, lap, grad2, 0.5, 3)
         plus = warped_scalar_curvature(1.0, fv, lap, grad2, 0.5, 3,
@@ -180,30 +177,19 @@ class TestHessian:
         def fd(step):
             return fd_hessian_oracle(field, sampler, point, step)
 
-        exact = conformal_hessian_matrix(H, PHI, DIRECTION, EPS, xi)
+        exact = terms_at(xi).hessian()
         assert np.max(np.abs(richardson(fd, 2e-3) - exact)) < 1e-6
 
-    def test_entrywise_matches_matrix(self):
-        xi = 0.5
-        mat = conformal_hessian_matrix(H, PHI, DIRECTION, EPS, xi)
-        for i in range(4):
-            for j in range(4):
-                assert conformal_hessian(
-                    H, PHI, DIRECTION, EPS, i, j, xi
-                ) == pytest.approx(mat[i, j], abs=1e-15)
-
     def test_lightlike_keeps_rank_one_part(self):
-        sig = SignatureSpec.lorentzian(4)
-        light = TranslationDirection((1.0, 1.0, 0.0, 0.0), sig)
         xi = 0.3
-        a = np.asarray(light.alpha)
+        a = np.asarray(LIGHT.alpha)
         ratio = PHI.d1(xi) / PHI.value(xi)
         expected = np.outer(a, a) * (H.d2(xi) + 2.0 * ratio * H.d1(xi))
-        got = conformal_hessian_matrix(H, PHI, light, sig, xi)
+        got = terms_at(xi, LIGHT, LIGHT_SIG).hessian()
         assert np.allclose(got, expected, atol=1e-14)
-        sampler = conformal_metric_sampler(PHI, light, sig)
-        point = base_point_for_xi(light, xi)
-        fd = fd_hessian_oracle(scalar_field(H, light), sampler, point,
+        sampler = conformal_metric_sampler(PHI, LIGHT, LIGHT_SIG)
+        point = base_point_for_xi(LIGHT, xi)
+        fd = fd_hessian_oracle(scalar_field(H, LIGHT), sampler, point,
                                step=1e-3)
         assert np.max(np.abs(fd - expected)) < 1e-6
 
@@ -211,15 +197,21 @@ class TestHessian:
 class TestLaplacianAndPairings:
     @pytest.mark.parametrize("xi", [-0.8, 0.45])
     def test_laplacian_matches_fd(self, xi):
+        self._check_laplacian(F, terms_at(xi).lap_f, xi)
+
+    @pytest.mark.parametrize("xi", [-0.8, 0.45])
+    def test_laplacian_of_h_matches_fd(self, xi):
+        self._check_laplacian(H, terms_at(xi).lap_h, xi)
+
+    @staticmethod
+    def _check_laplacian(profile, lap, xi):
         sampler = conformal_metric_sampler(PHI, DIRECTION, EPS)
         point = base_point_for_xi(DIRECTION, xi)
-        field = scalar_field(F, DIRECTION)
+        field = scalar_field(profile, DIRECTION)
 
         def fd(step):
             return fd_laplacian_oracle(field, sampler, point, step)
 
-        lap, _, _ = conformal_laplacian_and_pairings(
-            F, H, PHI, DIRECTION, EPS, xi)
         assert abs(richardson(fd, 2e-3) - lap) < 1e-6 * max(1.0, abs(lap))
 
     def test_pairings_match_inverse_metric_contraction(self):
@@ -239,16 +231,15 @@ class TestLaplacianAndPairings:
             return g
 
         gf, gh = grad(F), grad(H)
-        _, pair, grad2 = conformal_laplacian_and_pairings(
-            F, H, PHI, DIRECTION, EPS, xi)
-        assert float(gf @ ginv @ gh) == pytest.approx(pair, rel=1e-8)
-        assert float(gf @ ginv @ gf) == pytest.approx(grad2, rel=1e-8)
+        t = terms_at(xi)
+        assert float(gf @ ginv @ gh) == pytest.approx(t.pair, rel=1e-8)
+        assert float(gf @ ginv @ gf) == pytest.approx(t.grad2_f, rel=1e-8)
+        assert float(gf @ ginv @ gh) / F.value(xi) == pytest.approx(
+            t.pair_ln, rel=1e-8)
 
     def test_lightlike_annihilates(self):
-        sig = SignatureSpec.lorentzian(4)
-        light = TranslationDirection((1.0, 1.0, 0.0, 0.0), sig)
-        assert conformal_laplacian_and_pairings(
-            F, H, PHI, light, sig, 0.2) == (0.0, 0.0, 0.0)
+        t = terms_at(0.2, LIGHT, LIGHT_SIG)
+        assert (t.lap_f, t.pair, t.grad2_f, t.lap_h, t.pair_ln) == (0.0,) * 5
 
 
 def test_degenerate_metric_raises():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from yamabe.errors import QuadratureError, RootFindError
 from yamabe.numerics import (CachedAntiderivative, adaptive_simpson,
-                             central_d1, central_d2, invert_monotone)
+                             central_d1, central_d2, invert_monotone,
+                             opposite)
 
 
 class TestAdaptiveSimpson:
@@ -102,6 +103,12 @@ class TestInvertMonotone:
         dg = math.cosh
         x = invert_monotone(math.sinh, 3.0, 0.0, dg=dg, bracket=(0.0, 9.0))
         assert abs(x - math.asinh(3.0)) < 1e-14
+
+    def test_opposite_survives_underflow(self):
+        assert -1e-162 * 1e-162 == 0.0
+        assert opposite(-1e-162, 1e-162) and opposite(1e-300, -1e-300)
+        assert not opposite(1e-200, 1e-200)
+        assert not opposite(0.0, 1.0) and opposite(0.0, -1.0)
 
     def test_no_bracket_found(self):
         with pytest.raises(RootFindError):
