@@ -8,8 +8,8 @@ from .errors import (BranchDomainError, DimensionMismatchError, DomainError,
                      FamilyConstructionError, PositivityError, QuadratureError,
                      RootFindError, SingularMetricError, SpecValidationError,
                      YamabeError)
-from .expressions import (compile_callable, differentiate, evaluate,
-                          parse_expression, to_text)
+from .expressions import (compile_callable, differentiate, parse_expression,
+                          to_text)
 from .families import (almost_soliton_lightlike, family_thm15, family_thm16,
                        family_thm17, family_thm18, phase_portrait,
                        riccati_general_solution, riccati_residual)
@@ -37,7 +37,7 @@ __all__ = [
     "YamabeError", "almost_soliton_lightlike", "build_example", "catalog",
     "causal_class", "certify", "classify", "compare_probe_modes",
     "compile_callable", "completeness_probe", "differentiate", "energy",
-    "evaluate", "example5_spec", "family_thm15",
+    "example5_spec", "family_thm15",
     "family_thm16", "family_thm17", "family_thm18", "fiber_momentum",
     "full_tensor_residual", "geodesic_rhs", "grid_points",
     "integrate_geodesic", "lambert_w", "lemma_identities", "load_document",

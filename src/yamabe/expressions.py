@@ -18,6 +18,7 @@ non-negative.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -29,7 +30,7 @@ from .lambertw import lambert_w
 
 __all__ = [
     "Node", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "parse_expression", "to_text", "evaluate", "differentiate",
+    "parse_expression", "to_text", "differentiate",
     "compile_callable", "compile_array", "FUNCTIONS", "CONSTANTS",
 ]
 
@@ -233,59 +234,24 @@ def _sec(x: float) -> float:
     return 1.0 / math.cos(x)
 
 
-_FN_IMPL: dict[str, Callable[[float], float]] = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "sec": _sec,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
-    "W": lambda x: lambert_w(x, branch="principal"),
-}
+def _w(x: float) -> float:
+    return lambert_w(x, branch="principal")  # the module global, at call time
 
 
-def evaluate(node: Node, xi: float) -> float:
-    """Interpret the AST at a point. Non-finite results raise EvaluationError."""
-    try:
-        value = _eval(node, xi)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"cannot evaluate at xi={xi!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite value at xi={xi!r}")
-    return value
-
-
-def _eval(node: Node, xi: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xi
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, xi)
-    if isinstance(node, Call):
-        return _FN_IMPL[node.fn](_eval(node.arg, xi))
-    if isinstance(node, BinOp):
-        a = _eval(node.left, xi)
-        b = _eval(node.right, xi)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
-    raise TypeError(f"not an expression node: {node!r}")
+# names a printed literal may use: repr(float) of a non-finite number
+_LITERALS = {"inf": math.inf, "nan": math.nan}
 
 
 def compile_callable(node: Node) -> Callable[[float], float]:
-    """Close over the AST once; repeated evaluation skips re-dispatch cost."""
-    fn = _compile(node, _PY_FORMS, {"math": math, "_sec": _sec,
-                                    "_W": _FN_IMPL["W"]})
+    """The scalar form of the expression: at any point it returns a finite
+    float or raises EvaluationError."""
+    fn = _compile(node, _PY_FORMS, {"math": math, "_sec": _sec, "_W": _w})
 
     def call(xi: float) -> float:
         try:
             value = fn(xi)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError,
+                BranchDomainError) as exc:
             raise EvaluationError(f"cannot evaluate at xi={xi!r}: {exc}") from exc
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite value at xi={xi!r}")
@@ -309,8 +275,12 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
 
     def call(xs):
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.asarray(fn(xs), dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(xs)
+        except ZeroDivisionError:   # a constant subtree divides by zero
+            out = math.nan
+        out = np.asarray(out, dtype=float)
         return out if out.shape == xs.shape else np.full(xs.shape, out)
 
     return call
@@ -318,7 +288,8 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
 
 def _compile(node: Node, forms: dict[str, str], namespace: dict):
     src = _pysrc(node, forms)
-    return eval(compile(f"lambda xi: {src}", "<expression>", "eval"), namespace)
+    return eval(compile(f"lambda xi: {src}", "<expression>", "eval"),
+                {**_LITERALS, **namespace})
 
 
 def _elementwise(fn: Callable[[float], float], errors) -> Callable:
@@ -345,7 +316,7 @@ def _elementwise(fn: Callable[[float], float], errors) -> Callable:
 _MATH_ERRORS = (ValueError, OverflowError)
 _LIBM_ARRAY = {f"_{name}": _elementwise(getattr(math, name), _MATH_ERRORS)
                for name in ("exp", "log", "tan")}
-_w_array = _elementwise(_FN_IMPL["W"], _MATH_ERRORS + (BranchDomainError,))
+_w_array = _elementwise(_w, _MATH_ERRORS + (BranchDomainError,))
 
 
 def _sec_array(x):
@@ -355,7 +326,7 @@ def _sec_array(x):
 _PY_FORMS = {"sin": "math.sin", "cos": "math.cos", "tan": "math.tan",
              "sec": "_sec", "exp": "math.exp", "ln": "math.log",
              "sqrt": "math.sqrt", "abs": "abs", "W": "_W",
-             "^": "({}**{})"}
+             "^": "math.pow({}, {})"}
 _ARRAY_FORMS = {"sin": "np.sin", "cos": "np.cos", "tan": "_tan", "sec": "_sec",
                 "exp": "_exp", "ln": "_log", "sqrt": "np.sqrt", "abs": "abs",
                 "W": "_W", "^": "np.float_power({}, {})"}
@@ -441,6 +412,11 @@ def _diff(node: Node) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# the binary operations of the scalar form: ``^`` is math.pow there too
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv, "^": math.pow}
+
+
 def _simplify(node: Node) -> Node:
     if isinstance(node, Neg):
         arg = _simplify(node.arg)
@@ -454,10 +430,13 @@ def _simplify(node: Node) -> Node:
     a, b = _simplify(node.left), _simplify(node.right)
     op = node.op
     if isinstance(a, Num) and isinstance(b, Num):
+        # fold only to a finite value; otherwise the failure stays in the
+        # tree and shows up when the expression is evaluated
         try:
-            return Num(_eval(BinOp(op, a, b), 0.0))
+            value = _FOLD[op](a.value, b.value)
         except (ValueError, OverflowError, ZeroDivisionError):
-            return BinOp(op, a, b)
+            value = math.nan
+        return Num(value) if math.isfinite(value) else BinOp(op, a, b)
     zero_a = isinstance(a, Num) and a.value == 0.0
     zero_b = isinstance(b, Num) and b.value == 0.0
     one_a = isinstance(a, Num) and a.value == 1.0

@@ -217,9 +217,8 @@ def _thm15_phi_quadrature(p, q, k3, k4, phi0, u_of_phi, du_dphi,
                 return got
             target = xi + k4
             lo, hi = _expand_bracket_positive(travel, target, phi0)
-            phi = invert_monotone(travel, target, phi0,
-                                  dg=lambda t: 1.0 / (u_of_phi(t) * t ** 3),
-                                  bracket=(lo, hi))
+            phi = invert_monotone(travel, target, (lo, hi),
+                                  dg=lambda t: 1.0 / (u_of_phi(t) * t ** 3))
             cache[xi] = phi
             return phi
 
@@ -239,8 +238,9 @@ def _thm15_phi_quadrature(p, q, k3, k4, phi0, u_of_phi, du_dphi,
 _WALL_ERRORS = (BranchDomainError, QuadratureError, FamilyConstructionError)
 
 
-def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
-    """Multiplicative bracket search on the positive axis.
+def _expand_bracket_positive(g, target, x0):
+    """Multiplicative bracket search on the positive axis: each step halves
+    the lower end and doubles the upper one, at most 80 times.
 
     The implicit relation is typically only defined on a sub-ray of phi > 0
     (the W argument leaves its branch domain, or the integrand hits the
@@ -276,7 +276,7 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
     lo, glo = x0, g0
     hi, ghi = x0, g0
     lo_wall = hi_wall = False
-    for _ in range(limit):
+    for _ in range(80):
         if glo == 0.0:
             return lo, lo
         if ghi == 0.0:
@@ -284,7 +284,7 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
         if opposite(glo, ghi):
             return (lo, hi) if lo < hi else (hi, lo)
         if not lo_wall:
-            cand = lo / factor
+            cand = lo / 2.0
             gc = probe(cand)
             if gc is None:
                 lo, glo = creep(lo, glo, cand, g0)
@@ -292,7 +292,7 @@ def _expand_bracket_positive(g, target, x0, factor=2.0, limit=80):
             else:
                 lo, glo = cand, gc
         if not hi_wall:
-            cand = hi * factor
+            cand = hi * 2.0
             gc = probe(cand)
             if gc is None:
                 hi, ghi = creep(hi, ghi, cand, g0)
@@ -530,7 +530,6 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
                  lambda_f: float = 0.0,
                  sig: Optional[SignatureSpec] = None,
                  alpha: Optional[Sequence[float]] = None,
-                 residual_tol: float = 1e-8,
                  run_certify: bool = True) -> WarpedSolitonSpec:
     """Trivial-potential solitons: given a Riccati solution z_p, build
 
@@ -552,10 +551,10 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
 
     worst = max(abs(riccati_residual(z_p, phi, n, d, x))
                 for x in grid_points(interval, 64))
-    if worst > residual_tol:
+    if worst > 1e-8:
         raise FamilyConstructionError(
             "z_p does not satisfy the profile Riccati equation: max residual "
-            f"{worst:.3e} exceeds {residual_tol:g}")
+            f"{worst:.3e} exceeds 1e-08")
 
     mid = 0.5 * (interval.lo + interval.hi)
     big_phi = CachedAntiderivative(z_p.value, mid)
@@ -691,15 +690,15 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
                    k1: float = 1.0, k2: float = 1.0, lambda_f: float = -6.0,
                    alpha_norm: float = 1.0, q_variant: str = "statement",
                    start_xi: Optional[float] = None, points_per_side: int = 120,
-                   rtol: float = 1e-10, atol: float = 1e-12,
-                   blowup_norm: float = 1e12,
                    phi_floor: float = 1e-9) -> list[PortraitTrajectory]:
     """Trajectories of the profile ODE phi^2 phi'' - 3 phi phi'^2 + p phi' =
     -q phi^3 from the given (phi, phi') initial data at start_xi.
 
     Defaults are the R^3 x H^3 configuration: k1 = k2 = 1 and the fiber
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
-    scalar curvature -6).
+    scalar curvature -6). RK45 runs at rtol 1e-10, atol 1e-12; a trajectory
+    stops when phi falls to phi_floor (positivity-loss) or |(phi, phi')|
+    passes 1e12 (blowup).
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, alpha_norm, q_variant) if lambda_f != 0.0 else 0.0
@@ -720,7 +719,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     positivity.direction = -1
 
     def escape(xi, y):
-        return blowup_norm - math.hypot(y[0], y[1])
+        return 1e12 - math.hypot(y[0], y[1])
     escape.terminal = True
     escape.direction = -1
 
@@ -742,7 +741,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
                 continue
             t_eval = np.linspace(start_xi, end, points_per_side)
             sol = solve_ivp(rhs, (start_xi, end), [phi0, dphi0],
-                            method="RK45", rtol=rtol, atol=atol,
+                            method="RK45", rtol=1e-10, atol=1e-12,
                             t_eval=t_eval, events=(positivity, escape))
             if sol.status == 1:
                 hit = "positivity-loss" if len(sol.t_events[0]) else "blowup"

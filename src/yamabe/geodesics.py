@@ -40,7 +40,8 @@ __all__ = [
 log = logging.getLogger("yamabe.geodesics")
 
 MODES = ("full", "paper-reduced")
-DEFAULT_BLOWUP_NORM = 1e12
+BLOWUP_NORM = 1e12     # state norm at which a geodesic counts as blown up
+DOMAIN_MARGIN = 1e-9   # a geodesic leaves the domain this far inside its ends
 
 
 def _clamped_xi(spec: WarpedSolitonSpec, y: np.ndarray) -> float:
@@ -145,13 +146,11 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
                        mode: str = "full", samples: int = 201,
                        method: str = "DOP853",
                        rtol: float = 1e-10, atol: float = 1e-12,
-                       max_step: Optional[float] = None,
-                       blowup_norm: float = DEFAULT_BLOWUP_NORM,
-                       domain_margin: float = 1e-9) -> GeodesicResult:
+                       max_step: Optional[float] = None) -> GeodesicResult:
     """Integrate one geodesic over s_span (which may run backwards).
 
     Terminal events: exit of xi from a finite domain (status left-domain),
-    state norm passing blowup_norm and integrator step failure (blowup),
+    state norm passing BLOWUP_NORM and integrator step failure (blowup),
     and loss of positivity of phi or f along numerically defined profiles
     (positivity-loss).
     """
@@ -172,19 +171,19 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
     lo, hi = spec.domain.lo, spec.domain.hi
     if math.isfinite(lo):
         def exit_lo(s, st):
-            return float(alpha @ st[:n]) - (lo + domain_margin)
+            return float(alpha @ st[:n]) - (lo + DOMAIN_MARGIN)
         exit_lo.terminal = True
         events.append(exit_lo)
         labels.append("left-domain")
     if math.isfinite(hi):
         def exit_hi(s, st):
-            return (hi - domain_margin) - float(alpha @ st[:n])
+            return (hi - DOMAIN_MARGIN) - float(alpha @ st[:n])
         exit_hi.terminal = True
         events.append(exit_hi)
         labels.append("left-domain")
 
     def escape(s, st):
-        return blowup_norm - float(np.linalg.norm(st))
+        return BLOWUP_NORM - float(np.linalg.norm(st))
     escape.terminal = True
     events.append(escape)
     labels.append("blowup")
@@ -274,8 +273,7 @@ def _default_initial_sampler(spec: WarpedSolitonSpec, rng: np.random.Generator):
 def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
                        s_max: float = 1e3, *, mode: str = "full",
                        seed: int = 0, rtol: float = 1e-8, atol: float = 1e-10,
-                       sampler=None,
-                       blowup_norm: float = DEFAULT_BLOWUP_NORM) -> ProbeSummary:
+                       sampler=None) -> ProbeSummary:
     """Integrate `count` random geodesics to +-s_max and report how many ran
     the full affine-parameter range in both directions."""
     rng = np.random.default_rng(seed)
@@ -290,7 +288,7 @@ def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
                                 ("backward", (0.0, -s_max))):
             res = integrate_geodesic(spec, y0, v0, yf0, vf0, s_span=span,
                                      mode=mode, samples=2, rtol=rtol,
-                                     atol=atol, blowup_norm=blowup_norm)
+                                     atol=atol)
             counts[res.status] = counts.get(res.status, 0) + 1
             if res.status != "completed":
                 ok = False

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-10  # absolute tolerance per integral
+_SIMPSON_DEPTH = 48       # bisection levels before quadrature gives up
 
 
 def _eval_integrand(f, x, a, b):
@@ -40,14 +41,14 @@ def _simpson(f, a, fa, b, fb):
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_QUAD_TOL, max_depth: int = 48) -> float:
+                     tol: float = DEFAULT_QUAD_TOL) -> float:
     """Integral of f over [a, b] to absolute tolerance tol."""
     if a == b:
         return 0.0
     fa = _eval_integrand(f, a, a, b)
     fb = _eval_integrand(f, b, a, b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, _SIMPSON_DEPTH)
 
 
 def _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -76,9 +77,8 @@ class CachedAntiderivative:
     """
 
     def __init__(self, f: Callable[[float], float], anchor: float,
-                 value_at_anchor: float = 0.0, tol: float = DEFAULT_QUAD_TOL):
+                 value_at_anchor: float = 0.0):
         self.f = f
-        self.tol = tol
         self._xs = [anchor]
         self._vals = {anchor: value_at_anchor}
 
@@ -93,7 +93,7 @@ class CachedAntiderivative:
         if i < len(self._xs):
             candidates.append(self._xs[i])
         base = min(candidates, key=lambda c: abs(c - x))
-        value = self._vals[base] + adaptive_simpson(self.f, base, x, self.tol)
+        value = self._vals[base] + adaptive_simpson(self.f, base, x)
         insort(self._xs, x)
         self._vals[x] = value
         return value
@@ -106,52 +106,24 @@ def opposite(a: float, b: float) -> bool:
     return (a < 0.0) != (b < 0.0)
 
 
-def invert_monotone(g: Callable[[float], float], target: float, x0: float,
-                    dg: Callable[[float], float] | None = None,
-                    bracket: tuple[float, float] | None = None,
-                    tol: float = 1e-13, max_expand: int = 60) -> float:
-    """Solve g(x) = target for monotone g: bracket by doubling from x0,
-    bisect until safe, then Newton-polish (if dg given)."""
-    if bracket is None:
-        lo = hi = x0
-        glo = ghi = g(x0) - target
-        step = max(1e-6, 1e-3 * abs(x0))
-        for _ in range(max_expand):
-            if glo == 0.0:
-                return lo
-            if ghi == 0.0:
-                return hi
-            if opposite(glo, ghi):
-                break
-            step *= 2.0
-            cand = hi + step
-            gc = g(cand) - target
-            if gc == 0.0 or opposite(gc, ghi):
-                lo, glo, hi, ghi = hi, ghi, cand, gc
-                break
-            cand2 = lo - step
-            gc2 = g(cand2) - target
-            if gc2 == 0.0 or opposite(gc2, glo):
-                hi, ghi, lo, glo = lo, glo, cand2, gc2
-                break
-            lo, glo, hi, ghi = cand2, gc2, cand, gc
-        else:
-            raise RootFindError(
-                f"no bracket found for target {target!r} from x0={x0!r}")
-        if lo > hi:
-            lo, hi = hi, lo
-            glo, ghi = ghi, glo
-    else:
-        lo, hi = bracket
-        glo, ghi = g(lo) - target, g(hi) - target
-        if glo != 0.0 and ghi != 0.0 and not opposite(glo, ghi):
-            raise RootFindError(
-                f"bracket {bracket!r} does not straddle target {target!r}")
+_INVERT_TOL = 1e-13  # relative width at which bisection hands over to Newton
+
+
+def invert_monotone(g: Callable[[float], float], target: float,
+                    bracket: tuple[float, float],
+                    dg: Callable[[float], float] | None = None) -> float:
+    """Solve g(x) = target for monotone g on a bracket that straddles the
+    target: bisect until safe, then Newton-polish (if dg given)."""
+    lo, hi = bracket
+    glo, ghi = g(lo) - target, g(hi) - target
+    if glo != 0.0 and ghi != 0.0 and not opposite(glo, ghi):
+        raise RootFindError(
+            f"bracket {bracket!r} does not straddle target {target!r}")
 
     # bisection until the interval is small, then Newton from the midpoint
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= _INVERT_TOL * max(1.0, abs(mid)):
             break
         gm = g(mid) - target
         if gm == 0.0:

@@ -53,15 +53,14 @@ class Interval:
         return (self.lo, self.hi)
 
 
-def grid_points(interval: Interval, count: int,
-                margin: float = DEFAULT_GRID_MARGIN) -> list[float]:
+def grid_points(interval: Interval, count: int) -> list[float]:
     """Uniform grid on the margin-clipped interval; needs finite endpoints."""
     if not interval.finite:
         raise DomainError(
             "grid evaluation needs a finite interval; pass an explicit one "
             f"for {interval.as_tuple()!r}")
     a, b = interval.lo, interval.hi
-    pad = margin * (b - a)
+    pad = DEFAULT_GRID_MARGIN * (b - a)
     a, b = a + pad, b - pad
     if count < 2:
         return [0.5 * (a + b)]
@@ -243,10 +242,10 @@ class Profile:
                               and other.analytic_derivatives),
                              mine and theirs and sum_arrays)
 
-    def require_positive(self, interval: Interval, samples: int = 64,
+    def require_positive(self, interval: Interval,
                          name: str = "profile") -> None:
-        """Sampled positivity check on the margin-clipped interval."""
-        for xi in grid_points(interval, samples):
+        """Positivity check at 64 points of the margin-clipped interval."""
+        for xi in grid_points(interval, 64):
             if not self._value(xi) > 0.0:
                 raise PositivityError(
                     f"{name} must stay positive; {name}({xi!r}) = "

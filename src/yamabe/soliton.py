@@ -102,19 +102,16 @@ class PointEval:
     f: float
     df: float
     ddf: float
-    h: float  # unused by residuals (shift gauge); kept for tables
     dh: float
     ddh: float
     rho: float
 
 
-def point_eval(spec: WarpedSolitonSpec, xi: float,
-               with_h_value: bool = False) -> PointEval:
+def point_eval(spec: WarpedSolitonSpec, xi: float) -> PointEval:
     return PointEval(
         xi=xi,
         phi=spec.phi.value(xi), dphi=spec.phi.d1(xi), ddphi=spec.phi.d2(xi),
         f=spec.f.value(xi), df=spec.f.d1(xi), ddf=spec.f.d2(xi),
-        h=spec.h.value(xi) if with_h_value else 0.0,
         dh=spec.h.d1(xi), ddh=spec.h.d2(xi),
         rho=spec.rho_at(xi))
 
@@ -213,21 +210,20 @@ def reduced_residuals(spec: WarpedSolitonSpec, xi: float) -> dict[str, float]:
 
 
 def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
-                         fiber_block_scale: float = 1.0,
                          sign_variant: str = "minus") -> np.ndarray:
     """(n+1)x(n+1) residual of (S - rho) g = Hess(h~) at a base point.
 
     Rows/cols 0..n-1 are the base block (S - rho) g_ij - Hess(h)_ij; the last
-    row/col is the fiber block, a scalar per unit fiber metric component
-    scaled by fiber_block_scale. Mixed entries are identically zero for both
-    sides and are returned as exact zeros.
+    row/col is the fiber block, a scalar per unit fiber metric component.
+    Mixed entries are identically zero for both sides and are returned as
+    exact zeros.
     """
     xi = spec.direction.xi_at(base_point)
     block, fiber = Terms(spec, point_eval(spec, xi), sign_variant).tensor()
     n = spec.n
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = block
-    out[n, n] = fiber_block_scale * fiber
+    out[n, n] = fiber
     return out
 
 
@@ -257,7 +253,7 @@ class Classification:
     forced_f: Optional[float] = None
 
 
-def classify(spec: WarpedSolitonSpec, h_const_tol: float = 1e-12) -> Classification:
+def classify(spec: WarpedSolitonSpec) -> Classification:
     """Sign class of rho x causal class, with the lightlike guards.
 
     Lightlike + lambda_F != 0 forces f = sqrt(lambda_F / rho) constant, and
@@ -274,7 +270,7 @@ def classify(spec: WarpedSolitonSpec, h_const_tol: float = 1e-12) -> Classificat
         soliton_class = "almost"
     else:
         rho = float(spec.rho)
-        if _h_is_constant(spec, h_const_tol):
+        if _h_is_constant(spec):
             soliton_class = "trivial"
         elif rho > 0.0:
             soliton_class = "shrinking"
@@ -301,12 +297,13 @@ def classify(spec: WarpedSolitonSpec, h_const_tol: float = 1e-12) -> Classificat
     return Classification(soliton_class, causal, tuple(guards), rejected, forced_f)
 
 
-def _h_is_constant(spec: WarpedSolitonSpec, tol: float) -> bool:
+def _h_is_constant(spec: WarpedSolitonSpec) -> bool:
+    """Whether |h'| <= 1e-12 on a 16-point grid of a finite domain."""
     if not spec.domain.finite:
         return False
     pts = grid_points(spec.domain, 16)
     try:
-        return max(abs(spec.h.d1(x)) for x in pts) <= tol
+        return max(abs(spec.h.d1(x)) for x in pts) <= 1e-12
     except Exception:
         return False
 
@@ -378,7 +375,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     failure = (None if error is None
                else f"evaluation failed at xi={pts[stop]!r}: {error}")
     # PointEval fields in order; h itself is not needed, h' and h'' are
-    pv = PointEval(np.array(pts[:stop]), *phi, *f, 0.0, *h[1:],
+    pv = PointEval(np.array(pts[:stop]), *phi, *f, *h[1:],
                    rho[0][0] if rho else spec.rho)
     with np.errstate(all="ignore"):
         terms = Terms(spec, pv, sign_variant)

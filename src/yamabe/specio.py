@@ -206,6 +206,10 @@ def _spec_from_family(fam, sig, direction, n, d, rho, lambda_f,
         raise SpecValidationError(
             "rho", "family documents describe steady constructions; rho "
             "must be 0 (the almost-lightlike family derives its own rho)")
+    if fid in ("thm16", "thm18") and lambda_f != 0.0:
+        raise SpecValidationError(
+            "lambda_f", f"the {fid} family has a scalar-flat fiber; lambda_f "
+            "must be 0")
     xi_range = domain.as_tuple()
     alpha = direction.alpha
 

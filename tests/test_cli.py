@@ -46,6 +46,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(stdout)["verdict"] == "certified"
 
+    def test_overflowing_derivative_is_inconclusive(self, tmp_path):
+        # h' = 20/xi + 1e308*10 overflows at every point
+        doc = dict(EXAMPLE2_DOC, profiles=dict(
+            EXAMPLE2_DOC["profiles"], h="20*ln(xi) + xi*1e308*10"))
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout = run(["verify", str(path)])
+        assert code == 3
+        report = json.loads(stdout)
+        assert report["verdict"] == "inconclusive"
+        assert "non-finite dh" in report["notes"][0]
+
     def test_rejected_exit_two(self, tmp_path):
         doc = dict(EXAMPLE2_DOC, rho=0.001)
         path = tmp_path / "bad.json"
@@ -127,6 +139,19 @@ class TestFamily:
         code, _ = run(["family", "thm17", "--range", "-1", "1"])
         assert code == 1
         assert "--zp" in capfd.readouterr().err
+
+    def test_scalar_flat_family_rejects_lambda_f(self, capfd):
+        code, _ = run(["family", "thm16", "--k1", "1", "--k3", "-0.05",
+                       "--range", "1", "31", "--lambda-f", "0.5"])
+        assert code == 1
+        assert "lambda_f" in capfd.readouterr().err
+
+    def test_fractional_power_of_negative_base_exit_one(self, capfd):
+        code, _ = run(["family", "thm18", "--phi", "xi^0.5", "--f", "exp(xi)",
+                       "--k1", "1", "--range", "-1", "1"])
+        assert code == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_lightlike_family_runs(self):
         code, stdout = run(["family", "thm18", "--range", "-1", "1",
@@ -215,6 +240,20 @@ class TestGeodesic:
         assert code == 0
         payload = json.loads(stdout)
         assert set(payload) == {"full", "paper-reduced", "notes"}
+
+    @pytest.mark.parametrize("f,y", [("(xi+5)^0.5", "-3,0,0,0"),
+                                     ("W(xi) + 2", "0,0,0,0")])
+    def test_profile_failing_mid_integration_stops(self, tmp_path, f, y):
+        # xi runs down to where f cannot be evaluated (a negative base under
+        # a fractional power, W off its branch): the geodesic stops there
+        doc = dict(self.LIGHT_DOC, profiles={"phi": "1", "f": f, "h": "xi"})
+        path, out = tmp_path / "doc.json", tmp_path / "geo.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["geodesic", str(path), f"--y={y}",
+                       "--v=-1,0,0,0", "--out", str(out)])
+        assert code == 0
+        last = out.read_text(encoding="utf-8").splitlines()[-1]
+        assert last.rsplit(",", 1)[1] != "completed"
 
     def test_needs_initial_data(self, light_path, capfd):
         code, _ = run(["geodesic", light_path])

@@ -1,18 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe.errors import EvaluationError, ExpressionSyntaxError
-from yamabe.expressions import (BinOp, Call, Const, Neg, Num, Var,
-                                compile_callable, differentiate, evaluate,
-                                parse_expression, to_text)
+from yamabe.expressions import (FUNCTIONS, BinOp, Call, Const, Neg, Num, Var,
+                                _simplify, compile_array, compile_callable,
+                                differentiate, parse_expression, to_text)
 from yamabe.numerics import central_d1
 
 
 def ev(text, xi):
-    return evaluate(parse_expression(text), xi)
+    return compile_callable(parse_expression(text))(xi)
 
 
 class TestParsing:
@@ -72,14 +73,84 @@ class TestEvaluation:
         with pytest.raises(EvaluationError):
             ev("exp(exp(xi))", 10.0)
 
-    def test_compiled_matches_interpreter(self):
-        texts = ["sin(xi)*exp(xi/3)", "sqrt(xi^2 + 1)", "sec(xi/2) - tan(xi/4)",
-                 "W(xi^2 + 0.5)", "xi^3 - 2*xi + pi"]
-        for text in texts:
-            ast = parse_expression(text)
-            fn = compile_callable(ast)
-            for xi in (-1.3, 0.0, 0.4, 2.2):
-                assert fn(xi) == evaluate(ast, xi)
+    def test_fractional_power_of_negative_base(self):
+        with pytest.raises(EvaluationError):
+            ev("xi^0.5", -1.0)
+
+    def test_lambert_off_branch(self):
+        with pytest.raises(EvaluationError):
+            ev("W(xi)", -1.0)
+
+    def test_non_finite_literal(self):
+        # 1e400 parses to inf, which prints as the name "inf"
+        with pytest.raises(EvaluationError):
+            ev("xi + 1e400", 0.0)
+        assert np.isinf(compile_array(parse_expression("1e400"))(
+            np.zeros(2))).all()
+
+    def test_array_constant_division_by_zero(self):
+        got = compile_array(parse_expression("xi + 1/0"))(np.arange(3.0))
+        assert got.shape == (3,) and np.isnan(got).all()
+
+
+class TestFolding:
+    """Num op Num folds only to a finite value; anything else keeps the
+    BinOp, so the failure surfaces when the expression is evaluated."""
+
+    def test_finite_fold(self):
+        assert _simplify(BinOp("*", Num(2.0), Num(3.0))) == Num(6.0)
+        assert _simplify(BinOp("^", Num(2.0), Num(0.5))) == Num(math.pow(2.0, 0.5))
+
+    @pytest.mark.parametrize("op,a,b", [("^", -8.0, 1.0 / 3.0),
+                                        ("/", 1.0, 0.0),
+                                        ("*", 1e308, 10.0)])
+    def test_failing_fold_stays_a_binop(self, op, a, b):
+        node = BinOp(op, Num(a), Num(b))
+        assert _simplify(node) == node
+        with pytest.raises(EvaluationError):
+            compile_callable(_simplify(node))(1.0)
+
+    def test_overflowing_derivative_is_not_folded(self):
+        # d/dxi (xi*1e308*10) = 1e308*10: evaluating it overflows
+        with pytest.raises(EvaluationError):
+            compile_callable(differentiate(parse_expression("xi*1e308*10")))(1.0)
+
+
+# random trees over every function, every operator and signed literals: the
+# scalar form returns a finite float or raises EvaluationError, and the array
+# form never raises
+_signed_leaf = st.one_of(
+    st.builds(Num, st.floats(min_value=0.0, max_value=10.0)),
+    st.builds(lambda v: Neg(Num(v)), st.floats(min_value=0.0, max_value=10.0)),
+    st.just(Var()),
+    st.builds(Const, st.sampled_from(["pi", "e"])),
+)
+_any_tree = st.recursive(_signed_leaf, lambda children: st.one_of(
+    st.builds(Neg, children),
+    st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+    st.builds(Call, st.sampled_from(FUNCTIONS), children),
+), max_leaves=12)
+_xis = st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0))
+
+
+class TestErrorContract:
+    @given(_any_tree, _xis)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_is_finite_or_evaluation_error(self, node, xi):
+        for tree in (node, differentiate(node)):
+            try:
+                value = compile_callable(tree)(xi)
+            except EvaluationError:
+                continue
+            assert isinstance(value, float) and math.isfinite(value)
+
+    @given(_any_tree, st.lists(_xis, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_array_never_raises(self, node, xis):
+        xs = np.array(xis, dtype=float)
+        for tree in (node, differentiate(node)):
+            got = compile_array(tree)(xs)
+            assert got.dtype == np.float64 and got.shape == xs.shape
 
 
 # random ASTs for the print -> parse round trip; literals stay non-negative

@@ -83,25 +83,20 @@ class TestCachedAntiderivative:
 
 class TestInvertMonotone:
     def test_bracketed(self):
-        x = invert_monotone(math.sinh, 2.0, 0.0, bracket=(0.0, 5.0))
+        x = invert_monotone(math.sinh, 2.0, (0.0, 5.0))
         assert abs(x - math.asinh(2.0)) < 1e-12
 
     def test_bracket_must_straddle(self):
         with pytest.raises(RootFindError):
-            invert_monotone(math.exp, 0.5, 1.0, bracket=(1.0, 2.0))
-
-    def test_expanding_search_both_directions(self):
-        for target in (-7.0, 11.0):
-            x = invert_monotone(lambda t: t ** 3, target, 0.1)
-            assert abs(x ** 3 - target) < 1e-10
+            invert_monotone(math.exp, 0.5, (1.0, 2.0))
 
     def test_decreasing_function(self):
-        x = invert_monotone(lambda t: math.exp(-t), 0.2, 0.0)
+        x = invert_monotone(lambda t: math.exp(-t), 0.2, (0.0, 5.0))
         assert abs(x + math.log(0.2)) < 1e-10
 
     def test_newton_polish_improves(self):
         dg = math.cosh
-        x = invert_monotone(math.sinh, 3.0, 0.0, dg=dg, bracket=(0.0, 9.0))
+        x = invert_monotone(math.sinh, 3.0, (0.0, 9.0), dg=dg)
         assert abs(x - math.asinh(3.0)) < 1e-14
 
     def test_opposite_survives_underflow(self):
@@ -110,16 +105,11 @@ class TestInvertMonotone:
         assert not opposite(1e-200, 1e-200)
         assert not opposite(0.0, 1.0) and opposite(0.0, -1.0)
 
-    def test_no_bracket_found(self):
-        with pytest.raises(RootFindError):
-            invert_monotone(math.tanh, 2.0, 0.0)  # tanh never reaches 2
-
-    @given(st.floats(min_value=-20.0, max_value=20.0),
-           st.floats(min_value=-3.0, max_value=3.0))
+    @given(st.floats(min_value=-20.0, max_value=20.0))
     @settings(max_examples=150, deadline=None)
-    def test_cubic_shift_property(self, target, x0):
+    def test_cubic_shift_property(self, target):
         g = lambda t: t ** 3 + t  # strictly increasing
-        x = invert_monotone(g, target, x0)
+        x = invert_monotone(g, target, (-4.0, 4.0))
         assert abs(g(x) - target) <= 1e-9 * max(1.0, abs(target))
 
 

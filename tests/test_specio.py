@@ -128,6 +128,21 @@ class TestFamilyDocuments:
             specio.load_document(doc)
         assert err.value.key == "rho"
 
+    @pytest.mark.parametrize("family", [
+        {"id": "thm16", "k1": 1.0, "k2": 1.0},
+        {"id": "thm18", "phi": "exp(0.2*xi)", "f": "exp(0.2*xi)", "k1": 1.0}])
+    def test_scalar_flat_families_reject_nonzero_lambda_f(self, family):
+        # both constructions build lambda_F = 0; a document saying otherwise
+        # must not load as a different spec
+        doc = {"n": 4, "d": 2, "signature": [-1, 1, 1, 1],
+               "alpha": [1.0, 1.0, 0.0, 0.0]} if family["id"] == "thm18" \
+            else doc_with()
+        doc.pop("profiles", None)
+        doc.update(domain=[1.0, 31.0], lambda_f=0.7, family=family)
+        with pytest.raises(SpecValidationError) as err:
+            specio.load_document(doc)
+        assert err.value.key == "lambda_f"
+
     def test_unknown_family_id(self):
         doc = doc_with(domain=[1.0, 40.0])
         del doc["profiles"]
