@@ -31,7 +31,8 @@ from .lambertw import lambert_w
 __all__ = [
     "Node", "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "parse_expression", "to_text", "differentiate",
-    "compile_callable", "compile_array", "FUNCTIONS", "CONSTANTS",
+    "compile_callable", "compile_array", "compile_array_raw", "FUNCTIONS",
+    "CONSTANTS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs", "W")
@@ -262,74 +263,134 @@ def compile_callable(node: Node) -> Callable[[float], float]:
 
 def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     """The same source as ``compile_callable`` evaluated on a whole array at
-    once. Returns a float array shaped like its input; a point where the
-    expression cannot be evaluated comes back non-finite instead of raising.
+    once. Returns a float array shaped like its input, non-finite exactly
+    at the points where the scalar form raises EvaluationError.
+
+    Python's float arithmetic and math functions raise where numpy returns
+    an infinity or a NaN, and a later step can turn that back into a finite
+    number (1/(1/xi) at 0, 1/(10^xi) where the power overflows). So every
+    division, power and function records where its scalar form would have
+    raised, and those points come back NaN.
 
     sin, cos and sqrt are numpy's, which on x86-64 round as libm does.
     numpy's SIMD exp, log, tan and power round differently in the last bit
     on some inputs, and derivatives amplify that past a few ulp, so those go
     through libm one element at a time (``^`` through ``np.float_power``).
     """
-    fn = _compile(node, _ARRAY_FORMS, {"np": np, "_sec": _sec_array,
-                                       "_W": _w_array, **_LIBM_ARRAY})
+    evaluate = compile_array_raw(node)
 
     def call(xs):
-        xs = np.asarray(xs, dtype=float)
-        try:
-            with np.errstate(all="ignore"):
-                out = fn(xs)
-        except ZeroDivisionError:   # a constant subtree divides by zero
-            out = math.nan
-        out = np.asarray(out, dtype=float)
-        return out if out.shape == xs.shape else np.full(xs.shape, out)
+        with np.errstate(all="ignore"):
+            return evaluate(np.asarray(xs, dtype=float))
 
     return call
 
 
-def _compile(node: Node, forms: dict[str, str], namespace: dict):
+def compile_array_raw(node: Node) -> Callable[[np.ndarray], np.ndarray]:
+    """``compile_array`` without its floating-point context, for a caller
+    that evaluates several expressions under one: it takes a float array
+    and must run under ``np.errstate(all="ignore")``."""
+    fn = _compile(node, _ARRAY_FORMS, _ARRAY_NAMESPACE, "xi, _raised")
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        raised = []
+        out = np.asarray(fn(xs, raised), dtype=float)
+        if out.shape != xs.shape:
+            out = np.full(xs.shape, out)
+        if raised:
+            mask = np.zeros(xs.shape, dtype=bool)
+            for where in raised:
+                mask |= where
+            out = np.where(mask, np.nan, out)
+        return out
+
+    return evaluate
+
+
+def _compile(node: Node, forms: dict[str, str], namespace: dict,
+             params: str = "xi"):
     src = _pysrc(node, forms)
-    return eval(compile(f"lambda xi: {src}", "<expression>", "eval"),
+    return eval(compile(f"lambda {params}: {src}", "<expression>", "eval"),
                 {**_LITERALS, **namespace})
 
 
+# The array helpers below take the list ``raised`` of the compiled array
+# form and append a boolean mask of the points where the scalar form of the
+# same step raises.
+
 def _elementwise(fn: Callable[[float], float], errors) -> Callable:
     """fn applied to every element of an array; elements that raise one of
-    ``errors`` become NaN."""
-    def guarded(x: float) -> float:
-        try:
-            return fn(x)
-        except errors:
-            return math.nan
-
-    def apply(xs):
+    ``errors`` become NaN and are recorded."""
+    def apply(xs, raised):
         xs = np.asarray(xs, dtype=float)
         values = xs.ravel().tolist()
         try:
             out = list(map(fn, values))
         except errors:
-            out = list(map(guarded, values))
+            out, failed = [], []
+            for x in values:
+                try:
+                    out.append(fn(x))
+                    failed.append(False)
+                except errors:
+                    out.append(math.nan)
+                    failed.append(True)
+            raised.append(np.array(failed).reshape(xs.shape))
         return np.array(out, dtype=float).reshape(xs.shape)
 
     return apply
 
 
+def _math_checked(fn: Callable) -> Callable:
+    """A numpy function, recording where the math module raises instead: a
+    NaN from a non-NaN argument or an infinity from a finite one."""
+    def apply(x, raised):
+        out = fn(x)
+        if np.count_nonzero(np.isfinite(out)) < np.size(out):
+            raised.append((np.isnan(out) & ~np.isnan(x))
+                          | (np.isinf(out) & np.isfinite(x)))
+        return out
+
+    return apply
+
+
+def _div_array(a, b, raised):
+    """a / b; Python raises ZeroDivisionError wherever b is zero."""
+    zero = np.equal(b, 0.0)
+    if np.count_nonzero(zero):
+        raised.append(zero)
+    return np.divide(a, b)
+
+
+def _pow_array(a, b, raised):
+    """a ^ b; math.pow raises where finite operands give a non-finite
+    power (overflow, a negative base under a fractional power, 0 to a
+    negative power)."""
+    out = np.float_power(a, b)
+    if np.count_nonzero(np.isfinite(out)) < np.size(out):
+        raised.append(~np.isfinite(out) & np.isfinite(a) & np.isfinite(b))
+    return out
+
+
 _MATH_ERRORS = (ValueError, OverflowError)
-_LIBM_ARRAY = {f"_{name}": _elementwise(getattr(math, name), _MATH_ERRORS)
-               for name in ("exp", "log", "tan")}
-_w_array = _elementwise(_w, _MATH_ERRORS + (BranchDomainError,))
+_ARRAY_NAMESPACE = {
+    "_sin": _math_checked(np.sin), "_cos": _math_checked(np.cos),
+    "_sqrt": _math_checked(np.sqrt),
+    "_sec": _math_checked(lambda x: 1.0 / np.cos(x)),
+    "_tan": _elementwise(math.tan, _MATH_ERRORS),
+    "_exp": _elementwise(math.exp, _MATH_ERRORS),
+    "_ln": _elementwise(math.log, _MATH_ERRORS),
+    "_W": _elementwise(_w, _MATH_ERRORS + (BranchDomainError,)),
+    "_div": _div_array, "_pow": _pow_array,
+}
 
-
-def _sec_array(x):
-    return 1.0 / np.cos(x)
-
-
-_PY_FORMS = {"sin": "math.sin", "cos": "math.cos", "tan": "math.tan",
-             "sec": "_sec", "exp": "math.exp", "ln": "math.log",
-             "sqrt": "math.sqrt", "abs": "abs", "W": "_W",
-             "^": "math.pow({}, {})"}
-_ARRAY_FORMS = {"sin": "np.sin", "cos": "np.cos", "tan": "_tan", "sec": "_sec",
-                "exp": "_exp", "ln": "_log", "sqrt": "np.sqrt", "abs": "abs",
-                "W": "_W", "^": "np.float_power({}, {})"}
+_PY_FORMS = {"sin": "math.sin({})", "cos": "math.cos({})",
+             "tan": "math.tan({})", "sec": "_sec({})", "exp": "math.exp({})",
+             "ln": "math.log({})", "sqrt": "math.sqrt({})", "abs": "abs({})",
+             "W": "_W({})", "^": "math.pow({}, {})", "/": "({}/{})"}
+_ARRAY_FORMS = {**{fn: f"_{fn}({{}}, _raised)" for fn in FUNCTIONS},
+                "abs": "abs({})", "^": "_pow({}, {}, _raised)",
+                "/": "_div({}, {}, _raised)"}
 
 
 def _pysrc(node: Node, forms: dict[str, str]) -> str:
@@ -342,11 +403,11 @@ def _pysrc(node: Node, forms: dict[str, str]) -> str:
     if isinstance(node, Neg):
         return f"(-{_pysrc(node.arg, forms)})"
     if isinstance(node, Call):
-        return f"{forms[node.fn]}({_pysrc(node.arg, forms)})"
+        return forms[node.fn].format(_pysrc(node.arg, forms))
     if isinstance(node, BinOp):
         left, right = _pysrc(node.left, forms), _pysrc(node.right, forms)
-        if node.op == "^":
-            return forms["^"].format(left, right)
+        if node.op in forms:
+            return forms[node.op].format(left, right)
         return f"({left}{node.op}{right})"
     raise TypeError(f"not an expression node: {node!r}")
 

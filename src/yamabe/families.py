@@ -311,29 +311,34 @@ def _expand_bracket_positive(g, target, x0):
 
 def _profile_ode(phi, dphi, p, q):
     """phi'' from the profile ODE phi^2 phi'' - 3 phi phi'^2 + p phi' =
-    -q phi^3."""
-    return (3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3) / phi ** 2
+    -q phi^3. Powers are written as products, which round the same for a
+    float and for every element of an array."""
+    return (3.0 * phi * dphi * dphi - p * dphi - q * phi * phi * phi) / (phi * phi)
+
+
+def _profile_ode_rhs(p, q):
+    """The profile ODE as a first-order system on rows (phi, phi')."""
+    def rhs(xi, y):
+        out = np.empty_like(y)
+        out[:, 0] = y[:, 1]
+        out[:, 1] = _profile_ode(y[:, 0], y[:, 1], p, q)
+        return out
+    return rhs
 
 
 def _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval: Interval) -> Profile:
     xi_c = -k4
-
-    def rhs(xi, y):
-        phi, dphi = y
-        return [dphi, _profile_ode(phi, dphi, p, q)]
-
     y0 = [phi0, u_of_phi(phi0) * phi0 ** 3]
-    pieces = []
-    for end in (interval.lo, interval.hi):
-        if end == xi_c:
-            continue
-        sol = solve_ivp(rhs, (xi_c, end), y0, method="DOP853",
-                        rtol=1e-12, atol=1e-14, dense_output=True)
-        if not sol.success:
+    ends = [end for end in (interval.lo, interval.hi) if end != xi_c]
+    run = solve_ivp(_profile_ode_rhs(p, q), [(xi_c, end) for end in ends],
+                    [y0] * len(ends), method="DOP853", rtol=1e-12,
+                    atol=1e-14, dense_output=True)
+    for end, stop in zip(ends, run.stop):
+        if stop != "completed":
             raise FamilyConstructionError(
-                f"profile ODE integration failed toward xi={end!r}: "
-                f"{sol.message}")
-        pieces.append((min(xi_c, end), max(xi_c, end), sol.sol))
+                f"profile ODE integration failed toward xi={end!r}: {stop}")
+    pieces = [(min(xi_c, end), max(xi_c, end), dense)
+              for end, dense in zip(ends, run.sol)]
 
     def eval_pair(xi):
         for lo, hi, dense in pieces:
@@ -696,9 +701,11 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
 
     Defaults are the R^3 x H^3 configuration: k1 = k2 = 1 and the fiber
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
-    scalar curvature -6). RK45 runs at rtol 1e-10, atol 1e-12; a trajectory
-    stops when phi falls to phi_floor (positivity-loss) or |(phi, phi')|
-    passes 1e12 (blowup).
+    scalar curvature -6). One RK45 call at rtol 1e-10, atol 1e-12 runs
+    every initial toward both ends of the span; a side stops when phi falls
+    to phi_floor (positivity-loss), when |(phi, phi')| passes 1e12 or the
+    step size collapses (blowup). The first side that stops, toward the
+    lower end first, sets the status.
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, alpha_norm, q_variant) if lambda_f != 0.0 else 0.0
@@ -709,48 +716,46 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
         raise FamilyConstructionError(
             f"start_xi={start_xi!r} outside span {xi_span!r}")
 
-    def rhs(xi, y):
-        phi, dphi = y
-        return [dphi, _profile_ode(phi, dphi, p, q)]
-
     def positivity(xi, y):
-        return y[0] - phi_floor
+        return y[:, 0] - phi_floor
     positivity.terminal = True
     positivity.direction = -1
 
     def escape(xi, y):
-        return 1e12 - math.hypot(y[0], y[1])
+        return 1e12 - np.hypot(y[:, 0], y[:, 1])
     escape.terminal = True
     escape.direction = -1
 
     out = []
-    for phi0, dphi0 in initials:
+    parts: dict[int, list] = {}   # rows of each integrated trajectory
+    sides = []                    # one solver row per integrated side
+    for k, (phi0, dphi0) in enumerate(initials):
         if phi0 <= 0.0:
             out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss"))
-            continue
-        if dphi0 == 0.0 and q * phi0 == 0.0:
+        elif dphi0 == 0.0 and q * phi0 == 0.0:
             # equilibrium of the first-order system: both components of the
             # vector field vanish identically
             rows = np.array([[lo, phi0, 0.0], [hi, phi0, 0.0]])
             out.append(PortraitTrajectory((phi0, dphi0), "stationary", rows))
-            continue
-        segments = []
-        status = "ok"
-        for end in (lo, hi):
-            if end == start_xi:
-                continue
-            t_eval = np.linspace(start_xi, end, points_per_side)
-            sol = solve_ivp(rhs, (start_xi, end), [phi0, dphi0],
-                            method="RK45", rtol=1e-10, atol=1e-12,
-                            t_eval=t_eval, events=(positivity, escape))
-            if sol.status == 1:
-                hit = "positivity-loss" if len(sol.t_events[0]) else "blowup"
-                if status == "ok":
-                    status = hit
-            elif sol.status != 0 and status == "ok":
-                status = "blowup"
-            segments.append(np.column_stack([sol.t, sol.y[0], sol.y[1]]))
-        rows = np.vstack([np.array([[start_xi, phi0, dphi0]])] + segments)
-        rows = rows[np.argsort(rows[:, 0])]
-        out.append(PortraitTrajectory((phi0, dphi0), status, rows))
+        else:
+            out.append(PortraitTrajectory((phi0, dphi0), "ok"))
+            parts[k] = [np.array([[start_xi, phi0, dphi0]])]
+            sides += [(k, end) for end in (lo, hi) if end != start_xi]
+    ends = np.array([end for _, end in sides])
+    run = solve_ivp(_profile_ode_rhs(p, q),
+                    np.column_stack([np.full(len(sides), start_xi), ends]),
+                    np.array([out[k].initial for k, _ in sides]
+                             ).reshape(-1, 2),
+                    method="RK45", rtol=1e-10, atol=1e-12,
+                    t_eval=np.linspace(start_xi, ends, points_per_side,
+                                       axis=1),
+                    events=[positivity, escape])
+    for row, (k, _) in enumerate(sides):
+        if out[k].status == "ok" and run.stop[row] != "completed":
+            out[k].status = ("positivity-loss" if run.event[row] == 0
+                             else "blowup")
+        parts[k].append(np.column_stack([run.t_eval[row], run.y_eval[row]]))
+    for k, rows in parts.items():
+        rows = np.vstack(rows)
+        out[k].rows = rows[np.argsort(rows[:, 0])]
     return out

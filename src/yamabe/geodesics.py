@@ -16,19 +16,25 @@ Two dynamics modes are provided:
 The modes genuinely disagree on some metrics (the conformal terms can
 drive finite-parameter blowup), so completeness probes report both and the
 comparison helper logs a note when the completion fractions differ.
+
+Every integration goes through ``numerics.solve_ivp``, which advances a
+batch of rows in lockstep: a completeness probe runs all its samples in both
+directions in one call per mode. Each stop carries its reason (a key of
+STATUS) besides the status it maps to.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .numerics import solve_ivp
+from .profiles import masked_jet
 from .soliton import WarpedSolitonSpec
 
 __all__ = [
@@ -43,22 +49,41 @@ MODES = ("full", "paper-reduced")
 BLOWUP_NORM = 1e12     # state norm at which a geodesic counts as blown up
 DOMAIN_MARGIN = 1e-9   # a geodesic leaves the domain this far inside its ends
 
+# why a geodesic stopped -> the status it reports
+STATUS = {"completed": "completed", "domain-exit": "left-domain",
+          "norm-escape": "blowup", "step-size-collapse": "blowup",
+          "non-finite-rhs": "blowup", "positivity-loss": "positivity-loss"}
 
-def _clamped_xi(spec: WarpedSolitonSpec, y: np.ndarray) -> float:
-    """xi = alpha . y, nudged inside an open finite domain so that trial
-    steps slightly past the exit event cannot raise a domain error."""
-    xi = float(np.dot(spec.direction.alpha, y))
+# a profile raising one of these cannot be evaluated at that point
+_EVALUATION_ERRORS = (EvaluationError, DomainError, OverflowError)
+
+
+def _xi(spec: WarpedSolitonSpec, y: np.ndarray) -> np.ndarray:
+    """xi = alpha . y for each row of y (k, n), nudged inside an open finite
+    domain so that trial steps slightly past the exit event cannot raise a
+    domain error."""
+    xi = np.add.reduce(y * np.asarray(spec.direction.alpha, dtype=float),
+                       axis=1)
     lo, hi = spec.domain.lo, spec.domain.hi
     if math.isfinite(lo):
-        xi = max(xi, lo + 1e-13 * max(1.0, abs(lo)))
+        xi = np.maximum(xi, lo + 1e-13 * max(1.0, abs(lo)))
     if math.isfinite(hi):
-        xi = min(xi, hi - 1e-13 * max(1.0, abs(hi)))
+        xi = np.minimum(xi, hi - 1e-13 * max(1.0, abs(hi)))
     return xi
+
+
+def _profiles_at(spec: WarpedSolitonSpec, y: np.ndarray):
+    """phi, phi', f, f' at the rows' xi (from their jets); NaN where a
+    profile cannot be evaluated."""
+    xi = _xi(spec, y)
+    return (*masked_jet(spec.phi, xi, _EVALUATION_ERRORS),
+            *masked_jet(spec.f, xi, _EVALUATION_ERRORS))
 
 
 def geodesic_rhs(spec: WarpedSolitonSpec,
                  mode: str = "full") -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of the first-order geodesic system.
+    """Right-hand side of the first-order geodesic system, for one state
+    (dim,) or a batch of states (B, dim); it returns the same shape.
 
     Full mode, with a = phi'/phi and eps the base signature:
 
@@ -67,41 +92,44 @@ def geodesic_rhs(spec: WarpedSolitonSpec,
         vf''  : vf' = -2 (f'/f) (alpha.v) vf
 
     Paper-reduced mode keeps only the last term of y'' and the same vf'.
-    Non-finite profile evaluations surface as an inf vector, which stalls
-    the step-size controller and is reported as blowup by the driver.
+    Every row is computed on its own. A row where phi or f cannot be
+    evaluated, or where their value or first derivative is not finite,
+    comes back as inf: the integrator rejects each step that evaluates
+    there and shrinks it until it falls below 10 ulps of s, and the row
+    stops with stop reason non-finite-rhs (status blowup).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n, d = spec.n, spec.d
     alpha = np.asarray(spec.direction.alpha, dtype=float)
     eps = np.asarray(spec.sig.epsilon, dtype=float)
-    dim = 2 * n + 2 * d
+    eps_alpha = eps * alpha
+    full = mode == "full"
 
-    def rhs(s: float, state: np.ndarray) -> np.ndarray:
-        y = state[:n]
-        v = state[n:2 * n]
-        vf = state[2 * n + d:]
-        try:
-            xi = _clamped_xi(spec, y)
-            phi = spec.phi.value(xi)
-            dphi = spec.phi.d1(xi)
-            f = spec.f.value(xi)
-            df = spec.f.d1(xi)
-        except (EvaluationError, DomainError, OverflowError):
-            return np.full(dim, np.inf)
-        out = np.empty(dim)
-        out[:n] = v
-        adotv = float(alpha @ v)
-        vf2 = float(vf @ vf)
-        force = vf2 * f * phi * phi * df
-        acc = eps * alpha * force
-        if mode == "full":
-            a = dphi / phi
-            acc = acc + 2.0 * a * adotv * v - eps * alpha * (a * float(eps @ (v * v)))
-        out[n:2 * n] = acc
-        out[2 * n:2 * n + d] = vf
-        out[2 * n + d:] = (-2.0 * (df / f) * adotv) * vf
-        return out
+    def rhs(s, state: np.ndarray) -> np.ndarray:
+        states = np.asarray(state, dtype=float)
+        batch = states if states.ndim == 2 else states[None, :]
+        y, v, vf = batch[:, :n], batch[:, n:2 * n], batch[:, 2 * n + d:]
+        phi, dphi, f, df = _profiles_at(spec, y)
+        out = np.empty_like(batch)
+        out[:, :n] = v
+        out[:, 2 * n:2 * n + d] = vf
+        acc = out[:, n:2 * n]
+        with np.errstate(all="ignore"):
+            adotv = np.add.reduce(v * alpha, axis=1)
+            force = np.add.reduce(vf * vf, axis=1) * f * phi * phi * df
+            np.multiply(eps_alpha, force[:, None], out=acc)
+            if full:
+                a = dphi / phi
+                acc += (2.0 * a * adotv)[:, None] * v
+                acc -= eps_alpha * (a * np.add.reduce(eps * (v * v),
+                                                      axis=1))[:, None]
+            np.multiply((-2.0 * (df / f) * adotv)[:, None], vf,
+                        out=out[:, 2 * n + d:])
+        evaluable = np.logical_and.reduce(np.isfinite([phi, dphi, f, df]))
+        if np.count_nonzero(evaluable) < len(out):
+            out[~evaluable] = np.inf
+        return out if states.ndim == 2 else out[0]
 
     return rhs
 
@@ -116,7 +144,7 @@ def energy(spec: WarpedSolitonSpec, state: np.ndarray) -> float:
     y = state[:n]
     v = state[n:2 * n]
     vf = state[2 * n + d:]
-    xi = _clamped_xi(spec, y)
+    xi = float(_xi(spec, y[None, :])[0])
     eps = np.asarray(spec.sig.epsilon, dtype=float)
     phi = spec.phi.value(xi)
     return float(eps @ (v * v)) / phi ** 2 + spec.f.value(xi) ** 2 * float(vf @ vf)
@@ -125,16 +153,84 @@ def energy(spec: WarpedSolitonSpec, state: np.ndarray) -> float:
 def fiber_momentum(spec: WarpedSolitonSpec, state: np.ndarray) -> np.ndarray:
     """f^2 vf, conserved by both dynamics modes."""
     n, d = spec.n, spec.d
-    xi = _clamped_xi(spec, state[:n])
+    xi = float(_xi(spec, state[None, :n])[0])
     return spec.f.value(xi) ** 2 * state[2 * n + d:]
+
+
+def _initial_state(spec: WarpedSolitonSpec, y0, v0, yf0=(), vf0=()
+                   ) -> np.ndarray:
+    """The flat state (y, v, yf, vf); empty fiber data means zeros."""
+    n, d = spec.n, spec.d
+    y0 = np.asarray(y0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    yf0 = np.asarray(yf0, dtype=float) if len(np.atleast_1d(yf0)) else np.zeros(d)
+    vf0 = np.asarray(vf0, dtype=float) if len(np.atleast_1d(vf0)) else np.zeros(d)
+    if y0.shape != (n,) or v0.shape != (n,):
+        raise ValueError(f"base position/velocity must have length n={n}")
+    if yf0.shape != (d,) or vf0.shape != (d,):
+        raise ValueError(f"fiber position/velocity must have length d={d}")
+    return np.concatenate([y0, v0, yf0, vf0])
+
+
+def _stop_events(spec: WarpedSolitonSpec):
+    """The terminal events of a geodesic, and the stop reason of each: exit
+    of xi from a finite domain, the state norm passing BLOWUP_NORM, and
+    loss of positivity of phi or f (or a point where they cannot be
+    evaluated)."""
+    n = spec.n
+    alpha = np.asarray(spec.direction.alpha, dtype=float)
+    events, reasons = [], []
+    lo, hi = spec.domain.lo, spec.domain.hi
+    def xi(st):
+        return np.add.reduce(st[:, :n] * alpha, axis=1)
+
+    if math.isfinite(lo):
+        def exit_lo(s, st):
+            return xi(st) - (lo + DOMAIN_MARGIN)
+        events.append(exit_lo)
+        reasons.append("domain-exit")
+    if math.isfinite(hi):
+        def exit_hi(s, st):
+            return (hi - DOMAIN_MARGIN) - xi(st)
+        events.append(exit_hi)
+        reasons.append("domain-exit")
+
+    def escape(s, st):
+        return BLOWUP_NORM - np.sqrt(np.add.reduce(st * st, axis=1))
+    events.append(escape)
+    reasons.append("norm-escape")
+
+    def positivity(s, st):
+        phi, _, f, _ = _profiles_at(spec, st[:, :n])
+        margin = np.minimum(phi, f) - 1e-12
+        return np.where(np.isnan(margin), -1.0, margin)
+    events.append(positivity)
+    reasons.append("positivity-loss")
+    for event in events:
+        event.terminal = True
+    return events, reasons
+
+
+def _run(spec: WarpedSolitonSpec, mode: str, spans, states, **options):
+    """Integrate the rows of states over spans in one solve_ivp call; the
+    solver result and each row's stop reason."""
+    events, reasons = _stop_events(spec)
+    run = solve_ivp(geodesic_rhs(spec, mode), spans, states, events=events,
+                    **options)
+    return run, [reasons[e] if stop == "event" else stop
+                 for stop, e in zip(run.stop, run.event.tolist())]
 
 
 @dataclass(frozen=True)
 class GeodesicResult:
     rows: np.ndarray          # columns: s, y (n), v (n), yf (d), vf (d)
     status: str               # completed | left-domain | blowup | positivity-loss
-    s_reached: float
+    s_reached: float          # where the integration stopped
     mode: str
+    stop_reason: str          # a key of STATUS: blowup splits into
+                              # norm-escape, step-size-collapse, non-finite-rhs
+    nfev: int                 # RHS evaluations
+    nsteps: int               # accepted steps
 
     def final_state(self) -> np.ndarray:
         return self.rows[-1, 1:]
@@ -147,85 +243,24 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
                        method: str = "DOP853",
                        rtol: float = 1e-10, atol: float = 1e-12,
                        max_step: Optional[float] = None) -> GeodesicResult:
-    """Integrate one geodesic over s_span (which may run backwards).
+    """Integrate one geodesic over s_span (which may run backwards); rows
+    hold the state at `samples` evenly spaced parameters up to the stop.
 
     Terminal events: exit of xi from a finite domain (status left-domain),
-    state norm passing BLOWUP_NORM and integrator step failure (blowup),
-    and loss of positivity of phi or f along numerically defined profiles
-    (positivity-loss).
+    state norm passing BLOWUP_NORM (blowup), and loss of positivity of phi
+    or f along numerically defined profiles (positivity-loss). A step-size
+    collapse also reports blowup; stop_reason tells the causes apart.
     """
-    n, d = spec.n, spec.d
-    y0 = np.asarray(y0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    yf0 = np.asarray(yf0, dtype=float) if len(np.atleast_1d(yf0)) else np.zeros(d)
-    vf0 = np.asarray(vf0, dtype=float) if len(np.atleast_1d(vf0)) else np.zeros(d)
-    if y0.shape != (n,) or v0.shape != (n,):
-        raise ValueError(f"base position/velocity must have length n={n}")
-    if yf0.shape != (d,) or vf0.shape != (d,):
-        raise ValueError(f"fiber position/velocity must have length d={d}")
-    state0 = np.concatenate([y0, v0, yf0, vf0])
-    alpha = np.asarray(spec.direction.alpha, dtype=float)
-
-    events = []
-    labels = []
-    lo, hi = spec.domain.lo, spec.domain.hi
-    if math.isfinite(lo):
-        def exit_lo(s, st):
-            return float(alpha @ st[:n]) - (lo + DOMAIN_MARGIN)
-        exit_lo.terminal = True
-        events.append(exit_lo)
-        labels.append("left-domain")
-    if math.isfinite(hi):
-        def exit_hi(s, st):
-            return (hi - DOMAIN_MARGIN) - float(alpha @ st[:n])
-        exit_hi.terminal = True
-        events.append(exit_hi)
-        labels.append("left-domain")
-
-    def escape(s, st):
-        return BLOWUP_NORM - float(np.linalg.norm(st))
-    escape.terminal = True
-    events.append(escape)
-    labels.append("blowup")
-
-    def positivity(s, st):
-        try:
-            xi = _clamped_xi(spec, st[:n])
-            return min(spec.phi.value(xi), spec.f.value(xi)) - 1e-12
-        except (EvaluationError, DomainError, OverflowError):
-            return -1.0
-    positivity.terminal = True
-    events.append(positivity)
-    labels.append("positivity-loss")
-
-    t_eval = np.linspace(s_span[0], s_span[1], samples)
-    extra = {} if max_step is None else {"max_step": max_step}
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(geodesic_rhs(spec, mode), s_span, state0,
-                        method=method, rtol=rtol, atol=atol,
-                        t_eval=t_eval, events=events, **extra)
-
-    if sol.status == 0:
-        status = "completed"
-    elif sol.status == 1:
-        status = "blowup"
-        for hits, label in zip(sol.t_events, labels):
-            if len(hits):
-                status = label
-                break
-    else:
-        log.debug("integrator stopped early (%s); treating as blowup",
-                  sol.message)
-        status = "blowup"
-
-    rows = np.column_stack([sol.t, sol.y.T]) if sol.t.size else \
+    state0 = _initial_state(spec, y0, v0, yf0, vf0)
+    run, (stop,) = _run(spec, mode, s_span, state0[None, :], method=method,
+                        rtol=rtol, atol=atol,
+                        max_step=math.inf if max_step is None else max_step,
+                        t_eval=np.linspace(s_span[0], s_span[1], samples))
+    ts, ys = run.t_eval[0], run.y_eval[0]
+    rows = np.column_stack([ts, ys]) if len(ts) else \
         np.concatenate([[s_span[0]], state0])[None, :]
-    s_reached = float(sol.t[-1]) if sol.t.size else s_span[0]
-    for hits in sol.t_events or []:
-        if len(hits):
-            s_reached = float(hits[0])
-            break
-    return GeodesicResult(rows, status, s_reached, mode)
+    return GeodesicResult(rows, STATUS[stop], float(run.t[0]), mode, stop,
+                          int(run.nfev[0]), int(run.nsteps[0]))
 
 
 @dataclass(frozen=True)
@@ -236,6 +271,7 @@ class ProbeSummary:
     completed: int
     status_counts: dict[str, int]
     failures: tuple[tuple[int, str, str, float], ...]  # index, direction, status, s
+    stop_reasons: dict[str, int]
 
     @property
     def fraction(self) -> float:
@@ -246,6 +282,7 @@ class ProbeSummary:
             "mode": self.mode, "count": self.count, "s_max": self.s_max,
             "completed": self.completed, "fraction": self.fraction,
             "status_counts": dict(self.status_counts),
+            "stop_reasons": dict(self.stop_reasons),
             "failures": [list(f) for f in self.failures],
         }
 
@@ -275,28 +312,34 @@ def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
                        seed: int = 0, rtol: float = 1e-8, atol: float = 1e-10,
                        sampler=None) -> ProbeSummary:
     """Integrate `count` random geodesics to +-s_max and report how many ran
-    the full affine-parameter range in both directions."""
+    the full affine-parameter range in both directions. All samples are
+    drawn first; one solve_ivp call then runs each of them both ways."""
     rng = np.random.default_rng(seed)
     sample = sampler or _default_initial_sampler(spec, rng)
+    starts = [_initial_state(spec, *sample()) for _ in range(count)]
+    # row 2i runs sample i forward, row 2i + 1 backward
+    run, stops = _run(
+        spec, mode, np.tile([(0.0, s_max), (0.0, -s_max)], (count, 1)),
+        np.repeat(np.reshape(starts, (count, 2 * spec.n + 2 * spec.d)), 2,
+                  axis=0),
+        method="DOP853", rtol=rtol, atol=atol)
     completed = 0
     counts: dict[str, int] = {}
+    reasons: dict[str, int] = {}
     failures = []
     for i in range(count):
-        y0, v0, yf0, vf0 = sample()
         ok = True
-        for direction, span in (("forward", (0.0, s_max)),
-                                ("backward", (0.0, -s_max))):
-            res = integrate_geodesic(spec, y0, v0, yf0, vf0, s_span=span,
-                                     mode=mode, samples=2, rtol=rtol,
-                                     atol=atol)
-            counts[res.status] = counts.get(res.status, 0) + 1
-            if res.status != "completed":
+        for j, direction in enumerate(("forward", "backward")):
+            row = 2 * i + j
+            status = STATUS[stops[row]]
+            counts[status] = counts.get(status, 0) + 1
+            reasons[stops[row]] = reasons.get(stops[row], 0) + 1
+            if status != "completed":
                 ok = False
-                failures.append((i, direction, res.status, res.s_reached))
-        if ok:
-            completed += 1
+                failures.append((i, direction, status, float(run.t[row])))
+        completed += ok
     summary = ProbeSummary(mode, count, s_max, completed, counts,
-                           tuple(failures))
+                           tuple(failures), reasons)
     log.info("completeness probe (%s): %d/%d completed", mode, completed, count)
     return summary
 

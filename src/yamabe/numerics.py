@@ -1,15 +1,17 @@
 """Small numerical kernels shared across modules.
 
 Adaptive Simpson quadrature, cached antiderivative evaluation, bracketed
-bisection-then-Newton inversion and the central-difference stencils used for
-derivative fallbacks. ODE trajectories go through scipy's embedded RK pairs;
-the pieces here are the ones whose behaviour the package's contracts pin down.
+bisection-then-Newton inversion, the central-difference stencils used for
+derivative fallbacks, and ``solve_ivp``: the explicit Runge-Kutta kernel
+(RK45 and DOP853) that integrates every ODE of the package, a batch of
+independent trajectories at a time.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +20,8 @@ from .errors import QuadratureError, RootFindError
 
 __all__ = [
     "adaptive_simpson", "CachedAntiderivative", "invert_monotone", "opposite",
-    "central_d1", "central_d2", "square", "solve_ivp", "DEFAULT_QUAD_TOL",
+    "central_d1", "central_d2", "square", "solve_ivp", "OdeBatch",
+    "DenseTrajectory", "DEFAULT_QUAD_TOL",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10  # absolute tolerance per integral
@@ -180,9 +183,717 @@ def square(x):
     return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first call. Importing
-    scipy.integrate takes about 0.8 s and 50 MB, and only the ODE paths
-    (geodesics, the phase portrait, the thm15 ODE construction) need it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+
+
+# --- explicit Runge-Kutta kernel ---------------------------------------------
+#
+# The embedded pairs RK45 (Dormand & Prince 5(4)) and DOP853 (Dormand &
+# Prince 8(5,3)) with the step-size control of Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4, II.5 and II.10, as scipy.integrate.solve_ivp applies
+# them: the same tableaux, error norms, controller constants, initial-step
+# rule, failure rule (a step below 10 ulps of t) and event location on each
+# step's interpolant. The kernel advances B independent rows in lockstep;
+# each row has its own span, step size, error control, events and stop.
+# Rows never mix: every operation is elementwise across rows or a reduction
+# along one row, and powers go through libm one row at a time, so a row's
+# trajectory is bitwise the same alone or inside any batch.
+
+_SAFETY = 0.9        # multiplies the asymptotic step-size factor
+_MIN_FACTOR = 0.2    # largest decrease of the step size after a rejection
+_MAX_FACTOR = 10.0   # largest increase after an acceptance
+_EVENT_TOL = 4 * np.finfo(float).eps   # absolute and relative, event times
+
+
+def _combine(coefs: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] * K[j] over the stages K (stages, rows, n), added
+    stage by stage for every element; coefs has shape (s, 1, 1)."""
+    return np.add.reduce(coefs * K[:len(coefs)], axis=0)
+
+
+def _stage_rows(A: np.ndarray) -> list:
+    """Row s of the lower-triangular A, A[s, :s], shaped for ``_combine``."""
+    return [A[s, :s, None, None] for s in range(len(A))]
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Root mean square of each row."""
+    return np.sqrt(np.add.reduce(x * x, axis=1)) / x.shape[1] ** 0.5
+
+
+def _first_min(a, b):
+    """Python's min(a, b) elementwise: b only where b < a (NaN loses)."""
+    return np.where(b < a, b, a)
+
+
+def _first_max(a, b):
+    """Python's max(a, b) elementwise: b only where b > a (NaN loses)."""
+    return np.where(b > a, b, a)
+
+
+def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for each element through libm's pow, NaN where it is not
+    defined: numpy's vectorised power may round differently from lane to
+    lane."""
+    return np.array([v ** e if v > 0.0 or (v == 0.0 and e > 0.0)
+                     else math.nan for v in x.tolist()])
+
+
+class _RK45:
+    """Dormand-Prince 5(4) with Shampine's quartic interpolant."""
+
+    n_stages = 6
+    n_k = 7                  # stages plus the derivative at the new point
+    error_exponent = -1 / 5
+    C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+    B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+    E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+    P = np.array([
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423,
+         69997945 / 29380423]])
+
+    _A, _B, _E = _stage_rows(A), B[:, None, None], E[:, None, None]
+    _P = list(P.T[:, :, None, None])
+
+    @classmethod
+    def error_norm(cls, K, h, scale):
+        return _rms(_combine(cls._E, K) * h[:, None] / scale)
+
+    @classmethod
+    def dense(cls, fun, K, t_old, h, y_old, y_new):
+        """Interpolant coefficients (4, rows, n) and the RHS calls spent."""
+        return np.stack([_combine(p, K) for p in cls._P]), 0
+
+    @staticmethod
+    def interp(Q, x, h, y_old):
+        """The state at the step fraction x from the coefficients Q (4, ...,
+        n): one row's (4, n) with floats x and h, or r rows' (4, r, n) with
+        x and h of shape (r, 1)."""
+        power, acc = x, Q[0] * x
+        for q in Q[1:]:
+            power = power * x
+            acc += q * power
+        acc *= h
+        acc += y_old
+        return acc
+
+
+class _DOP853:
+    """Dormand-Prince 8(5,3) with its seventh-order interpolant (Hairer's
+    DOP853; coefficients as published with the Fortran code)."""
+
+    n_stages = 12
+    n_k = 16                 # stages, new derivative, three dense stages
+    error_exponent = -1 / 8
+    C = np.array([
+        0.0, 0.526001519587677318785587544488e-01,
+        0.789002279381515978178381316732e-01,
+        0.118350341907227396726757197510, 0.281649658092772603273242802490,
+        0.333333333333333333333333333333, 0.25,
+        0.307692307692307692307692307692, 0.651282051282051282051282051282,
+        0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+        0.777777777777777777777777777778])
+    A = np.zeros((16, 16))
+    A[1, :1] = [5.26001519587677318785587544488e-2]
+    A[2, :2] = [1.97250569845378994544595329183e-2,
+                5.91751709536136983633785987549e-2]
+    A[3, :3] = [2.95875854768068491816892993775e-2, 0.0,
+                8.87627564304205475450678981324e-2]
+    A[4, :4] = [2.41365134159266685502369798665e-1, 0.0,
+                -8.84549479328286085344864962717e-1,
+                9.24834003261792003115737966543e-1]
+    A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+                1.70828608729473871279604482173e-1,
+                1.25467687566822425016691814123e-1]
+    A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+                6.02165389804559606850219397283e-2, -1.7578125e-2]
+    A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+                1.70383925712239993810214054705e-1,
+                1.07262030446373284651809199168e-1,
+                -1.53194377486244017527936158236e-2,
+                8.27378916381402288758473766002e-3]
+    A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+                -3.36089262944694129406857109825,
+                -8.68219346841726006818189891453e-1,
+                2.75920996994467083049415600797e1,
+                2.01540675504778934086186788979e1,
+                -4.34898841810699588477366255144e1]
+    A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+                -2.48811461997166764192642586468,
+                -5.90290826836842996371446475743e-1,
+                2.12300514481811942347288949897e1,
+                1.52792336328824235832596922938e1,
+                -3.32882109689848629194453265587e1,
+                -2.03312017085086261358222928593e-2]
+    A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+                  5.18637242884406370830023853209,
+                  1.09143734899672957818500254654,
+                  -8.14978701074692612513997267357,
+                  -1.85200656599969598641566180701e1,
+                  2.27394870993505042818970056734e1,
+                  2.49360555267965238987089396762,
+                  -3.0467644718982195003823669022]
+    A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+                  -1.05344954667372501984066689879e1,
+                  -2.00087205822486249909675718444,
+                  -1.79589318631187989172765950534e1,
+                  2.79488845294199600508499808837e1,
+                  -2.85899827713502369474065508674,
+                  -8.87285693353062954433549289258,
+                  1.23605671757943030647266201528e1,
+                  6.43392746015763530355970484046e-1]
+    A[12, :12] = [5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+                  4.45031289275240888144113950566,
+                  1.89151789931450038304281599044,
+                  -5.8012039600105847814672114227,
+                  3.1116436695781989440891606237e-1,
+                  -1.52160949662516078556178806805e-1,
+                  2.01365400804030348374776537501e-1,
+                  4.47106157277725905176885569043e-2]
+    A[13, :13] = [5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0,
+                  0.0, 2.53500210216624811088794765333e-1,
+                  -2.46239037470802489917441475441e-1,
+                  -1.24191423263816360469010140626e-1,
+                  1.5329179827876569731206322685e-1,
+                  8.20105229563468988491666602057e-3,
+                  7.56789766054569976138603589584e-3, -8.298e-3]
+    A[14, :14] = [3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+                  2.83009096723667755288322961402e-2,
+                  5.35419883074385676223797384372e-2,
+                  -5.49237485713909884646569340306e-2, 0.0, 0.0,
+                  -1.08347328697249322858509316994e-4,
+                  3.82571090835658412954920192323e-4,
+                  -3.40465008687404560802977114492e-4,
+                  1.41312443674632500278074618366e-1]
+    A[15, :15] = [-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+                  -4.69762141536116384314449447206,
+                  7.68342119606259904184240953878,
+                  4.06898981839711007970213554331,
+                  3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+                  -1.39902416515901462129418009734e-3,
+                  2.9475147891527723389556272149,
+                  -9.15095847217987001081870187138]
+    B = A[12, :12]
+    E3 = np.append(B, 0.0)
+    E3[0] -= 0.244094488188976377952755905512
+    E3[8] -= 0.733846688281611857341361741547
+    E3[11] -= 0.220588235294117647058823529412e-1
+    E5 = np.zeros(13)
+    E5[0] = 0.1312004499419488073250102996e-1
+    E5[5:12] = [-0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290,
+                0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1]
+    D = np.zeros((4, 16))
+    D[0, 0] = -0.84289382761090128651353491142e+1
+    D[0, 5:] = [0.56671495351937776962531783590,
+                -0.30689499459498916912797304727e+1,
+                0.23846676565120698287728149680e+1,
+                0.21170345824450282767155149946e+1,
+                -0.87139158377797299206789907490,
+                0.22404374302607882758541771650e+1,
+                0.63157877876946881815570249290,
+                -0.88990336451333310820698117400e-1,
+                0.18148505520854727256656404962e+2,
+                -0.91946323924783554000451984436e+1,
+                -0.44360363875948939664310572000e+1]
+    D[1, 0] = 0.10427508642579134603413151009e+2
+    D[1, 5:] = [0.24228349177525818288430175319e+3,
+                0.16520045171727028198505394887e+3,
+                -0.37454675472269020279518312152e+3,
+                -0.22113666853125306036270938578e+2,
+                0.77334326684722638389603898808e+1,
+                -0.30674084731089398182061213626e+2,
+                -0.93321305264302278729567221706e+1,
+                0.15697238121770843886131091075e+2,
+                -0.31139403219565177677282850411e+2,
+                -0.93529243588444783865713862664e+1,
+                0.35816841486394083752465898540e+2]
+    D[2, 0] = 0.19985053242002433820987653617e+2
+    D[2, 5:] = [-0.38703730874935176555105901742e+3,
+                -0.18917813819516756882830838328e+3,
+                0.52780815920542364900561016686e+3,
+                -0.11573902539959630126141871134e+2,
+                0.68812326946963000169666922661e+1,
+                -0.10006050966910838403183860980e+1,
+                0.77771377980534432092869265740,
+                -0.27782057523535084065932004339e+1,
+                -0.60196695231264120758267380846e+2,
+                0.84320405506677161018159903784e+2,
+                0.11992291136182789328035130030e+2]
+    D[3, 0] = -0.25693933462703749003312586129e+2
+    D[3, 5:] = [-0.15418974869023643374053993627e+3,
+                -0.23152937917604549567536039109e+3,
+                0.35763911791061412378285349910e+3,
+                0.93405324183624310003907691704e+2,
+                -0.37458323136451633156875139351e+2,
+                0.10409964950896230045147246184e+3,
+                0.29840293426660503123344363579e+2,
+                -0.43533456590011143754432175058e+2,
+                0.96324553959188282948394950600e+2,
+                -0.39177261675615439165231486172e+2,
+                -0.14972683625798562581422125276e+3]
+    _A, _B = _stage_rows(A), B[:, None, None]
+    _E3, _E5, _D = E3[:, None, None], E5[:, None, None], list(D[:, :, None, None])
+
+    @classmethod
+    def error_norm(cls, K, h, scale):
+        """The blend of the fifth- and third-order estimates (II.10)."""
+        err5 = _combine(cls._E5, K) / scale
+        err3 = _combine(cls._E3, K) / scale
+        n5 = np.sqrt(np.add.reduce(err5 * err5, axis=1))
+        n3 = np.sqrt(np.add.reduce(err3 * err3, axis=1))
+        n5, n3 = n5 * n5, n3 * n3
+        norm = np.abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * scale.shape[1])
+        return np.where((n5 == 0.0) & (n3 == 0.0), 0.0, norm)
+
+    @classmethod
+    def dense(cls, fun, K, t_old, h, y_old, y_new):
+        """Interpolant coefficients (7, rows, n) and the RHS calls spent on
+        the three extra stages."""
+        hc = h[:, None]
+        for s in range(cls.n_stages + 1, cls.n_k):
+            dy = _combine(cls._A[s], K) * hc
+            K[s] = fun(t_old + cls.C[s] * h, y_old + dy)
+        delta = y_new - y_old
+        F = np.empty((7,) + y_old.shape)
+        F[0] = delta
+        F[1] = hc * K[0] - delta
+        F[2] = 2 * delta - hc * (K[cls.n_stages] + K[0])
+        for i in range(4):
+            F[3 + i] = hc * _combine(cls._D[i], K)
+        return F, cls.n_k - cls.n_stages - 1
+
+    @staticmethod
+    def interp(F, x, h, y_old):
+        """The state at the step fraction x from the coefficients F (7, ...,
+        n), shaped as for ``_RK45.interp``."""
+        rest = 1 - x
+        y = F[-1] * x
+        for i, f in enumerate(F[-2::-1], start=1):
+            y += f
+            y *= rest if i % 2 else x
+        y += y_old
+        return y
+
+
+_METHODS = {"RK45": _RK45, "DOP853": _DOP853}
+
+
+def _rk_step(fun, scheme, t, y, f, h):
+    """One trial step of every row: the stages K (n_k, rows, n) with the
+    derivative at the new point in K[n_stages], and the new state."""
+    K = np.empty((scheme.n_k,) + y.shape)
+    K[0] = f
+    hc = h[:, None]
+    ts = t + scheme.C[:scheme.n_stages, None] * h
+    for s in range(1, scheme.n_stages):
+        dy = _combine(scheme._A[s], K) * hc
+        K[s] = fun(ts[s], y + dy)
+    y_new = y + hc * _combine(scheme._B, K)
+    K[scheme.n_stages] = fun(t + h, y_new)
+    return K, y_new
+
+
+def _initial_step(fun, scheme, t0, y0, f0, t_bound, direction, max_step,
+                  rtol, atol):
+    """|h| of each row's first trial step (Hairer, Norsett & Wanner II.4)."""
+    length = np.abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = _first_min(h0, length)
+    f1 = np.asarray(fun(t0 + h0 * direction,
+                        y0 + (h0 * direction)[:, None] * f0), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  _first_max(1e-6, h0 * 1e-3),
+                  _pow_each(0.01 / _first_max(d1, d2),
+                            -scheme.error_exponent))
+    return _first_min(_first_min(_first_min(100 * h0, h1), length), max_step)
+
+
+def _brentq(g, a: float, b: float) -> float:
+    """A zero of g between a and b by Brent's method, as scipy's brentq with
+    xtol = rtol = 4 eps. Without a sign change it returns b: the crossing
+    was seen at the end of the step."""
+    xpre, xcur = a, b
+    fpre, fcur = g(xpre), g(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0 or not opposite(fpre, fcur):
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and opposite(fpre, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = g(xcur)
+    return xcur
+
+
+def _interp_at(interp, coefs, t_old, h, y_old, t):
+    """One row's state at t from its step's coefficients (m, n)."""
+    return interp(coefs, float((t - t_old) / h), float(h), y_old)
+
+
+class DenseTrajectory:
+    """The continuous solution of one row: its steps' interpolants. Called
+    with a parameter value, it returns the state there (n,); at a step
+    boundary the step that ends there is used. A row that took no step is
+    constant."""
+
+    def __init__(self, interp, t_old, h, y_old, coefs, t_end, y_end):
+        self._interp = interp
+        self._t_old, self._h = np.asarray(t_old), np.asarray(h)
+        self._y_old, self._coefs, self._y_end = y_old, coefs, y_end
+        ts = np.append(self._t_old, t_end)
+        self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
+        self._keys = self._sign * ts
+
+    def __call__(self, t: float) -> np.ndarray:
+        if not len(self._h):
+            return self._y_end.copy()
+        i = int(self._keys.searchsorted(self._sign * t)) - 1
+        i = min(max(i, 0), len(self._h) - 1)
+        return _interp_at(self._interp, self._coefs[i], self._t_old[i],
+                          self._h[i], self._y_old[i], t)
+
+
+@dataclass(frozen=True)
+class OdeBatch:
+    """What ``solve_ivp`` returns: per row, where and why it stopped.
+
+    stop[i] is completed (the row reached the end of its span), event (a
+    terminal event fired; event[i] is its index, t[i] the located zero),
+    step-size-collapse (a rejected step fell below 10 ulps of t) or
+    non-finite-rhs (the same, after a trial step whose error estimate was
+    not finite: the RHS could not be evaluated ahead of the row).
+    """
+
+    t: np.ndarray                      # (B,) parameter where each row stopped
+    y: np.ndarray                      # (B, n) state there
+    stop: tuple[str, ...]
+    event: np.ndarray                  # (B,) terminal event index or -1
+    nfev: np.ndarray                   # (B,) RHS evaluations of each row
+    nsteps: np.ndarray                 # (B,) accepted steps of each row
+    t_eval: tuple[np.ndarray, ...]     # per row, the t_eval points reached
+    y_eval: tuple[np.ndarray, ...]     # per row, the states there (k, n)
+    sol: tuple[DenseTrajectory, ...]   # per row, with dense_output
+
+
+def solve_ivp(fun, t_span, y0, *, method: str = "RK45", rtol: float = 1e-3,
+              atol: float = 1e-6, max_step: float = math.inf, t_eval=None,
+              events=None, dense_output: bool = False) -> OdeBatch:
+    """Integrate the rows of y0 (B, n) through y' = fun(t, y), row i over
+    t_span[i] (t_span is (B, 2), or one (start, end) pair for every row;
+    an end below the start integrates backwards).
+
+    fun(t, Y) receives the times (k,) and states (k, n) of any k rows and
+    returns their derivatives (k, n); each row of the result may depend
+    only on the same row of the input. method is "RK45" or "DOP853".
+    t_eval, (m,) or (B, m), lists points in each row's direction at which
+    to report the state. events are callables event(t, Y) -> (k,) with a
+    true ``terminal`` attribute and an optional ``direction`` (+1: rising
+    zeros only, -1: falling only); a row stops at the first located zero.
+    dense_output keeps each row's interpolants.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {tuple(_METHODS)}, "
+                         f"got {method!r}")
+    if not max_step > 0.0:
+        raise ValueError("max_step must be positive")
+    events = list(events or ())
+    if not all(getattr(ev, "terminal", False) for ev in events):
+        raise ValueError("every event must be terminal")
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 2:
+        raise ValueError("y0 must have shape (rows, n)")
+    if not np.isfinite(y0).all():
+        raise ValueError("every initial state must be finite")
+    span = np.broadcast_to(np.asarray(t_span, dtype=float), (len(y0), 2))
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        t_eval = np.broadcast_to(t_eval, (len(y0), t_eval.shape[-1]))
+    with np.errstate(all="ignore"):
+        return _Lockstep(fun, _METHODS[method], span, y0, rtol, atol,
+                         max_step, t_eval, events, dense_output).run()
+
+
+class _Lockstep:
+    """State of one solve_ivp call: outputs for every row, and the working
+    arrays of the rows still running (compacted as rows stop)."""
+
+    _WORKING = ("idx", "t", "tb", "sgn", "far", "y", "f", "h_abs", "retry",
+                "nonfinite", "g", "te", "te_i", "te_next", "nfev", "nsteps")
+
+    def __init__(self, fun, scheme, span, y0, rtol, atol, max_step, t_eval,
+                 events, dense_output):
+        rows = len(y0)
+        self.fun = fun
+        self.scheme, self.rtol, self.atol = scheme, rtol, atol
+        self.max_step = max_step
+        self.events = events
+        direction = np.array([getattr(ev, "direction", 0) for ev in events],
+                             dtype=float)
+        self.rising, self.falling = direction >= 0, direction <= 0
+        self.dense_output = dense_output
+        # outputs
+        self.t_out, self.y_out = span[:, 0].copy(), y0.copy()
+        self.stop = ["completed"] * rows
+        self.hit = np.full(rows, -1)
+        self.nfev_out = np.zeros(rows, dtype=int)
+        self.nsteps_out = np.zeros(rows, dtype=int)
+        self.ts_out = [[] for _ in range(rows)]
+        self.ys_out = [[] for _ in range(rows)]
+        self.segments = [[] for _ in range(rows)]
+        # working arrays of the running rows
+        self.idx = np.arange(rows)
+        self.t, self.tb = span[:, 0].copy(), span[:, 1].copy()
+        self.sgn = np.where(self.tb >= self.t, 1.0, -1.0)
+        self.far = self.sgn * np.inf
+        self.y = y0.copy()
+        self.te = t_eval
+        self.te_i = np.zeros(rows, dtype=int)
+        self.te_next = None if t_eval is None else \
+            (t_eval[:, 0].copy() if t_eval.shape[1] else np.full(rows, np.nan))
+        self.nfev = np.zeros(rows, dtype=int)
+        self.nsteps = np.zeros(rows, dtype=int)
+        self.f = self.h_abs = self.retry = self.nonfinite = self.g = None
+
+    def _keep(self, keep: np.ndarray) -> None:
+        for name in self._WORKING:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def _finish(self, mask: np.ndarray, stops) -> None:
+        """Record the rows in mask as stopped and drop them."""
+        rows = self.idx[mask]
+        self.t_out[rows] = self.t[mask]
+        self.y_out[rows] = self.y[mask]
+        self.nfev_out[rows] = self.nfev[mask]
+        self.nsteps_out[rows] = self.nsteps[mask]
+        for row, why in zip(rows.tolist(), stops):
+            self.stop[row] = why
+        self._keep(~mask)
+
+    def _outputs(self, rows, coefs, t_old, h, y_old) -> None:
+        """Record every t_eval point that the running rows ``rows`` have
+        reached, from the interpolants of their last steps."""
+        sel = np.arange(len(rows))
+        while len(rows):
+            at = self.te_next[rows]
+            due = self.sgn[rows] * (at - self.t[rows]) <= 0.0
+            rows, sel, at = rows[due], sel[due], at[due]
+            if not len(rows):
+                return
+            ys = self.scheme.interp(coefs[:, sel],
+                                    ((at - t_old[sel]) / h[sel])[:, None],
+                                    h[sel][:, None], y_old[sel])
+            for p, t, y in zip(self.idx[rows].tolist(), at.tolist(), ys):
+                self.ts_out[p].append(t)
+                self.ys_out[p].append(y)
+            self.te_i[rows] += 1
+            i = self.te_i[rows]
+            more = i < self.te.shape[1]
+            self.te_next[rows] = np.nan
+            self.te_next[rows[more]] = self.te[rows[more], i[more]]
+
+    def run(self) -> OdeBatch:
+        fun = self.fun
+        zero = self.t == self.tb
+        if np.count_nonzero(zero):
+            if self.te is not None:     # each t_eval point is the start
+                for p in np.flatnonzero(zero).tolist():
+                    self.ts_out[p] = list(self.te[p])
+                    self.ys_out[p] = [self.y[p]] * len(self.te[p])
+            self._finish(zero, ["completed"] * int(zero.sum()))
+        if len(self.idx):
+            self.f = np.asarray(fun(self.t, self.y), dtype=float)
+            self.h_abs = _initial_step(
+                fun, self.scheme, self.t, self.y, self.f, self.tb, self.sgn,
+                self.max_step, self.rtol, self.atol)
+            self.nfev += 2
+            self.retry = np.zeros(len(self.idx), dtype=bool)
+            self.nonfinite = np.zeros(len(self.idx), dtype=bool)
+            self.g = self._event_values(self.t, self.y)
+        while len(self.idx):
+            self._iterate()
+        n = self.y_out.shape[1]
+        return OdeBatch(
+            self.t_out, self.y_out, tuple(self.stop), self.hit,
+            self.nfev_out, self.nsteps_out,
+            tuple(np.array(ts, dtype=float) for ts in self.ts_out),
+            tuple(np.array(ys, dtype=float).reshape(-1, n)
+                  for ys in self.ys_out),
+            tuple(self._dense(segs, row) for row, segs
+                  in enumerate(self.segments)) if self.dense_output else ())
+
+    def _event_values(self, t, y) -> np.ndarray:
+        g = np.empty((len(t), len(self.events)))
+        for e, event in enumerate(self.events):
+            g[:, e] = event(t, y)
+        return g
+
+    def _dense(self, segs, row) -> DenseTrajectory:
+        t_old, h, y_old, coefs = zip(*segs) if segs else ((), (), (), ())
+        return DenseTrajectory(self.scheme.interp, t_old, h, np.array(y_old),
+                               np.array(coefs), self.t_out[row],
+                               self.y_out[row])
+
+    def _iterate(self) -> None:
+        """One lockstep iteration: every running row tries one step."""
+        scheme = self.scheme
+        t, sgn, retry = self.t, self.sgn, self.retry
+        min_step = 10 * np.abs(np.nextafter(t, self.far) - t)
+        # a fresh step starts inside [min_step, max_step]; a retry after a
+        # rejection keeps its shrunk size and fails below min_step (or when
+        # the size is NaN, where scipy's loop would never end)
+        h_abs = np.minimum(np.maximum(self.h_abs, min_step), self.max_step)
+        if np.count_nonzero(retry):
+            h_abs = np.where(retry, self.h_abs, h_abs)
+            collapsed = retry & ~(h_abs >= min_step)
+            if np.count_nonzero(collapsed):
+                self._finish(collapsed, np.where(
+                    self.nonfinite[collapsed], "non-finite-rhs",
+                    "step-size-collapse").tolist())
+                return
+        t_new = t + h_abs * sgn
+        past = sgn * (t_new - self.tb) > 0
+        if np.count_nonzero(past):
+            t_new = np.where(past, self.tb, t_new)
+        h = t_new - t
+        K, y_new = _rk_step(self.fun, scheme, t, self.y, self.f, h)
+        self.nfev += scheme.n_stages
+        scale = self.atol + np.maximum(np.abs(self.y), np.abs(y_new)) * self.rtol
+        err = scheme.error_norm(K, h, scale)
+        ok = err < 1
+        # Python's min and max let a NaN lose: the power is NaN where err is
+        # 0 (the step grows by the largest factor) or not a number
+        power = _SAFETY * _pow_each(err, scheme.error_exponent)
+        grow = np.fmin(_MAX_FACTOR, power)
+        if np.count_nonzero(retry):     # no growth right after a rejection
+            grow = np.where(retry, np.fmin(1.0, grow), grow)
+        self.h_abs = np.abs(h) * np.where(ok, grow, np.fmax(_MIN_FACTOR, power))
+        self.nonfinite = ~np.isfinite(err)
+        self.retry = ~ok
+        accepted = np.count_nonzero(ok)
+        if not accepted:
+            return
+        f_new = K[scheme.n_stages]
+        stopped = ok & (t_new == self.tb)
+        if accepted == len(ok):
+            acc = slice(None)
+            t_old, y_old = t, self.y
+            self.t, self.y, self.f = t_new, y_new, f_new
+        else:
+            acc = np.flatnonzero(ok)
+            t_old, y_old = t[acc], self.y[acc]
+            self.t, self.y = t.copy(), self.y.copy()
+            self.t[acc], self.y[acc], self.f[acc] = (t_new[acc], y_new[acc],
+                                                     f_new[acc])
+        self.nsteps += ok
+        ta, ya = self.t[acc], self.y[acc]
+
+        # the accepted rows that need their step's interpolant: an event
+        # changed sign, a t_eval point was passed, or dense output is kept
+        need = np.full(len(ta), self.dense_output)
+        crossed = None
+        if self.events:
+            g_old, g_new = self.g[acc], self._event_values(ta, ya)
+            crossed = (((g_old <= 0) & (g_new >= 0) & self.rising)
+                       | ((g_old >= 0) & (g_new <= 0) & self.falling))
+            self.g[acc] = g_new
+            if np.count_nonzero(crossed):
+                need |= crossed.any(axis=1)
+        if self.te is not None:
+            need |= sgn[acc] * (self.te_next[acc] - ta) <= 0.0
+        if not np.count_nonzero(need):
+            if np.count_nonzero(stopped):
+                self._finish(stopped, ["completed"] * int(stopped.sum()))
+            return
+        q = np.flatnonzero(need)
+        rows = np.arange(len(ok))[acc][q]
+        t_old, h, y_old = t_old[q], h[rows], y_old[q]
+        coefs, extra = scheme.dense(self.fun, K[:, rows], t_old, h, y_old,
+                                    ya[q])
+        self.nfev[rows] += extra
+        stops = ["completed"] * len(ok)
+        if crossed is not None:
+            for j in np.flatnonzero(crossed[q].any(axis=1)).tolist():
+                p = int(rows[j])
+                self._locate(p, crossed[q[j]], coefs[:, j], t_old[j], h[j],
+                             y_old[j])
+                stops[p], stopped[p] = "event", True
+        if self.te is not None:
+            self._outputs(rows, coefs, t_old, h, y_old)
+        if self.dense_output:
+            for j, p in enumerate(self.idx[rows].tolist()):
+                self.segments[p].append((t_old[j], h[j], y_old[j],
+                                         coefs[:, j]))
+        if np.count_nonzero(stopped):
+            self._finish(stopped, [s for s, m in zip(stops, stopped) if m])
+
+    def _locate(self, p, crossed, coefs, t_old, h, y_old) -> None:
+        """Move running row p back to the first zero, in its direction, of
+        the events that changed sign during its last step."""
+        def state(s):
+            return _interp_at(self.scheme.interp, coefs, t_old, h, y_old, s)
+
+        best = None
+        for e in np.flatnonzero(crossed).tolist():
+            event = self.events[e]
+            root = _brentq(
+                lambda s: float(event(np.array([s]), state(s)[None, :])[0]),
+                t_old, float(self.t[p]))
+            if best is None or self.sgn[p] * (root - best[1]) < 0:
+                best = (e, root)
+        e, root = best
+        self.t[p] = root
+        self.y[p] = state(root)
+        self.hit[self.idx[p]] = e

@@ -23,7 +23,7 @@ from .errors import DomainError, PositivityError
 from .numerics import central_d1, central_d2
 
 __all__ = ["Interval", "Profile", "grid_points", "leading_jets",
-           "DEFAULT_GRID_MARGIN"]
+           "masked_jet", "DEFAULT_GRID_MARGIN"]
 
 DEFAULT_GRID_MARGIN = 0.01  # fraction of interval length clipped at each end
 
@@ -130,20 +130,23 @@ class Profile:
             raise error
         return jet
 
-    def _leading_jet(self, xs: np.ndarray, value: bool):
+    def _leading_jet(self, xs: np.ndarray, value: bool, d2: bool = True):
         """The jet over the longest prefix of xs on which nothing raises,
-        and the exception raised at the point after it (None if none)."""
+        and the exception raised at the point after it (None if none).
+        Without d2 the last entry of the jet is None."""
         error = None
         inside = (self.domain.lo < xs) & (xs < self.domain.hi)
-        if not inside.all():
+        if np.count_nonzero(inside) < len(xs):
             k = int(np.argmin(inside))
             error = DomainError(f"xi={float(xs[k])!r} outside declared "
                                 f"domain {self.domain.as_tuple()!r}")
             xs = xs[:k]
         if self._arrays is not None:
-            return self._arrays(xs, value), error
-        rows = [self._value, self._d1, self._d2] if value else [self._d1,
-                                                                self._d2]
+            with np.errstate(all="ignore"):
+                return self._arrays(xs, value, d2), error
+        wanted = (value, True, d2)
+        rows = [fn for fn, want in zip((self._value, self._d1, self._d2),
+                                       wanted) if want]
         out = np.empty((len(rows), len(xs)))
         for i, x in enumerate(xs.tolist()):
             try:
@@ -152,7 +155,8 @@ class Profile:
             except Exception as exc:
                 out, error = out[:, :i], exc
                 break
-        return (out[0] if value else None, out[-2], out[-1]), error
+        it = iter(out)
+        return tuple(next(it) if want else None for want in wanted), error
 
     def _derived(self, value, d1, d2, domain, analytic_derivatives,
                  arrays) -> "Profile":
@@ -194,9 +198,9 @@ class Profile:
         zero = lambda xi: 0.0
         out = cls(lambda xi: c, zero, zero, domain,
                   source=repr(float(c)), analytic_derivatives=True)
-        out._arrays = lambda xs, value: (
+        out._arrays = lambda xs, value, d2: (
             np.full(xs.shape, float(c)) if value else None,
-            np.zeros(xs.shape), np.zeros(xs.shape))
+            np.zeros(xs.shape), np.zeros(xs.shape) if d2 else None)
         return out
 
     # -- wrappers (used by invariance checks and families) ----------------
@@ -206,9 +210,9 @@ class Profile:
         on derivatives are bitwise unchanged."""
         arrays = self._arrays
 
-        def shifted_arrays(xs, value):
-            v, d1, d2 = arrays(xs, value)
-            return (v + c if value else None, d1, d2)
+        def shifted_arrays(xs, value, d2):
+            v, e1, e2 = arrays(xs, value, d2)
+            return (v + c if value else None, e1, e2)
 
         return self._derived(lambda xi: self._value(xi) + c, self._d1,
                              self._d2, self.domain, self.analytic_derivatives,
@@ -217,9 +221,9 @@ class Profile:
     def scaled(self, c: float) -> "Profile":
         arrays = self._arrays
 
-        def scaled_arrays(xs, value):
-            v, d1, d2 = arrays(xs, value)
-            return (c * v if value else None, c * d1, c * d2)
+        def scaled_arrays(xs, value, d2):
+            v, e1, e2 = arrays(xs, value, d2)
+            return (c * v if value else None, c * e1, c * e2 if d2 else None)
 
         return self._derived(lambda xi: c * self._value(xi),
                              lambda xi: c * self._d1(xi),
@@ -230,9 +234,11 @@ class Profile:
     def plus(self, other: "Profile") -> "Profile":
         mine, theirs = self._arrays, other._arrays
 
-        def sum_arrays(xs, value):
-            (v, d1, d2), (w, e1, e2) = mine(xs, value), theirs(xs, value)
-            return (v + w if value else None, d1 + e1, d2 + e2)
+        def sum_arrays(xs, value, d2):
+            (v, a1, a2), (w, b1, b2) = (mine(xs, value, d2),
+                                        theirs(xs, value, d2))
+            return (v + w if value else None, a1 + b1,
+                    a2 + b2 if d2 else None)
 
         return self._derived(lambda xi: self._value(xi) + other._value(xi),
                              lambda xi: self._d1(xi) + other._d1(xi),
@@ -273,20 +279,42 @@ def leading_jets(xs, wanted):
             stop, error)
 
 
+def masked_jet(profile: Profile, xs: np.ndarray, errors):
+    """Value and first derivative over xs, as ``profile.jet`` gives them,
+    with NaN in both at every point where the profile raises one of
+    ``errors``; the points after such a point are still evaluated. Any
+    other exception propagates."""
+    (value, d1, _), error = profile._leading_jet(xs, True, d2=False)
+    if error is None:
+        return value, d1
+    out = np.full((2, len(xs)), np.nan)
+    start = 0
+    while error is not None:
+        if not isinstance(error, errors):
+            raise error
+        stop = start + len(d1)
+        out[:, start:stop] = value, d1
+        start = stop + 1
+        (value, d1, _), error = profile._leading_jet(xs[start:], True,
+                                                     d2=False)
+    out[:, start:] = value, d1
+    return out[0], out[1]
+
+
 def _expression_arrays(*nodes):
     """Numpy form of an expression profile from the ASTs of its value, d1 and
     d2. Each is compiled on first use, so building a profile costs what it
     did before any array evaluation existed."""
     compiled = [None] * len(nodes)
 
-    def arrays(xs, value):
+    def arrays(xs, value, d2):
         out = []
         for k, node in enumerate(nodes):
-            if k == 0 and not value:
+            if (k == 0 and not value) or (k == 2 and not d2):
                 out.append(None)
                 continue
             if compiled[k] is None:
-                compiled[k] = expressions.compile_array(node)
+                compiled[k] = expressions.compile_array_raw(node)
             out.append(compiled[k](xs))
         return tuple(out)
 

@@ -92,6 +92,27 @@ class TestEvaluation:
         got = compile_array(parse_expression("xi + 1/0"))(np.arange(3.0))
         assert got.shape == (3,) and np.isnan(got).all()
 
+    @pytest.mark.parametrize("text,bad,good", [
+        ("1/(1/xi)", 0.0, 2.0),          # 1/0 -> inf, then 1/inf -> 0
+        ("1/(10^xi)", 400.0, 2.0),       # the power overflows, then 1/inf
+        ("exp(-1/xi)", 0.0, 1.0),        # -1/0 -> -inf, then exp -> 0
+        ("1/(xi^-1)", 0.0, 4.0),         # 0^-1 -> inf, then 1/inf
+        ("1/ln(xi - 1)", 1.0, 3.0)])     # ln(0) -> -inf, then 1/-inf
+    def test_array_fails_where_the_scalar_raises(self, text, bad, good):
+        node = parse_expression(text)
+        with pytest.raises(EvaluationError):
+            compile_callable(node)(bad)
+        got = compile_array(node)(np.array([bad, good]))
+        assert np.isnan(got[0])
+        assert got[1] == compile_callable(node)(good)
+
+    def test_array_keeps_infinities_the_scalar_form_keeps(self):
+        # a float product overflows to inf without raising, so both forms
+        # give 1/inf = 0
+        node = parse_expression("1/(xi*1e308*10)")
+        assert compile_callable(node)(1.0) == 0.0
+        assert compile_array(node)(np.array([1.0])).tolist() == [0.0]
+
 
 class TestFolding:
     """Num op Num folds only to a finite value; anything else keeps the
@@ -151,6 +172,19 @@ class TestErrorContract:
         for tree in (node, differentiate(node)):
             got = compile_array(tree)(xs)
             assert got.dtype == np.float64 and got.shape == xs.shape
+
+    @given(_any_tree, st.lists(_xis, min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_array_is_non_finite_where_the_scalar_raises(self, node, xis):
+        xs = np.array(xis, dtype=float)
+        for tree in (node, differentiate(node)):
+            got = compile_array(tree)(xs)
+            scalar = compile_callable(tree)
+            for xi, entry in zip(xis, got):
+                try:
+                    scalar(xi)
+                except EvaluationError:
+                    assert not math.isfinite(entry)
 
 
 # random ASTs for the print -> parse round trip; literals stay non-negative

@@ -1,11 +1,17 @@
+import dataclasses
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from yamabe.catalog import build_example, example5_spec
+from yamabe.errors import EvaluationError
 from yamabe.geodesics import (compare_probe_modes, completeness_probe, energy,
                               fiber_momentum, geodesic_rhs, integrate_geodesic)
+from yamabe.profiles import Profile
+from yamabe.specio import load_document
 
 K = 0.2
 
@@ -207,3 +213,127 @@ class TestProbes:
         d = probe.to_dict()
         assert d["completed"] == probe.completed
         assert d["fraction"] == probe.fraction
+
+
+class TestStopReasons:
+    LIGHT_DOC = {"n": 4, "d": 2, "signature": [-1, 1, 1, 1],
+                 "alpha": [1.0, 1.0, 0.0, 0.0], "domain": None}
+
+    @pytest.mark.parametrize("f,y,edge", [("(xi+5)^0.5", [-3, 0, 0, 0], 2.0),
+                                          ("W(xi) + 2", [0, 0, 0, 0],
+                                           math.exp(-1.0))])
+    def test_unevaluable_profile_is_a_non_finite_rhs(self, tmp_path, f, y,
+                                                     edge):
+        # xi = alpha . y runs down into the region where f cannot be
+        # evaluated (a negative base under a fractional power, W off its
+        # branch) at s = edge, long before the norm escape
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(
+            self.LIGHT_DOC, profiles={"phi": "1", "f": f, "h": "xi"})),
+            encoding="utf-8")
+        spec, _ = load_document(str(path))
+        res = integrate_geodesic(spec, y, [-1, 0, 0, 0])
+        assert res.status == "blowup"
+        assert res.stop_reason == "non-finite-rhs"
+        assert res.s_reached == pytest.approx(edge, abs=1e-6)
+        assert res.nsteps > 0 and res.nfev > res.nsteps
+
+    def test_statuses_map_from_stop_reasons(self, light_spec):
+        y0 = np.zeros(4)
+        escape = integrate_geodesic(light_spec, y0, [0.5, 0.5, 0.0, 0.0])
+        assert (escape.status, escape.stop_reason) == ("blowup", "norm-escape")
+        done = integrate_geodesic(light_spec, *initial_data())
+        assert (done.status, done.stop_reason) == ("completed", "completed")
+        spec = build_example("example-2")
+        left = integrate_geodesic(spec, [2.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0])
+        assert (left.status, left.stop_reason) == ("left-domain",
+                                                   "domain-exit")
+
+    def test_probe_counts_stop_reasons(self, light_spec):
+        probe = completeness_probe(light_spec, count=5, s_max=50.0, seed=1)
+        reasons = probe.to_dict()["stop_reasons"]
+        assert sum(reasons.values()) == 10
+        blowups = sum(n for why, n in reasons.items()
+                      if why in ("norm-escape", "step-size-collapse",
+                                 "non-finite-rhs"))
+        assert blowups == probe.status_counts.get("blowup", 0)
+        assert reasons.get("completed", 0) == probe.status_counts.get(
+            "completed", 0)
+
+
+def test_full_mode_incompleteness_matches_closed_form():
+    """phi = f = e^(k xi) with lightlike alpha: a base geodesic with an
+    eta-null velocity v, alpha.v > 0 and no fiber velocity keeps xi' =
+    (alpha.v) phi(xi0)^2 / phi(xi)^2 in full mode, so its affine length is
+    int_0^inf e^(-2k (alpha.v) t) dt = 1/(2k alpha.v); the reduced system
+    has no such term and runs on."""
+    k = 0.005
+    spec = example5_spec(k)
+    alpha = np.asarray(spec.direction.alpha)
+    eps = np.asarray(spec.sig.epsilon, dtype=float)
+    y0 = np.array([0.1, -0.2, 0.3, 0.0])
+    for v in ([0.25, 0.25, 0.0, 0.0], [0.625, 0.375, 0.5, 0.0],
+              [1.25, 0.75, 0.0, 1.0]):
+        v = np.array(v)
+        assert float(eps @ (v * v)) == 0.0 and float(alpha @ v) > 0.0
+        length = 1.0 / (2.0 * k * float(alpha @ v))
+        full = integrate_geodesic(spec, y0, v, s_span=(0.0, 1e3), samples=2,
+                                  rtol=1e-8, atol=1e-10)
+        assert full.status == "blowup"
+        assert abs(full.s_reached - length) <= 1e-6 * length
+        reduced = integrate_geodesic(spec, y0, v, s_span=(0.0, 1e3),
+                                     samples=2, mode="paper-reduced",
+                                     rtol=1e-8, atol=1e-10)
+        assert reduced.status == "completed" and reduced.s_reached == 1e3
+
+
+class TestBatches:
+    def test_rhs_rows_equal_single_states(self, light_spec):
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(6, 12))
+        states[2, :4] = 1e5                 # xi = 2e5: exp overflows
+        for mode in ("full", "paper-reduced"):
+            rhs = geodesic_rhs(light_spec, mode)
+            batch = rhs(0.0, states)
+            assert np.all(np.isinf(batch[2]))
+            assert np.isfinite(np.delete(batch, 2, axis=0)).all()
+            for row, state in zip(batch, states):
+                assert np.array_equal(row, rhs(0.0, state))
+
+    def test_rhs_keeps_failures_of_callable_profiles_in_their_row(self):
+        def value(xi):
+            if xi > 0.5:
+                raise EvaluationError("no value past 0.5")
+            return 1.0 + xi * xi
+        spec = example5_spec(K)
+        spec = dataclasses.replace(spec, f=Profile.from_callable(
+            value, (-math.inf, math.inf), d1=lambda xi: 2.0 * xi,
+            d2=lambda xi: 2.0))
+        states = np.zeros((3, 12))
+        states[:, 0] = [0.0, 1.0, 0.2]      # xi = 0, 1, 0.2
+        out = geodesic_rhs(spec)(0.0, states)
+        assert np.all(np.isinf(out[1]))
+        assert np.isfinite(out[[0, 2]]).all()
+
+    def test_probe_batch_equals_samples_one_by_one(self):
+        spec = example5_spec(0.005)
+        rng = np.random.default_rng(11)
+        draws = []
+
+        def sampler():
+            draws.append((rng.uniform(-1, 1, 4), rng.normal(size=4) / 2,
+                          rng.uniform(-1, 1, 2), rng.normal(size=2) / 2))
+            return draws[-1]
+
+        batch = completeness_probe(spec, count=8, s_max=1e3, sampler=sampler)
+        counts, reasons, failures = Counter(), Counter(), []
+        for i, sample in enumerate(draws):
+            alone = completeness_probe(spec, count=1, s_max=1e3,
+                                       sampler=lambda: sample)
+            counts.update(alone.status_counts)
+            reasons.update(alone.stop_reasons)
+            failures += [(i,) + fail[1:] for fail in alone.failures]
+        assert batch.failures == tuple(failures)    # s reached, bitwise
+        assert batch.status_counts == dict(counts)
+        assert batch.stop_reasons == dict(reasons)
+        assert set(batch.status_counts) == {"completed", "blowup"}
