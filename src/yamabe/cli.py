@@ -325,10 +325,21 @@ def _cmd_geodesic(args) -> int:
     if args.y is None or args.v is None:
         raise _CliInputError("single-geodesic mode needs --y and --v "
                              "(or use --probe COUNT)")
-    yf = _floats(args.yf) if args.yf else ()
-    vf = _floats(args.vf) if args.vf else ()
+    state = []
+    for flag, text, size in (("--y", args.y, spec.n), ("--v", args.v, spec.n),
+                             ("--yf", args.yf, spec.d),
+                             ("--vf", args.vf, spec.d)):
+        values = _floats(text) if text else ()
+        # empty fiber data means zeros
+        if len(values) != size and (values or flag in ("--y", "--v")):
+            raise _CliInputError(
+                f"{flag} needs {size} components, got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise _CliInputError(f"{flag} components must be finite, "
+                                 f"got {text!r}")
+        state.append(values)
     result = geodesics.integrate_geodesic(
-        spec, _floats(args.y), _floats(args.v), yf, vf,
+        spec, *state,
         s_span=tuple(args.s_span), mode=args.mode, samples=args.samples,
         rtol=args.rtol, atol=args.atol)
     out, close = _open_out(args.out)

@@ -276,6 +276,7 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     numpy's SIMD exp, log, tan and power round differently in the last bit
     on some inputs, and derivatives amplify that past a few ulp, so those go
     through libm one element at a time (``^`` through ``np.float_power``).
+    W is ``lambert_w`` on the whole array, which equals its scalar form.
     """
     evaluate = compile_array_raw(node)
 
@@ -341,6 +342,15 @@ def _elementwise(fn: Callable[[float], float], errors) -> Callable:
     return apply
 
 
+def _w_array(x, raised):
+    """W on an array: NaN, recorded, exactly where the scalar form raises."""
+    out = lambert_w(np.atleast_1d(np.asarray(x, dtype=float)), "principal")
+    nan = np.isnan(out)
+    if np.count_nonzero(nan):
+        raised.append(nan)
+    return out
+
+
 def _math_checked(fn: Callable) -> Callable:
     """A numpy function, recording where the math module raises instead: a
     NaN from a non-NaN argument or an infinity from a finite one."""
@@ -380,7 +390,7 @@ _ARRAY_NAMESPACE = {
     "_tan": _elementwise(math.tan, _MATH_ERRORS),
     "_exp": _elementwise(math.exp, _MATH_ERRORS),
     "_ln": _elementwise(math.log, _MATH_ERRORS),
-    "_W": _elementwise(_w, _MATH_ERRORS + (BranchDomainError,)),
+    "_W": _w_array,
     "_div": _div_array, "_pow": _pow_array,
 }
 

@@ -24,12 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BranchDomainError, FamilyConstructionError,
-                     QuadratureError)
+from .errors import FamilyConstructionError
 from .geometry import SignatureSpec, TranslationDirection
 from .lambertw import lambert_w
-from .numerics import (CachedAntiderivative, invert_monotone, opposite,
-                       solve_ivp)
+from .numerics import (CachedAntiderivative, gauss_legendre, invert_monotone,
+                       opposite, solve_ivp)
 from .profiles import Interval, Profile, grid_points
 from .soliton import WarpedSolitonSpec, certify
 
@@ -67,35 +66,36 @@ def _resolve_frame(n, sig, alpha, want_lightlike=False):
 
 
 def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
-    """f = k2 / phi with exact derivatives."""
-    def value(xi):
-        return k2 / phi.value(xi)
+    """f = k2 / phi with exact derivatives, through phi's jet."""
+    def arrays(xs, value, d2):
+        p, dp, ddp = phi.jet(xs, d2=d2)
+        return (k2 / p if value else None, -k2 * dp / (p * p),
+                k2 * (2.0 * dp * dp / (p * p * p) - ddp / (p * p))
+                if d2 else None)
 
-    def d1(xi):
-        p = phi.value(xi)
-        return -k2 * phi.d1(xi) / p ** 2
-
-    def d2(xi):
-        p = phi.value(xi)
-        dp = phi.d1(xi)
-        return k2 * (2.0 * dp * dp / p ** 3 - phi.d2(xi) / p ** 2)
-
-    return Profile(value, d1, d2, domain, analytic_derivatives=True)
+    return Profile.from_arrays(arrays, domain)
 
 
-def _h_from_phi(k1: float, phi: Profile, xi_range: Interval) -> Profile:
-    """h with h' = k1 / phi^2, value anchored to 0 at the range midpoint."""
-    mid = 0.5 * (xi_range.lo + xi_range.hi)
-    anti = CachedAntiderivative(lambda xi: k1 / phi.value(xi) ** 2, mid)
+def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
+                values: Optional[Callable] = None) -> Profile:
+    """h with h' = k1 / phi^2, value anchored to 0 at the range midpoint:
+    values(xs) when given, else k1 int_mid^xi dt/phi^2 on Gauss-Legendre
+    panels, with phi's jet at their nodes."""
+    if values is None:
+        mid = 0.5 * (xi_range.lo + xi_range.hi)
 
-    def d1(xi):
-        return k1 / phi.value(xi) ** 2
+        def inverse_square(t):
+            p = phi.jet(t.reshape(-1), d2=False)[0].reshape(t.shape)
+            return 1.0 / (p * p)
 
-    def d2(xi):
-        p = phi.value(xi)
-        return -2.0 * k1 * phi.d1(xi) / p ** 3
+        values = lambda xs: k1 * gauss_legendre(inverse_square, mid, xs)
 
-    return Profile(anti, d1, d2, phi.domain, analytic_derivatives=True)
+    def arrays(xs, value, d2):
+        p, dp, _ = phi.jet(xs, d2=False)
+        return (values(xs) if value else None, k1 / (p * p),
+                -2.0 * k1 * dp / (p * p * p) if d2 else None)
+
+    return Profile.from_arrays(arrays, phi.domain)
 
 
 def _certify_or_raise(spec: WarpedSolitonSpec, run: bool,
@@ -142,6 +142,15 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     ('statement', the value consistent with the n + d = 6 reduction and the
     one that certifies) or the tenfold 'proof' value, exposed for comparison.
     phi' = u(phi) phi^3 with u = -(q/p) (1 + W(k3 exp(-p^2/(4 q phi^4)))).
+
+    construction 'quadrature' solves xi + k4 = int_phi0^phi dt/(u t^3) for
+    phi and takes h = k1 int dt/(u t^5) on the same quadrature nodes; 'ode'
+    integrates the profile ODE from (phi0, u(phi0) phi0^3) and h' in xi. The
+    three profiles have numpy forms: one inversion (or one evaluation of the
+    dense ODE solution) per array of points serves all their jets, and
+    value/d1/d2 at a point are that form on a one-element array. Every
+    inversion is bracketed to cover the margin-clipped xi_range, so a point
+    there comes out the same in any array.
     """
     if n + d != 6:
         raise FamilyConstructionError(
@@ -155,6 +164,11 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
         raise FamilyConstructionError(
             "lambda_F must be nonzero here; the lambda_F = 0 case has its own "
             "family with the elementary antiderivative")
+    if not phi0 > 0.0:
+        raise FamilyConstructionError(f"phi0 must be positive, got {phi0!r}")
+    if w_branch not in ("principal", "lower"):
+        raise FamilyConstructionError(
+            f"w_branch must be 'principal' or 'lower', got {w_branch!r}")
     sig_, direction = _resolve_frame(n, sig, alpha)
     if direction.norm == 0.0:
         raise FamilyConstructionError("alpha must not be lightlike")
@@ -162,80 +176,183 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, direction.norm, q_variant)
     interval = Interval(*xi_range)
-
-    def u_of_phi(phi: float) -> float:
-        if phi <= 0.0:
-            raise FamilyConstructionError("phi left the positive axis")
-        w = lambert_w(k3 * math.exp(-p * p / (4.0 * q * phi ** 4)), w_branch) \
-            if k3 != 0.0 else 0.0
-        return -(q / p) * (1.0 + w)
-
-    def du_dphi(phi: float) -> float:
-        if k3 == 0.0:
-            return 0.0
-        w = lambert_w(k3 * math.exp(-p * p / (4.0 * q * phi ** 4)), w_branch)
-        return -p * w / ((1.0 + w) * phi ** 5)
+    u_w = _lambert_u(p, q, k3, w_branch)
 
     if construction == "quadrature":
-        phi_profile = _thm15_phi_quadrature(p, q, k3, k4, phi0, u_of_phi,
-                                            du_dphi, interval)
+        phi_profile, h_values = _thm15_quadrature(p, q, k1, k3, k4, phi0,
+                                                  w_branch, u_w, interval)
     elif construction == "ode":
-        phi_profile = _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval)
+        dphi0 = u_w(1.0 / (phi0 * phi0))[0] * (phi0 * phi0 * phi0)
+        phi_profile, h_values = _thm15_phi_ode(p, q, k4, phi0, dphi0,
+                                               interval), None
     else:
         raise FamilyConstructionError(
             f"construction must be 'quadrature' or 'ode', got {construction!r}")
 
     phi_profile.require_positive(interval, name="phi")
     f_profile = _reciprocal_profile(k2, phi_profile, phi_profile.domain)
-    h_profile = _h_from_phi(k1, phi_profile, interval)
+    h_profile = _h_from_phi(k1, phi_profile, interval, h_values)
     spec = WarpedSolitonSpec(sig_, direction, d, 0.0, lambda_f,
                              phi_profile, f_profile, h_profile, interval,
                              label=f"lambert-family(q={q_variant})")
     return _certify_or_raise(spec, run_certify)
 
 
-def _thm15_phi_quadrature(p, q, k3, k4, phi0, u_of_phi, du_dphi,
-                          interval: Interval) -> Profile:
+def _lambert_u(p, q, k3, w_branch):
+    """(u, W) at s = phi^-2, for a float or an array:
+    u = -(q/p) (1 + W(k3 exp(c s^2))) with c = -p^2/(4q)."""
+    c = -p * p / (4.0 * q)
+
+    def u_w(s):
+        w = (lambert_w(k3 * np.exp(c * (s * s)), w_branch) if k3 != 0.0
+             else 0.0 * s)
+        return -(q / p) * (1.0 + w), w
+
+    return u_w
+
+
+def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
+                      interval: Interval):
+    """phi of the quadrature construction, and h's values, as numpy forms
+    that share one solve per array of points (the last one is kept).
+
+    In s = phi^-2 the travel integral is int_phi0^phi dt/(u t^3) =
+    -1/2 int_s0^s ds'/u and h = k1 int dt/(u t^5) = -k1/2 int_s0^s s' ds'/u
+    (plus a constant), both on the Gauss-Legendre panels of
+    ``gauss_legendre``.
+    """
+    s0 = 1.0 / (phi0 * phi0)
+
     if k3 == 0.0:
         # u is the constant -q/p; the relation integrates in closed form to
-        # 1/phi^2 = 1/phi0^2 + (2q/p)(xi + k4).
-        def value(xi):
-            radicand = 1.0 / phi0 ** 2 + (2.0 * q / p) * (xi + k4)
-            if radicand <= 0.0:
+        # s = s0 + (2q/p)(xi + k4), and h to (k1 p / (4q)) s^2.
+        def solve(xs):
+            s = s0 + (2.0 * q / p) * (xs + k4)
+            bad = xs[~(s > 0.0)]
+            if len(bad):
                 raise FamilyConstructionError(
-                    f"phi^2 leaves the positive axis at xi={xi!r}; shrink "
-                    "xi_range to the sign-consistent interval")
-            return radicand ** -0.5
+                    f"phi^2 leaves the positive axis at xi={float(bad[0])!r}; "
+                    "shrink xi_range to the sign-consistent interval")
+            u = np.full(len(s), -q / p)
+            return 1.0 / np.sqrt(s), u, 0.0 * u, (k1 * p / (4.0 * q)) * (s * s)
     else:
-        travel = CachedAntiderivative(
-            lambda t: 1.0 / (u_of_phi(t) * t ** 3), phi0)
-        cache: dict[float, float] = {}
+        integral = _lambert_integral(p, q, k3, w_branch, u_w, s0)
 
-        def value(xi):
-            got = cache.get(xi)
-            if got is not None:
-                return got
-            target = xi + k4
-            lo, hi = _expand_bracket_positive(travel, target, phi0)
-            phi = invert_monotone(travel, target, (lo, hi),
-                                  dg=lambda t: 1.0 / (u_of_phi(t) * t ** 3))
-            cache[xi] = phi
-            return phi
+        def travel(phi):
+            s = np.where(phi > 0.0, 1.0 / (phi * phi), np.nan)
+            return -0.5 * integral(0, s)
 
-    def d1(xi):
-        phi = value(xi)
-        return u_of_phi(phi) * phi ** 3
+        def slope(phi):
+            return 1.0 / (u_w(1.0 / (phi * phi))[0] * (phi * phi * phi))
 
-    def d2(xi):
-        phi = value(xi)
-        u = u_of_phi(phi)
-        dphi = u * phi ** 3
-        return (du_dphi(phi) * phi ** 3 + 3.0 * u * phi ** 2) * dphi
+        # the bracket search visits the same points for every target; a
+        # point past a wall is NaN
+        probes: dict = {}
+        brackets: dict = {}
 
-    return Profile(value, d1, d2, interval, analytic_derivatives=True)
+        def probe(phi):
+            if phi not in probes:
+                probes[phi] = float(travel(np.array([phi]))[0])
+            return probes[phi]
+
+        def bracket_for(target):
+            if target not in brackets:
+                brackets[target] = _expand_bracket_positive(probe, target,
+                                                            phi0)
+            return brackets[target]
+
+        # the bracket of every solve covers the margin-clipped range, so a
+        # point there comes out the same in any array; on a range that
+        # reaches past a wall each array has its own, and the first point
+        # past the wall names itself in the error
+        edges = [x + k4 for x in grid_points(interval, 2)]
+
+        def solve(xs):
+            targets = xs + k4
+            try:
+                ends = [bracket_for(t) for t in edges]
+            except FamilyConstructionError:
+                ends, edges[:] = [], []
+            ends += [bracket_for(t) for t in {float(targets.min()),
+                                              float(targets.max())}
+                     if not (edges and edges[0] <= t <= edges[1])]
+            bracket = (min(lo for lo, _ in ends), max(hi for _, hi in ends))
+            phi = invert_monotone(travel, targets, bracket, dg=slope,
+                                  start=phi0)
+            s = 1.0 / (phi * phi)
+            u, w = u_w(s)
+            h = -0.5 * k1 * integral(1, s)
+            return phi, u, -p * w * (s * s) / ((1.0 + w) * phi), h
+
+    last: list = []
+    h_mid: list = []
+
+    def cached(xs):
+        if not len(xs):
+            return (xs,) * 4
+        if not (last and np.array_equal(last[0], xs)):
+            last[:] = [xs.copy(), solve(xs)]
+        return last[1]
+
+    def phi_arrays(xs, value, d2):
+        phi, u, du, _ = cached(xs)
+        cube = phi * phi * phi
+        dphi = u * cube
+        return (phi if value else None, dphi,
+                (du * cube + 3.0 * u * (phi * phi)) * dphi if d2 else None)
+
+    def h_values(xs):
+        if not h_mid:
+            mid = 0.5 * (interval.lo + interval.hi)
+            h_mid.append(solve(np.array([mid]))[3][0])
+        return cached(xs)[3] - h_mid[0]
+
+    return Profile.from_arrays(phi_arrays, interval), h_values
 
 
-_WALL_ERRORS = (BranchDomainError, QuadratureError, FamilyConstructionError)
+def _lambert_integral(p, q, k3, w_branch, u_w, s0):
+    """int_s0^s t^power/u(t) dt over an array s, NaN where it cannot be
+    evaluated, on Gauss-Legendre panels.
+
+    Next to a branch-point wall of W (k3 < 0; W = -1, u = 0) 1/u grows like
+    the inverse square root of the distance, and W's rounding there is more
+    noise than the panels' error estimate can absorb. Between s_n, where
+    W = w_n = -1 -+ 1/4, and the wall the integral runs in w = W instead:
+    w + ln(w/k3) = c s^2 gives dt/u = (2/p) dw/(w s(w)), smooth at w = -1.
+    """
+    def far(power, a, b):
+        return gauss_legendre(lambda t: t ** power / u_w(t)[0], a, b)
+
+    c = -p * p / (4.0 * q)
+    w_n = -0.75 if w_branch == "principal" else -1.25
+    squares = [(w + math.log(w / k3)) / c for w in (w_n, -1.0)] \
+        if k3 < 0.0 else [-1.0]
+    if not min(squares) > 0.0:
+        return lambda power, s: far(power, s0, s)
+    s_n = math.sqrt(squares[0])
+    lo, hi = sorted((s_n, math.sqrt(squares[1])))
+    # the path s0 -> s cannot cross the wall, so its part between lo and hi
+    # runs from a = clip(s0) to clip(s), and the rest in s
+    a = min(max(s0, lo), hi)
+    w_a = w_n if a == s_n else float(u_w(np.array([a]))[1][0])
+    to_a = {power: 0.0 if a == s0 else float(far(power, s0, [a])[0])
+            for power in (0, 1)}
+
+    def s_of(w):
+        return np.sqrt((w + np.log(w / k3)) / c)
+
+    def integral(power, s):
+        b = np.clip(s, lo, hi)
+        w_b, inside = np.full(b.shape, w_n), b != s_n
+        if np.count_nonzero(inside):
+            w_b[inside] = u_w(b[inside])[1]
+        same = b == a
+        return (far(power, np.where(same, s0, b), s)
+                + np.where(same, 0.0, to_a[power])
+                + (2.0 / p) * gauss_legendre(
+                    lambda w: s_of(w) ** (power - 1) / w, w_a, w_b))
+
+    return integral
 
 
 def _expand_bracket_positive(g, target, x0):
@@ -244,15 +361,15 @@ def _expand_bracket_positive(g, target, x0):
 
     The implicit relation is typically only defined on a sub-ray of phi > 0
     (the W argument leaves its branch domain, or the integrand hits the
-    u = 0 turning point). Such failures act as hard walls: the search
-    creeps up to them by bisection instead of stepping across.
+    u = 0 turning point), and g is NaN past it. Such failures act as hard
+    walls: the search creeps up to them by bisection instead of stepping
+    across, once the target may lie past the wall (g moves away from it at
+    the other end, or the other end is walled too).
     """
 
     def probe(x):
-        try:
-            return g(x) - target
-        except _WALL_ERRORS:
-            return None
+        gx = g(x) - target
+        return None if math.isnan(gx) else gx
 
     def creep(good, gval, bad, gref):
         # tighten the valid endpoint toward the wall between good and bad
@@ -276,6 +393,8 @@ def _expand_bracket_positive(g, target, x0):
     lo, glo = x0, g0
     hi, ghi = x0, g0
     lo_wall = hi_wall = False
+    lo_bad = hi_bad = None      # a probe past a wall not crept toward yet
+    lo_flat = hi_flat = False   # the last step left g where it was
     for _ in range(80):
         if glo == 0.0:
             return lo, lo
@@ -287,23 +406,37 @@ def _expand_bracket_positive(g, target, x0):
             cand = lo / 2.0
             gc = probe(cand)
             if gc is None:
-                lo, glo = creep(lo, glo, cand, g0)
-                lo_wall = True
+                lo_wall, lo_bad = True, cand
             else:
-                lo, glo = cand, gc
+                lo, glo, lo_flat = cand, gc, gc == glo
         if not hi_wall:
             cand = hi * 2.0
             gc = probe(cand)
             if gc is None:
-                hi, ghi = creep(hi, ghi, cand, g0)
-                hi_wall = True
+                hi_wall, hi_bad = True, cand
             else:
-                hi, ghi = cand, gc
+                hi, ghi, hi_flat = cand, gc, gc == ghi
+        if glo == 0.0 or ghi == 0.0 or opposite(glo, ghi):
+            continue
+        # creep toward a wall once the target may lie past it: the other end
+        # is walled or flat, or g moves away from the target there
+        if lo_bad is not None and (hi_wall or hi_flat
+                                   or abs(ghi) >= abs(g0)):
+            lo, glo = creep(lo, glo, lo_bad, g0)
+            lo_bad = None
+        if hi_bad is not None and (lo_wall or lo_flat
+                                   or abs(glo) >= abs(g0)):
+            hi, ghi = creep(hi, ghi, hi_bad, g0)
+            hi_bad = None
         if (lo_wall and hi_wall and glo != 0.0 and ghi != 0.0
                 and not opposite(glo, ghi)):
             raise FamilyConstructionError(
                 f"xi target {target!r} lies outside the maximal interval of "
                 f"the implicit relation (phi walls near ({lo!r}, {hi!r}))")
+        # g has saturated at every open end, so no further step brackets
+        if ((lo_wall or lo_flat) and (hi_wall or hi_flat)
+                and lo_bad is None and hi_bad is None):
+            break
     raise FamilyConstructionError(
         f"could not bracket phi for target {target!r}; the relation may be "
         "singular inside the requested range")
@@ -326,9 +459,9 @@ def _profile_ode_rhs(p, q):
     return rhs
 
 
-def _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval: Interval) -> Profile:
+def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
     xi_c = -k4
-    y0 = [phi0, u_of_phi(phi0) * phi0 ** 3]
+    y0 = [phi0, dphi0]
     ends = [end for end in (interval.lo, interval.hi) if end != xi_c]
     run = solve_ivp(_profile_ode_rhs(p, q), [(xi_c, end) for end in ends],
                     [y0] * len(ends), method="DOP853", rtol=1e-12,
@@ -340,24 +473,21 @@ def _thm15_phi_ode(p, q, k4, phi0, u_of_phi, interval: Interval) -> Profile:
     pieces = [(min(xi_c, end), max(xi_c, end), dense)
               for end, dense in zip(ends, run.sol)]
 
-    def eval_pair(xi):
+    def arrays(xs, value, d2):
+        # a point on no piece is xi_c itself, or fell between the pieces
+        y = np.empty((len(xs), 2))
+        y[:] = y0
+        todo = np.ones(len(xs), dtype=bool)
         for lo, hi, dense in pieces:
-            if lo <= xi <= hi:
-                return dense(xi)
-        # xi == xi_c exactly, or fell between piece boundaries
-        return np.asarray(y0)
+            on = todo & (lo <= xs) & (xs <= hi)
+            if np.count_nonzero(on):
+                y[on] = dense(xs[on])
+                todo &= ~on
+        phi, dphi = y[:, 0], y[:, 1]
+        return (phi if value else None, dphi,
+                _profile_ode(phi, dphi, p, q) if d2 else None)
 
-    def value(xi):
-        return float(eval_pair(xi)[0])
-
-    def d1(xi):
-        return float(eval_pair(xi)[1])
-
-    def d2(xi):
-        phi, dphi = eval_pair(xi)
-        return float(_profile_ode(phi, dphi, p, q))
-
-    return Profile(value, d1, d2, interval, analytic_derivatives=True)
+    return Profile.from_arrays(arrays, interval)
 
 
 # --- elementary family (lambda_F = 0, n + d = 6) -------------------------------

@@ -1,95 +1,118 @@
-"""Real branches of the Lambert W function.
+"""Real branches of the Lambert W function, on a float or on an array.
 
-Halley iteration on w*exp(w) = x. Initial guesses: a truncated branch-point
-series in p = sqrt(2*(e*x + 1)) near x = -1/e, log asymptotics for large |x|
-or x -> 0- on the lower branch, and w0 = x/(1+x)-style guesses elsewhere.
-Iterates until the Halley step falls below a few ulps of w.
+Halley iteration on w*exp(w) = x, every element of an array in lockstep with
+a stop of its own. Initial guesses: a truncated branch-point series in
+p = sqrt(2*(e*x + 1)) near x = -1/e, log asymptotics for large |x| or
+x -> 0- on the lower branch, and w0 = x/(1+x)-style guesses elsewhere. An
+element stops when its Halley step falls below a few ulps of w.
+
+A float runs the same code as a one-element array, and no element's
+iterates depend on the others, so W of a float equals W of any array that
+holds it, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import BranchDomainError
 
 __all__ = ["lambert_w", "BRANCH_POINT"]
 
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
+# arguments this close below -1/e are taken as rounding error: W = -1
+_FOLD = BRANCH_POINT - 1e-15 * abs(BRANCH_POINT)
 
 
-def _branch_point_series(x: float, sign: float) -> float:
+def _branch_point_series(x, sign: float):
     # w = -1 + p - p^2/3 + 11 p^3/72 - ..., p = +-sqrt(2(ex+1))
-    p = sign * math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
-    return -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
+    p = sign * np.sqrt(np.maximum(0.0, 2.0 * (math.e * x + 1.0)))
+    return -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
 
 
-def _initial_principal(x: float) -> float:
-    if x < -0.32:
-        return _branch_point_series(x, +1.0)
-    if x < 1.0:
-        # series W ~ x(1 - x + 1.5x^2) padded into a rational guess
-        return x / (1.0 + x) if x > -0.25 else x
-    lx = math.log(x)
-    if x < 3.0:
-        return 0.5 * lx + 0.6
-    llx = math.log(lx)
-    return lx - llx + llx / lx
+def _initial_principal(x):
+    lx = np.log(np.maximum(x, 1.0))
+    llx = np.log(np.maximum(lx, 1.0))
+    # below 1: the series W ~ x(1 - x + 1.5x^2) padded into a rational guess
+    return np.select([x < -0.32, x <= -0.25, x < 1.0, x < 3.0],
+                     [_branch_point_series(x, +1.0), x, x / (1.0 + x),
+                      0.5 * lx + 0.6],
+                     lx - llx + llx / lx)
 
 
-def _initial_lower(x: float) -> float:
-    if x < -0.27:
-        return _branch_point_series(x, -1.0)
-    lx = math.log(-x)
-    llx = math.log(-lx)
-    return lx - llx  # w ~ ln(-x) - ln(-ln(-x)) as x -> 0-
+def _initial_lower(x):
+    lx = np.log(-x)
+    # w ~ ln(-x) - ln(-ln(-x)) as x -> 0-
+    return np.where(x < -0.27, _branch_point_series(x, -1.0),
+                    lx - np.log(-lx))
 
 
-def lambert_w(x: float, branch: str = "principal") -> float:
-    """Real Lambert W. branch: 'principal' (W >= -1) or 'lower' (W <= -1)."""
-    x = float(x)
-    if math.isnan(x):
-        raise BranchDomainError("Lambert W argument is NaN")
+def _lambert(x: np.ndarray, branch: str) -> np.ndarray:
+    """W of the 1-D array x, NaN where it is not defined or the iteration
+    fails. Runs under np.errstate(all="ignore")."""
+    w = np.full(x.shape, np.nan)
+    w[(_FOLD < x) & (x < BRANCH_POINT)] = -1.0
     if branch == "principal":
-        if x < BRANCH_POINT:
-            if x > BRANCH_POINT - 1e-15 * abs(BRANCH_POINT):
-                return -1.0
-            raise BranchDomainError(
-                f"principal branch needs x >= -1/e; got {x!r}")
-        if x == 0.0:
-            return 0.0
-        w = _initial_principal(x)
-    elif branch == "lower":
-        if x < BRANCH_POINT or x >= 0.0:
-            if BRANCH_POINT - 1e-15 * abs(BRANCH_POINT) < x < BRANCH_POINT:
-                return -1.0
-            raise BranchDomainError(
-                f"lower branch needs -1/e <= x < 0; got {x!r}")
-        w = _initial_lower(x)
+        w[x == 0.0] = 0.0
+        idx = np.flatnonzero((x >= BRANCH_POINT) & (x != 0.0))
+        guess = _initial_principal
     else:
-        raise BranchDomainError(f"unknown branch {branch!r}")
-
+        idx = np.flatnonzero((x >= BRANCH_POINT) & (x < 0.0))
+        guess = _initial_lower
+    xr = x[idx]
+    wr = guess(xr)
+    prev = np.full(len(idx), np.inf)
     # Convergence is judged on the step size in w, not on the residual
     # w*e^w - x: near w = -1 and in the tail of the lower branch the map is
     # so flat that a machine-small residual still leaves a large error in w.
-    prev = math.inf
     for _ in range(80):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if resid == 0.0:
-            return w
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * resid / (2.0 * wp1)
-        if denom == 0.0 or not math.isfinite(denom):
+        if not len(idx):
             break
-        step = resid / denom
-        w -= step
-        astep = abs(step)
-        if astep <= 4e-16 * max(1.0, abs(w)):
-            return w
-        if astep >= prev and astep <= 1e-8 * max(1.0, abs(w)):
-            # stagnated at the conditioning floor (branch point); w is as
-            # accurate as double precision permits
-            return w
-        prev = min(prev, astep)
+        ew = np.exp(wr)
+        resid = wr * ew - xr
+        wp1 = wr + 1.0
+        step = resid / (ew * wp1 - (wr + 2.0) * resid / (2.0 * wp1))
+        step[resid == 0.0] = 0.0          # exact already
+        new = wr - step
+        astep = np.abs(step)
+        scale = np.maximum(1.0, np.abs(new))
+        # a step that stops shrinking at the conditioning floor (branch
+        # point) leaves w as accurate as double precision permits
+        done = (astep <= 4e-16 * scale) | ((astep >= prev)
+                                           & (astep <= 1e-8 * scale))
+        w[idx[done]] = new[done]
+        # a step that is not finite (zero or non-finite denominator) fails
+        going = ~done & np.isfinite(step)
+        prev = np.minimum(prev, astep)
+        idx, xr, wr, prev = idx[going], xr[going], new[going], prev[going]
+    return w
+
+
+def lambert_w(x, branch: str = "principal"):
+    """Real Lambert W of a float, or of every element of an array (same
+    shape back). branch: 'principal' (W >= -1) or 'lower' (W <= -1).
+
+    A float outside the branch's domain, NaN, or one whose iteration does
+    not converge raises BranchDomainError; an array has NaN at exactly those
+    elements instead.
+    """
+    if branch not in ("principal", "lower"):
+        raise BranchDomainError(f"unknown branch {branch!r}")
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        w = _lambert(xs.reshape(-1), branch)
+    if xs.ndim:
+        return w.reshape(xs.shape)
+    if not math.isnan(w[0]):
+        return float(w[0])
+    x = float(xs)
+    if math.isnan(x):
+        raise BranchDomainError("Lambert W argument is NaN")
+    if branch == "principal" and x < BRANCH_POINT:
+        raise BranchDomainError(f"principal branch needs x >= -1/e; got {x!r}")
+    if branch == "lower" and not BRANCH_POINT <= x < 0.0:
+        raise BranchDomainError(f"lower branch needs -1/e <= x < 0; got {x!r}")
     raise BranchDomainError(
         f"Halley iteration failed to converge for x={x!r} on {branch} branch")

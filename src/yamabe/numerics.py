@@ -1,7 +1,8 @@
 """Small numerical kernels shared across modules.
 
-Adaptive Simpson quadrature, cached antiderivative evaluation, bracketed
-bisection-then-Newton inversion, the central-difference stencils used for
+Adaptive Simpson quadrature, cached antiderivative evaluation, adaptive
+Gauss-Legendre panels and a bracketed monotone inversion (both also
+elementwise over arrays), the central-difference stencils used for
 derivative fallbacks, and ``solve_ivp``: the explicit Runge-Kutta kernel
 (RK45 and DOP853) that integrates every ODE of the package, a batch of
 independent trajectories at a time.
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import QuadratureError, RootFindError
 
 __all__ = [
-    "adaptive_simpson", "CachedAntiderivative", "invert_monotone", "opposite",
+    "adaptive_simpson", "CachedAntiderivative", "gauss_legendre",
+    "invert_monotone", "opposite",
     "central_d1", "central_d2", "square", "solve_ivp", "OdeBatch",
     "DenseTrajectory", "DEFAULT_QUAD_TOL",
 ]
@@ -109,47 +111,159 @@ def opposite(a: float, b: float) -> bool:
     return (a < 0.0) != (b < 0.0)
 
 
-_INVERT_TOL = 1e-13  # relative width at which bisection hands over to Newton
+_INVERT_STEPS = 200
 
 
-def invert_monotone(g: Callable[[float], float], target: float,
-                    bracket: tuple[float, float],
-                    dg: Callable[[float], float] | None = None) -> float:
-    """Solve g(x) = target for monotone g on a bracket that straddles the
-    target: bisect until safe, then Newton-polish (if dg given)."""
-    lo, hi = bracket
-    glo, ghi = g(lo) - target, g(hi) - target
-    if glo != 0.0 and ghi != 0.0 and not opposite(glo, ghi):
+def invert_monotone(g: Callable, target, bracket: tuple[float, float],
+                    dg: Callable | None = None, start: float | None = None):
+    """Solve g(x) = target for monotone g on a bracket (lo, hi) that
+    straddles the target.
+
+    target is a float, with g and dg taking and returning floats, or an
+    array, with g and dg taking and returning arrays of the same shape;
+    every element is then solved in lockstep, and an array g may give NaN
+    where it cannot be evaluated. Each element starts at start (default the
+    bracket midpoint) and takes Newton steps with dg. A step that leaves
+    the element's own bracket (its iterates on either side of its root, and
+    those where g is NaN), and every step without dg, bisects that bracket
+    clipped to the given one instead. An element stops when its step falls
+    below 1e-15 relative. The given bracket enters the iterates only through
+    that clipping, so an element whose Newton steps stay inside it comes out
+    the same solved alone or in any batch.
+    """
+    scalar = np.ndim(target) == 0
+    t = np.array(target, dtype=float).reshape(-1)
+
+    def call(fn, x):
+        if scalar:
+            return np.array([fn(v) for v in x.tolist()])
+        return np.asarray(fn(x), dtype=float)
+
+    lo_end, hi_end = bracket
+    glo, ghi = call(g, np.array([lo_end, hi_end], dtype=float))[:, None] - t
+    bad = (glo != 0.0) & (ghi != 0.0) & ((glo < 0.0) == (ghi < 0.0))
+    if np.count_nonzero(bad):
         raise RootFindError(
-            f"bracket {bracket!r} does not straddle target {target!r}")
+            f"bracket {bracket!r} does not straddle target "
+            f"{float(t[bad][0]) if not scalar else target!r}")
 
-    # bisection until the interval is small, then Newton from the midpoint
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _INVERT_TOL * max(1.0, abs(mid)):
-            break
-        gm = g(mid) - target
-        if gm == 0.0:
-            return mid
-        if opposite(glo, gm):
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    x = 0.5 * (lo + hi)
-    if dg is not None:
-        for _ in range(8):
-            gx = g(x) - target
-            d = dg(x)
-            if d == 0.0 or not math.isfinite(d):
+    out = np.empty(len(t))
+    idx = np.arange(len(t))
+    x = prev = np.full(len(t), 0.5 * (lo_end + hi_end) if start is None
+                       else float(start))
+    lo, hi = np.full(len(t), -np.inf), np.full(len(t), np.inf)
+    r = call(g, x) - t
+    with np.errstate(all="ignore"):
+        for _ in range(_INVERT_STEPS):
+            # a point where g is NaN lies past a wall on the side the element
+            # last moved to
+            below = np.where(np.isnan(r), x < prev, (glo < 0.0) == (r < 0.0))
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            x_new = x - r / call(dg, x) if dg is not None else np.nan * x
+            inside = (lo <= x_new) & (x_new <= hi)
+            if not inside.all():
+                x_new = np.where(inside, x_new, 0.5 * (np.fmax(lo, lo_end)
+                                                       + np.fmin(hi, hi_end)))
+            hit = r == 0.0
+            stop = hit | (np.abs(x_new - x)
+                          <= 1e-15 * np.maximum(1.0, np.abs(x_new)))
+            out[idx[stop]] = np.where(hit, x, x_new)[stop]
+            idx, lo, hi, glo, t, prev, x = (a[~stop] for a in
+                                            (idx, lo, hi, glo, t, x, x_new))
+            if not len(idx):
                 break
-            step = gx / d
-            x_new = x - step
-            if not (lo - (hi - lo) <= x_new <= hi + (hi - lo)):
+            r = call(g, x) - t
+        out[idx] = x
+    return float(out[0]) if scalar else out.reshape(np.shape(target))
+
+
+def _gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and weights of the m-point Gauss-Legendre rule:
+    Newton's method on the Legendre polynomial P_m from the guesses
+    cos(pi (i - 1/4) / (m + 1/2)), which converges in a few steps."""
+    def legendre(x):
+        """P_m and its derivative at x."""
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, m * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre_rule(20)
+_GL_DEPTH = 40    # levels of panel splitting before an element gives up
+_GL_PANELS = 64   # panels of one element at one level before it gives up
+
+
+def gauss_legendre(f: Callable, a, b):
+    """Integral of f from a to b, elementwise over the arrays a and b (which
+    broadcast; the result has their shape), on adaptive Gauss-Legendre
+    panels: a panel takes the 20-point rule on each of its halves, with the
+    same rule on the whole panel as its error estimate. A panel is split in
+    two while its estimate exceeds its share of DEFAULT_QUAD_TOL (halved at
+    each split, as in adaptive Simpson) and the estimates of its element do
+    not add up to less than DEFAULT_QUAD_TOL, down to 40 levels and up to
+    64 panels at a level. The panels of every element are evaluated
+    together, one level at a time.
+
+    f takes the nodes, an array (k, 60) with one row per panel, and returns
+    the integrand there. An element with a == b is 0. An element with a
+    panel that is not finite, or still too coarse at the last level or with
+    too many panels, comes back NaN. An element's panels and the order of
+    its sum do not depend on the other elements, so it comes out the same
+    alone or in any batch.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
+    value, spent = np.zeros(a.size), np.zeros(a.size)
+    failed = np.zeros(a.size, dtype=bool)
+    owner = np.flatnonzero(a != b)
+    lo, hi = a[owner], b[owner]
+    tol = np.full(len(owner), DEFAULT_QUAD_TOL)
+    x, m = _GL_NODES, len(_GL_NODES)
+    with np.errstate(all="ignore"):
+        for _ in range(_GL_DEPTH):
+            if not len(owner):
                 break
-            x = x_new
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-    return x
+            left, half = lo[:, None], 0.5 * (hi - lo)[:, None]
+            quarter = 0.5 * half
+            nodes = np.concatenate([(left + half) + half * x,
+                                    (left + quarter) + quarter * x,
+                                    (left + 3.0 * quarter) + quarter * x],
+                                   axis=1)
+            fw = np.asarray(f(nodes), dtype=float) * np.tile(_GL_WEIGHTS, 3)
+            whole, first, second = (np.add.reduce(fw[:, k * m:(k + 1) * m],
+                                                  axis=1) for k in range(3))
+            panel = quarter[:, 0] * (first + second)
+            estimate = np.abs(panel - half[:, 0] * whole)
+            # a panel within its share is done, and so are all panels of an
+            # element whose estimates fit in what is left of its budget
+            total = spent + np.bincount(owner, estimate, a.size)
+            done = (estimate <= tol) | (total <= DEFAULT_QUAD_TOL)[owner]
+            spent += np.bincount(owner[done], estimate[done], a.size)
+            np.add.at(value, owner[done], panel[done])
+            failed[owner[~np.isfinite(estimate)]] = True
+            split = ~done & ~failed[owner]
+            # an estimate held up by noise in f splits every panel; an
+            # element with more than _GL_PANELS at one level gives up
+            crowded = np.bincount(owner[split], minlength=a.size) \
+                > _GL_PANELS // 2
+            failed |= crowded
+            split &= ~crowded[owner]
+            mid = 0.5 * (lo + hi)[split]
+            owner = np.repeat(owner[split], 2)
+            lo = np.column_stack([lo[split], mid]).reshape(-1)
+            hi = np.column_stack([mid, hi[split]]).reshape(-1)
+            tol = np.repeat(0.5 * tol[split], 2)
+        failed[owner] = True
+    return np.where(failed, np.nan, value).reshape(shape)
 
 
 def central_d1(f: Callable[[float], float], x: float,
@@ -583,9 +697,10 @@ def _interp_at(interp, coefs, t_old, h, y_old, t):
 
 class DenseTrajectory:
     """The continuous solution of one row: its steps' interpolants. Called
-    with a parameter value, it returns the state there (n,); at a step
-    boundary the step that ends there is used. A row that took no step is
-    constant."""
+    with a parameter value, it returns the state there (n,); called with an
+    array of m values, the states (m, n), each equal to its one-point call.
+    At a step boundary the step that ends there is used. A row that took no
+    step is constant."""
 
     def __init__(self, interp, t_old, h, y_old, coefs, t_end, y_end):
         self._interp = interp
@@ -595,13 +710,18 @@ class DenseTrajectory:
         self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
         self._keys = self._sign * ts
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
         if not len(self._h):
-            return self._y_end.copy()
-        i = int(self._keys.searchsorted(self._sign * t)) - 1
-        i = min(max(i, 0), len(self._h) - 1)
-        return _interp_at(self._interp, self._coefs[i], self._t_old[i],
-                          self._h[i], self._y_old[i], t)
+            return np.tile(self._y_end, ts.shape + (1,))
+        at = ts.reshape(-1)
+        i = np.clip(self._keys.searchsorted(self._sign * at) - 1,
+                    0, len(self._h) - 1)
+        h = self._h[i]
+        y = self._interp(np.moveaxis(self._coefs[i], 0, 1),
+                         ((at - self._t_old[i]) / h)[:, None], h[:, None],
+                         self._y_old[i])
+        return y[0] if ts.ndim == 0 else y.reshape(ts.shape + y.shape[1:])
 
 
 @dataclass(frozen=True)

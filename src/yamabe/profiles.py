@@ -6,8 +6,9 @@ falls back to central differences when derivatives are not supplied, which is
 why numeric-callback specs certify against a looser default tolerance.
 
 ``Profile.jet`` evaluates all three on an array of points at once. Expression
-and constant profiles, and shifted, scaled and summed versions of them, have
-numpy forms; any other profile is run point by point.
+and constant profiles, shifted, scaled and summed versions of them, and the
+profiles built by ``Profile.from_arrays`` (the Lambert family's phi, f and h
+among them) have numpy forms; any other profile is run point by point.
 """
 
 from __future__ import annotations
@@ -114,18 +115,21 @@ class Profile:
 
     __call__ = value
 
-    def jet(self, xs, value: bool = True):
+    def jet(self, xs, value: bool = True, d2: bool = True):
         """(value, d1, d2) as arrays over the 1-D points xs; value is None
-        unless asked for. Entries equal the scalar ``value``/``d1``/``d2``.
+        unless asked for, and so is d2. Entries equal the scalar
+        ``value``/``d1``/``d2``.
 
-        Expression and constant profiles, and shifted, scaled and summed
-        ones built from them, evaluate in numpy and return non-finite entries
-        where they cannot be evaluated. Any other profile runs its scalar
-        callables point by point, in order, and never calls value unless
-        asked; the first exception stops the loop and propagates. A point
-        outside the domain raises DomainError naming the first one.
+        Profiles with a numpy form (expression and constant profiles, the
+        shifted, scaled and summed ones built from them, and those made by
+        ``from_arrays``) evaluate in one call and return non-finite entries
+        where they cannot be evaluated. Any other profile, or a numpy form
+        that raises, runs the scalar callables point by point, in order, and
+        never calls value unless asked; the first exception stops the loop
+        and propagates. A point outside the domain raises DomainError naming
+        the first one.
         """
-        jet, error = self._leading_jet(np.asarray(xs, dtype=float), value)
+        jet, error = self._leading_jet(np.asarray(xs, dtype=float), value, d2)
         if error is not None:
             raise error
         return jet
@@ -141,14 +145,23 @@ class Profile:
             error = DomainError(f"xi={float(xs[k])!r} outside declared "
                                 f"domain {self.domain.as_tuple()!r}")
             xs = xs[:k]
+        wanted = (value, True, d2)
+        start = 0
         if self._arrays is not None:
             with np.errstate(all="ignore"):
-                return self._arrays(xs, value, d2), error
-        wanted = (value, True, d2)
+                try:
+                    return self._arrays(xs, value, d2), error
+                except Exception:
+                    # a numpy form that raises covers the longest prefix on
+                    # which it does not; the loop below goes on from there
+                    start, head = _longest_prefix(
+                        lambda k: self._arrays(xs[:k], value, d2), len(xs))
         rows = [fn for fn, want in zip((self._value, self._d1, self._d2),
                                        wanted) if want]
         out = np.empty((len(rows), len(xs)))
-        for i, x in enumerate(xs.tolist()):
+        if start:
+            out[:, :start] = [a for a in head if a is not None]
+        for i, x in enumerate(xs[start:].tolist(), start):
             try:
                 for row, fn in enumerate(rows):
                     out[row, i] = fn(x)
@@ -181,6 +194,25 @@ class Profile:
                   expressions.compile_callable(d2_ast),
                   domain, source=text, analytic_derivatives=True)
         out._arrays = _expression_arrays(ast, d1_ast, d2_ast)
+        return out
+
+    @classmethod
+    def from_arrays(cls, arrays: Callable,
+                    domain: Interval | tuple[float, float]) -> "Profile":
+        """A profile given by its numpy form alone: arrays(xs, value, d2)
+        returns (value or None, d1, d2 or None) over the float array xs and
+        runs under np.errstate(all="ignore"). value, d1 and d2 at a point are
+        that form on a one-element array, so they equal the jet's entries
+        wherever the form treats each point apart from the others."""
+        def at(k):
+            def scalar(xi):
+                with np.errstate(all="ignore"):
+                    return float(arrays(np.array([xi], dtype=float),
+                                        k == 0, k == 2)[k][0])
+            return scalar
+
+        out = cls(at(0), at(1), at(2), domain, analytic_derivatives=True)
+        out._arrays = arrays
         return out
 
     @classmethod
@@ -250,17 +282,41 @@ class Profile:
 
     def require_positive(self, interval: Interval,
                          name: str = "profile") -> None:
-        """Positivity check at 64 points of the margin-clipped interval."""
-        for xi in grid_points(interval, 64):
-            if not self._value(xi) > 0.0:
-                raise PositivityError(
-                    f"{name} must stay positive; {name}({xi!r}) = "
-                    f"{self._value(xi)!r}")
+        """Positivity check at 64 points of the margin-clipped interval,
+        through the numpy form where the profile has one. The first point
+        that fails is evaluated again through the scalar value, so the error
+        is the one a point-by-point check raises there."""
+        pts = grid_points(interval, 64)
+        values, error = map(self._value, pts), None
+        if self._arrays is not None:
+            (values, _, _), error = self._leading_jet(np.array(pts), True,
+                                                      False)
+        for xi, v in zip(pts, values):
+            if not v > 0.0:
+                raise PositivityError(f"{name} must stay positive; "
+                                      f"{name}({xi!r}) = {self._value(xi)!r}")
+        if error is not None:
+            raise error
 
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""
         return (f"Profile(domain={self.domain.as_tuple()!r},"
                 f" analytic={self.analytic_derivatives}{src})")
+
+
+def _longest_prefix(numpy_form, n: int):
+    """(k, numpy_form(k)) for the largest k < n at which numpy_form, a
+    function of a prefix length that raises at n, does not raise, found by
+    bisection on k: a point that makes it raise makes every longer prefix
+    raise."""
+    good, bad, got = 0, n, numpy_form(0)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            got, good = numpy_form(mid), mid
+        except Exception:
+            bad = mid
+    return good, got
 
 
 def leading_jets(xs, wanted):

@@ -260,6 +260,22 @@ class TestGeodesic:
         assert code == 1
         assert "--probe" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--y", "0,0", "--v", "1,0"], "--y needs 4 components, got 2"),
+        (["--y=nan,0,0,0", "--v", "1,0,0,0"], "--y components must be finite"),
+        (["--y", "0,0,0,0", "--v", "1,0,0,inf"], "--v components must be"),
+        (["--y", "0,0,0,0", "--v", "1,0,0,0", "--vf", "1"],
+         "--vf needs 2 components, got 1"),
+    ])
+    def test_bad_initial_data_exits_one(self, light_path, capfd, argv,
+                                        message):
+        code, stdout = run(["geodesic", light_path] + argv)
+        assert code == 1
+        assert stdout == ""
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestExamples:
     def test_catalog_runs_clean(self, tmp_path):

@@ -204,6 +204,144 @@ class TestLambertFamily:
                          q_variant="paper")
 
 
+# the quadrature cases of the thm15-build benchmark: n = 3, d = 3 over
+# (-0.3, 0.4), k1 = k2 = 1, lambda_F = -0.5 unless a case overrides it
+THM15_COMMON = dict(k1=1.0, k2=1.0, lambda_f=-0.5, xi_range=(-0.3, 0.4),
+                    n=3, d=3)
+THM15_QUADRATURE_CASES = [
+    {"k3": -0.2}, {"k3": -0.1}, {"k3": 0.2},
+    {"k3": -0.2, "w_branch": "lower"}, {"k3": -0.2, "lambda_f": 0.5},
+]
+
+
+class TestLambertFamilyArrays:
+    @pytest.mark.parametrize("case", THM15_QUADRATURE_CASES)
+    def test_quadrature_profile_against_scipy_quad(self, case):
+        """phi solves xi = int_1^phi dt/(u t^3), and h differences are the
+        integrals of k1/phi^2: both rebuilt with scipy's quad and scipy's
+        Lambert W, within 1e-10."""
+        quad = pytest.importorskip("scipy.integrate").quad
+        scipy_w = pytest.importorskip("scipy.special").lambertw
+        params = {**THM15_COMMON, **case}
+        spec = family_thm15(params["k1"], params["k2"], params["k3"],
+                            **{k: v for k, v in params.items()
+                               if k not in ("k1", "k2", "k3")})
+        p, q = 0.1, params["lambda_f"] / 10.0
+        branch = -1 if case.get("w_branch") == "lower" else 0
+
+        def u(t):
+            arg = params["k3"] * math.exp(-p * p / (4.0 * q * t ** 4))
+            return -(q / p) * (1.0 + scipy_w(arg, branch).real)
+
+        xs = grid_points(Interval(*params["xi_range"]), 15)
+        for xi in xs:
+            travel, _ = quad(lambda t: 1.0 / (u(t) * t ** 3), 1.0,
+                             spec.phi.value(xi), epsabs=1e-13, epsrel=1e-13)
+            assert abs(travel - xi) <= 1e-10
+        for left, right in zip(xs, xs[1:]):
+            rise, _ = quad(lambda x: 1.0 / spec.phi.value(x) ** 2, left,
+                           right, epsabs=1e-13, epsrel=1e-13)
+            step = spec.h.value(right) - spec.h.value(left)
+            assert abs(step - rise) <= 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-3, 3e-4, 1e-5])
+    def test_range_reaching_close_to_the_wall(self, gap):
+        """The maximal interval of k3 = -0.2 ends at the wall phi = 0.5352
+        (xi = -5.066027636), where W's argument reaches -1/e and 1/u blows
+        up; the first grid point here sits gap from it in xi. The reference
+        integrates in w = W itself, where the integrand of the travel
+        integral, p / (4 c q s w) with s = sqrt((ln(w/k3) + w)/c) and
+        c = -p^2/(4q), stays smooth at the wall."""
+        quad = pytest.importorskip("scipy.integrate").quad
+        scipy_w = pytest.importorskip("scipy.special").lambertw
+        # the grid's 1% margin puts its first point at wall + gap
+        lo = (-5.066027636174845 + gap - 0.01 * 0.3) / 0.99
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(lo, 0.3))
+        k3, p, q = -0.2, 0.1, -0.05
+        c = -p * p / (4.0 * q)
+
+        def w_at(phi):
+            return scipy_w(k3 * math.exp(c / phi ** 4)).real
+
+        def integrand(w):
+            s = math.sqrt((math.log(w / k3) + w) / c)
+            return p / (4.0 * c * q * s * w)
+
+        for xi in grid_points(spec.domain, 200)[:3]:
+            phi = spec.phi.value(xi)
+            assert 0.5351 < phi < 0.5353
+            travel, _ = quad(integrand, w_at(1.0), w_at(phi), epsabs=1e-13,
+                             epsrel=1e-13)
+            assert abs(travel - xi) <= 1e-10
+        assert certify(spec).verdict == "certified"
+
+    @pytest.mark.parametrize("case", THM15_QUADRATURE_CASES + [
+        {"k3": -0.2, "construction": "ode"}, {"k3": 0.0}])
+    def test_jets_equal_scalar_calls_bitwise(self, case):
+        spec = family_thm15(**{**THM15_COMMON, **case})
+        xs = grid_points(spec.domain, 25)
+        for name in ("phi", "f", "h"):
+            profile = getattr(spec, name)
+            jet = profile.jet(xs)
+            scalar = np.array([[fn(x) for x in xs] for fn in
+                               (profile.value, profile.d1, profile.d2)])
+            assert np.array(jet).tobytes() == scalar.tobytes(), name
+
+    def test_points_come_out_the_same_in_any_array(self):
+        """Next to the wall the inversion bisects; every solve still shares
+        one bracket, so a point's jet does not depend on the array."""
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(-5.1, 0.3), run_certify=False)
+        xs = np.array(grid_points(spec.domain, 200))
+        whole = np.array(spec.phi.jet(xs))
+        for i in range(0, 200, 8):
+            x = float(xs[i])
+            alone = [spec.phi.value(x), spec.phi.d1(x), spec.phi.d2(x)]
+            assert np.array(alone).tobytes() == whole[:, i].tobytes()
+            for part, j in ((xs[i:i + 2], 0), (xs[:i + 1], i), (xs[i:], 0)):
+                got = np.array(spec.phi.jet(part))[:, j]
+                assert got.tobytes() == whole[:, i].tobytes()
+
+    def test_bracket_search_stops_where_g_saturates(self):
+        """The travel integral saturates as phi grows, so doubling the
+        upper end stops once g no longer moves; the error is the one the
+        full 80 doublings end in."""
+        from yamabe.families import _expand_bracket_positive
+        calls = []
+
+        def g(x):           # a wall below 0.5, and g -> 1 as x grows
+            calls.append(x)
+            return 1.0 - 1.0 / (x * x) if x >= 0.5 else math.nan
+
+        assert _expand_bracket_positive(g, 0.9, 1.0) == (0.5, 4.0)
+        calls.clear()
+        with pytest.raises(FamilyConstructionError,
+                           match="could not bracket phi for target 2.0"):
+            _expand_bracket_positive(g, 2.0, 1.0)
+        assert max(calls) < 2.0 ** 40 and len(calls) < 90
+
+    def test_certify_runs_no_scalar_closure(self, monkeypatch):
+        spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})
+        for name in ("value", "d1", "d2"):
+            monkeypatch.setattr(Profile, name, None)
+        spec.validate_positivity()
+        assert certify(spec, grid_size=200).verdict == "certified"
+
+    def test_one_inversion_per_grid(self, monkeypatch):
+        import yamabe.families as families_module
+        calls = []
+        invert = families_module.invert_monotone
+        monkeypatch.setattr(families_module, "invert_monotone",
+                            lambda g, t, *a, **k: calls.append(len(t))
+                            or invert(g, t, *a, **k))
+        spec = family_thm15(**{**THM15_COMMON, "k3": -0.2},
+                            run_certify=False)
+        assert calls == [64]
+        certify(spec, grid_size=200)
+        assert calls == [64, 200, 16]     # the grid, then classify's h'
+
+
 SEC_DOMAIN = (-HALF_PI, HALF_PI)
 
 

@@ -84,3 +84,55 @@ class TestSecondaryBranch:
 def test_unknown_branch_rejected():
     with pytest.raises(BranchDomainError):
         lambert_w(1.0, branch="upper")
+
+
+# arguments on both sides of the fold at -1/e, where both branches meet and
+# the guesses switch to the branch-point series
+_NEAR_FOLD = st.floats(min_value=_BRANCH_POINT - 1e-12,
+                       max_value=_BRANCH_POINT + 1e-3)
+_ANY = st.one_of(_NEAR_FOLD, st.floats(min_value=-0.5, max_value=0.5),
+                 st.floats(min_value=-1e300, max_value=1e300),
+                 st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                  _BRANCH_POINT, -math.exp(-1.0)]))
+
+
+def _scalar_or_nan(x, branch):
+    try:
+        return lambert_w(x, branch=branch)
+    except BranchDomainError:
+        return math.nan
+
+
+class TestArrayForm:
+    @given(st.lists(_ANY, min_size=1, max_size=30),
+           st.sampled_from(["principal", "lower"]))
+    @settings(max_examples=300, deadline=None)
+    def test_array_equals_scalar_bitwise(self, xs, branch):
+        # NaN exactly where the scalar raises, the scalar's bits elsewhere
+        got = lambert_w(np.array(xs), branch=branch)
+        expected = np.array([_scalar_or_nan(x, branch) for x in xs])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nan_exactly_where_scalar_raises(self):
+        xs = np.array([math.nan, -1.0, _BRANCH_POINT - 1e-6,
+                       _BRANCH_POINT - 1e-17, _BRANCH_POINT, -0.2, 0.0,
+                       1e-3, 5.0, math.inf, -math.inf])
+        for branch in ("principal", "lower"):
+            got = lambert_w(xs, branch=branch)
+            for x, w in zip(xs.tolist(), got.tolist()):
+                try:
+                    assert lambert_w(x, branch=branch) == w
+                except BranchDomainError:
+                    assert math.isnan(w), (x, branch)
+        assert np.isnan(lambert_w(np.array([math.inf]))).all()
+        assert lambert_w(np.array([_BRANCH_POINT - 1e-17]))[0] == -1.0
+
+    def test_shape_kept(self):
+        xs = np.linspace(-0.3, 2.0, 12).reshape(3, 4)
+        got = lambert_w(xs)
+        assert got.shape == (3, 4)
+        assert got[1, 2] == lambert_w(float(xs[1, 2]))
+
+    def test_unknown_branch_rejected_for_arrays(self):
+        with pytest.raises(BranchDomainError):
+            lambert_w(np.array([1.0]), branch="upper")

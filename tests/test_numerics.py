@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from yamabe.errors import QuadratureError, RootFindError
 from yamabe.numerics import (CachedAntiderivative, adaptive_simpson,
-                             central_d1, central_d2, invert_monotone,
-                             opposite)
+                             central_d1, central_d2, gauss_legendre,
+                             invert_monotone, opposite)
 
 
 class TestAdaptiveSimpson:
@@ -111,6 +111,87 @@ class TestInvertMonotone:
         g = lambda t: t ** 3 + t  # strictly increasing
         x = invert_monotone(g, target, (-4.0, 4.0))
         assert abs(g(x) - target) <= 1e-9 * max(1.0, abs(target))
+
+
+class TestGaussLegendre:
+    def test_exact_integrals_elementwise(self):
+        a = np.array([0.0, 0.0, -1.0, 1.0])
+        b = np.array([2.0, np.pi, 1.0, 1.0])
+        got = gauss_legendre(np.sin, a, b)
+        assert np.max(np.abs(got - (np.cos(a) - np.cos(b)))) < 1e-14
+        assert got[3] == 0.0
+        poly = gauss_legendre(lambda x: x ** 39 - 3.0 * x, 0.0, 1.0)
+        assert poly == pytest.approx(1.0 / 40.0 - 1.5, abs=1e-14)
+
+    def test_reversed_limits_and_broadcasting(self):
+        b = np.linspace(0.5, 3.0, 6).reshape(2, 3)
+        fwd = gauss_legendre(np.exp, 0.0, b)
+        rev = gauss_legendre(np.exp, b, 0.0)
+        assert fwd.shape == (2, 3)
+        assert np.allclose(fwd, np.exp(b) - 1.0, rtol=1e-14, atol=0.0)
+        assert np.allclose(rev, -fwd, rtol=1e-15, atol=0.0)
+
+    def test_panels_split_toward_a_singular_end(self):
+        f = lambda x: 1.0 / np.sqrt(x)
+        got = gauss_legendre(f, np.array([1e-9, 1.0]), np.array([1.0, 2.0]))
+        assert got[0] == pytest.approx(2.0 * (1.0 - math.sqrt(1e-9)),
+                                       abs=1e-10)
+        assert got[1] == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0),
+                                       abs=1e-14)
+
+    def test_failure_gives_nan(self):
+        # not integrable at 0, and not defined below 1
+        f = lambda x: 1.0 / x
+        got = gauss_legendre(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert np.isnan(got[0]) and got[1] == pytest.approx(math.log(2.0))
+        assert np.isnan(gauss_legendre(f, 0.0, 1.0))
+        assert np.isnan(gauss_legendre(lambda x: np.log(x - 1.0), 0.0, 2.0))
+
+    def test_zero_length_never_looks_at_the_integrand(self):
+        nan = lambda x: np.full(x.shape, np.nan)
+        assert gauss_legendre(nan, 1.0, 1.0) == 0.0
+
+    def test_each_element_is_the_same_alone(self):
+        f = lambda x: np.exp(np.sin(x)) / (1.0 + x * x)
+        b = np.linspace(-1.0, 2.0, 31)
+        whole = gauss_legendre(f, 0.5, b)
+        for i, end in enumerate(b.tolist()):
+            if end != 0.5:
+                assert gauss_legendre(f, 0.5, end) == whole[i]
+            assert gauss_legendre(f, 0.5, b[i:i + 1])[0] == whole[i]
+
+
+class TestInvertMonotoneArrays:
+    TARGETS = np.linspace(-9.0, 9.0, 37)
+
+    def test_bisection_equals_scalar_calls(self):
+        got = invert_monotone(np.sinh, self.TARGETS, (-4.0, 4.0))
+        for t, x in zip(self.TARGETS.tolist(), got.tolist()):
+            assert invert_monotone(np.sinh, t, (-4.0, 4.0)) == x
+        assert np.max(np.abs(got - np.arcsinh(self.TARGETS))) < 1e-12
+
+    def test_newton_equals_scalar_calls(self):
+        got = invert_monotone(np.sinh, self.TARGETS, (-4.0, 4.0),
+                              dg=np.cosh, start=0.0)
+        for t, x in zip(self.TARGETS.tolist(), got.tolist()):
+            assert invert_monotone(np.sinh, t, (-4.0, 4.0), dg=np.cosh,
+                                   start=0.0) == x
+        assert np.max(np.abs(got - np.arcsinh(self.TARGETS))
+                      / np.maximum(1.0, np.abs(got))) < 1e-15
+
+    def test_newton_falls_back_to_bisection(self):
+        # a flat derivative at the start throws Newton out of the bracket
+        g = lambda x: np.arctan(x)
+        got = invert_monotone(g, np.array([-1.2, 0.3, 1.4]), (-20.0, 20.0),
+                              dg=lambda x: 1.0 / (1.0 + x * x), start=15.0)
+        assert np.allclose(got, np.tan([-1.2, 0.3, 1.4]), rtol=1e-14)
+
+    def test_shape_kept_and_straddle_checked(self):
+        got = invert_monotone(np.sinh, self.TARGETS[:36].reshape(6, 6),
+                              (-4.0, 4.0), dg=np.cosh)
+        assert got.shape == (6, 6)
+        with pytest.raises(RootFindError, match="target 30.0"):
+            invert_monotone(np.sinh, np.array([1.0, 30.0]), (-4.0, 4.0))
 
 
 class TestStencils:

@@ -168,6 +168,22 @@ class TestAgainstScipy:
                 assert np.max(np.abs(run.sol[i](t) - ref.sol(t))) < 1e-13
 
 
+    def test_dense_output_on_an_array_equals_per_point_calls(self, method):
+        # step boundaries, the span ends and points beyond them included
+        rtol, atol = TOLERANCES[method]
+        run = solve_ivp(damped_rows, SPANS, Y0, method=method, rtol=rtol,
+                        atol=atol, dense_output=True)
+        for i, span in enumerate(SPANS):
+            sol = run.sol[i]
+            ts = np.concatenate([np.linspace(span[0], span[1], 37),
+                                 sol._t_old, [span[0] - 0.5, span[1] + 0.5]])
+            got = sol(ts)
+            assert got.shape == (len(ts), Y0.shape[1])
+            for t, row in zip(ts.tolist(), got):
+                assert sol(t).tobytes() == row.tobytes()
+            assert sol(ts[:36].reshape(4, 9)).shape == (4, 9, 2)
+
+
 class TestRows:
     def test_rows_are_independent_bitwise(self):
         events = [falling_through(0.2)]
@@ -208,6 +224,8 @@ class TestRows:
         assert run.stop == ("completed",) and run.nsteps[0] == 0
         assert np.array_equal(run.y_eval[0], [[0.3, 0.4]])
         assert np.array_equal(run.sol[0](1.0), [0.3, 0.4])
+        assert np.array_equal(run.sol[0](np.array([0.0, 2.0])),
+                              [[0.3, 0.4], [0.3, 0.4]])
         empty = solve_ivp(damped_rows, np.empty((0, 2)), np.empty((0, 2)))
         assert empty.stop == () and empty.y.shape == (0, 2)
 

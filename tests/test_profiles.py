@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from yamabe.errors import DomainError, PositivityError
+from yamabe.errors import DomainError, EvaluationError, PositivityError
 from yamabe.numerics import central_d1, central_d2
-from yamabe.profiles import DEFAULT_GRID_MARGIN, Interval, Profile, grid_points
+from yamabe.profiles import (DEFAULT_GRID_MARGIN, Interval, Profile,
+                             grid_points, leading_jets)
 
 
 class TestInterval:
@@ -143,3 +145,46 @@ class TestPositivity:
             Profile.from_expression("xi").require_positive(
                 Interval(-1.0, 1.0), name="warp")
         assert "warp" in str(err.value)
+
+
+class TestFromArrays:
+    @staticmethod
+    def walled(calls=None):
+        """xi + 1 and its derivatives, whose numpy form raises for the whole
+        array once any point lies past xi = 0.5."""
+        def arrays(xs, value, d2):
+            if calls is not None:
+                calls.append(len(xs))
+            if np.any(xs > 0.5):
+                raise EvaluationError(f"past the wall at {xs.max()!r}")
+            return (xs + 1.0 if value else None, np.ones(len(xs)),
+                    np.zeros(len(xs)) if d2 else None)
+        return Profile.from_arrays(arrays, (-2.0, 2.0))
+
+    def test_scalar_calls_are_the_form_at_one_point(self):
+        profile = self.walled()
+        assert (profile.value(0.25), profile.d1(0.25), profile.d2(0.25)) \
+            == (1.25, 1.0, 0.0)
+        assert profile.analytic_derivatives
+        with pytest.raises(EvaluationError):
+            profile.value(0.75)
+
+    def test_raising_form_covers_the_longest_prefix(self):
+        calls = []
+        profile = self.walled(calls)
+        xs = np.linspace(-1.0, 1.0, 41)
+        (jet,), stop, error = leading_jets(xs, [(profile, True)])
+        assert stop == int(np.argmax(xs > 0.5))
+        assert isinstance(error, EvaluationError)
+        assert str(error) == f"past the wall at {xs[stop]!r}"
+        assert np.array_equal(jet[0], xs[:stop] + 1.0)
+        # one call over everything, a bisection on the prefix length, and
+        # one scalar call at the first point past the wall
+        assert len(calls) < 10 and calls[-1] == 1
+
+    def test_positivity_through_the_numpy_form(self):
+        with pytest.raises(EvaluationError, match="past the wall"):
+            self.walled().require_positive(Interval(-0.5, 1.0))
+        self.walled().require_positive(Interval(-0.5, 0.5))
+        with pytest.raises(PositivityError, match=r"f\(-1.97\) = -0.97"):
+            self.walled().require_positive(Interval(-2.0, 1.0), name="f")

@@ -1,5 +1,6 @@
 """numpy is yamabe's only runtime dependency: every ODE path runs on the
-package's own Runge-Kutta kernel, and scipy serves the tests alone."""
+package's own Runge-Kutta kernel, the Lambert family on its own Lambert W
+and quadrature, and scipy serves the tests alone."""
 
 import json
 import os
@@ -8,8 +9,9 @@ import sys
 
 import yamabe
 
-# An import hook that makes every scipy import fail, then each ODE path and
-# the CLI; the child exits non-zero if anything imports scipy.
+# An import hook that makes every scipy import fail, then each ODE path, the
+# Lambert family's quadrature construction and the CLI; the child exits
+# non-zero if anything imports scipy.
 WITHOUT_SCIPY = r"""
 import importlib.abc
 import sys
@@ -37,7 +39,13 @@ trajectories = families.phase_portrait(
 assert len(trajectories) == len(params["initials"])
 families.family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.45, 0.95),
                       construction="ode")
+# the default quadrature construction runs the package's own Lambert W
+families.family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.45, 0.95))
+families.family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.1, 0.1),
+                      w_branch="lower")
 assert cli.main(["verify", sys.argv[1]]) == 0
+assert cli.main(["family", "thm15", "--lambda-f", "-0.5", "--k3", "-0.2",
+                 "--range", "-0.3", "0.4", "--n", "3", "--d", "3"]) == 0
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
 
