@@ -59,6 +59,32 @@ def _floats(text: str) -> tuple[float, ...]:
             from exc
 
 
+def _checked(kind, test, what: str):
+    """An argparse type: text read by kind whose value must pass test."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not test(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                     "a positive finite number")
+_COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+
+
+def _finite_components(flag: str, text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    if not all(map(math.isfinite, values)):
+        raise _CliInputError(f"{flag} components must be finite, got {text!r}")
+    return values
+
+
 def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -151,20 +177,20 @@ def _build_parser() -> _Parser:
     p_portrait.add_argument("--initial", action="append", default=[],
                             metavar="PHI,DPHI",
                             help="initial (phi, phi'); repeatable")
-    p_portrait.add_argument("--samples", type=int, default=0,
+    p_portrait.add_argument("--samples", type=_COUNT, default=0,
                             help="additionally sample this many random "
                                  "initial conditions")
-    p_portrait.add_argument("--seed", type=int, default=0)
-    p_portrait.add_argument("--xi-range", nargs=2, type=float,
+    p_portrait.add_argument("--seed", type=_COUNT, default=0)
+    p_portrait.add_argument("--xi-range", nargs=2, type=_FINITE,
                             default=(-1.0, 1.0), metavar=("LO", "HI"))
-    p_portrait.add_argument("--start-xi", type=float, default=None)
-    p_portrait.add_argument("--k1", type=float, default=1.0)
-    p_portrait.add_argument("--k2", type=float, default=1.0)
-    p_portrait.add_argument("--lambda-f", type=float, default=-6.0,
+    p_portrait.add_argument("--start-xi", type=_FINITE, default=None)
+    p_portrait.add_argument("--k1", type=_FINITE, default=1.0)
+    p_portrait.add_argument("--k2", type=_FINITE, default=1.0)
+    p_portrait.add_argument("--lambda-f", type=_FINITE, default=-6.0,
                             dest="lambda_f")
     p_portrait.add_argument("--q-variant", choices=("statement", "proof"),
                             default="statement", dest="q_variant")
-    p_portrait.add_argument("--points", type=int, default=120,
+    p_portrait.add_argument("--points", type=_COUNT, default=120,
                             help="sample points per integration direction")
     p_portrait.add_argument("--out", default=None)
 
@@ -179,18 +205,18 @@ def _build_parser() -> _Parser:
                        help="fiber position components (default 0)")
     p_geo.add_argument("--vf", type=str, default=None,
                        help="fiber velocity components (default 0)")
-    p_geo.add_argument("--s-span", nargs=2, type=float, default=(0.0, 10.0),
+    p_geo.add_argument("--s-span", nargs=2, type=_FINITE, default=(0.0, 10.0),
                        metavar=("A", "B"))
-    p_geo.add_argument("--samples", type=int, default=201)
-    p_geo.add_argument("--rtol", type=float, default=1e-10)
-    p_geo.add_argument("--atol", type=float, default=1e-12)
-    p_geo.add_argument("--probe", type=int, default=0, metavar="COUNT",
+    p_geo.add_argument("--samples", type=_COUNT, default=201)
+    p_geo.add_argument("--rtol", type=_POSITIVE, default=1e-10)
+    p_geo.add_argument("--atol", type=_POSITIVE, default=1e-12)
+    p_geo.add_argument("--probe", type=_COUNT, default=0, metavar="COUNT",
                        help="run a completeness probe instead of a single "
                             "geodesic")
     p_geo.add_argument("--compare-modes", action="store_true",
                        help="probe both dynamics modes and report both")
-    p_geo.add_argument("--s-max", type=float, default=1e3)
-    p_geo.add_argument("--seed", type=int, default=0)
+    p_geo.add_argument("--s-max", type=_POSITIVE, default=1e3)
+    p_geo.add_argument("--seed", type=_COUNT, default=0)
     p_geo.add_argument("--out", default=None)
 
     p_examples = sub.add_parser("examples", help="run the bundled catalog")
@@ -281,7 +307,7 @@ def _cmd_family(args) -> int:
 def _cmd_portrait(args) -> int:
     initials = []
     for text in args.initial:
-        pair = _floats(text)
+        pair = _finite_components("--initial", text)
         if len(pair) != 2:
             raise _CliInputError(
                 f"--initial expects PHI,DPHI; got {text!r}")
@@ -329,14 +355,11 @@ def _cmd_geodesic(args) -> int:
     for flag, text, size in (("--y", args.y, spec.n), ("--v", args.v, spec.n),
                              ("--yf", args.yf, spec.d),
                              ("--vf", args.vf, spec.d)):
-        values = _floats(text) if text else ()
+        values = _finite_components(flag, text) if text else ()
         # empty fiber data means zeros
         if len(values) != size and (values or flag in ("--y", "--v")):
             raise _CliInputError(
                 f"{flag} needs {size} components, got {len(values)}")
-        if not all(map(math.isfinite, values)):
-            raise _CliInputError(f"{flag} components must be finite, "
-                                 f"got {text!r}")
         state.append(values)
     result = geodesics.integrate_geodesic(
         spec, *state,

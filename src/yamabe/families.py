@@ -118,6 +118,8 @@ def _certify_or_raise(spec: WarpedSolitonSpec, run: bool,
 # --- Lambert-W family (lambda_F != 0, n + d = 6) -------------------------------
 
 def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
+    if k2 == 0.0:
+        raise FamilyConstructionError("k2 must be nonzero")
     if q_variant == "statement":
         return lambda_f / (10.0 * k2 ** 2 * norm)
     if q_variant == "proof":
@@ -464,8 +466,8 @@ def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
     y0 = [phi0, dphi0]
     ends = [end for end in (interval.lo, interval.hi) if end != xi_c]
     run = solve_ivp(_profile_ode_rhs(p, q), [(xi_c, end) for end in ends],
-                    [y0] * len(ends), method="DOP853", rtol=1e-12,
-                    atol=1e-14, dense_output=True)
+                    [y0] * len(ends), rtol=1e-12, atol=1e-14,
+                    dense_output=True)
     for end, stop in zip(ends, run.stop):
         if stop != "completed":
             raise FamilyConstructionError(
@@ -823,7 +825,7 @@ class PortraitTrajectory:
 def phase_portrait(initials: Sequence[tuple[float, float]],
                    xi_span: tuple[float, float], *,
                    k1: float = 1.0, k2: float = 1.0, lambda_f: float = -6.0,
-                   alpha_norm: float = 1.0, q_variant: str = "statement",
+                   q_variant: str = "statement",
                    start_xi: Optional[float] = None, points_per_side: int = 120,
                    phi_floor: float = 1e-9) -> list[PortraitTrajectory]:
     """Trajectories of the profile ODE phi^2 phi'' - 3 phi phi'^2 + p phi' =
@@ -831,14 +833,14 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
 
     Defaults are the R^3 x H^3 configuration: k1 = k2 = 1 and the fiber
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
-    scalar curvature -6). One RK45 call at rtol 1e-10, atol 1e-12 runs
+    scalar curvature -6). One DOP853 call at rtol 1e-10, atol 1e-12 runs
     every initial toward both ends of the span; a side stops when phi falls
     to phi_floor (positivity-loss), when |(phi, phi')| passes 1e12 or the
     step size collapses (blowup). The first side that stops, toward the
     lower end first, sets the status.
     """
     p = k1 / 10.0
-    q = _q_value(k2, lambda_f, alpha_norm, q_variant) if lambda_f != 0.0 else 0.0
+    q = _q_value(k2, lambda_f, 1.0, q_variant) if lambda_f != 0.0 else 0.0
     lo, hi = xi_span
     if start_xi is None:
         start_xi = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
@@ -876,7 +878,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
                     np.column_stack([np.full(len(sides), start_xi), ends]),
                     np.array([out[k].initial for k, _ in sides]
                              ).reshape(-1, 2),
-                    method="RK45", rtol=1e-10, atol=1e-12,
+                    rtol=1e-10, atol=1e-12,
                     t_eval=np.linspace(start_xi, ends, points_per_side,
                                        axis=1),
                     events=[positivity, escape])

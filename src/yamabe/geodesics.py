@@ -240,7 +240,6 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
                        y0, v0, yf0=(), vf0=(), *,
                        s_span: tuple[float, float] = (0.0, 10.0),
                        mode: str = "full", samples: int = 201,
-                       method: str = "DOP853",
                        rtol: float = 1e-10, atol: float = 1e-12,
                        max_step: Optional[float] = None) -> GeodesicResult:
     """Integrate one geodesic over s_span (which may run backwards); rows
@@ -252,7 +251,7 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
     collapse also reports blowup; stop_reason tells the causes apart.
     """
     state0 = _initial_state(spec, y0, v0, yf0, vf0)
-    run, (stop,) = _run(spec, mode, s_span, state0[None, :], method=method,
+    run, (stop,) = _run(spec, mode, s_span, state0[None, :],
                         rtol=rtol, atol=atol,
                         max_step=math.inf if max_step is None else max_step,
                         t_eval=np.linspace(s_span[0], s_span[1], samples))
@@ -322,7 +321,7 @@ def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
         spec, mode, np.tile([(0.0, s_max), (0.0, -s_max)], (count, 1)),
         np.repeat(np.reshape(starts, (count, 2 * spec.n + 2 * spec.d)), 2,
                   axis=0),
-        method="DOP853", rtol=rtol, atol=atol)
+        rtol=rtol, atol=atol)
     completed = 0
     counts: dict[str, int] = {}
     reasons: dict[str, int] = {}

@@ -4,8 +4,8 @@ Adaptive Simpson quadrature, cached antiderivative evaluation, adaptive
 Gauss-Legendre panels and a bracketed monotone inversion (both also
 elementwise over arrays), the central-difference stencils used for
 derivative fallbacks, and ``solve_ivp``: the explicit Runge-Kutta kernel
-(RK45 and DOP853) that integrates every ODE of the package, a batch of
-independent trajectories at a time.
+(Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
+batch of independent trajectories at a time.
 """
 
 from __future__ import annotations
@@ -297,20 +297,18 @@ def square(x):
     return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
 
 
-
-
 # --- explicit Runge-Kutta kernel ---------------------------------------------
 #
-# The embedded pairs RK45 (Dormand & Prince 5(4)) and DOP853 (Dormand &
-# Prince 8(5,3)) with the step-size control of Hairer, Norsett & Wanner,
-# Solving ODEs I, II.4, II.5 and II.10, as scipy.integrate.solve_ivp applies
-# them: the same tableaux, error norms, controller constants, initial-step
-# rule, failure rule (a step below 10 ulps of t) and event location on each
-# step's interpolant. The kernel advances B independent rows in lockstep;
-# each row has its own span, step size, error control, events and stop.
-# Rows never mix: every operation is elementwise across rows or a reduction
-# along one row, and powers go through libm one row at a time, so a row's
-# trajectory is bitwise the same alone or inside any batch.
+# The embedded pair DOP853 (Dormand & Prince 8(5,3)) with the step-size
+# control of Hairer, Norsett & Wanner, Solving ODEs I, II.4, II.5 and II.10,
+# as scipy.integrate.solve_ivp applies it: the same tableau, error norm,
+# controller constants, initial-step rule, failure rule (a step below 10 ulps
+# of t) and event location on each step's interpolant. The kernel advances
+# B independent rows in lockstep; each row has its own span, step size, error
+# control, events and stop. Rows never mix: every operation is elementwise
+# across rows or a reduction along one row, and powers go through libm one
+# row at a time, so a row's trajectory is bitwise the same alone or inside
+# any batch.
 
 _SAFETY = 0.9        # multiplies the asymptotic step-size factor
 _MIN_FACTOR = 0.2    # largest decrease of the step size after a rejection
@@ -350,64 +348,6 @@ def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
     lane."""
     return np.array([v ** e if v > 0.0 or (v == 0.0 and e > 0.0)
                      else math.nan for v in x.tolist()])
-
-
-class _RK45:
-    """Dormand-Prince 5(4) with Shampine's quartic interpolant."""
-
-    n_stages = 6
-    n_k = 7                  # stages plus the derivative at the new point
-    error_exponent = -1 / 5
-    C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
-    B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-    E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
-                  -22 / 525, 1 / 40])
-    P = np.array([
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-         -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-         87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-         -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883,
-         -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423,
-         69997945 / 29380423]])
-
-    _A, _B, _E = _stage_rows(A), B[:, None, None], E[:, None, None]
-    _P = list(P.T[:, :, None, None])
-
-    @classmethod
-    def error_norm(cls, K, h, scale):
-        return _rms(_combine(cls._E, K) * h[:, None] / scale)
-
-    @classmethod
-    def dense(cls, fun, K, t_old, h, y_old, y_new):
-        """Interpolant coefficients (4, rows, n) and the RHS calls spent."""
-        return np.stack([_combine(p, K) for p in cls._P]), 0
-
-    @staticmethod
-    def interp(Q, x, h, y_old):
-        """The state at the step fraction x from the coefficients Q (4, ...,
-        n): one row's (4, n) with floats x and h, or r rows' (4, r, n) with
-        x and h of shape (r, 1)."""
-        power, acc = x, Q[0] * x
-        for q in Q[1:]:
-            power = power * x
-            acc += q * power
-        acc *= h
-        acc += y_old
-        return acc
 
 
 class _DOP853:
@@ -584,8 +524,8 @@ class _DOP853:
 
     @classmethod
     def dense(cls, fun, K, t_old, h, y_old, y_new):
-        """Interpolant coefficients (7, rows, n) and the RHS calls spent on
-        the three extra stages."""
+        """Interpolant coefficients (7, rows, n); the three extra stages
+        cost one RHS call each."""
         hc = h[:, None]
         for s in range(cls.n_stages + 1, cls.n_k):
             dy = _combine(cls._A[s], K) * hc
@@ -597,12 +537,13 @@ class _DOP853:
         F[2] = 2 * delta - hc * (K[cls.n_stages] + K[0])
         for i in range(4):
             F[3 + i] = hc * _combine(cls._D[i], K)
-        return F, cls.n_k - cls.n_stages - 1
+        return F
 
     @staticmethod
     def interp(F, x, h, y_old):
         """The state at the step fraction x from the coefficients F (7, ...,
-        n), shaped as for ``_RK45.interp``."""
+        n): one row's (7, n) with floats x and h, or r rows' (7, r, n) with
+        x and h of shape (r, 1)."""
         rest = 1 - x
         y = F[-1] * x
         for i, f in enumerate(F[-2::-1], start=1):
@@ -612,26 +553,22 @@ class _DOP853:
         return y
 
 
-_METHODS = {"RK45": _RK45, "DOP853": _DOP853}
-
-
-def _rk_step(fun, scheme, t, y, f, h):
+def _rk_step(fun, t, y, f, h):
     """One trial step of every row: the stages K (n_k, rows, n) with the
     derivative at the new point in K[n_stages], and the new state."""
-    K = np.empty((scheme.n_k,) + y.shape)
+    K = np.empty((_DOP853.n_k,) + y.shape)
     K[0] = f
     hc = h[:, None]
-    ts = t + scheme.C[:scheme.n_stages, None] * h
-    for s in range(1, scheme.n_stages):
-        dy = _combine(scheme._A[s], K) * hc
+    ts = t + _DOP853.C[:_DOP853.n_stages, None] * h
+    for s in range(1, _DOP853.n_stages):
+        dy = _combine(_DOP853._A[s], K) * hc
         K[s] = fun(ts[s], y + dy)
-    y_new = y + hc * _combine(scheme._B, K)
-    K[scheme.n_stages] = fun(t + h, y_new)
+    y_new = y + hc * _combine(_DOP853._B, K)
+    K[_DOP853.n_stages] = fun(t + h, y_new)
     return K, y_new
 
 
-def _initial_step(fun, scheme, t0, y0, f0, t_bound, direction, max_step,
-                  rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_bound, direction, max_step, rtol, atol):
     """|h| of each row's first trial step (Hairer, Norsett & Wanner II.4)."""
     length = np.abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -644,7 +581,7 @@ def _initial_step(fun, scheme, t0, y0, f0, t_bound, direction, max_step,
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   _first_max(1e-6, h0 * 1e-3),
                   _pow_each(0.01 / _first_max(d1, d2),
-                            -scheme.error_exponent))
+                            -_DOP853.error_exponent))
     return _first_min(_first_min(_first_min(100 * h0, h1), length), max_step)
 
 
@@ -690,11 +627,6 @@ def _brentq(g, a: float, b: float) -> float:
     return xcur
 
 
-def _interp_at(interp, coefs, t_old, h, y_old, t):
-    """One row's state at t from its step's coefficients (m, n)."""
-    return interp(coefs, float((t - t_old) / h), float(h), y_old)
-
-
 class DenseTrajectory:
     """The continuous solution of one row: its steps' interpolants. Called
     with a parameter value, it returns the state there (n,); called with an
@@ -702,8 +634,7 @@ class DenseTrajectory:
     At a step boundary the step that ends there is used. A row that took no
     step is constant."""
 
-    def __init__(self, interp, t_old, h, y_old, coefs, t_end, y_end):
-        self._interp = interp
+    def __init__(self, t_old, h, y_old, coefs, t_end, y_end):
         self._t_old, self._h = np.asarray(t_old), np.asarray(h)
         self._y_old, self._coefs, self._y_end = y_old, coefs, y_end
         ts = np.append(self._t_old, t_end)
@@ -718,7 +649,7 @@ class DenseTrajectory:
         i = np.clip(self._keys.searchsorted(self._sign * at) - 1,
                     0, len(self._h) - 1)
         h = self._h[i]
-        y = self._interp(np.moveaxis(self._coefs[i], 0, 1),
+        y = _DOP853.interp(np.moveaxis(self._coefs[i], 0, 1),
                          ((at - self._t_old[i]) / h)[:, None], h[:, None],
                          self._y_old[i])
         return y[0] if ts.ndim == 0 else y.reshape(ts.shape + y.shape[1:])
@@ -746,25 +677,22 @@ class OdeBatch:
     sol: tuple[DenseTrajectory, ...]   # per row, with dense_output
 
 
-def solve_ivp(fun, t_span, y0, *, method: str = "RK45", rtol: float = 1e-3,
-              atol: float = 1e-6, max_step: float = math.inf, t_eval=None,
-              events=None, dense_output: bool = False) -> OdeBatch:
+def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
+              max_step: float = math.inf, t_eval=None, events=None,
+              dense_output: bool = False) -> OdeBatch:
     """Integrate the rows of y0 (B, n) through y' = fun(t, y), row i over
     t_span[i] (t_span is (B, 2), or one (start, end) pair for every row;
     an end below the start integrates backwards).
 
     fun(t, Y) receives the times (k,) and states (k, n) of any k rows and
     returns their derivatives (k, n); each row of the result may depend
-    only on the same row of the input. method is "RK45" or "DOP853".
+    only on the same row of the input. Every row runs DOP853.
     t_eval, (m,) or (B, m), lists points in each row's direction at which
     to report the state. events are callables event(t, Y) -> (k,) with a
     true ``terminal`` attribute and an optional ``direction`` (+1: rising
     zeros only, -1: falling only); a row stops at the first located zero.
     dense_output keeps each row's interpolants.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {tuple(_METHODS)}, "
-                         f"got {method!r}")
     if not max_step > 0.0:
         raise ValueError("max_step must be positive")
     events = list(events or ())
@@ -780,8 +708,8 @@ def solve_ivp(fun, t_span, y0, *, method: str = "RK45", rtol: float = 1e-3,
         t_eval = np.asarray(t_eval, dtype=float)
         t_eval = np.broadcast_to(t_eval, (len(y0), t_eval.shape[-1]))
     with np.errstate(all="ignore"):
-        return _Lockstep(fun, _METHODS[method], span, y0, rtol, atol,
-                         max_step, t_eval, events, dense_output).run()
+        return _Lockstep(fun, span, y0, rtol, atol, max_step, t_eval, events,
+                         dense_output).run()
 
 
 class _Lockstep:
@@ -791,11 +719,11 @@ class _Lockstep:
     _WORKING = ("idx", "t", "tb", "sgn", "far", "y", "f", "h_abs", "retry",
                 "nonfinite", "g", "te", "te_i", "te_next", "nfev", "nsteps")
 
-    def __init__(self, fun, scheme, span, y0, rtol, atol, max_step, t_eval,
-                 events, dense_output):
+    def __init__(self, fun, span, y0, rtol, atol, max_step, t_eval, events,
+                 dense_output):
         rows = len(y0)
         self.fun = fun
-        self.scheme, self.rtol, self.atol = scheme, rtol, atol
+        self.rtol, self.atol = rtol, atol
         self.max_step = max_step
         self.events = events
         direction = np.array([getattr(ev, "direction", 0) for ev in events],
@@ -852,9 +780,9 @@ class _Lockstep:
             rows, sel, at = rows[due], sel[due], at[due]
             if not len(rows):
                 return
-            ys = self.scheme.interp(coefs[:, sel],
-                                    ((at - t_old[sel]) / h[sel])[:, None],
-                                    h[sel][:, None], y_old[sel])
+            ys = _DOP853.interp(coefs[:, sel],
+                                ((at - t_old[sel]) / h[sel])[:, None],
+                                h[sel][:, None], y_old[sel])
             for p, t, y in zip(self.idx[rows].tolist(), at.tolist(), ys):
                 self.ts_out[p].append(t)
                 self.ys_out[p].append(y)
@@ -876,8 +804,8 @@ class _Lockstep:
         if len(self.idx):
             self.f = np.asarray(fun(self.t, self.y), dtype=float)
             self.h_abs = _initial_step(
-                fun, self.scheme, self.t, self.y, self.f, self.tb, self.sgn,
-                self.max_step, self.rtol, self.atol)
+                fun, self.t, self.y, self.f, self.tb, self.sgn, self.max_step,
+                self.rtol, self.atol)
             self.nfev += 2
             self.retry = np.zeros(len(self.idx), dtype=bool)
             self.nonfinite = np.zeros(len(self.idx), dtype=bool)
@@ -902,13 +830,11 @@ class _Lockstep:
 
     def _dense(self, segs, row) -> DenseTrajectory:
         t_old, h, y_old, coefs = zip(*segs) if segs else ((), (), (), ())
-        return DenseTrajectory(self.scheme.interp, t_old, h, np.array(y_old),
-                               np.array(coefs), self.t_out[row],
-                               self.y_out[row])
+        return DenseTrajectory(t_old, h, np.array(y_old), np.array(coefs),
+                               self.t_out[row], self.y_out[row])
 
     def _iterate(self) -> None:
         """One lockstep iteration: every running row tries one step."""
-        scheme = self.scheme
         t, sgn, retry = self.t, self.sgn, self.retry
         min_step = 10 * np.abs(np.nextafter(t, self.far) - t)
         # a fresh step starts inside [min_step, max_step]; a retry after a
@@ -928,14 +854,14 @@ class _Lockstep:
         if np.count_nonzero(past):
             t_new = np.where(past, self.tb, t_new)
         h = t_new - t
-        K, y_new = _rk_step(self.fun, scheme, t, self.y, self.f, h)
-        self.nfev += scheme.n_stages
+        K, y_new = _rk_step(self.fun, t, self.y, self.f, h)
+        self.nfev += _DOP853.n_stages
         scale = self.atol + np.maximum(np.abs(self.y), np.abs(y_new)) * self.rtol
-        err = scheme.error_norm(K, h, scale)
+        err = _DOP853.error_norm(K, h, scale)
         ok = err < 1
         # Python's min and max let a NaN lose: the power is NaN where err is
         # 0 (the step grows by the largest factor) or not a number
-        power = _SAFETY * _pow_each(err, scheme.error_exponent)
+        power = _SAFETY * _pow_each(err, _DOP853.error_exponent)
         grow = np.fmin(_MAX_FACTOR, power)
         if np.count_nonzero(retry):     # no growth right after a rejection
             grow = np.where(retry, np.fmin(1.0, grow), grow)
@@ -945,7 +871,7 @@ class _Lockstep:
         accepted = np.count_nonzero(ok)
         if not accepted:
             return
-        f_new = K[scheme.n_stages]
+        f_new = K[_DOP853.n_stages]
         stopped = ok & (t_new == self.tb)
         if accepted == len(ok):
             acc = slice(None)
@@ -980,9 +906,8 @@ class _Lockstep:
         q = np.flatnonzero(need)
         rows = np.arange(len(ok))[acc][q]
         t_old, h, y_old = t_old[q], h[rows], y_old[q]
-        coefs, extra = scheme.dense(self.fun, K[:, rows], t_old, h, y_old,
-                                    ya[q])
-        self.nfev[rows] += extra
+        coefs = _DOP853.dense(self.fun, K[:, rows], t_old, h, y_old, ya[q])
+        self.nfev[rows] += _DOP853.n_k - _DOP853.n_stages - 1
         stops = ["completed"] * len(ok)
         if crossed is not None:
             for j in np.flatnonzero(crossed[q].any(axis=1)).tolist():
@@ -1003,7 +928,8 @@ class _Lockstep:
         """Move running row p back to the first zero, in its direction, of
         the events that changed sign during its last step."""
         def state(s):
-            return _interp_at(self.scheme.interp, coefs, t_old, h, y_old, s)
+            return _DOP853.interp(coefs, float((s - t_old) / h), float(h),
+                                  y_old)
 
         best = None
         for e in np.flatnonzero(crossed).tolist():

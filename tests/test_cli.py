@@ -195,6 +195,21 @@ class TestPortrait:
         assert code == 1
         assert "PHI,DPHI" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--points", "-1"], "--points: expected a non-negative integer"),
+        (["--initial", "1.0,nan"], "--initial components must be finite"),
+        (["--xi-range", "0", "inf"], "--xi-range: expected a finite number"),
+        (["--lambda-f", "nan"], "--lambda-f: expected a finite number"),
+        (["--k2", "0"], "k2 must be nonzero"),
+    ])
+    def test_bad_numeric_option_exits_one(self, capfd, argv, message):
+        code, stdout = run(["portrait"] + argv)
+        assert code == 1
+        assert stdout == ""
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestGeodesic:
     LIGHT_DOC = {
@@ -270,6 +285,24 @@ class TestGeodesic:
     def test_bad_initial_data_exits_one(self, light_path, capfd, argv,
                                         message):
         code, stdout = run(["geodesic", light_path] + argv)
+        assert code == 1
+        assert stdout == ""
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--samples", "-1"], "--samples: expected a non-negative integer"),
+        (["--probe", "-3"], "--probe: expected a non-negative integer"),
+        (["--s-span", "0", "inf"], "--s-span: expected a finite number"),
+        (["--rtol", "nan"], "--rtol: expected a positive finite number"),
+        (["--probe", "2", "--s-max", "nan"],
+         "--s-max: expected a positive finite number"),
+    ])
+    def test_bad_numeric_option_exits_one(self, light_path, capfd, argv,
+                                          message):
+        code, stdout = run(["geodesic", light_path, "--y", "0,0,0,0",
+                            "--v", "1,0,0,0"] + argv)
         assert code == 1
         assert stdout == ""
         err = capfd.readouterr().err

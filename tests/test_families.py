@@ -524,3 +524,41 @@ class TestPhasePortrait:
         inits = [(0.5, 0.0), (1.0, 0.5), (2.0, 0.0)]
         trajs = phase_portrait(inits, (-0.5, 0.5), lambda_f=-6.0)
         assert [t.initial for t in trajs] == inits
+
+    @pytest.mark.parametrize("initial", [(0.6, 0.1), (1.5, -0.2)])
+    def test_rows_match_scipy_radau(self, initial):
+        """Each side of an ok trajectory, from the start to each end of the
+        span, against scipy's implicit Radau IIA on the ODE written out
+        again here (p = k1/10 = 0.1, q = lambda_f/10 = -0.6)."""
+        radau = pytest.importorskip("scipy.integrate").solve_ivp
+        p, q = 0.1, -0.6
+
+        def profile_ode(xi, y):
+            phi, dphi = y
+            return [dphi, (3.0 * phi * dphi ** 2 - p * dphi - q * phi ** 3)
+                    / phi ** 2]
+
+        (traj,) = phase_portrait([initial], (-1.0, 1.0))
+        assert traj.status == "ok"
+        xi = traj.rows[:, 0]
+        for side in (traj.rows[xi < 0.0][::-1], traj.rows[xi > 0.0]):
+            ref = radau(profile_ode, (0.0, side[-1, 0]), initial,
+                        method="Radau", rtol=1e-13, atol=1e-13,
+                        t_eval=side[:, 0])
+            assert ref.status == 0
+            assert np.all(np.abs(side[:, 1:] - ref.y.T)
+                          <= 1e-7 * np.abs(ref.y.T))
+
+    def test_batch_rows_equal_each_initial_alone_bitwise(self):
+        # ok, blowup and positivity-loss trajectories and a short-circuited
+        # start share one solver call; none depends on the others
+        inits = [(0.5, 0.0), (1.0, 0.5), (0.6, 0.1), (-1.0, 0.0),
+                 (2.0, 5.0), (1.5, -0.2)]
+        batch = phase_portrait(inits, (-1.0, 1.0))
+        assert {t.status for t in batch} == {"ok", "blowup",
+                                              "positivity-loss"}
+        for initial, traj in zip(inits, batch):
+            (alone,) = phase_portrait([initial], (-1.0, 1.0))
+            assert alone.status == traj.status
+            assert alone.rows.shape == traj.rows.shape
+            assert alone.rows.tobytes() == traj.rows.tobytes()
