@@ -76,6 +76,7 @@ _FINITE = _checked(float, math.isfinite, "a finite number")
 _POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
                      "a positive finite number")
 _COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_POSITIVE_COUNT = _checked(int, lambda n: n > 0, "a positive integer")
 
 
 def _finite_components(flag: str, text: str) -> tuple[float, ...]:
@@ -207,7 +208,7 @@ def _build_parser() -> _Parser:
                        help="fiber velocity components (default 0)")
     p_geo.add_argument("--s-span", nargs=2, type=_FINITE, default=(0.0, 10.0),
                        metavar=("A", "B"))
-    p_geo.add_argument("--samples", type=_COUNT, default=201)
+    p_geo.add_argument("--samples", type=_POSITIVE_COUNT, default=201)
     p_geo.add_argument("--rtol", type=_POSITIVE, default=1e-10)
     p_geo.add_argument("--atol", type=_POSITIVE, default=1e-12)
     p_geo.add_argument("--probe", type=_COUNT, default=0, metavar="COUNT",

@@ -6,7 +6,7 @@ so certification checks solution-hood rather than interpolation error.
 
 Conventions shared by the constructors:
 
-  * indefinite integrals produced by quadrature (h, the Riccati potentials)
+  * indefinite integrals computed numerically (h, the Riccati potentials)
     are anchored at the midpoint of xi_range with value 0; h is only ever
     compared through differences, so the anchor is a gauge choice;
   * closed-form branches keep their natural antiderivative constants so the
@@ -27,8 +27,9 @@ import numpy as np
 from .errors import FamilyConstructionError
 from .geometry import SignatureSpec, TranslationDirection
 from .lambertw import lambert_w
-from .numerics import (CachedAntiderivative, gauss_legendre, invert_monotone,
-                       opposite, solve_ivp)
+# no caller here; bench/spans.py patches families.CachedAntiderivative by name
+from .numerics import CachedAntiderivative  # noqa: F401
+from .numerics import gauss_legendre, invert_monotone, opposite, solve_ivp
 from .profiles import Interval, Profile, grid_points
 from .soliton import WarpedSolitonSpec, certify
 
@@ -462,29 +463,12 @@ def _profile_ode_rhs(p, q):
 
 
 def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
-    xi_c = -k4
     y0 = [phi0, dphi0]
-    ends = [end for end in (interval.lo, interval.hi) if end != xi_c]
-    run = solve_ivp(_profile_ode_rhs(p, q), [(xi_c, end) for end in ends],
-                    [y0] * len(ends), rtol=1e-12, atol=1e-14,
-                    dense_output=True)
-    for end, stop in zip(ends, run.stop):
-        if stop != "completed":
-            raise FamilyConstructionError(
-                f"profile ODE integration failed toward xi={end!r}: {stop}")
-    pieces = [(min(xi_c, end), max(xi_c, end), dense)
-              for end, dense in zip(ends, run.sol)]
+    states = _two_sided_solve(_profile_ode_rhs(p, q), -k4, y0,
+                              (interval.lo, interval.hi), "profile ODE")
 
     def arrays(xs, value, d2):
-        # a point on no piece is xi_c itself, or fell between the pieces
-        y = np.empty((len(xs), 2))
-        y[:] = y0
-        todo = np.ones(len(xs), dtype=bool)
-        for lo, hi, dense in pieces:
-            on = todo & (lo <= xs) & (xs <= hi)
-            if np.count_nonzero(on):
-                y[on] = dense(xs[on])
-                todo &= ~on
+        y = states(xs)
         phi, dphi = y[:, 0], y[:, 1]
         return (phi if value else None, dphi,
                 _profile_ode(phi, dphi, p, q) if d2 else None)
@@ -492,14 +476,46 @@ def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
     return Profile.from_arrays(arrays, interval)
 
 
+def _two_sided_solve(rhs, xi_c, y0, ends, what: str):
+    """Integrate y' = rhs(xi, y) from y0 at xi_c toward each end, one row per
+    end, in one dense DOP853 call at rtol 1e-12, atol 1e-14. Returns the
+    states over an array of points, (len(xs), len(y0)): each point from the
+    side it lies on, y0 at xi_c itself."""
+    ends = [end for end in ends if end != xi_c]
+    run = solve_ivp(rhs, [(xi_c, end) for end in ends], [y0] * len(ends),
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    for end, stop in zip(ends, run.stop):
+        if stop != "completed":
+            raise FamilyConstructionError(
+                f"{what} integration failed toward xi={end!r}: {stop}")
+    pieces = [(min(xi_c, end), max(xi_c, end), dense)
+              for end, dense in zip(ends, run.sol)]
+
+    def states(xs):
+        # a point on no piece is xi_c itself, or fell between the pieces
+        y = np.empty((len(xs), len(y0)))
+        y[:] = y0
+        todo = np.ones(len(xs), dtype=bool)
+        for lo, hi, dense in pieces:
+            on = todo & (lo <= xs) & (xs <= hi)
+            if np.count_nonzero(on):
+                y[on] = dense(xs[on])
+                todo &= ~on
+        return y
+
+    return states
+
+
 # --- elementary family (lambda_F = 0, n + d = 6) -------------------------------
 
 def _reflect(profile: Profile) -> Profile:
-    dom = Interval(-profile.domain.hi, -profile.domain.lo)
-    return Profile(lambda xi: profile._value(-xi),
-                   lambda xi: -profile._d1(-xi),
-                   lambda xi: profile._d2(-xi),
-                   dom, analytic_derivatives=profile.analytic_derivatives)
+    """xi -> profile(-xi), through profile's jet."""
+    def arrays(xs, value, d2):
+        v, e1, e2 = profile.jet(-xs, value=value, d2=d2)
+        return v, -e1, e2
+
+    return Profile.from_arrays(
+        arrays, Interval(-profile.domain.hi, -profile.domain.lo))
 
 
 def family_thm16(k1: float, k2: float, k3: float = 0.0, k4: float = 0.0, *,
@@ -555,50 +571,48 @@ def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Profile]:
     # phi' = (k1 - 20 k3 phi^4)/(40 phi) once phi solves the relation.
     if k3 == 0.0:
         u = lambda s: k1 * s / 20.0
-        h_val = lambda s: 20.0 * math.log(abs(s))
+        h_val = lambda s: 20.0 * np.log(np.abs(s))
         dom = Interval(-k4, math.inf)
     elif k3 < 0.0:
         a = -20.0 * k3
         r = math.sqrt(k1 / a)
         w = math.sqrt(k1 * a) / 20.0
-        u = lambda s: r * math.tan(w * s)
-        h_val = lambda s: 20.0 * math.log(abs(math.sin(w * s)))
+        u = lambda s: r * np.tan(w * s)
+        h_val = lambda s: 20.0 * np.log(np.abs(np.sin(w * s)))
         dom = Interval(-k4, -k4 + 0.5 * math.pi / w)
     else:
         c = 20.0 * k3
         b = math.sqrt(k1 / c)
         w = c * b / 20.0
         if branch == "inner":
-            u = lambda s: b * math.tanh(w * s)
-            h_val = lambda s: 20.0 * math.log(abs(math.sinh(w * s)))
+            u = lambda s: b * np.tanh(w * s)
+            h_val = lambda s: 20.0 * np.log(np.abs(np.sinh(w * s)))
         else:
-            u = lambda s: b / math.tanh(w * s)
-            h_val = lambda s: 20.0 * math.log(math.cosh(w * s))
+            u = lambda s: b / np.tanh(w * s)
+            h_val = lambda s: 20.0 * np.log(np.cosh(w * s))
         dom = Interval(-k4, math.inf)
 
-    def phi_value(xi):
-        return math.sqrt(u(xi + k4))
+    def solve(xs):
+        """sigma, phi^2, phi and phi' over xs."""
+        sigma = xs + k4
+        phi_sq = u(sigma)
+        phi = np.sqrt(phi_sq)
+        dphi = (k1 - 20.0 * k3 * (phi_sq * phi_sq)) / (40.0 * phi)
+        return sigma, phi_sq, phi, dphi
 
-    def phi_d1(xi):
-        phi = phi_value(xi)
-        return (k1 - 20.0 * k3 * phi ** 4) / (40.0 * phi)
+    def phi_arrays(xs, value, d2):
+        _, phi_sq, phi, dphi = solve(xs)
+        return (phi if value else None, dphi,
+                dphi * (-60.0 * k3 * (phi_sq * phi_sq) - k1) / (40.0 * phi_sq)
+                if d2 else None)
 
-    def phi_d2(xi):
-        phi = phi_value(xi)
-        return phi_d1(xi) * (-60.0 * k3 * phi ** 4 - k1) / (40.0 * phi ** 2)
+    def h_arrays(xs, value, d2):
+        sigma, phi_sq, phi, dphi = solve(xs)
+        return (h_val(sigma) if value else None, k1 / phi_sq,
+                -2.0 * k1 * dphi / (phi_sq * phi) if d2 else None)
 
-    def h_d1(xi):
-        return k1 / u(xi + k4)
-
-    def h_d2(xi):
-        phi = phi_value(xi)
-        return -2.0 * k1 * phi_d1(xi) / phi ** 3
-
-    phi_profile = Profile(phi_value, phi_d1, phi_d2, dom,
-                          analytic_derivatives=True)
-    h_profile = Profile(lambda xi: h_val(xi + k4), h_d1, h_d2, dom,
-                        analytic_derivatives=True)
-    return phi_profile, h_profile
+    return (Profile.from_arrays(phi_arrays, dom),
+            Profile.from_arrays(h_arrays, dom))
 
 
 # --- constant-potential family (h' = 0, lambda_F = 0, any n, d) ----------------
@@ -612,6 +626,26 @@ def riccati_residual(z: Profile, phi: Profile, n: int, d: int,
             + coeff * (n * ratio ** 2 - 2.0 * phi.d2(xi) / phi.value(xi)))
 
 
+def _riccati_potentials(z: Profile, interval: Interval, d: int):
+    """Phi = int_mid^xi z and I = int_mid^xi e^{-(d+1) Phi}, anchored at the
+    midpoint of interval, as a function of an array of points in it that
+    returns (Phi, I). Both come from one dense two-sided solve whose ends sit
+    one ulp inside the open interval, where z's jet is defined."""
+    ends = (float(np.nextafter(interval.lo, interval.hi)),
+            float(np.nextafter(interval.hi, interval.lo)))
+
+    def rhs(xi, y):
+        out = np.empty_like(y)
+        # a stage time may round one ulp past the end of its span
+        out[:, 0] = z.jet(np.clip(xi, *ends), d2=False)[0]
+        out[:, 1] = np.exp(-(d + 1.0) * y[:, 0])
+        return out
+
+    states = _two_sided_solve(rhs, 0.5 * (interval.lo + interval.hi),
+                              [0.0, 0.0], ends, "Riccati potential")
+    return lambda xs: states(xs).T
+
+
 def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
                              C: Optional[float],
                              xi_range: tuple[float, float]) -> Profile:
@@ -619,47 +653,33 @@ def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
 
     Both integrals are anchored at the midpoint of xi_range; the anchor
     constants are absorbed into C. C = None (or +-inf) returns z0 itself.
-    The denominator is scanned for zero crossings, which are construction
-    errors reported with a bracketing interval.
+    The update solves the Riccati equation of z0 for any phi and n, so
+    neither enters it. Its domain is xi_range, on whose grid the denominator
+    is scanned for zero crossings: construction errors reported with a
+    bracketing interval.
     """
     if C is None or (isinstance(C, float) and math.isinf(C)):
         return z0
     interval = Interval(*xi_range)
-    mid = 0.5 * (interval.lo + interval.hi)
-    big_phi = CachedAntiderivative(z0.value, mid)
-    psi = lambda xi: math.exp(-(d + 1.0) * big_phi(xi))
-    int_psi = CachedAntiderivative(psi, mid)
-    den = lambda xi: C + 0.5 * (d + 1.0) * int_psi(xi)
-
+    potentials = _riccati_potentials(z0, interval, d)
     pts = grid_points(interval, 256)
-    signs = [den(x) for x in pts]
+    signs = (C + 0.5 * (d + 1.0) * potentials(np.array(pts))[1]).tolist()
     for left, right, sl, sr in zip(pts, pts[1:], signs, signs[1:]):
         if sl == 0.0 or opposite(sl, sr):
             raise FamilyConstructionError(
                 "denominator of the Riccati update crosses zero inside "
                 f"({left!r}, {right!r}); choose a different C or range")
 
-    def w(xi):
-        return psi(xi) / den(xi)
+    def arrays(xs, value, d2):
+        big_phi, integral = potentials(xs)
+        w = np.exp(-(d + 1.0) * big_phi) / (C + 0.5 * (d + 1.0) * integral)
+        z, dz, ddz = z0.jet(xs, d2=d2)
+        dw = -(d + 1.0) * z * w - 0.5 * (d + 1.0) * w * w
+        return (z + w if value else None, dz + dw,
+                ddz + (-(d + 1.0) * (dz * w + z * dw) - (d + 1.0) * w * dw)
+                if d2 else None)
 
-    def dw(xi):
-        wv = w(xi)
-        return -(d + 1.0) * z0.value(xi) * wv - 0.5 * (d + 1.0) * wv * wv
-
-    def value(xi):
-        return z0.value(xi) + w(xi)
-
-    def d1(xi):
-        return z0.d1(xi) + dw(xi)
-
-    def d2(xi):
-        wv, dwv = w(xi), dw(xi)
-        ddw = (-(d + 1.0) * (z0.d1(xi) * wv + z0.value(xi) * dwv)
-               - (d + 1.0) * wv * dwv)
-        return z0.d2(xi) + ddw
-
-    dom = z0.domain.clipped(phi.domain)
-    return Profile(value, d1, d2, dom, analytic_derivatives=True)
+    return Profile.from_arrays(arrays, interval)
 
 
 def family_thm17(phi: Profile, z_p: Profile, C: float, *,
@@ -693,51 +713,35 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
             "z_p does not satisfy the profile Riccati equation: max residual "
             f"{worst:.3e} exceeds 1e-08")
 
-    mid = 0.5 * (interval.lo + interval.hi)
-    big_phi = CachedAntiderivative(z_p.value, mid)
-    decay = lambda xi: math.exp(-(d + 1.0) * big_phi(xi))
-    inner_int = CachedAntiderivative(decay, mid)
+    potentials = _riccati_potentials(z_p, interval, d)
     shift = 2.0 * C / (d + 1.0)
-    inner = lambda xi: inner_int(xi) + shift
-
-    pts = grid_points(interval, 128)
-    bad = [x for x in pts if inner(x) <= 0.0]
-    if bad:
+    pts = np.array(grid_points(interval, 128))
+    bad = pts[potentials(pts)[1] + shift <= 0.0]
+    if len(bad):
         raise FamilyConstructionError(
-            f"inner integral term is nonpositive near xi={bad[0]!r}; "
+            f"inner integral term is nonpositive near xi={float(bad[0])!r}; "
             "increase C or shrink xi_range")
 
     m = (n - 2.0) / (d + 1.0)
     expo = 2.0 / (d + 1.0)
-    memo: dict[float, tuple[float, float, float]] = {}
 
-    def _eval(xi):
-        got = memo.get(xi)
-        if got is not None:
-            return got
-        pv = phi.value(xi)
-        f_val = pv ** m * math.exp(big_phi(xi)) * inner(xi) ** expo
-        t_val = expo * decay(xi) / inner(xi)
-        ell = m * phi.d1(xi) / pv + z_p.value(xi) + t_val
-        dt = -(d + 1.0) * z_p.value(xi) * t_val - 0.5 * (d + 1.0) * t_val ** 2
-        ratio = phi.d1(xi) / pv
-        dell = m * (phi.d2(xi) / pv - ratio * ratio) + z_p.d1(xi) + dt
-        memo[xi] = (f_val, ell, dell)
-        return memo[xi]
+    def f_arrays(xs, value, d2):
+        # f = phi^m e^Phi inner^expo, f' = f ell, f'' = f (ell^2 + ell')
+        big_phi, integral = potentials(xs)
+        inner = integral + shift
+        p, dp, ddp = phi.jet(xs, d2=d2)
+        z, dz, _ = z_p.jet(xs, d2=False)
+        f_val = (np.float_power(p, m) * np.exp(big_phi)
+                 * np.float_power(inner, expo))
+        t_val = expo * np.exp(-(d + 1.0) * big_phi) / inner
+        ratio = dp / p
+        ell = m * ratio + z + t_val
+        dt = -(d + 1.0) * z * t_val - 0.5 * (d + 1.0) * t_val * t_val
+        dell = m * (ddp / p - ratio * ratio) + dz + dt if d2 else None
+        return (f_val if value else None, f_val * ell,
+                f_val * (ell * ell + dell) if d2 else None)
 
-    def f_value(xi):
-        return _eval(xi)[0]
-
-    def f_d1(xi):
-        f_val, ell, _ = _eval(xi)
-        return f_val * ell
-
-    def f_d2(xi):
-        f_val, ell, dell = _eval(xi)
-        return f_val * (ell * ell + dell)
-
-    f_profile = Profile(f_value, f_d1, f_d2, interval,
-                        analytic_derivatives=True)
+    f_profile = Profile.from_arrays(f_arrays, interval)
     h_profile = Profile.constant(0.0, interval)
     spec = WarpedSolitonSpec(sig_, direction, d, 0.0, 0.0,
                              phi, f_profile, h_profile, interval,
@@ -792,19 +796,15 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")
 
-    def rho_value(xi):
-        return lambda_f / f.value(xi) ** 2
+    def rho_arrays(xs, value, d2):
+        fv, df, ddf = f.jet(xs, d2=d2)
+        f2 = fv * fv
+        return (lambda_f / f2 if value else None,
+                -2.0 * lambda_f * df / (f2 * fv),
+                lambda_f * (6.0 * df * df / (f2 * f2) - 2.0 * ddf / (f2 * fv))
+                if d2 else None)
 
-    def rho_d1(xi):
-        return -2.0 * lambda_f * f.d1(xi) / f.value(xi) ** 3
-
-    def rho_d2(xi):
-        fv = f.value(xi)
-        return lambda_f * (6.0 * f.d1(xi) ** 2 / fv ** 4
-                           - 2.0 * f.d2(xi) / fv ** 3)
-
-    rho_profile = Profile(rho_value, rho_d1, rho_d2, f.domain,
-                          analytic_derivatives=True)
+    rho_profile = Profile.from_arrays(rho_arrays, f.domain)
     h_profile = _h_from_phi(k1, phi, interval)
     spec = WarpedSolitonSpec(sig_, direction, d, rho_profile, lambda_f,
                              phi, f, h_profile, interval,
@@ -837,7 +837,9 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     every initial toward both ends of the span; a side stops when phi falls
     to phi_floor (positivity-loss), when |(phi, phi')| passes 1e12 or the
     step size collapses (blowup). The first side that stops, toward the
-    lower end first, sets the status.
+    lower end first, sets the status. An integrated trajectory's rows are
+    the start once, then the points_per_side - 1 points after it of
+    linspace(start_xi, end, points_per_side) on each side, up to its stop.
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, 1.0, q_variant) if lambda_f != 0.0 else 0.0
@@ -880,7 +882,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
                              ).reshape(-1, 2),
                     rtol=1e-10, atol=1e-12,
                     t_eval=np.linspace(start_xi, ends, points_per_side,
-                                       axis=1),
+                                       axis=1)[:, 1:],
                     events=[positivity, escape])
     for row, (k, _) in enumerate(sides):
         if out[k].status == "ok" and run.stop[row] != "completed":

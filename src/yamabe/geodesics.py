@@ -243,13 +243,16 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
                        rtol: float = 1e-10, atol: float = 1e-12,
                        max_step: Optional[float] = None) -> GeodesicResult:
     """Integrate one geodesic over s_span (which may run backwards); rows
-    hold the state at `samples` evenly spaced parameters up to the stop.
+    hold the state at `samples` (a positive count) evenly spaced parameters
+    up to the stop.
 
     Terminal events: exit of xi from a finite domain (status left-domain),
     state norm passing BLOWUP_NORM (blowup), and loss of positivity of phi
     or f along numerically defined profiles (positivity-loss). A step-size
     collapse also reports blowup; stop_reason tells the causes apart.
     """
+    if not samples >= 1:
+        raise ValueError(f"samples must be a positive count, got {samples!r}")
     state0 = _initial_state(spec, y0, v0, yf0, vf0)
     run, (stop,) = _run(spec, mode, s_span, state0[None, :],
                         rtol=rtol, atol=atol,

@@ -1,11 +1,13 @@
 """Small numerical kernels shared across modules.
 
-Adaptive Simpson quadrature, cached antiderivative evaluation, adaptive
-Gauss-Legendre panels and a bracketed monotone inversion (both also
+Adaptive Gauss-Legendre panels and a bracketed monotone inversion (both also
 elementwise over arrays), the central-difference stencils used for
 derivative fallbacks, and ``solve_ivp``: the explicit Runge-Kutta kernel
 (Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
-batch of independent trajectories at a time.
+batch of independent trajectories at a time, with dense output where asked.
+Adaptive Simpson quadrature and its cached antiderivative are still here,
+but no code of the package calls them any more: the benchmark's tracer
+(bench/spans.py) patches them by name.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Profiles: scalar functions of the invariance variable with two derivatives.
 
-A profile carries an open domain and three callables (value, d1, d2). The
-expression constructor differentiates symbolically; the callable constructor
-falls back to central differences when derivatives are not supplied, which is
-why numeric-callback specs certify against a looser default tolerance.
-
-``Profile.jet`` evaluates all three on an array of points at once. Expression
-and constant profiles, shifted, scaled and summed versions of them, and the
-profiles built by ``Profile.from_arrays`` (the Lambert family's phi, f and h
-among them) have numpy forms; any other profile is run point by point.
+A profile carries an open domain, three scalar callables (value, d1, d2) and
+a numpy form that evaluates all three on an array of points at once
+(``Profile.jet``). The expression constructor differentiates symbolically and
+compiles a form; ``from_arrays`` profiles (every family closure) are given by
+theirs; shifted, scaled and summed profiles compose their parents' forms; and
+the form of a ``from_callable`` profile runs its scalars point by point. The
+callable constructor falls back to central differences when derivatives are
+not supplied, which is why numeric-callback specs certify against a looser
+default tolerance.
 """
 
 from __future__ import annotations
@@ -70,11 +70,14 @@ def grid_points(interval: Interval, count: int) -> list[float]:
 
 
 class Profile:
-    """value/d1/d2 of one scalar profile, plus its declared open domain."""
+    """value/d1/d2 of one scalar profile, its declared open domain, and its
+    numpy form arrays(xs, value, d2): (value or None, d1, d2 or None) over
+    the float array xs of in-domain points, run with numpy's floating-point
+    errors ignored."""
 
     def __init__(self, value: Callable[[float], float],
-                 d1: Optional[Callable[[float], float]] = None,
-                 d2: Optional[Callable[[float], float]] = None,
+                 d1: Callable[[float], float], d2: Callable[[float], float],
+                 arrays: Callable,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf),
                  *, source: Optional[str] = None,
                  analytic_derivatives: bool = True):
@@ -83,18 +86,10 @@ class Profile:
         self.domain = domain
         self.source = source
         self._value = value
-        if d1 is None:
-            d1 = lambda xi: central_d1(value, xi)
-            analytic_derivatives = False
-        if d2 is None:
-            d2 = lambda xi: central_d2(value, xi)
-            analytic_derivatives = False
         self._d1 = d1
         self._d2 = d2
+        self._arrays = arrays
         self.analytic_derivatives = analytic_derivatives
-        # (xs, value) -> (value or None, d1, d2) on in-domain points, for the
-        # profiles that have a numpy form
-        self._arrays = None
 
     def _check(self, xi: float) -> None:
         if not self.domain.contains(xi):
@@ -120,14 +115,13 @@ class Profile:
         unless asked for, and so is d2. Entries equal the scalar
         ``value``/``d1``/``d2``.
 
-        Profiles with a numpy form (expression and constant profiles, the
-        shifted, scaled and summed ones built from them, and those made by
-        ``from_arrays``) evaluate in one call and return non-finite entries
-        where they cannot be evaluated. Any other profile, or a numpy form
-        that raises, runs the scalar callables point by point, in order, and
-        never calls value unless asked; the first exception stops the loop
-        and propagates. A point outside the domain raises DomainError naming
-        the first one.
+        The numpy form evaluates the whole array in one call; expression
+        profiles and those built on numpy (``from_arrays``, the wrappers)
+        return non-finite entries where they cannot be evaluated, and a
+        ``from_callable`` profile runs its scalars point by point, in order,
+        raising at the first failure. A form that raises propagates the
+        exception of the shortest prefix of xs on which it raises. A point
+        outside the domain raises DomainError naming the first one.
         """
         jet, error = self._leading_jet(np.asarray(xs, dtype=float), value, d2)
         if error is not None:
@@ -136,8 +130,8 @@ class Profile:
 
     def _leading_jet(self, xs: np.ndarray, value: bool, d2: bool = True):
         """The jet over the longest prefix of xs on which nothing raises,
-        and the exception raised at the point after it (None if none).
-        Without d2 the last entry of the jet is None."""
+        and the exception raised by the prefix one point longer (None if
+        none). Without d2 the last entry of the jet is None."""
         error = None
         inside = (self.domain.lo < xs) & (xs < self.domain.hi)
         if np.count_nonzero(inside) < len(xs):
@@ -145,40 +139,12 @@ class Profile:
             error = DomainError(f"xi={float(xs[k])!r} outside declared "
                                 f"domain {self.domain.as_tuple()!r}")
             xs = xs[:k]
-        wanted = (value, True, d2)
-        start = 0
-        if self._arrays is not None:
-            with np.errstate(all="ignore"):
-                try:
-                    return self._arrays(xs, value, d2), error
-                except Exception:
-                    # a numpy form that raises covers the longest prefix on
-                    # which it does not; the loop below goes on from there
-                    start, head = _longest_prefix(
-                        lambda k: self._arrays(xs[:k], value, d2), len(xs))
-        rows = [fn for fn, want in zip((self._value, self._d1, self._d2),
-                                       wanted) if want]
-        out = np.empty((len(rows), len(xs)))
-        if start:
-            out[:, :start] = [a for a in head if a is not None]
-        for i, x in enumerate(xs[start:].tolist(), start):
+        with np.errstate(all="ignore"):
             try:
-                for row, fn in enumerate(rows):
-                    out[row, i] = fn(x)
+                return self._arrays(xs, value, d2), error
             except Exception as exc:
-                out, error = out[:, :i], exc
-                break
-        it = iter(out)
-        return tuple(next(it) if want else None for want in wanted), error
-
-    def _derived(self, value, d1, d2, domain, analytic_derivatives,
-                 arrays) -> "Profile":
-        """A profile built from this one (and maybe another); it has a numpy
-        form when ``arrays`` is given, i.e. when its parents have one."""
-        out = Profile(value, d1, d2, domain,
-                      analytic_derivatives=analytic_derivatives)
-        out._arrays = arrays
-        return out
+                return _longest_prefix(
+                    lambda k: self._arrays(xs[:k], value, d2), len(xs), exc)
 
     # -- constructors ---------------------------------------------------
 
@@ -189,21 +155,18 @@ class Profile:
         ast = expressions.parse_expression(text)
         d1_ast = expressions.differentiate(ast)
         d2_ast = expressions.differentiate(d1_ast)
-        out = cls(expressions.compile_callable(ast),
-                  expressions.compile_callable(d1_ast),
-                  expressions.compile_callable(d2_ast),
-                  domain, source=text, analytic_derivatives=True)
-        out._arrays = _expression_arrays(ast, d1_ast, d2_ast)
-        return out
+        return cls(expressions.compile_callable(ast),
+                   expressions.compile_callable(d1_ast),
+                   expressions.compile_callable(d2_ast),
+                   _expression_arrays(ast, d1_ast, d2_ast),
+                   domain, source=text)
 
     @classmethod
     def from_arrays(cls, arrays: Callable,
                     domain: Interval | tuple[float, float]) -> "Profile":
-        """A profile given by its numpy form alone: arrays(xs, value, d2)
-        returns (value or None, d1, d2 or None) over the float array xs and
-        runs under np.errstate(all="ignore"). value, d1 and d2 at a point are
-        that form on a one-element array, so they equal the jet's entries
-        wherever the form treats each point apart from the others."""
+        """A profile given by its numpy form alone. value, d1 and d2 at a
+        point are that form on a one-element array, so they equal the jet's
+        entries wherever the form treats each point apart from the others."""
         def at(k):
             def scalar(xi):
                 with np.errstate(all="ignore"):
@@ -211,29 +174,34 @@ class Profile:
                                         k == 0, k == 2)[k][0])
             return scalar
 
-        out = cls(at(0), at(1), at(2), domain, analytic_derivatives=True)
-        out._arrays = arrays
-        return out
+        return cls(at(0), at(1), at(2), arrays, domain)
 
     @classmethod
     def from_callable(cls, value: Callable[[float], float],
                       domain: Interval | tuple[float, float],
                       d1: Optional[Callable[[float], float]] = None,
                       d2: Optional[Callable[[float], float]] = None) -> "Profile":
-        return cls(value, d1, d2, domain,
-                   analytic_derivatives=(d1 is not None and d2 is not None))
+        """A profile given by scalar callables; a missing derivative comes
+        from central differences of value, and the profile is then marked
+        numeric. Its numpy form runs the scalars point by point."""
+        analytic = d1 is not None and d2 is not None
+        if d1 is None:
+            d1 = lambda xi: central_d1(value, xi)
+        if d2 is None:
+            d2 = lambda xi: central_d2(value, xi)
+        return cls(value, d1, d2, _pointwise(value, d1, d2), domain,
+                   analytic_derivatives=analytic)
 
     @classmethod
     def constant(cls, c: float,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf)
                  ) -> "Profile":
         zero = lambda xi: 0.0
-        out = cls(lambda xi: c, zero, zero, domain,
-                  source=repr(float(c)), analytic_derivatives=True)
-        out._arrays = lambda xs, value, d2: (
+        arrays = lambda xs, value, d2: (
             np.full(xs.shape, float(c)) if value else None,
             np.zeros(xs.shape), np.zeros(xs.shape) if d2 else None)
-        return out
+        return cls(lambda xi: c, zero, zero, arrays, domain,
+                   source=repr(float(c)))
 
     # -- wrappers (used by invariance checks and families) ----------------
 
@@ -246,9 +214,9 @@ class Profile:
             v, e1, e2 = arrays(xs, value, d2)
             return (v + c if value else None, e1, e2)
 
-        return self._derived(lambda xi: self._value(xi) + c, self._d1,
-                             self._d2, self.domain, self.analytic_derivatives,
-                             arrays and shifted_arrays)
+        return Profile(lambda xi: self._value(xi) + c, self._d1, self._d2,
+                       shifted_arrays, self.domain,
+                       analytic_derivatives=self.analytic_derivatives)
 
     def scaled(self, c: float) -> "Profile":
         arrays = self._arrays
@@ -257,11 +225,11 @@ class Profile:
             v, e1, e2 = arrays(xs, value, d2)
             return (c * v if value else None, c * e1, c * e2 if d2 else None)
 
-        return self._derived(lambda xi: c * self._value(xi),
-                             lambda xi: c * self._d1(xi),
-                             lambda xi: c * self._d2(xi),
-                             self.domain, self.analytic_derivatives,
-                             arrays and scaled_arrays)
+        return Profile(lambda xi: c * self._value(xi),
+                       lambda xi: c * self._d1(xi),
+                       lambda xi: c * self._d2(xi), scaled_arrays,
+                       self.domain,
+                       analytic_derivatives=self.analytic_derivatives)
 
     def plus(self, other: "Profile") -> "Profile":
         mine, theirs = self._arrays, other._arrays
@@ -272,25 +240,21 @@ class Profile:
             return (v + w if value else None, a1 + b1,
                     a2 + b2 if d2 else None)
 
-        return self._derived(lambda xi: self._value(xi) + other._value(xi),
-                             lambda xi: self._d1(xi) + other._d1(xi),
-                             lambda xi: self._d2(xi) + other._d2(xi),
-                             self.domain.clipped(other.domain),
-                             (self.analytic_derivatives
-                              and other.analytic_derivatives),
-                             mine and theirs and sum_arrays)
+        return Profile(lambda xi: self._value(xi) + other._value(xi),
+                       lambda xi: self._d1(xi) + other._d1(xi),
+                       lambda xi: self._d2(xi) + other._d2(xi), sum_arrays,
+                       self.domain.clipped(other.domain),
+                       analytic_derivatives=(self.analytic_derivatives
+                                             and other.analytic_derivatives))
 
     def require_positive(self, interval: Interval,
                          name: str = "profile") -> None:
         """Positivity check at 64 points of the margin-clipped interval,
-        through the numpy form where the profile has one. The first point
-        that fails is evaluated again through the scalar value, so the error
-        is the one a point-by-point check raises there."""
+        through the numpy form. The first point that fails is evaluated
+        again through the scalar value, so the error is the one a
+        point-by-point check raises there."""
         pts = grid_points(interval, 64)
-        values, error = map(self._value, pts), None
-        if self._arrays is not None:
-            (values, _, _), error = self._leading_jet(np.array(pts), True,
-                                                      False)
+        (values, _, _), error = self._leading_jet(np.array(pts), True, False)
         for xi, v in zip(pts, values):
             if not v > 0.0:
                 raise PositivityError(f"{name} must stay positive; "
@@ -304,19 +268,19 @@ class Profile:
                 f" analytic={self.analytic_derivatives}{src})")
 
 
-def _longest_prefix(numpy_form, n: int):
-    """(k, numpy_form(k)) for the largest k < n at which numpy_form, a
-    function of a prefix length that raises at n, does not raise, found by
-    bisection on k: a point that makes it raise makes every longer prefix
-    raise."""
+def _longest_prefix(numpy_form, n: int, error: Exception):
+    """(numpy_form(k), the exception numpy_form(k + 1) raises) for the
+    largest k < n at which numpy_form, a function of a prefix length that
+    raises ``error`` at n, does not raise, found by bisection on k: a point
+    that makes it raise makes every longer prefix raise."""
     good, bad, got = 0, n, numpy_form(0)
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
             got, good = numpy_form(mid), mid
-        except Exception:
-            bad = mid
-    return good, got
+        except Exception as exc:
+            bad, error = mid, exc
+    return got, error
 
 
 def leading_jets(xs, wanted):
@@ -373,5 +337,22 @@ def _expression_arrays(*nodes):
                 compiled[k] = expressions.compile_array_raw(node)
             out.append(compiled[k](xs))
         return tuple(out)
+
+    return arrays
+
+
+def _pointwise(*fns):
+    """Numpy form of scalar value, d1 and d2 callables: each point in turn,
+    in order, calling value only when asked; the first exception
+    propagates."""
+    def arrays(xs, value, d2):
+        wanted = (value, True, d2)
+        rows = [fn for fn, want in zip(fns, wanted) if want]
+        out = np.empty((len(rows), len(xs)))
+        for i, x in enumerate(xs.tolist()):
+            for row, fn in enumerate(rows):
+                out[row, i] = fn(x)
+        it = iter(out)
+        return tuple(next(it) if want else None for want in wanted)
 
     return arrays

@@ -310,13 +310,19 @@ def _fmt(x: float) -> str:
 
 def write_profile_csv(spec: WarpedSolitonSpec, out: IO, grid: int = 200,
                       interval: Optional[Interval] = None) -> None:
-    """Samples of (phi, f, h) on the margin-clipped grid. Header:
-    xi,phi,f,h."""
+    """Samples of (phi, f, h) on the margin-clipped grid, one jet per
+    profile. Header: xi,phi,f,h. A row with a non-finite sample is
+    evaluated again through the scalar values, which raise where the
+    profile cannot be evaluated."""
     where = (interval or spec.domain).clipped(spec.domain)
+    xs = grid_points(where, grid)
+    profiles = (spec.phi, spec.f, spec.h)
+    columns = [profile.jet(xs, d2=False)[0].tolist() for profile in profiles]
     out.write("xi,phi,f,h\n")
-    for xi in grid_points(where, grid):
-        out.write(",".join([_fmt(xi), _fmt(spec.phi.value(xi)),
-                            _fmt(spec.f.value(xi)), _fmt(spec.h.value(xi))]))
+    for xi, *row in zip(xs, *columns):
+        if not all(map(math.isfinite, row)):
+            row = [profile.value(xi) for profile in profiles]
+        out.write(",".join(map(_fmt, [xi] + row)))
         out.write("\n")
 
 

@@ -190,6 +190,17 @@ class TestPortrait:
         blocks = out.read_text(encoding="utf-8").split("\n\n")
         assert len(blocks) == 6      # catalog default initial conditions
 
+    def test_start_row_written_once(self):
+        code, stdout = run(["portrait", "--initial", "1.0,0.2",
+                            "--points", "3"])
+        assert code == 0
+        header, *lines = stdout.splitlines()
+        assert header == "xi,phi,dphi,status"
+        rows = [line.split(",") for line in lines]
+        assert [float(row[0]) for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert lines[2] == "0.0,1.0,0.2,ok"
+        assert all(row[3] == "ok" for row in rows)
+
     def test_bad_initial_exit_one(self, capfd):
         code, _ = run(["portrait", "--initial", "1.0"])
         assert code == 1
@@ -292,12 +303,13 @@ class TestGeodesic:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["--samples", "-1"], "--samples: expected a non-negative integer"),
+        (["--samples", "-1"], "--samples: expected a positive integer"),
         (["--probe", "-3"], "--probe: expected a non-negative integer"),
         (["--s-span", "0", "inf"], "--s-span: expected a finite number"),
         (["--rtol", "nan"], "--rtol: expected a positive finite number"),
         (["--probe", "2", "--s-max", "nan"],
          "--s-max: expected a positive finite number"),
+        (["--samples", "0"], "--samples: expected a positive integer"),
     ])
     def test_bad_numeric_option_exits_one(self, light_path, capfd, argv,
                                           message):

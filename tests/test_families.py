@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from yamabe.errors import FamilyConstructionError
+from yamabe.errors import DomainError, FamilyConstructionError
 from yamabe.families import (almost_soliton_lightlike, default_lightlike_frame,
                              default_spacelike_frame, family_thm15,
                              family_thm16, family_thm17, family_thm18,
@@ -370,6 +370,16 @@ class TestRiccati:
         assert worst < 1e-10
         assert z.value(0.0) != z0.value(0.0)
 
+    def test_z0_defined_on_xi_range_alone(self):
+        # the potentials are solved up to one ulp inside each end, 5e-324
+        # here, and a stage time of the last step rounds onto the end 0.0
+        z0 = Profile.constant(-0.5, (0.0, 1.0))
+        phi = sec_profile()
+        z = riccati_general_solution(z0, phi, 4, 3, 2.5, (0.0, 1.0))
+        worst = max(abs(riccati_residual(z, phi, 4, 3, x))
+                    for x in [1e-300] + grid_points(Interval(0.0, 1.0), 32))
+        assert worst < 1e-10
+
     def test_none_or_infinite_c_returns_z0(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         phi = sec_profile()
@@ -382,6 +392,17 @@ class TestRiccati:
         with pytest.raises(FamilyConstructionError, match="denominator"):
             riccati_general_solution(z0, sec_profile(), 4, 3, -0.1,
                                      (-1.4, 1.4))
+
+    def test_update_is_defined_on_xi_range_only(self):
+        # the denominator is scanned on xi_range alone; past it, near
+        # xi = -0.40, the update has a pole
+        z0 = Profile.constant(-0.5, SEC_DOMAIN)
+        z = riccati_general_solution(z0, sec_profile(), 4, 3, -2.0,
+                                     (-1.4, -0.5))
+        assert z.domain.as_tuple() == (-1.4, -0.5)
+        assert math.isfinite(z.value(-0.51))
+        with pytest.raises(DomainError):
+            z.value(-0.399)
 
     def test_denominator_crossing_found_when_values_underflow(self):
         # den(xi) = xi here, and the product of two neighbouring values
@@ -417,6 +438,17 @@ class TestConstantPotentialFamily:
         z = riccati_general_solution(z0, phi, 4, 3, 3.0, (-1.2, 1.2))
         spec = family_thm17(phi, z, 2.0, xi_range=(-1.1, 1.1), n=4, d=3)
         assert certify(spec).verdict == "certified"
+
+    def test_certify_runs_no_scalar_closure(self, monkeypatch):
+        z0 = Profile.constant(-0.5, SEC_DOMAIN)
+        phi = sec_profile()
+        z = riccati_general_solution(z0, phi, 4, 3, 3.0, (-1.2, 1.2))
+        spec = family_thm17(phi, z, 2.0, xi_range=(-1.1, 1.1), n=4, d=3,
+                            run_certify=False)
+        for name in ("value", "d1", "d2"):
+            monkeypatch.setattr(Profile, name, None)
+        spec.validate_positivity()
+        assert certify(spec, grid_size=200).verdict == "certified"
 
     def test_non_solution_zp_rejected(self):
         with pytest.raises(FamilyConstructionError,
@@ -562,3 +594,60 @@ class TestPhasePortrait:
             assert alone.status == traj.status
             assert alone.rows.shape == traj.rows.shape
             assert alone.rows.tobytes() == traj.rows.tobytes()
+
+
+def _every_constructor():
+    """(id, build) pairs; build() returns one profile the package builds."""
+    sec, half = sec_profile, Profile.constant(-0.5, SEC_DOMAIN)
+    grow = Profile.from_expression("exp(0.2*xi)")
+    cases = []
+    for construction in ("quadrature", "ode"):
+        for name in ("phi", "f", "h"):
+            cases.append((f"thm15-{construction}-{name}",
+                          lambda c=construction, n=name: getattr(
+                              family_thm15(**THM15_COMMON, k3=-0.2,
+                                           construction=c,
+                                           run_certify=False), n)))
+    thm16 = {"k3-zero": dict(k1=1.0, xi_range=(1.0, 100.0)),
+             "k3-negative": dict(k1=1.0, k3=-0.05, xi_range=(1.0, 25.0)),
+             "k3-positive-inner": dict(k1=1.0, k3=0.05, xi_range=(0.5, 30.0)),
+             "k3-positive-outer": dict(k1=1.0, k3=0.05, xi_range=(0.5, 30.0),
+                                       branch="outer"),
+             "k1-negative": dict(k1=-1.0, k3=0.05, xi_range=(-25.0, -1.0))}
+    for key, kw in thm16.items():
+        for name in ("phi", "f", "h"):
+            cases.append((f"thm16-{key}-{name}",
+                          lambda kw=kw, n=name: getattr(family_thm16(
+                              k2=1.0, run_certify=False, **kw), n)))
+    cases += [
+        ("riccati", lambda: riccati_general_solution(half, sec(), 4, 3, 2.5,
+                                                     (-1.4, 1.4))),
+        ("thm17-f", lambda: family_thm17(sec(), half, 1.0,
+                                         xi_range=(-1.0, 1.0), n=4, d=3,
+                                         run_certify=False).f),
+        ("thm18-h", lambda: family_thm18(grow, grow, 1.0,
+                                         xi_range=(-3.0, 3.0),
+                                         run_certify=False).h),
+        ("almost-rho", lambda: almost_soliton_lightlike(
+            grow, Profile.from_expression("exp(-0.1*xi)"), 1.0, -2.0,
+            xi_range=(-2.0, 2.0), run_certify=False).rho),
+        ("from-callable", lambda: Profile.from_callable(math.cosh,
+                                                        (-1.5, 1.5))),
+        ("from-callable-plus-expression", lambda: Profile.from_callable(
+            math.cosh, (-1.5, 1.5)).plus(Profile.from_expression("2*xi"))),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=key)
+                                   for key, build in _every_constructor()])
+def test_every_profile_has_a_numpy_form_equal_to_its_scalars(build):
+    profile = build()
+    assert profile._arrays is not None
+    lo, hi = profile.domain.as_tuple()
+    xs = grid_points(Interval(max(lo, -30.0), min(hi, 100.0)), 25)
+    jet = np.array(profile.jet(xs))
+    scalar = np.array([[fn(x) for x in xs] for fn in
+                       (profile.value, profile.d1, profile.d2)])
+    assert np.isfinite(jet).all()
+    assert jet.tobytes() == scalar.tobytes()

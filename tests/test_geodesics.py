@@ -175,6 +175,13 @@ class TestDomainsAndStatuses:
             integrate_geodesic(light_spec, np.zeros(4), np.ones(4),
                                yf0=[0.0], vf0=[0.0])
 
+    def test_samples_must_be_positive(self, light_spec):
+        y0, v0, yf0, vf0 = initial_data()
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples must be a positive"):
+                integrate_geodesic(light_spec, y0, v0, yf0, vf0,
+                                   samples=samples)
+
     def test_mode_validation(self, light_spec):
         with pytest.raises(ValueError, match="mode"):
             geodesic_rhs(light_spec, mode="hybrid")

@@ -474,7 +474,11 @@ class TestProfileJet:
         assert list(dict.fromkeys(x for x in seen if x in grid)) == grid
         for got, want in zip(jet, self._scalar(profile, self.XS)):
             assert np.array_equal(got, want)
-        assert profile.plus(Profile.from_expression("xi"))._arrays is None
+        summed = profile.plus(Profile.from_expression("xi"))
+        assert summed._arrays is not None
+        for got, want in zip(summed.jet(self.XS),
+                             self._scalar(summed, self.XS)):
+            assert np.array_equal(got, want)
 
     def test_fallback_skips_value_when_not_asked(self):
         def value(xi):

@@ -8,11 +8,11 @@ import pytest
 
 from yamabe import families, specio
 from yamabe.catalog import build_example
-from yamabe.errors import SpecValidationError
+from yamabe.errors import EvaluationError, SpecValidationError
 from yamabe.geodesics import integrate_geodesic
 from yamabe.geometry import SignatureSpec
 from yamabe.soliton import certify
-from yamabe.profiles import Interval, Profile
+from yamabe.profiles import Interval, Profile, grid_points
 
 BASE_DOC = {
     "n": 5, "d": 1,
@@ -240,6 +240,31 @@ class TestCsvWriters:
         xis = [float(line.split(",")[0])
                for line in buf.getvalue().splitlines()[1:]]
         assert all(0.0 < xi <= 10.0 for xi in xis)
+
+    @pytest.mark.parametrize("build", [
+        lambda: specio.load_document(doc_with())[0],
+        lambda: families.family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                                      xi_range=(-0.3, 0.4), n=3, d=3,
+                                      run_certify=False),
+    ], ids=["expression", "thm15"])
+    def test_profile_csv_equals_point_by_point_rendering(self, build):
+        spec = build()
+        buf = io.StringIO()
+        specio.write_profile_csv(spec, buf)
+        expected = ["xi,phi,f,h"] + [
+            ",".join(repr(float(v)) for v in (xi, spec.phi.value(xi),
+                                              spec.f.value(xi),
+                                              spec.h.value(xi)))
+            for xi in grid_points(spec.domain, 200)]
+        assert buf.getvalue() == "\n".join(expected) + "\n"
+
+    def test_profile_csv_raises_where_a_profile_cannot_be_evaluated(self):
+        doc = doc_with(profiles=dict(BASE_DOC["profiles"], f="sqrt(xi - 5)"))
+        spec, _ = specio.load_document(doc)
+        buf = io.StringIO()
+        with pytest.raises(EvaluationError):
+            specio.write_profile_csv(spec, buf, grid=10)
+        assert buf.getvalue() == "xi,phi,f,h\n"
 
     def test_portrait_csv_blocks(self):
         trajectories = families.phase_portrait(
