@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import BranchDomainError, EvaluationError, ExpressionSyntaxError
+from .errors import EvaluationError, ExpressionSyntaxError
 from .lambertw import lambert_w
 
 __all__ = [
@@ -231,29 +231,18 @@ def to_text(node: Node) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
-def _sec(x: float) -> float:
-    return 1.0 / math.cos(x)
-
-
-def _w(x: float) -> float:
-    return lambert_w(x, branch="principal")  # the module global, at call time
-
-
 # names a printed literal may use: repr(float) of a non-finite number
 _LITERALS = {"inf": math.inf, "nan": math.nan}
 
 
 def compile_callable(node: Node) -> Callable[[float], float]:
-    """The scalar form of the expression: at any point it returns a finite
-    float or raises EvaluationError."""
-    fn = _compile(node, _PY_FORMS, {"math": math, "_sec": _sec, "_W": _w})
+    """The expression at one point: ``compile_array`` on a one-element
+    array, returning a finite float or raising EvaluationError where that
+    entry is not finite."""
+    evaluate = compile_array(node)
 
     def call(xi: float) -> float:
-        try:
-            value = fn(xi)
-        except (ValueError, OverflowError, ZeroDivisionError,
-                BranchDomainError) as exc:
-            raise EvaluationError(f"cannot evaluate at xi={xi!r}: {exc}") from exc
+        value = float(evaluate(np.array([xi], dtype=float))[0])
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite value at xi={xi!r}")
         return value
@@ -262,21 +251,20 @@ def compile_callable(node: Node) -> Callable[[float], float]:
 
 
 def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
-    """The same source as ``compile_callable`` evaluated on a whole array at
-    once. Returns a float array shaped like its input, non-finite exactly
-    at the points where the scalar form raises EvaluationError.
+    """The expression evaluated on a whole array at once. Returns a float
+    array shaped like its input, NaN at every point where Python's float
+    arithmetic or math module raises on some step of the expression.
 
-    Python's float arithmetic and math functions raise where numpy returns
-    an infinity or a NaN, and a later step can turn that back into a finite
-    number (1/(1/xi) at 0, 1/(10^xi) where the power overflows). So every
-    division, power and function records where its scalar form would have
-    raised, and those points come back NaN.
+    numpy returns an infinity or a NaN where Python raises, and a later step
+    can turn that back into a finite number (1/(1/xi) at 0, 1/(10^xi) where
+    the power overflows). So every division, power and function records
+    where Python would have raised, and those points come back NaN.
 
     sin, cos and sqrt are numpy's, which on x86-64 round as libm does.
     numpy's SIMD exp, log, tan and power round differently in the last bit
     on some inputs, and derivatives amplify that past a few ulp, so those go
     through libm one element at a time (``^`` through ``np.float_power``).
-    W is ``lambert_w`` on the whole array, which equals its scalar form.
+    W is ``lambert_w`` on the whole array.
     """
     evaluate = compile_array_raw(node)
 
@@ -291,7 +279,8 @@ def compile_array_raw(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     """``compile_array`` without its floating-point context, for a caller
     that evaluates several expressions under one: it takes a float array
     and must run under ``np.errstate(all="ignore")``."""
-    fn = _compile(node, _ARRAY_FORMS, _ARRAY_NAMESPACE, "xi, _raised")
+    fn = eval(compile(f"lambda xi, _raised: {_pysrc(node)}", "<expression>",
+                      "eval"), {**_LITERALS, **_ARRAY_NAMESPACE})
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         raised = []
@@ -308,15 +297,8 @@ def compile_array_raw(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
-def _compile(node: Node, forms: dict[str, str], namespace: dict,
-             params: str = "xi"):
-    src = _pysrc(node, forms)
-    return eval(compile(f"lambda {params}: {src}", "<expression>", "eval"),
-                {**_LITERALS, **namespace})
-
-
 # The array helpers below take the list ``raised`` of the compiled array
-# form and append a boolean mask of the points where the scalar form of the
+# form and append a boolean mask of the points where Python's form of the
 # same step raises.
 
 def _elementwise(fn: Callable[[float], float], errors) -> Callable:
@@ -343,7 +325,7 @@ def _elementwise(fn: Callable[[float], float], errors) -> Callable:
 
 
 def _w_array(x, raised):
-    """W on an array: NaN, recorded, exactly where the scalar form raises."""
+    """W on an array: NaN, recorded, off the principal branch's domain."""
     out = lambert_w(np.atleast_1d(np.asarray(x, dtype=float)), "principal")
     nan = np.isnan(out)
     if np.count_nonzero(nan):
@@ -394,16 +376,12 @@ _ARRAY_NAMESPACE = {
     "_div": _div_array, "_pow": _pow_array,
 }
 
-_PY_FORMS = {"sin": "math.sin({})", "cos": "math.cos({})",
-             "tan": "math.tan({})", "sec": "_sec({})", "exp": "math.exp({})",
-             "ln": "math.log({})", "sqrt": "math.sqrt({})", "abs": "abs({})",
-             "W": "_W({})", "^": "math.pow({}, {})", "/": "({}/{})"}
 _ARRAY_FORMS = {**{fn: f"_{fn}({{}}, _raised)" for fn in FUNCTIONS},
                 "abs": "abs({})", "^": "_pow({}, {}, _raised)",
                 "/": "_div({}, {}, _raised)"}
 
 
-def _pysrc(node: Node, forms: dict[str, str]) -> str:
+def _pysrc(node: Node) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -411,13 +389,13 @@ def _pysrc(node: Node, forms: dict[str, str]) -> str:
     if isinstance(node, Const):
         return repr(CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return f"(-{_pysrc(node.arg, forms)})"
+        return f"(-{_pysrc(node.arg)})"
     if isinstance(node, Call):
-        return forms[node.fn].format(_pysrc(node.arg, forms))
+        return _ARRAY_FORMS[node.fn].format(_pysrc(node.arg))
     if isinstance(node, BinOp):
-        left, right = _pysrc(node.left, forms), _pysrc(node.right, forms)
-        if node.op in forms:
-            return forms[node.op].format(left, right)
+        left, right = _pysrc(node.left), _pysrc(node.right)
+        if node.op in _ARRAY_FORMS:
+            return _ARRAY_FORMS[node.op].format(left, right)
         return f"({left}{node.op}{right})"
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -483,7 +461,9 @@ def _diff(node: Node) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# the binary operations of the scalar form: ``^`` is math.pow there too
+# the binary operations of a fold, in Python's float arithmetic with ``^`` as
+# math.pow: both round as the array form's operators (``np.float_power`` is
+# libm's pow too), and where the array form marks a failure they raise
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv, "^": math.pow}
 

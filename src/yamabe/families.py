@@ -74,7 +74,7 @@ def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
                 k2 * (2.0 * dp * dp / (p * p * p) - ddp / (p * p))
                 if d2 else None)
 
-    return Profile.from_arrays(arrays, domain)
+    return Profile(arrays, domain)
 
 
 def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
@@ -96,7 +96,7 @@ def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
         return (values(xs) if value else None, k1 / (p * p),
                 -2.0 * k1 * dp / (p * p * p) if d2 else None)
 
-    return Profile.from_arrays(arrays, phi.domain)
+    return Profile(arrays, phi.domain)
 
 
 def _certify_or_raise(spec: WarpedSolitonSpec, run: bool,
@@ -310,7 +310,7 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
             h_mid.append(solve(np.array([mid]))[3][0])
         return cached(xs)[3] - h_mid[0]
 
-    return Profile.from_arrays(phi_arrays, interval), h_values
+    return Profile(phi_arrays, interval), h_values
 
 
 def _lambert_integral(p, q, k3, w_branch, u_w, s0):
@@ -473,7 +473,7 @@ def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
         return (phi if value else None, dphi,
                 _profile_ode(phi, dphi, p, q) if d2 else None)
 
-    return Profile.from_arrays(arrays, interval)
+    return Profile(arrays, interval)
 
 
 def _two_sided_solve(rhs, xi_c, y0, ends, what: str):
@@ -514,8 +514,7 @@ def _reflect(profile: Profile) -> Profile:
         v, e1, e2 = profile.jet(-xs, value=value, d2=d2)
         return v, -e1, e2
 
-    return Profile.from_arrays(
-        arrays, Interval(-profile.domain.hi, -profile.domain.lo))
+    return Profile(arrays, Interval(-profile.domain.hi, -profile.domain.lo))
 
 
 def family_thm16(k1: float, k2: float, k3: float = 0.0, k4: float = 0.0, *,
@@ -611,19 +610,25 @@ def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Profile]:
         return (h_val(sigma) if value else None, k1 / phi_sq,
                 -2.0 * k1 * dphi / (phi_sq * phi) if d2 else None)
 
-    return (Profile.from_arrays(phi_arrays, dom),
-            Profile.from_arrays(h_arrays, dom))
+    return Profile(phi_arrays, dom), Profile(h_arrays, dom)
 
 
 # --- constant-potential family (h' = 0, lambda_F = 0, any n, d) ----------------
 
 def riccati_residual(z: Profile, phi: Profile, n: int, d: int,
-                     xi: float) -> float:
-    """z^2 + 2 z'/(d+1) + (n+d-1)/(d (d+1)^2) (n (phi'/phi)^2 - 2 phi''/phi)."""
-    ratio = phi.d1(xi) / phi.value(xi)
+                     xi) -> np.ndarray:
+    """z^2 + 2 z'/(d+1) + (n+d-1)/(d (d+1)^2) (n (phi'/phi)^2 - 2 phi''/phi),
+    elementwise over the points xi, from one jet per profile; a float xi
+    gives a 0-d array."""
+    xs = np.asarray(xi, dtype=float)
+    (z_val, dz, _), (p, dp, ddp) = (z.jet(xs.ravel(), d2=False),
+                                    phi.jet(xs.ravel()))
     coeff = (n + d - 1) / (d * (d + 1.0) ** 2)
-    return (z.value(xi) ** 2 + 2.0 * z.d1(xi) / (d + 1.0)
-            + coeff * (n * ratio ** 2 - 2.0 * phi.d2(xi) / phi.value(xi)))
+    with np.errstate(all="ignore"):
+        ratio = dp / p
+        out = (z_val ** 2 + 2.0 * dz / (d + 1.0)
+               + coeff * (n * ratio ** 2 - 2.0 * ddp / p))
+    return out.reshape(xs.shape)
 
 
 def _riccati_potentials(z: Profile, interval: Interval, d: int):
@@ -679,7 +684,7 @@ def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
                 ddz + (-(d + 1.0) * (dz * w + z * dw) - (d + 1.0) * w * dw)
                 if d2 else None)
 
-    return Profile.from_arrays(arrays, interval)
+    return Profile(arrays, interval)
 
 
 def family_thm17(phi: Profile, z_p: Profile, C: float, *,
@@ -706,9 +711,9 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
     interval = Interval(*xi_range)
     phi.require_positive(interval, name="phi")
 
-    worst = max(abs(riccati_residual(z_p, phi, n, d, x))
-                for x in grid_points(interval, 64))
-    if worst > 1e-8:
+    worst = float(np.max(np.abs(riccati_residual(
+        z_p, phi, n, d, grid_points(interval, 64)))))
+    if not worst <= 1e-8:
         raise FamilyConstructionError(
             "z_p does not satisfy the profile Riccati equation: max residual "
             f"{worst:.3e} exceeds 1e-08")
@@ -741,7 +746,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
         return (f_val if value else None, f_val * ell,
                 f_val * (ell * ell + dell) if d2 else None)
 
-    f_profile = Profile.from_arrays(f_arrays, interval)
+    f_profile = Profile(f_arrays, interval)
     h_profile = Profile.constant(0.0, interval)
     spec = WarpedSolitonSpec(sig_, direction, d, 0.0, 0.0,
                              phi, f_profile, h_profile, interval,
@@ -804,7 +809,7 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
                 lambda_f * (6.0 * df * df / (f2 * f2) - 2.0 * ddf / (f2 * fv))
                 if d2 else None)
 
-    rho_profile = Profile.from_arrays(rho_arrays, f.domain)
+    rho_profile = Profile(rho_arrays, f.domain)
     h_profile = _h_from_phi(k1, phi, interval)
     spec = WarpedSolitonSpec(sig_, direction, d, rho_profile, lambda_f,
                              phi, f, h_profile, interval,

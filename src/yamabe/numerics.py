@@ -119,12 +119,11 @@ _INVERT_STEPS = 200
 def invert_monotone(g: Callable, target, bracket: tuple[float, float],
                     dg: Callable | None = None, start: float | None = None):
     """Solve g(x) = target for monotone g on a bracket (lo, hi) that
-    straddles the target.
+    straddles the target, elementwise over the array target: g and dg take
+    and return arrays of the same shape, and g may give NaN where it cannot
+    be evaluated. The result has the shape of target (0-d for a float).
 
-    target is a float, with g and dg taking and returning floats, or an
-    array, with g and dg taking and returning arrays of the same shape;
-    every element is then solved in lockstep, and an array g may give NaN
-    where it cannot be evaluated. Each element starts at start (default the
+    Every element is solved in lockstep. Each starts at start (default the
     bracket midpoint) and takes Newton steps with dg. A step that leaves
     the element's own bracket (its iterates on either side of its root, and
     those where g is NaN), and every step without dg, bisects that bracket
@@ -133,35 +132,29 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
     that clipping, so an element whose Newton steps stay inside it comes out
     the same solved alone or in any batch.
     """
-    scalar = np.ndim(target) == 0
     t = np.array(target, dtype=float).reshape(-1)
 
-    def call(fn, x):
-        if scalar:
-            return np.array([fn(v) for v in x.tolist()])
-        return np.asarray(fn(x), dtype=float)
-
     lo_end, hi_end = bracket
-    glo, ghi = call(g, np.array([lo_end, hi_end], dtype=float))[:, None] - t
+    glo, ghi = g(np.array([lo_end, hi_end], dtype=float))[:, None] - t
     bad = (glo != 0.0) & (ghi != 0.0) & ((glo < 0.0) == (ghi < 0.0))
     if np.count_nonzero(bad):
         raise RootFindError(
             f"bracket {bracket!r} does not straddle target "
-            f"{float(t[bad][0]) if not scalar else target!r}")
+            f"{float(t[bad][0])!r}")
 
     out = np.empty(len(t))
     idx = np.arange(len(t))
     x = prev = np.full(len(t), 0.5 * (lo_end + hi_end) if start is None
                        else float(start))
     lo, hi = np.full(len(t), -np.inf), np.full(len(t), np.inf)
-    r = call(g, x) - t
+    r = g(x) - t
     with np.errstate(all="ignore"):
         for _ in range(_INVERT_STEPS):
             # a point where g is NaN lies past a wall on the side the element
             # last moved to
             below = np.where(np.isnan(r), x < prev, (glo < 0.0) == (r < 0.0))
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-            x_new = x - r / call(dg, x) if dg is not None else np.nan * x
+            x_new = x - r / dg(x) if dg is not None else np.nan * x
             inside = (lo <= x_new) & (x_new <= hi)
             if not inside.all():
                 x_new = np.where(inside, x_new, 0.5 * (np.fmax(lo, lo_end)
@@ -174,9 +167,9 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
                                             (idx, lo, hi, glo, t, x, x_new))
             if not len(idx):
                 break
-            r = call(g, x) - t
+            r = g(x) - t
         out[idx] = x
-    return float(out[0]) if scalar else out.reshape(np.shape(target))
+    return out.reshape(np.shape(target))
 
 
 def _gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

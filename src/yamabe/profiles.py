@@ -1,14 +1,14 @@
 """Profiles: scalar functions of the invariance variable with two derivatives.
 
-A profile carries an open domain, three scalar callables (value, d1, d2) and
-a numpy form that evaluates all three on an array of points at once
-(``Profile.jet``). The expression constructor differentiates symbolically and
-compiles a form; ``from_arrays`` profiles (every family closure) are given by
-theirs; shifted, scaled and summed profiles compose their parents' forms; and
-the form of a ``from_callable`` profile runs its scalars point by point. The
-callable constructor falls back to central differences when derivatives are
-not supplied, which is why numeric-callback specs certify against a looser
-default tolerance.
+A profile is an open domain and a numpy form that evaluates value, d1 and d2
+on an array of points at once (``Profile.jet``); its scalar ``value``,
+``d1`` and ``d2`` are that form at one point. The expression constructor
+differentiates symbolically and compiles a form; every family closure is
+given by its own; shifted, scaled and summed profiles compose their
+parents' forms; and the form of a ``from_callable`` profile runs its scalars
+point by point. The callable constructor falls back to central differences
+when derivatives are not supplied, which is why numeric-callback specs
+certify against a looser default tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expressions
-from .errors import DomainError, PositivityError
+from .errors import DomainError, EvaluationError, PositivityError
 from .numerics import central_d1, central_d2
 
 __all__ = ["Interval", "Profile", "grid_points", "leading_jets",
@@ -70,14 +70,12 @@ def grid_points(interval: Interval, count: int) -> list[float]:
 
 
 class Profile:
-    """value/d1/d2 of one scalar profile, its declared open domain, and its
-    numpy form arrays(xs, value, d2): (value or None, d1, d2 or None) over
-    the float array xs of in-domain points, run with numpy's floating-point
-    errors ignored."""
+    """One scalar profile: its declared open domain and its numpy form
+    arrays(xs, value, d2): (value or None, d1, d2 or None) over the float
+    array xs of in-domain points, run with numpy's floating-point errors
+    ignored."""
 
-    def __init__(self, value: Callable[[float], float],
-                 d1: Callable[[float], float], d2: Callable[[float], float],
-                 arrays: Callable,
+    def __init__(self, arrays: Callable,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf),
                  *, source: Optional[str] = None,
                  analytic_derivatives: bool = True):
@@ -85,38 +83,39 @@ class Profile:
             domain = Interval(*domain)
         self.domain = domain
         self.source = source
-        self._value = value
-        self._d1 = d1
-        self._d2 = d2
         self._arrays = arrays
         self.analytic_derivatives = analytic_derivatives
 
-    def _check(self, xi: float) -> None:
+    def _at(self, xi: float, k: int) -> float:
+        """Entry k of the jet at the one point xi: DomainError outside the
+        domain, EvaluationError where the entry is not finite, and the
+        form's own exception where it raises."""
         if not self.domain.contains(xi):
             raise DomainError(
                 f"xi={xi!r} outside declared domain {self.domain.as_tuple()!r}")
+        got = _entry_at(self._arrays, xi, k)
+        if not math.isfinite(got):
+            raise EvaluationError(
+                f"non-finite {('value', 'd1', 'd2')[k]} at xi={xi!r}")
+        return got
 
     def value(self, xi: float) -> float:
-        self._check(xi)
-        return self._value(xi)
+        return self._at(xi, 0)
 
     def d1(self, xi: float) -> float:
-        self._check(xi)
-        return self._d1(xi)
+        return self._at(xi, 1)
 
     def d2(self, xi: float) -> float:
-        self._check(xi)
-        return self._d2(xi)
+        return self._at(xi, 2)
 
     __call__ = value
 
     def jet(self, xs, value: bool = True, d2: bool = True):
         """(value, d1, d2) as arrays over the 1-D points xs; value is None
-        unless asked for, and so is d2. Entries equal the scalar
-        ``value``/``d1``/``d2``.
+        unless asked for, and so is d2.
 
         The numpy form evaluates the whole array in one call; expression
-        profiles and those built on numpy (``from_arrays``, the wrappers)
+        profiles and those built on numpy (the families, the wrappers)
         return non-finite entries where they cannot be evaluated, and a
         ``from_callable`` profile runs its scalars point by point, in order,
         raising at the first failure. A form that raises propagates the
@@ -155,26 +154,8 @@ class Profile:
         ast = expressions.parse_expression(text)
         d1_ast = expressions.differentiate(ast)
         d2_ast = expressions.differentiate(d1_ast)
-        return cls(expressions.compile_callable(ast),
-                   expressions.compile_callable(d1_ast),
-                   expressions.compile_callable(d2_ast),
-                   _expression_arrays(ast, d1_ast, d2_ast),
-                   domain, source=text)
-
-    @classmethod
-    def from_arrays(cls, arrays: Callable,
-                    domain: Interval | tuple[float, float]) -> "Profile":
-        """A profile given by its numpy form alone. value, d1 and d2 at a
-        point are that form on a one-element array, so they equal the jet's
-        entries wherever the form treats each point apart from the others."""
-        def at(k):
-            def scalar(xi):
-                with np.errstate(all="ignore"):
-                    return float(arrays(np.array([xi], dtype=float),
-                                        k == 0, k == 2)[k][0])
-            return scalar
-
-        return cls(at(0), at(1), at(2), arrays, domain)
+        return cls(_expression_arrays(ast, d1_ast, d2_ast), domain,
+                   source=text)
 
     @classmethod
     def from_callable(cls, value: Callable[[float], float],
@@ -183,39 +164,37 @@ class Profile:
                       d2: Optional[Callable[[float], float]] = None) -> "Profile":
         """A profile given by scalar callables; a missing derivative comes
         from central differences of value, and the profile is then marked
-        numeric. Its numpy form runs the scalars point by point."""
+        numeric. Its numpy form runs the scalars point by point, so a
+        one-point ``value`` runs the d1 callable as well."""
         analytic = d1 is not None and d2 is not None
         if d1 is None:
             d1 = lambda xi: central_d1(value, xi)
         if d2 is None:
             d2 = lambda xi: central_d2(value, xi)
-        return cls(value, d1, d2, _pointwise(value, d1, d2), domain,
+        return cls(_pointwise(value, d1, d2), domain,
                    analytic_derivatives=analytic)
 
     @classmethod
     def constant(cls, c: float,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf)
                  ) -> "Profile":
-        zero = lambda xi: 0.0
         arrays = lambda xs, value, d2: (
             np.full(xs.shape, float(c)) if value else None,
             np.zeros(xs.shape), np.zeros(xs.shape) if d2 else None)
-        return cls(lambda xi: c, zero, zero, arrays, domain,
-                   source=repr(float(c)))
+        return cls(arrays, domain, source=repr(float(c)))
 
     # -- wrappers (used by invariance checks and families) ----------------
 
     def shifted(self, c: float) -> "Profile":
-        """Profile + c; derivatives are shared, so residuals that depend only
-        on derivatives are bitwise unchanged."""
+        """Profile + c; derivatives are the parent's arrays, so residuals
+        that depend only on derivatives are bitwise unchanged."""
         arrays = self._arrays
 
         def shifted_arrays(xs, value, d2):
             v, e1, e2 = arrays(xs, value, d2)
             return (v + c if value else None, e1, e2)
 
-        return Profile(lambda xi: self._value(xi) + c, self._d1, self._d2,
-                       shifted_arrays, self.domain,
+        return Profile(shifted_arrays, self.domain,
                        analytic_derivatives=self.analytic_derivatives)
 
     def scaled(self, c: float) -> "Profile":
@@ -225,10 +204,7 @@ class Profile:
             v, e1, e2 = arrays(xs, value, d2)
             return (c * v if value else None, c * e1, c * e2 if d2 else None)
 
-        return Profile(lambda xi: c * self._value(xi),
-                       lambda xi: c * self._d1(xi),
-                       lambda xi: c * self._d2(xi), scaled_arrays,
-                       self.domain,
+        return Profile(scaled_arrays, self.domain,
                        analytic_derivatives=self.analytic_derivatives)
 
     def plus(self, other: "Profile") -> "Profile":
@@ -240,25 +216,24 @@ class Profile:
             return (v + w if value else None, a1 + b1,
                     a2 + b2 if d2 else None)
 
-        return Profile(lambda xi: self._value(xi) + other._value(xi),
-                       lambda xi: self._d1(xi) + other._d1(xi),
-                       lambda xi: self._d2(xi) + other._d2(xi), sum_arrays,
-                       self.domain.clipped(other.domain),
+        return Profile(sum_arrays, self.domain.clipped(other.domain),
                        analytic_derivatives=(self.analytic_derivatives
                                              and other.analytic_derivatives))
 
     def require_positive(self, interval: Interval,
                          name: str = "profile") -> None:
         """Positivity check at 64 points of the margin-clipped interval,
-        through the numpy form. The first point that fails is evaluated
-        again through the scalar value, so the error is the one a
-        point-by-point check raises there."""
+        through the numpy form. The first point that fails raises
+        PositivityError, or EvaluationError where the value is not
+        finite; a point the form raises at raises that."""
         pts = grid_points(interval, 64)
         (values, _, _), error = self._leading_jet(np.array(pts), True, False)
-        for xi, v in zip(pts, values):
+        for xi, v in zip(pts, values.tolist()):
             if not v > 0.0:
+                if not math.isfinite(v):
+                    raise EvaluationError(f"non-finite {name} at xi={xi!r}")
                 raise PositivityError(f"{name} must stay positive; "
-                                      f"{name}({xi!r}) = {self._value(xi)!r}")
+                                      f"{name}({xi!r}) = {v!r}")
         if error is not None:
             raise error
 
@@ -266,6 +241,12 @@ class Profile:
         src = f" source={self.source!r}" if self.source else ""
         return (f"Profile(domain={self.domain.as_tuple()!r},"
                 f" analytic={self.analytic_derivatives}{src})")
+
+
+@np.errstate(all="ignore")
+def _entry_at(arrays, xi: float, k: int) -> float:
+    """Entry k of the numpy form on the one-element array [xi]."""
+    return float(arrays(np.array([xi], dtype=float), k == 0, k == 2)[k][0])
 
 
 def _longest_prefix(numpy_form, n: int, error: Exception):
@@ -323,8 +304,8 @@ def masked_jet(profile: Profile, xs: np.ndarray, errors):
 
 def _expression_arrays(*nodes):
     """Numpy form of an expression profile from the ASTs of its value, d1 and
-    d2. Each is compiled on first use, so building a profile costs what it
-    did before any array evaluation existed."""
+    d2. Each is compiled on first use, so building a profile compiles
+    nothing."""
     compiled = [None] * len(nodes)
 
     def arrays(xs, value, d2):

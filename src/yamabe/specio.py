@@ -36,7 +36,7 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from . import families
-from .errors import SpecValidationError, YamabeError
+from .errors import EvaluationError, SpecValidationError, YamabeError
 from .geometry import SignatureSpec, TranslationDirection
 from .profiles import Interval, Profile, grid_points
 from .soliton import ResidualReport, WarpedSolitonSpec
@@ -311,17 +311,17 @@ def _fmt(x: float) -> str:
 def write_profile_csv(spec: WarpedSolitonSpec, out: IO, grid: int = 200,
                       interval: Optional[Interval] = None) -> None:
     """Samples of (phi, f, h) on the margin-clipped grid, one jet per
-    profile. Header: xi,phi,f,h. A row with a non-finite sample is
-    evaluated again through the scalar values, which raise where the
-    profile cannot be evaluated."""
+    profile. Header: xi,phi,f,h. A row with a non-finite sample raises
+    EvaluationError naming the profile and the point."""
     where = (interval or spec.domain).clipped(spec.domain)
     xs = grid_points(where, grid)
     profiles = (spec.phi, spec.f, spec.h)
     columns = [profile.jet(xs, d2=False)[0].tolist() for profile in profiles]
     out.write("xi,phi,f,h\n")
     for xi, *row in zip(xs, *columns):
-        if not all(map(math.isfinite, row)):
-            row = [profile.value(xi) for profile in profiles]
+        for name, v in zip(("phi", "f", "h"), row):
+            if not math.isfinite(v):
+                raise EvaluationError(f"non-finite {name} at xi={xi!r}")
         out.write(",".join(map(_fmt, [xi] + row)))
         out.write("\n")
 

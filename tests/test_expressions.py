@@ -5,15 +5,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yamabe.errors import EvaluationError, ExpressionSyntaxError
-from yamabe.expressions import (FUNCTIONS, BinOp, Call, Const, Neg, Num, Var,
-                                _simplify, compile_array, compile_callable,
-                                differentiate, parse_expression, to_text)
+from yamabe.errors import (BranchDomainError, EvaluationError,
+                           ExpressionSyntaxError)
+from yamabe.expressions import (CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg,
+                                Num, Var, _simplify, compile_array,
+                                compile_callable, differentiate,
+                                parse_expression, to_text)
+from yamabe.lambertw import lambert_w
 from yamabe.numerics import central_d1
 
 
 def ev(text, xi):
     return compile_callable(parse_expression(text))(xi)
+
+
+# An independent scalar evaluator to hold the compiled array form to: the
+# expression in Python's float arithmetic and math module, one point at a
+# time, raising EvaluationError where a step raises or the value is not
+# finite.
+_PY_FORMS = {"sin": "math.sin({})", "cos": "math.cos({})",
+             "tan": "math.tan({})", "sec": "_sec({})", "exp": "math.exp({})",
+             "ln": "math.log({})", "sqrt": "math.sqrt({})", "abs": "abs({})",
+             "W": "_W({})", "^": "math.pow({}, {})"}
+
+
+def _sec(x):
+    return 1.0 / math.cos(x)
+
+
+def _w(x):
+    return lambert_w(x, branch="principal")
+
+
+def _py_source(node):
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return "xi"
+    if isinstance(node, Const):
+        return repr(CONSTANTS[node.name])
+    if isinstance(node, Neg):
+        return f"(-{_py_source(node.arg)})"
+    if isinstance(node, Call):
+        return _PY_FORMS[node.fn].format(_py_source(node.arg))
+    left, right = _py_source(node.left), _py_source(node.right)
+    if node.op == "^":
+        return _PY_FORMS["^"].format(left, right)
+    return f"({left}{node.op}{right})"
+
+
+def reference(node):
+    fn = eval(f"lambda xi: {_py_source(node)}",
+              {"math": math, "_sec": _sec, "_W": _w, "inf": math.inf,
+               "nan": math.nan})
+
+    def call(xi):
+        try:
+            value = fn(xi)
+        except (ValueError, OverflowError, ZeroDivisionError,
+                BranchDomainError) as exc:
+            raise EvaluationError(f"cannot evaluate at xi={xi!r}: {exc}")
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite value at xi={xi!r}")
+        return value
+
+    return call
 
 
 class TestParsing:
@@ -101,16 +157,18 @@ class TestEvaluation:
     def test_array_fails_where_the_scalar_raises(self, text, bad, good):
         node = parse_expression(text)
         with pytest.raises(EvaluationError):
+            reference(node)(bad)
+        with pytest.raises(EvaluationError):
             compile_callable(node)(bad)
         got = compile_array(node)(np.array([bad, good]))
         assert np.isnan(got[0])
-        assert got[1] == compile_callable(node)(good)
+        assert got[1] == reference(node)(good) == compile_callable(node)(good)
 
     def test_array_keeps_infinities_the_scalar_form_keeps(self):
         # a float product overflows to inf without raising, so both forms
         # give 1/inf = 0
         node = parse_expression("1/(xi*1e308*10)")
-        assert compile_callable(node)(1.0) == 0.0
+        assert reference(node)(1.0) == 0.0
         assert compile_array(node)(np.array([1.0])).tolist() == [0.0]
 
 
@@ -129,17 +187,21 @@ class TestFolding:
         node = BinOp(op, Num(a), Num(b))
         assert _simplify(node) == node
         with pytest.raises(EvaluationError):
-            compile_callable(_simplify(node))(1.0)
+            reference(_simplify(node))(1.0)
+        assert not np.isfinite(compile_array(_simplify(node))(np.ones(1))[0])
 
     def test_overflowing_derivative_is_not_folded(self):
         # d/dxi (xi*1e308*10) = 1e308*10: evaluating it overflows
+        node = differentiate(parse_expression("xi*1e308*10"))
         with pytest.raises(EvaluationError):
-            compile_callable(differentiate(parse_expression("xi*1e308*10")))(1.0)
+            reference(node)(1.0)
+        assert np.isinf(compile_array(node)(np.ones(1))[0])
 
 
 # random trees over every function, every operator and signed literals: the
-# scalar form returns a finite float or raises EvaluationError, and the array
-# form never raises
+# scalar form returns a finite float or raises EvaluationError, the array
+# form never raises, and it is the reference evaluator wherever that is
+# finite
 _signed_leaf = st.one_of(
     st.builds(Num, st.floats(min_value=0.0, max_value=10.0)),
     st.builds(lambda v: Neg(Num(v)), st.floats(min_value=0.0, max_value=10.0)),
@@ -179,12 +241,16 @@ class TestErrorContract:
         xs = np.array(xis, dtype=float)
         for tree in (node, differentiate(node)):
             got = compile_array(tree)(xs)
-            scalar = compile_callable(tree)
-            for xi, entry in zip(xis, got):
+            scalar = reference(tree)
+            for xi, entry in zip(xis, got.tolist()):
                 try:
-                    scalar(xi)
+                    want = scalar(xi)
                 except EvaluationError:
                     assert not math.isfinite(entry)
+                    continue
+                # bitwise: equal, and with the sign of a zero
+                assert (entry, math.copysign(1.0, entry)) \
+                    == (want, math.copysign(1.0, want))
 
 
 # random ASTs for the print -> parse round trip; literals stay non-negative

@@ -643,7 +643,6 @@ def _every_constructor():
                                    for key, build in _every_constructor()])
 def test_every_profile_has_a_numpy_form_equal_to_its_scalars(build):
     profile = build()
-    assert profile._arrays is not None
     lo, hi = profile.domain.as_tuple()
     xs = grid_points(Interval(max(lo, -30.0), min(hi, 100.0)), 25)
     jet = np.array(profile.jet(xs))

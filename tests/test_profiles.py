@@ -112,10 +112,13 @@ class TestWrappers:
         p = Profile.from_expression("sin(xi)")
         q = p.shifted(7.0)
         assert q.value(0.3) == p.value(0.3) + 7.0
-        # bitwise identical derivatives, not merely close: the callables are
-        # literally the same objects
-        assert q._d1 is p._d1
-        assert q._d2 is p._d2
+        # bitwise identical derivatives, not merely close: the shifted form
+        # passes its parent's d1 and d2 arrays through
+        xs = np.linspace(-2.0, 2.0, 17)
+        (_, p1, p2), (_, q1, q2) = p.jet(xs), q.jet(xs)
+        assert q1.tobytes() == p1.tobytes() and q2.tobytes() == p2.tobytes()
+        for x in xs.tolist():
+            assert (q.d1(x), q.d2(x)) == (p.d1(x), p.d2(x))
 
     def test_scaled(self):
         p = Profile.from_expression("exp(xi)").scaled(-2.0)
@@ -159,7 +162,7 @@ class TestFromArrays:
                 raise EvaluationError(f"past the wall at {xs.max()!r}")
             return (xs + 1.0 if value else None, np.ones(len(xs)),
                     np.zeros(len(xs)) if d2 else None)
-        return Profile.from_arrays(arrays, (-2.0, 2.0))
+        return Profile(arrays, (-2.0, 2.0))
 
     def test_scalar_calls_are_the_form_at_one_point(self):
         profile = self.walled()

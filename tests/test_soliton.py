@@ -454,7 +454,6 @@ class TestProfileJet:
         q = Profile.from_expression("xi^2", (-1.5, 1.5))
         for profile in (p.shifted(2.5), p.scaled(-3.0), p.plus(q),
                         Profile.constant(4.0, (-1.5, 1.5))):
-            assert profile._arrays is not None
             for got, want in zip(profile.jet(self.XS),
                                  self._scalar(profile, self.XS)):
                 assert np.all(np.abs(got - want)
@@ -475,7 +474,6 @@ class TestProfileJet:
         for got, want in zip(jet, self._scalar(profile, self.XS)):
             assert np.array_equal(got, want)
         summed = profile.plus(Profile.from_expression("xi"))
-        assert summed._arrays is not None
         for got, want in zip(summed.jet(self.XS),
                              self._scalar(summed, self.XS)):
             assert np.array_equal(got, want)
