@@ -17,6 +17,7 @@ solver progress on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -77,6 +78,7 @@ _POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
                      "a positive finite number")
 _COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _POSITIVE_COUNT = _checked(int, lambda n: n > 0, "a positive integer")
+_GRID = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
 def _finite_components(flag: str, text: str) -> tuple[float, ...]:
@@ -94,21 +96,22 @@ def _ints(text: str) -> tuple[int, ...]:
             from exc
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file at path, opened for writing and closed on exit, or stdout
+    (left open) for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(text)
         if not text.endswith("\n"):
             out.write("\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _build_parser() -> _Parser:
@@ -120,9 +123,9 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", parents=[], help="certify a document")
     p_verify.add_argument("document", help="path to a problem JSON document")
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_POSITIVE, default=None,
                           help="residual tolerance (default: by profile kind)")
-    p_verify.add_argument("--grid", type=int, default=None,
+    p_verify.add_argument("--grid", type=_GRID, default=None,
                           help="number of grid points (default 200)")
     p_verify.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
                           help="check subinterval (default: document domain)")
@@ -166,8 +169,8 @@ def _build_parser() -> _Parser:
                           help="Riccati solution expression (thm17)")
     p_family.add_argument("--c-const", type=float, default=1.0,
                           help="integration constant C (thm17)")
-    p_family.add_argument("--tol", type=float, default=None)
-    p_family.add_argument("--grid", type=int, default=None)
+    p_family.add_argument("--tol", type=_POSITIVE, default=None)
+    p_family.add_argument("--grid", type=_GRID, default=None)
     p_family.add_argument("--out-doc", default=None,
                           help="write the round-trippable document JSON here")
     p_family.add_argument("--out-csv", default=None,
@@ -223,7 +226,7 @@ def _build_parser() -> _Parser:
     p_examples = sub.add_parser("examples", help="run the bundled catalog")
     p_examples.add_argument("--out-dir", default=None,
                             help="write per-example profile CSVs here")
-    p_examples.add_argument("--grid", type=int, default=None)
+    p_examples.add_argument("--grid", type=_GRID, default=None)
     return parser
 
 
@@ -294,12 +297,8 @@ def _cmd_family(args) -> int:
     if args.out_doc:
         _emit(json.dumps(doc, indent=2), args.out_doc)
     if args.out_csv:
-        out, close = _open_out(args.out_csv)
-        try:
+        with _output(args.out_csv) as out:
             specio.write_profile_csv(spec, out, grid=args.grid or 200)
-        finally:
-            if close:
-                out.close()
     payload = {"document": doc, "report": report.to_dict()}
     print(json.dumps(payload, indent=2))
     return _VERDICT_EXIT[report.verdict]
@@ -324,12 +323,8 @@ def _cmd_portrait(args) -> int:
         initials, tuple(args.xi_range), k1=args.k1, k2=args.k2,
         lambda_f=args.lambda_f, q_variant=args.q_variant,
         start_xi=args.start_xi, points_per_side=args.points)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         specio.write_portrait_csv(trajectories, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -366,12 +361,8 @@ def _cmd_geodesic(args) -> int:
         spec, *state,
         s_span=tuple(args.s_span), mode=args.mode, samples=args.samples,
         rtol=args.rtol, atol=args.atol)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         specio.write_geodesic_csv(result, spec.n, spec.d, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -392,8 +383,8 @@ def _cmd_examples(args) -> int:
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, f"{key}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                specio.write_profile_csv(spec, fh, grid=args.grid or 200,
+            with _output(path) as out:
+                specio.write_profile_csv(spec, out, grid=args.grid or 200,
                                          interval=interval)
     return worst_exit
 

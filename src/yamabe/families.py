@@ -151,9 +151,11 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     integrates the profile ODE from (phi0, u(phi0) phi0^3) and h' in xi. The
     three profiles have numpy forms: one inversion (or one evaluation of the
     dense ODE solution) per array of points serves all their jets, and
-    value/d1/d2 at a point are that form on a one-element array. Every
-    inversion is bracketed to cover the margin-clipped xi_range, so a point
-    there comes out the same in any array.
+    value/d1/d2 at a point are that form on a one-element array. The
+    quadrature inverts in s = phi^-2 on the relation's maximal interval,
+    which has a closed form (``_s_interval``): every inversion shares that
+    bracket, so a point comes out the same in any array, and a range that
+    leaves the interval raises FamilyConstructionError naming it.
     """
     if n + d != 6:
         raise FamilyConstructionError(
@@ -219,10 +221,14 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
     """phi of the quadrature construction, and h's values, as numpy forms
     that share one solve per array of points (the last one is kept).
 
-    In s = phi^-2 the travel integral is int_phi0^phi dt/(u t^3) =
+    In s = phi^-2 the travel integral is T(s) = int_phi0^phi dt/(u t^3) =
     -1/2 int_s0^s ds'/u and h = k1 int dt/(u t^5) = -k1/2 int_s0^s s' ds'/u
     (plus a constant), both on the Gauss-Legendre panels of
-    ``gauss_legendre``.
+    ``gauss_legendre``. xi + k4 = T(s) is inverted in s on the maximal
+    interval of ``_s_interval``, one bracket for every solve: where that
+    interval is unbounded above, its upper end is doubled from 2 s0 until T
+    passes the far end of xi_range + k4 or stops moving, in at most 80
+    steps; a step to where T is NaN is halved instead.
     """
     s0 = 1.0 / (phi0 * phi0)
 
@@ -239,50 +245,51 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
             u = np.full(len(s), -q / p)
             return 1.0 / np.sqrt(s), u, 0.0 * u, (k1 * p / (4.0 * q)) * (s * s)
     else:
+        lo, hi = _s_interval(p, q, k3, w_branch)
+        if not lo < s0 < hi:
+            raise FamilyConstructionError(
+                "the implicit relation is not defined at the anchor "
+                f"phi0={phi0!r}")
         integral = _lambert_integral(p, q, k3, w_branch, u_w, s0)
 
-        def travel(phi):
-            s = np.where(phi > 0.0, 1.0 / (phi * phi), np.nan)
+        def travel(s):
             return -0.5 * integral(0, s)
 
-        def slope(phi):
-            return 1.0 / (u_w(1.0 / (phi * phi))[0] * (phi * phi * phi))
+        if math.isinf(hi):
+            rising = u_w(s0)[0] < 0.0
+            far = (interval.hi if rising else interval.lo) + k4
+            hi, t_hi, nan_at = s0, 0.0, math.inf
+            for _ in range(80):
+                # T is NaN where exp(c s^2) overflows, or underflows on the
+                # lower branch; steps stop short of that
+                cand = min(2.0 * hi, 0.5 * (hi + nan_at))
+                t = float(travel(np.array([cand]))[0])
+                if math.isnan(t):
+                    nan_at = cand
+                    continue
+                if t == t_hi:
+                    break
+                hi, t_hi = cand, t
+                if (t >= far) if rising else (t <= far):
+                    break
+        bounds = sorted(travel(np.array([lo, hi])).tolist())
 
-        # the bracket search visits the same points for every target; a
-        # point past a wall is NaN
-        probes: dict = {}
-        brackets: dict = {}
+        def check(xs):
+            outside = xs[~((bounds[0] <= xs + k4) & (xs + k4 <= bounds[1]))]
+            if len(outside):
+                raise FamilyConstructionError(
+                    f"xi target {float(outside[0])!r} lies outside the "
+                    f"maximal interval ({bounds[0] - k4!r}, {bounds[1] - k4!r})"
+                    " of the implicit relation")
 
-        def probe(phi):
-            if phi not in probes:
-                probes[phi] = float(travel(np.array([phi]))[0])
-            return probes[phi]
-
-        def bracket_for(target):
-            if target not in brackets:
-                brackets[target] = _expand_bracket_positive(probe, target,
-                                                            phi0)
-            return brackets[target]
-
-        # the bracket of every solve covers the margin-clipped range, so a
-        # point there comes out the same in any array; on a range that
-        # reaches past a wall each array has its own, and the first point
-        # past the wall names itself in the error
-        edges = [x + k4 for x in grid_points(interval, 2)]
+        # a range past the interval fails here, before any inversion
+        check(np.array(grid_points(interval, 2)))
 
         def solve(xs):
-            targets = xs + k4
-            try:
-                ends = [bracket_for(t) for t in edges]
-            except FamilyConstructionError:
-                ends, edges[:] = [], []
-            ends += [bracket_for(t) for t in {float(targets.min()),
-                                              float(targets.max())}
-                     if not (edges and edges[0] <= t <= edges[1])]
-            bracket = (min(lo for lo, _ in ends), max(hi for _, hi in ends))
-            phi = invert_monotone(travel, targets, bracket, dg=slope,
-                                  start=phi0)
-            s = 1.0 / (phi * phi)
+            check(xs)
+            s = invert_monotone(travel, xs + k4, (lo, hi),
+                                dg=lambda s: -0.5 / u_w(s)[0], start=s0)
+            phi = 1.0 / np.sqrt(s)
             u, w = u_w(s)
             h = -0.5 * k1 * integral(1, s)
             return phi, u, -p * w * (s * s) / ((1.0 + w) * phi), h
@@ -313,6 +320,19 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
     return Profile(phi_arrays, interval), h_values
 
 
+def _s_interval(p, q, k3, w_branch):
+    """The open interval (lo, hi) of s = phi^-2 > 0 on which u is defined
+    and nonzero (k3 != 0): W's argument k3 exp(c s^2) stays on the branch
+    and off the branch point -1/e, where W = -1. For k3 < 0 that point is
+    the wall s_w, s_w^2 = (ln(-1/k3) - 1)/c (Corless et al., "On the
+    Lambert W function", 1996). An empty interval is (0, 0)."""
+    if k3 > 0.0:
+        return (0.0, math.inf) if w_branch == "principal" else (0.0, 0.0)
+    c = -p * p / (4.0 * q)
+    wall = math.sqrt(max((math.log(-1.0 / k3) - 1.0) / c, 0.0))
+    return (0.0, wall) if c > 0.0 else (wall, math.inf)
+
+
 def _lambert_integral(p, q, k3, w_branch, u_w, s0):
     """int_s0^s t^power/u(t) dt over an array s, NaN where it cannot be
     evaluated, on Gauss-Legendre panels.
@@ -321,19 +341,23 @@ def _lambert_integral(p, q, k3, w_branch, u_w, s0):
     the inverse square root of the distance, and W's rounding there is more
     noise than the panels' error estimate can absorb. Between s_n, where
     W = w_n = -1 -+ 1/4, and the wall the integral runs in w = W instead:
-    w + ln(w/k3) = c s^2 gives dt/u = (2/p) dw/(w s(w)), smooth at w = -1.
+    w + ln(w/k3) = c s^2 gives dt/u = (2/p) dw/(w s(w)), smooth at w = -1,
+    which it takes at the wall itself.
     """
     def far(power, a, b):
         return gauss_legendre(lambda t: t ** power / u_w(t)[0], a, b)
 
     c = -p * p / (4.0 * q)
     w_n = -0.75 if w_branch == "principal" else -1.25
-    squares = [(w + math.log(w / k3)) / c for w in (w_n, -1.0)] \
-        if k3 < 0.0 else [-1.0]
-    if not min(squares) > 0.0:
+    # the end of the maximal interval where W = -1, if k3 < 0
+    ends = _s_interval(p, q, k3, w_branch)
+    wall = ends[1] if c > 0.0 else ends[0]
+    square = ((w_n + math.log(w_n / k3)) / c if 0.0 < wall < math.inf
+              else -1.0)
+    if not square > 0.0:
         return lambda power, s: far(power, s0, s)
-    s_n = math.sqrt(squares[0])
-    lo, hi = sorted((s_n, math.sqrt(squares[1])))
+    s_n = math.sqrt(square)
+    lo, hi = sorted((s_n, wall))
     # the path s0 -> s cannot cross the wall, so its part between lo and hi
     # runs from a = clip(s0) to clip(s), and the rest in s
     a = min(max(s0, lo), hi)
@@ -346,7 +370,8 @@ def _lambert_integral(p, q, k3, w_branch, u_w, s0):
 
     def integral(power, s):
         b = np.clip(s, lo, hi)
-        w_b, inside = np.full(b.shape, w_n), b != s_n
+        w_b = np.where(b == s_n, w_n, -1.0)
+        inside = (b != s_n) & (b != wall)
         if np.count_nonzero(inside):
             w_b[inside] = u_w(b[inside])[1]
         same = b == a
@@ -356,93 +381,6 @@ def _lambert_integral(p, q, k3, w_branch, u_w, s0):
                     lambda w: s_of(w) ** (power - 1) / w, w_a, w_b))
 
     return integral
-
-
-def _expand_bracket_positive(g, target, x0):
-    """Multiplicative bracket search on the positive axis: each step halves
-    the lower end and doubles the upper one, at most 80 times.
-
-    The implicit relation is typically only defined on a sub-ray of phi > 0
-    (the W argument leaves its branch domain, or the integrand hits the
-    u = 0 turning point), and g is NaN past it. Such failures act as hard
-    walls: the search creeps up to them by bisection instead of stepping
-    across, once the target may lie past the wall (g moves away from it at
-    the other end, or the other end is walled too).
-    """
-
-    def probe(x):
-        gx = g(x) - target
-        return None if math.isnan(gx) else gx
-
-    def creep(good, gval, bad, gref):
-        # tighten the valid endpoint toward the wall between good and bad
-        for _ in range(60):
-            mid = 0.5 * (good + bad)
-            gm = probe(mid)
-            if gm is None:
-                bad = mid
-            else:
-                good, gval = mid, gm
-                if gval == 0.0 or opposite(gval, gref):
-                    break
-            if abs(bad - good) <= 1e-14 * max(1.0, abs(good)):
-                break
-        return good, gval
-
-    g0 = probe(x0)
-    if g0 is None:
-        raise FamilyConstructionError(
-            f"the implicit relation is not defined at the anchor phi0={x0!r}")
-    lo, glo = x0, g0
-    hi, ghi = x0, g0
-    lo_wall = hi_wall = False
-    lo_bad = hi_bad = None      # a probe past a wall not crept toward yet
-    lo_flat = hi_flat = False   # the last step left g where it was
-    for _ in range(80):
-        if glo == 0.0:
-            return lo, lo
-        if ghi == 0.0:
-            return hi, hi
-        if opposite(glo, ghi):
-            return (lo, hi) if lo < hi else (hi, lo)
-        if not lo_wall:
-            cand = lo / 2.0
-            gc = probe(cand)
-            if gc is None:
-                lo_wall, lo_bad = True, cand
-            else:
-                lo, glo, lo_flat = cand, gc, gc == glo
-        if not hi_wall:
-            cand = hi * 2.0
-            gc = probe(cand)
-            if gc is None:
-                hi_wall, hi_bad = True, cand
-            else:
-                hi, ghi, hi_flat = cand, gc, gc == ghi
-        if glo == 0.0 or ghi == 0.0 or opposite(glo, ghi):
-            continue
-        # creep toward a wall once the target may lie past it: the other end
-        # is walled or flat, or g moves away from the target there
-        if lo_bad is not None and (hi_wall or hi_flat
-                                   or abs(ghi) >= abs(g0)):
-            lo, glo = creep(lo, glo, lo_bad, g0)
-            lo_bad = None
-        if hi_bad is not None and (lo_wall or lo_flat
-                                   or abs(glo) >= abs(g0)):
-            hi, ghi = creep(hi, ghi, hi_bad, g0)
-            hi_bad = None
-        if (lo_wall and hi_wall and glo != 0.0 and ghi != 0.0
-                and not opposite(glo, ghi)):
-            raise FamilyConstructionError(
-                f"xi target {target!r} lies outside the maximal interval of "
-                f"the implicit relation (phi walls near ({lo!r}, {hi!r}))")
-        # g has saturated at every open end, so no further step brackets
-        if ((lo_wall or lo_flat) and (hi_wall or hi_flat)
-                and lo_bad is None and hi_bad is None):
-            break
-    raise FamilyConstructionError(
-        f"could not bracket phi for target {target!r}; the relation may be "
-        "singular inside the requested range")
 
 
 def _profile_ode(phi, dphi, p, q):

@@ -14,7 +14,7 @@ Two dynamics modes are provided:
     force on the base and the mixed fiber terms.
 
 The modes genuinely disagree on some metrics (the conformal terms can
-drive finite-parameter blowup), so completeness probes report both and the
+drive finite-parameter blowup), so a completeness probe reports both and the
 comparison helper logs a note when the completion fractions differ.
 
 Every integration goes through ``numerics.solve_ivp``, which advances a

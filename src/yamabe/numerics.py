@@ -128,9 +128,10 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
     the element's own bracket (its iterates on either side of its root, and
     those where g is NaN), and every step without dg, bisects that bracket
     clipped to the given one instead. An element stops when its step falls
-    below 1e-15 relative. The given bracket enters the iterates only through
-    that clipping, so an element whose Newton steps stay inside it comes out
-    the same solved alone or in any batch.
+    below 1e-15 relative or returns to its previous iterate. The given
+    bracket enters the iterates only through that clipping, so an element
+    whose Newton steps stay inside it comes out the same solved alone or in
+    any batch.
     """
     t = np.array(target, dtype=float).reshape(-1)
 
@@ -160,8 +161,10 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
                 x_new = np.where(inside, x_new, 0.5 * (np.fmax(lo, lo_end)
                                                        + np.fmin(hi, hi_end)))
             hit = r == 0.0
-            stop = hit | (np.abs(x_new - x)
-                          <= 1e-15 * np.maximum(1.0, np.abs(x_new)))
+            # a step back to the previous iterate is a two-cycle about a
+            # root that g does not resolve any finer
+            stop = hit | (x_new == prev) | (
+                np.abs(x_new - x) <= 1e-15 * np.maximum(1.0, np.abs(x_new)))
             out[idx[stop]] = np.where(hit, x, x_new)[stop]
             idx, lo, hi, glo, t, prev, x = (a[~stop] for a in
                                             (idx, lo, hi, glo, t, x, x_new))

@@ -29,6 +29,7 @@ dump/load round trip bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from typing import IO, Optional, Sequence, Union
@@ -65,16 +66,24 @@ def _require(doc: dict, key: str, types, *, default=None,
     return value
 
 
+def _number(key: str, value) -> float:
+    """A finite JSON number as a float. A bool, a string, NaN, +-Infinity
+    (which the json module reads) and an integer beyond float range are
+    rejected."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise SpecValidationError(key, f"expected a finite number, got {value!r}")
+
+
 def _float_field(doc: dict, key: str, default: Optional[float] = None,
                  required: bool = False) -> Optional[float]:
     if key not in doc:
         if required:
             raise SpecValidationError(key, "missing required field")
         return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(key, f"expected a number, got {value!r}")
-    return float(value)
+    return _number(key, doc[key])
 
 
 def _parse_domain(raw) -> Interval:
@@ -84,8 +93,8 @@ def _parse_domain(raw) -> Interval:
         raise SpecValidationError(
             "domain", "expected a two-element list [lo, hi] "
             "(null endpoint = unbounded)")
-    lo = -math.inf if raw[0] is None else float(raw[0])
-    hi = math.inf if raw[1] is None else float(raw[1])
+    lo, hi = (bound if end is None else _number("domain", end)
+              for end, bound in zip(raw, (-math.inf, math.inf)))
     try:
         return Interval(lo, hi)
     except YamabeError as exc:
@@ -127,10 +136,9 @@ def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
     raw_alpha = _require(doc, "alpha", list, required=True)
     if len(raw_alpha) != n:
         raise SpecValidationError("alpha", f"expected n={n} components")
+    alpha = tuple(_number("alpha", a) for a in raw_alpha)
     try:
-        direction = TranslationDirection(tuple(float(a) for a in raw_alpha), sig)
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError("alpha", str(exc)) from exc
+        direction = TranslationDirection(alpha, sig)
     except YamabeError as exc:
         raise SpecValidationError("alpha", str(exc)) from exc
 

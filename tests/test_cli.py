@@ -103,6 +103,40 @@ class TestVerify:
         assert code == 1
         assert "error:" in capfd.readouterr().err
 
+    def test_infinite_document_tolerance_exit_one(self, tmp_path, capfd):
+        # phi = xi, f = xi^3, h = xi^2 is no soliton: residuals reach 2180
+        path = tmp_path / "inf_tol.json"
+        path.write_text(
+            '{"n": 3, "d": 1, "alpha": [1.0, 0.0, 0.0], "domain": [0.5, 2.0],'
+            ' "profiles": {"phi": "xi", "f": "xi^3", "h": "xi^2"},'
+            ' "tolerance": Infinity}', encoding="utf-8")
+        code, stdout = run(["verify", str(path)])
+        assert code == 1
+        assert stdout == ""
+        assert "invalid field 'tolerance'" in capfd.readouterr().err
+
+
+BAD_TOL = [(["--tol", text], "--tol: expected a positive finite number")
+           for text in ("inf", "-1", "nan")]
+BAD_GRID = [(["--grid", text], "--grid: expected an integer >= 2")
+            for text in ("-3", "1")]
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    (command, argv, message)
+    for command, cases in ((["verify", "DOC"], BAD_TOL + BAD_GRID),
+                           (["family", "thm16", "--range", "1", "40"],
+                            BAD_TOL + BAD_GRID),
+                           (["examples"], BAD_GRID))
+    for argv, message in cases])
+def test_bad_check_setting_exits_one(doc_path, capfd, command, argv, message):
+    code, stdout = run([doc_path if a == "DOC" else a for a in command]
+                       + argv)
+    assert code == 1
+    assert stdout == ""
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and message in err
+
 
 class TestFamily:
     def test_thm16_certifies_and_documents(self, tmp_path):

@@ -188,8 +188,15 @@ class TestLambertFamily:
 
     def test_range_beyond_maximal_interval(self):
         with pytest.raises(FamilyConstructionError,
-                           match="could not bracket phi|maximal interval"):
+                           match="maximal interval"):
             family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.5, 8.0))
+
+    def test_range_reaching_where_the_w_argument_overflows(self):
+        """k3 exp(c s^2) overflows past s = 119.1 (xi = -7.8225), so T is
+        NaN there; the upper end of the bracket steps up to it, not past."""
+        spec = family_thm15(1.0, 1.0, 0.2, lambda_f=-0.5,
+                            xi_range=(-7.9, 0.3))
+        assert spec.phi.value(-7.8) < 0.1
 
     def test_parameter_validation(self):
         with pytest.raises(FamilyConstructionError, match=r"n \+ d = 6"):
@@ -202,6 +209,31 @@ class TestLambertFamily:
         with pytest.raises(FamilyConstructionError, match="q_variant"):
             family_thm15(1.0, 1.0, 0.1, lambda_f=-0.5, xi_range=(0.0, 1.0),
                          q_variant="paper")
+        # s = 4 lies past the wall s_w = 3.49 of k3 = -0.2
+        with pytest.raises(FamilyConstructionError,
+                           match="not defined at the anchor"):
+            family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.1, 0.1),
+                         phi0=0.5)
+
+    def test_maximal_interval_in_closed_form(self):
+        """(lo, hi) in s = phi^-2: W's argument k3 exp(c s^2) reaches -1/e
+        at a finite end and stays on the branch inside."""
+        from yamabe.families import _s_interval
+        p = 0.1
+        for q, k3, branch, finite_end in (
+                (-0.05, -0.2, "principal", 1), (-0.05, -0.2, "lower", 1),
+                (0.05, -0.5, "principal", 0), (0.05, -0.5, "lower", 0)):
+            c = -p * p / (4.0 * q)
+            ends = _s_interval(p, q, k3, branch)
+            wall = ends[finite_end]
+            assert k3 * math.exp(c * wall * wall) == pytest.approx(
+                -1.0 / math.e, rel=1e-15)
+            assert math.isinf(ends[1]) == (c < 0.0) and ends[0] < ends[1]
+        assert _s_interval(p, -0.05, 0.2, "principal") == (0.0, math.inf)
+        assert _s_interval(p, 0.05, -0.2, "principal") == (0.0, math.inf)
+        for q, k3, branch in ((-0.05, 0.2, "lower"), (-0.05, -0.5, "lower")):
+            lo, hi = _s_interval(p, q, k3, branch)
+            assert not lo < hi
 
 
 # the quadrature cases of the thm15-build benchmark: n = 3, d = 3 over
@@ -303,23 +335,27 @@ class TestLambertFamilyArrays:
                 got = np.array(spec.phi.jet(part))[:, j]
                 assert got.tobytes() == whole[:, i].tobytes()
 
-    def test_bracket_search_stops_where_g_saturates(self):
-        """The travel integral saturates as phi grows, so doubling the
-        upper end stops once g no longer moves; the error is the one the
-        full 80 doublings end in."""
-        from yamabe.families import _expand_bracket_positive
+    def test_saturating_range_fails_before_any_inversion(self, monkeypatch):
+        """The benchmark's q = proof case: T(s) saturates at xi = 0.135 as
+        phi grows, below the top of the range, and the construction says so
+        without inverting."""
+        import yamabe.families as families_module
         calls = []
-
-        def g(x):           # a wall below 0.5, and g -> 1 as x grows
-            calls.append(x)
-            return 1.0 - 1.0 / (x * x) if x >= 0.5 else math.nan
-
-        assert _expand_bracket_positive(g, 0.9, 1.0) == (0.5, 4.0)
-        calls.clear()
+        monkeypatch.setattr(families_module, "invert_monotone",
+                            lambda *a, **k: calls.append(a))
         with pytest.raises(FamilyConstructionError,
-                           match="could not bracket phi for target 2.0"):
-            _expand_bracket_positive(g, 2.0, 1.0)
-        assert max(calls) < 2.0 ** 40 and len(calls) < 90
+                           match="maximal interval"):
+            family_thm15(**{**THM15_COMMON, "k3": -0.2,
+                            "q_variant": "proof"})
+        assert calls == []
+
+    def test_error_names_the_wall_as_the_lower_end(self):
+        with pytest.raises(FamilyConstructionError,
+                           match=r"maximal interval \(") as err:
+            family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-5.2, 0.3))
+        lower = float(str(err.value).split("maximal interval (")[1]
+                      .split(",")[0])
+        assert abs(lower - -5.066027636174845) <= 1e-9
 
     def test_certify_runs_no_scalar_closure(self, monkeypatch):
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})

@@ -179,6 +179,22 @@ class TestInvertMonotoneArrays:
         assert np.max(np.abs(got - np.arcsinh(self.TARGETS))
                       / np.maximum(1.0, np.abs(got))) < 1e-15
 
+    def test_newton_two_cycle_stops(self):
+        """g resolves the roots only to 2^-46, coarser than 1e-15 relative
+        in x, so Newton steps alternate between two iterates about each
+        root; they stop there instead of running out their step budget."""
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return np.round((8.0 - 20.0 / x) * 2.0 ** 46) / 2.0 ** 46
+
+        targets = np.linspace(7.5, 7.8, 31) + 2.0 ** -48
+        got = invert_monotone(g, targets, (1.0, 200.0),
+                              dg=lambda x: 20.0 / (x * x), start=1.0)
+        assert len(calls) < 40
+        assert np.max(np.abs(got - 20.0 / (8.0 - targets)) / got) < 1e-13
+
     def test_newton_falls_back_to_bisection(self):
         # a flat derivative at the start throws Newton out of the bracket
         g = lambda x: np.arctan(x)

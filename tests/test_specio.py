@@ -77,6 +77,16 @@ class TestLoadDocument:
         (dict(grid=1), "grid"),
         (dict(rho="flat"), "rho"),
         (dict(label=7), "label"),
+        (dict(tolerance=math.inf), "tolerance"),
+        (dict(rho=math.nan), "rho"),
+        (dict(lambda_f=-math.inf), "lambda_f"),
+        (dict(alpha=[math.nan, 0.0, 0.0, 0.0, 0.0]), "alpha"),
+        (dict(alpha=[1.0, 0.0, 0.0, 0.0, math.inf]), "alpha"),
+        (dict(alpha=["1", 0.0, 0.0, 0.0, 0.0]), "alpha"),
+        (dict(domain=["a", 2.0]), "domain"),
+        (dict(domain=[math.nan, 2.0]), "domain"),
+        (dict(domain=[0.0, math.inf]), "domain"),
+        (dict(domain=[True, 2.0]), "domain"),
     ])
     def test_validation_names_the_field(self, mutate, key):
         with pytest.raises(SpecValidationError) as err:
@@ -105,6 +115,21 @@ class TestLoadDocument:
         with pytest.raises(SpecValidationError) as err:
             specio.load_document(doc)
         assert err.value.key == "profiles.phi"
+
+    def test_json_non_finite_tokens_rejected(self):
+        text = json.dumps(doc_with(tolerance=1e-6)).replace("1e-06",
+                                                            "Infinity")
+        with pytest.raises(SpecValidationError,
+                           match="invalid field 'tolerance'"):
+            specio.loads_document(text)
+
+    def test_family_parameter_must_be_finite(self):
+        doc = doc_with(domain=[1.0, 40.0])
+        del doc["profiles"]
+        doc["family"] = {"id": "thm16", "k1": math.nan, "k2": 1.0}
+        with pytest.raises(SpecValidationError) as err:
+            specio.load_document(doc)
+        assert err.value.key == "k1"
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(SpecValidationError) as err:
