@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 = certified / ran to completion, 2 = rejected by the checks,
 3 = inconclusive (non-finite evaluations), 1 = malformed input or violated
-construction hypotheses. Set YAMABE_LOG=debug (or info, warning) to see
-solver progress on stderr.
+construction hypotheses, or standard output closed by its reader. Set
+YAMABE_LOG=debug (or info, warning) to see solver progress on stderr.
 """
 
 from __future__ import annotations
@@ -389,6 +389,18 @@ def _cmd_examples(args) -> int:
     return worst_exit
 
 
+def _reader_gone() -> int:
+    """Exit status 1, without a traceback, once the reader of stdout has
+    gone (``yamabe portrait | head -1``). stdout is pointed at os.devnull,
+    so the interpreter's last flush of what is still buffered is quiet
+    too."""
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (OSError, ValueError):      # a stdout without a file descriptor
+        pass
+    return 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("YAMABE_LOG")
     if level:
@@ -405,7 +417,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "geodesic": _cmd_geodesic,
             "examples": _cmd_examples,
         }[args.command]
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        return _reader_gone()
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

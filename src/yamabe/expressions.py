@@ -31,7 +31,7 @@ from .lambertw import lambert_w
 __all__ = [
     "Node", "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "parse_expression", "to_text", "differentiate",
-    "compile_callable", "compile_array", "compile_array_raw", "FUNCTIONS",
+    "compile_callable", "compile_array", "compile_jet", "FUNCTIONS",
     "CONSTANTS",
 ]
 
@@ -266,35 +266,49 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     through libm one element at a time (``^`` through ``np.float_power``).
     W is ``lambert_w`` on the whole array.
     """
-    evaluate = compile_array_raw(node)
+    evaluate = compile_jet((node,))
 
     def call(xs):
         with np.errstate(all="ignore"):
-            return evaluate(np.asarray(xs, dtype=float))
+            return evaluate(np.asarray(xs, dtype=float))[0]
 
     return call
 
 
-def compile_array_raw(node: Node) -> Callable[[np.ndarray], np.ndarray]:
-    """``compile_array`` without its floating-point context, for a caller
-    that evaluates several expressions under one: it takes a float array
-    and must run under ``np.errstate(all="ignore")``."""
-    fn = eval(compile(f"lambda xi, _raised: {_pysrc(node)}", "<expression>",
-                      "eval"), {**_LITERALS, **_ARRAY_NAMESPACE})
+def compile_jet(nodes) -> Callable[[np.ndarray], tuple]:
+    """Several expressions evaluated on one float array by one generated
+    function: a tuple with, for each of ``nodes``, the array
+    ``compile_array`` gives for it, or None where the node is None, so a
+    caller computes only the entries it asks for. Each output is NaN where
+    a step of its own tree raises. The function takes a float array and
+    runs under the caller's ``np.errstate(all="ignore")``."""
+    lines, outputs = [], []
+    for k, node in enumerate(nodes):
+        if node is None:
+            outputs.append("None")
+            continue
+        lines.append(f"    _raised = []\n"
+                     f"    _out{k} = _output(xi, {_pysrc(node)}, _raised)\n")
+        outputs.append(f"_out{k}")
+    source = (f"def jet(xi):\n{''.join(lines)}"
+              f"    return ({', '.join(outputs)},)\n")
+    namespace = {**_LITERALS, **_ARRAY_NAMESPACE}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["jet"]
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        raised = []
-        out = np.asarray(fn(xs, raised), dtype=float)
-        if out.shape != xs.shape:
-            out = np.full(xs.shape, out)
-        if raised:
-            mask = np.zeros(xs.shape, dtype=bool)
-            for where in raised:
-                mask |= where
-            out = np.where(mask, np.nan, out)
-        return out
 
-    return evaluate
+def _output(xs: np.ndarray, value, raised: list) -> np.ndarray:
+    """One output of a jet: value as a float array shaped like xs, NaN
+    wherever a mask in ``raised`` is set."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != xs.shape:
+        out = np.full(xs.shape, out)
+    if raised:
+        mask = np.zeros(xs.shape, dtype=bool)
+        for where in raised:
+            mask |= where
+        out = np.where(mask, np.nan, out)
+    return out
 
 
 # The array helpers below take the list ``raised`` of the compiled array
@@ -373,7 +387,7 @@ _ARRAY_NAMESPACE = {
     "_exp": _elementwise(math.exp, _MATH_ERRORS),
     "_ln": _elementwise(math.log, _MATH_ERRORS),
     "_W": _w_array,
-    "_div": _div_array, "_pow": _pow_array,
+    "_div": _div_array, "_pow": _pow_array, "_output": _output,
 }
 
 _ARRAY_FORMS = {**{fn: f"_{fn}({{}}, _raised)" for fn in FUNCTIONS},

@@ -68,9 +68,10 @@ def _resolve_frame(n, sig, alpha, want_lightlike=False):
 
 def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
     """f = k2 / phi with exact derivatives, through phi's jet."""
-    def arrays(xs, value, d2):
+    def arrays(xs, value, d1, d2):
         p, dp, ddp = phi.jet(xs, d2=d2)
-        return (k2 / p if value else None, -k2 * dp / (p * p),
+        return (k2 / p if value else None,
+                -k2 * dp / (p * p) if d1 else None,
                 k2 * (2.0 * dp * dp / (p * p * p) - ddp / (p * p))
                 if d2 else None)
 
@@ -91,9 +92,10 @@ def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
 
         values = lambda xs: k1 * gauss_legendre(inverse_square, mid, xs)
 
-    def arrays(xs, value, d2):
+    def arrays(xs, value, d1, d2):
         p, dp, _ = phi.jet(xs, d2=False)
-        return (values(xs) if value else None, k1 / (p * p),
+        return (values(xs) if value else None,
+                k1 / (p * p) if d1 else None,
                 -2.0 * k1 * dp / (p * p * p) if d2 else None)
 
     return Profile(arrays, phi.domain)
@@ -182,6 +184,12 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     q = _q_value(k2, lambda_f, direction.norm, q_variant)
     interval = Interval(*xi_range)
     u_w = _lambert_u(p, q, k3, w_branch)
+    if k3 != 0.0:
+        lo, hi = _s_interval(p, q, k3, w_branch)
+        if not lo < 1.0 / (phi0 * phi0) < hi:
+            raise FamilyConstructionError(
+                "the implicit relation is not defined at the anchor "
+                f"phi0={phi0!r}")
 
     if construction == "quadrature":
         phi_profile, h_values = _thm15_quadrature(p, q, k1, k3, k4, phi0,
@@ -246,10 +254,6 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
             return 1.0 / np.sqrt(s), u, 0.0 * u, (k1 * p / (4.0 * q)) * (s * s)
     else:
         lo, hi = _s_interval(p, q, k3, w_branch)
-        if not lo < s0 < hi:
-            raise FamilyConstructionError(
-                "the implicit relation is not defined at the anchor "
-                f"phi0={phi0!r}")
         integral = _lambert_integral(p, q, k3, w_branch, u_w, s0)
 
         def travel(s):
@@ -304,11 +308,11 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
             last[:] = [xs.copy(), solve(xs)]
         return last[1]
 
-    def phi_arrays(xs, value, d2):
+    def phi_arrays(xs, value, d1, d2):
         phi, u, du, _ = cached(xs)
         cube = phi * phi * phi
         dphi = u * cube
-        return (phi if value else None, dphi,
+        return (phi if value else None, dphi if d1 else None,
                 (du * cube + 3.0 * u * (phi * phi)) * dphi if d2 else None)
 
     def h_values(xs):
@@ -405,10 +409,10 @@ def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
     states = _two_sided_solve(_profile_ode_rhs(p, q), -k4, y0,
                               (interval.lo, interval.hi), "profile ODE")
 
-    def arrays(xs, value, d2):
+    def arrays(xs, value, d1, d2):
         y = states(xs)
         phi, dphi = y[:, 0], y[:, 1]
-        return (phi if value else None, dphi,
+        return (phi if value else None, dphi if d1 else None,
                 _profile_ode(phi, dphi, p, q) if d2 else None)
 
     return Profile(arrays, interval)
@@ -448,9 +452,9 @@ def _two_sided_solve(rhs, xi_c, y0, ends, what: str):
 
 def _reflect(profile: Profile) -> Profile:
     """xi -> profile(-xi), through profile's jet."""
-    def arrays(xs, value, d2):
+    def arrays(xs, value, d1, d2):
         v, e1, e2 = profile.jet(-xs, value=value, d2=d2)
-        return v, -e1, e2
+        return v, -e1 if d1 else None, e2
 
     return Profile(arrays, Interval(-profile.domain.hi, -profile.domain.lo))
 
@@ -537,15 +541,16 @@ def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Profile]:
         dphi = (k1 - 20.0 * k3 * (phi_sq * phi_sq)) / (40.0 * phi)
         return sigma, phi_sq, phi, dphi
 
-    def phi_arrays(xs, value, d2):
+    def phi_arrays(xs, value, d1, d2):
         _, phi_sq, phi, dphi = solve(xs)
-        return (phi if value else None, dphi,
+        return (phi if value else None, dphi if d1 else None,
                 dphi * (-60.0 * k3 * (phi_sq * phi_sq) - k1) / (40.0 * phi_sq)
                 if d2 else None)
 
-    def h_arrays(xs, value, d2):
+    def h_arrays(xs, value, d1, d2):
         sigma, phi_sq, phi, dphi = solve(xs)
-        return (h_val(sigma) if value else None, k1 / phi_sq,
+        return (h_val(sigma) if value else None,
+                k1 / phi_sq if d1 else None,
                 -2.0 * k1 * dphi / (phi_sq * phi) if d2 else None)
 
     return Profile(phi_arrays, dom), Profile(h_arrays, dom)
@@ -613,12 +618,12 @@ def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
                 "denominator of the Riccati update crosses zero inside "
                 f"({left!r}, {right!r}); choose a different C or range")
 
-    def arrays(xs, value, d2):
+    def arrays(xs, value, d1, d2):
         big_phi, integral = potentials(xs)
         w = np.exp(-(d + 1.0) * big_phi) / (C + 0.5 * (d + 1.0) * integral)
         z, dz, ddz = z0.jet(xs, d2=d2)
         dw = -(d + 1.0) * z * w - 0.5 * (d + 1.0) * w * w
-        return (z + w if value else None, dz + dw,
+        return (z + w if value else None, dz + dw if d1 else None,
                 ddz + (-(d + 1.0) * (dz * w + z * dw) - (d + 1.0) * w * dw)
                 if d2 else None)
 
@@ -668,7 +673,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
     m = (n - 2.0) / (d + 1.0)
     expo = 2.0 / (d + 1.0)
 
-    def f_arrays(xs, value, d2):
+    def f_arrays(xs, value, d1, d2):
         # f = phi^m e^Phi inner^expo, f' = f ell, f'' = f (ell^2 + ell')
         big_phi, integral = potentials(xs)
         inner = integral + shift
@@ -681,7 +686,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
         ell = m * ratio + z + t_val
         dt = -(d + 1.0) * z * t_val - 0.5 * (d + 1.0) * t_val * t_val
         dell = m * (ddp / p - ratio * ratio) + dz + dt if d2 else None
-        return (f_val if value else None, f_val * ell,
+        return (f_val if value else None, f_val * ell if d1 else None,
                 f_val * (ell * ell + dell) if d2 else None)
 
     f_profile = Profile(f_arrays, interval)
@@ -739,11 +744,11 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")
 
-    def rho_arrays(xs, value, d2):
+    def rho_arrays(xs, value, d1, d2):
         fv, df, ddf = f.jet(xs, d2=d2)
         f2 = fv * fv
         return (lambda_f / f2 if value else None,
-                -2.0 * lambda_f * df / (f2 * fv),
+                -2.0 * lambda_f * df / (f2 * fv) if d1 else None,
                 lambda_f * (6.0 * df * df / (f2 * f2) - 2.0 * ddf / (f2 * fv))
                 if d2 else None)
 

@@ -58,26 +58,55 @@ STATUS = {"completed": "completed", "domain-exit": "left-domain",
 _EVALUATION_ERRORS = (EvaluationError, DomainError, OverflowError)
 
 
-def _xi(spec: WarpedSolitonSpec, y: np.ndarray) -> np.ndarray:
-    """xi = alpha . y for each row of y (k, n), nudged inside an open finite
-    domain so that trial steps slightly past the exit event cannot raise a
-    domain error."""
-    xi = np.add.reduce(y * np.asarray(spec.direction.alpha, dtype=float),
-                       axis=1)
+def _xi_of(spec: WarpedSolitonSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The function y (k, n) -> xi = alpha . y of each row, nudged inside an
+    open finite domain so that trial steps slightly past the exit event
+    cannot raise a domain error."""
+    alpha = np.asarray(spec.direction.alpha, dtype=float)
     lo, hi = spec.domain.lo, spec.domain.hi
-    if math.isfinite(lo):
-        xi = np.maximum(xi, lo + 1e-13 * max(1.0, abs(lo)))
-    if math.isfinite(hi):
-        xi = np.minimum(xi, hi - 1e-13 * max(1.0, abs(hi)))
+    lo = lo + 1e-13 * max(1.0, abs(lo)) if math.isfinite(lo) else None
+    hi = hi - 1e-13 * max(1.0, abs(hi)) if math.isfinite(hi) else None
+
+    def xi(y: np.ndarray) -> np.ndarray:
+        out = np.add.reduce(y * alpha, axis=1)
+        if lo is not None:
+            out = np.maximum(out, lo)
+        if hi is not None:
+            out = np.minimum(out, hi)
+        return out
+
     return xi
 
 
-def _profiles_at(spec: WarpedSolitonSpec, y: np.ndarray):
-    """phi, phi', f, f' at the rows' xi (from their jets); NaN where a
-    profile cannot be evaluated."""
-    xi = _xi(spec, y)
-    return (*masked_jet(spec.phi, xi, _EVALUATION_ERRORS),
-            *masked_jet(spec.f, xi, _EVALUATION_ERRORS))
+def _profiles_at(spec: WarpedSolitonSpec):
+    """The function y (k, n) -> phi, phi', f, f' at the rows' xi (from their
+    jets), NaN where a profile cannot be evaluated. A profile that is both
+    phi and f is evaluated once. It runs under the caller's
+    np.errstate(all="ignore")."""
+    xi_of, phi, f = _xi_of(spec), spec.phi, spec.f
+
+    def at(y: np.ndarray):
+        xi = xi_of(y)
+        p, dp = masked_jet(phi, xi, _EVALUATION_ERRORS)
+        if f is phi:
+            return p, dp, p, dp
+        return (p, dp, *masked_jet(f, xi, _EVALUATION_ERRORS))
+
+    return at
+
+
+def _unevaluable(phi, dphi, f, df) -> Optional[np.ndarray]:
+    """The rows where phi, phi', f or f' is not finite, or None where every
+    entry is. A product with an infinite or NaN factor is not finite, so
+    finite dot products phi . phi' and f . f' prove every entry finite;
+    only a dot that is not finite, which an overflow can also give, costs
+    a mask."""
+    if math.isfinite(phi @ dphi if f is phi else phi @ dphi + f @ df):
+        return None
+    bad = ~np.isfinite(phi)
+    for entry in (dphi, f, df):
+        bad |= ~np.isfinite(entry)
+    return bad
 
 
 def geodesic_rhs(spec: WarpedSolitonSpec,
@@ -97,6 +126,12 @@ def geodesic_rhs(spec: WarpedSolitonSpec,
     comes back as inf: the integrator rejects each step that evaluates
     there and shrinks it until it falls below 10 ulps of s, and the row
     stops with stop reason non-finite-rhs (status blowup).
+
+    Cost per call (one Runge-Kutta stage of every running row): one numpy
+    form call per distinct profile (one when phi is f, as on the
+    lightlike catalog example), about 25 elementwise numpy operations on
+    the batch, and a mask of non-finite rows only when some row has one;
+    all under one floating-point context.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -105,30 +140,27 @@ def geodesic_rhs(spec: WarpedSolitonSpec,
     eps = np.asarray(spec.sig.epsilon, dtype=float)
     eps_alpha = eps * alpha
     full = mode == "full"
+    profiles_at = _profiles_at(spec)
 
     def rhs(s, state: np.ndarray) -> np.ndarray:
         states = np.asarray(state, dtype=float)
         batch = states if states.ndim == 2 else states[None, :]
         y, v, vf = batch[:, :n], batch[:, n:2 * n], batch[:, 2 * n + d:]
-        phi, dphi, f, df = _profiles_at(spec, y)
-        out = np.empty_like(batch)
-        out[:, :n] = v
-        out[:, 2 * n:2 * n + d] = vf
-        acc = out[:, n:2 * n]
         with np.errstate(all="ignore"):
+            phi, dphi, f, df = profiles_at(y)
             adotv = np.add.reduce(v * alpha, axis=1)
             force = np.add.reduce(vf * vf, axis=1) * f * phi * phi * df
-            np.multiply(eps_alpha, force[:, None], out=acc)
+            acc = eps_alpha * force[:, None]
             if full:
                 a = dphi / phi
                 acc += (2.0 * a * adotv)[:, None] * v
                 acc -= eps_alpha * (a * np.add.reduce(eps * (v * v),
                                                       axis=1))[:, None]
-            np.multiply((-2.0 * (df / f) * adotv)[:, None], vf,
-                        out=out[:, 2 * n + d:])
-        evaluable = np.logical_and.reduce(np.isfinite([phi, dphi, f, df]))
-        if np.count_nonzero(evaluable) < len(out):
-            out[~evaluable] = np.inf
+            out = np.concatenate(
+                (v, acc, vf, (-2.0 * (df / f) * adotv)[:, None] * vf), axis=1)
+            bad = _unevaluable(phi, dphi, f, df)
+        if bad is not None:
+            out[bad] = np.inf
         return out if states.ndim == 2 else out[0]
 
     return rhs
@@ -144,7 +176,7 @@ def energy(spec: WarpedSolitonSpec, state: np.ndarray) -> float:
     y = state[:n]
     v = state[n:2 * n]
     vf = state[2 * n + d:]
-    xi = float(_xi(spec, y[None, :])[0])
+    xi = float(_xi_of(spec)(y[None, :])[0])
     eps = np.asarray(spec.sig.epsilon, dtype=float)
     phi = spec.phi.value(xi)
     return float(eps @ (v * v)) / phi ** 2 + spec.f.value(xi) ** 2 * float(vf @ vf)
@@ -153,7 +185,7 @@ def energy(spec: WarpedSolitonSpec, state: np.ndarray) -> float:
 def fiber_momentum(spec: WarpedSolitonSpec, state: np.ndarray) -> np.ndarray:
     """f^2 vf, conserved by both dynamics modes."""
     n, d = spec.n, spec.d
-    xi = float(_xi(spec, state[None, :n])[0])
+    xi = float(_xi_of(spec)(state[None, :n])[0])
     return spec.f.value(xi) ** 2 * state[2 * n + d:]
 
 
@@ -200,9 +232,12 @@ def _stop_events(spec: WarpedSolitonSpec):
     events.append(escape)
     reasons.append("norm-escape")
 
+    profiles_at = _profiles_at(spec)
+
     def positivity(s, st):
-        phi, _, f, _ = _profiles_at(spec, st[:, :n])
-        margin = np.minimum(phi, f) - 1e-12
+        with np.errstate(all="ignore"):
+            phi, _, f, _ = profiles_at(st[:, :n])
+            margin = (phi if f is phi else np.minimum(phi, f)) - 1e-12
         return np.where(np.isnan(margin), -1.0, margin)
     events.append(positivity)
     reasons.append("positivity-loss")

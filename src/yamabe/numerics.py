@@ -340,11 +340,11 @@ def _first_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e for each element through libm's pow, NaN where it is not
-    defined: numpy's vectorised power may round differently from lane to
-    lane."""
-    return np.array([v ** e if v > 0.0 or (v == 0.0 and e > 0.0)
+def _pow_each(x: np.ndarray, e: float, scale: float = 1.0) -> np.ndarray:
+    """scale * x ** e for each element, the power through libm's pow, NaN
+    where it is not defined: numpy's vectorised power may round
+    differently from lane to lane."""
+    return np.array([scale * v ** e if v > 0.0 or (v == 0.0 and e > 0.0)
                      else math.nan for v in x.tolist()])
 
 
@@ -511,14 +511,23 @@ class _DOP853:
 
     @classmethod
     def error_norm(cls, K, h, scale):
-        """The blend of the fifth- and third-order estimates (II.10)."""
-        err5 = _combine(cls._E5, K) / scale
-        err3 = _combine(cls._E3, K) / scale
-        n5 = np.sqrt(np.add.reduce(err5 * err5, axis=1))
-        n3 = np.sqrt(np.add.reduce(err3 * err3, axis=1))
-        n5, n3 = n5 * n5, n3 * n3
+        """The blend of the fifth- and third-order estimates (II.10), in
+        place on its temporaries."""
+        err5 = _combine(cls._E5, K)
+        err5 /= scale
+        err3 = _combine(cls._E3, K)
+        err3 /= scale
+        n5 = np.add.reduce(np.multiply(err5, err5, out=err5), axis=1)
+        n3 = np.add.reduce(np.multiply(err3, err3, out=err3), axis=1)
+        np.sqrt(n5, out=n5)
+        np.sqrt(n3, out=n3)
+        n5 *= n5
+        n3 *= n3
         norm = np.abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * scale.shape[1])
-        return np.where((n5 == 0.0) & (n3 == 0.0), 0.0, norm)
+        zero = n5 == 0.0
+        if np.count_nonzero(zero):
+            norm[zero & (n3 == 0.0)] = 0.0
+        return norm
 
     @classmethod
     def dense(cls, fun, K, t_old, h, y_old, y_new):
@@ -551,10 +560,10 @@ class _DOP853:
         return y
 
 
-def _rk_step(fun, t, y, f, h):
-    """One trial step of every row: the stages K (n_k, rows, n) with the
-    derivative at the new point in K[n_stages], and the new state."""
-    K = np.empty((_DOP853.n_k,) + y.shape)
+def _rk_step(fun, t, y, f, h, K):
+    """One trial step of every row, into the stage buffer K (n_k, rows, n):
+    the stages, the derivative at the new point in K[n_stages], and the new
+    state."""
     K[0] = f
     hc = h[:, None]
     ts = t + _DOP853.C[:_DOP853.n_stages, None] * h
@@ -712,10 +721,21 @@ def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
 
 class _Lockstep:
     """State of one solve_ivp call: outputs for every row, and the working
-    arrays of the rows still running (compacted as rows stop)."""
+    arrays of the rows still running (compacted as rows stop).
+
+    One iteration (``_iterate``) costs 12 RHS calls on the running rows and
+    about 130 numpy calls on arrays of that many rows, whatever their
+    count; half of them are the stage sums, the rest the step-size clip,
+    the error norm, the controller and the bookkeeping. Event values, and
+    the crossing test on them, run on the rows that accepted their step;
+    the interpolant is built only for accepted rows that cross an event,
+    pass t_eval points or keep dense output, and every t_eval point those
+    rows passed comes from one interpolation. The stage buffer is allocated
+    once per solve and sliced to the running rows.
+    """
 
     _WORKING = ("idx", "t", "tb", "sgn", "far", "y", "f", "h_abs", "retry",
-                "nonfinite", "g", "te", "te_i", "te_next", "nfev", "nsteps")
+                "err", "g", "te", "te_i", "te_next", "nfev", "nsteps")
 
     def __init__(self, fun, span, y0, rtol, atol, max_step, t_eval, events,
                  dense_output):
@@ -728,14 +748,15 @@ class _Lockstep:
                              dtype=float)
         self.rising, self.falling = direction >= 0, direction <= 0
         self.dense_output = dense_output
+        self.K = np.empty((_DOP853.n_k,) + y0.shape)
         # outputs
         self.t_out, self.y_out = span[:, 0].copy(), y0.copy()
         self.stop = ["completed"] * rows
         self.hit = np.full(rows, -1)
         self.nfev_out = np.zeros(rows, dtype=int)
         self.nsteps_out = np.zeros(rows, dtype=int)
-        self.ts_out = [[] for _ in range(rows)]
-        self.ys_out = [[] for _ in range(rows)]
+        self.ts_out = [[] for _ in range(rows)]    # blocks of t_eval points
+        self.ys_out = [[] for _ in range(rows)]    # and of the states there
         self.segments = [[] for _ in range(rows)]
         # working arrays of the running rows
         self.idx = np.arange(rows)
@@ -749,7 +770,7 @@ class _Lockstep:
             (t_eval[:, 0].copy() if t_eval.shape[1] else np.full(rows, np.nan))
         self.nfev = np.zeros(rows, dtype=int)
         self.nsteps = np.zeros(rows, dtype=int)
-        self.f = self.h_abs = self.retry = self.nonfinite = self.g = None
+        self.f = self.h_abs = self.retry = self.err = self.g = None
 
     def _keep(self, keep: np.ndarray) -> None:
         for name in self._WORKING:
@@ -770,25 +791,31 @@ class _Lockstep:
 
     def _outputs(self, rows, coefs, t_old, h, y_old) -> None:
         """Record every t_eval point that the running rows ``rows`` have
-        reached, from the interpolants of their last steps."""
-        sel = np.arange(len(rows))
-        while len(rows):
-            at = self.te_next[rows]
-            due = self.sgn[rows] * (at - self.t[rows]) <= 0.0
-            rows, sel, at = rows[due], sel[due], at[due]
-            if not len(rows):
-                return
-            ys = _DOP853.interp(coefs[:, sel],
-                                ((at - t_old[sel]) / h[sel])[:, None],
-                                h[sel][:, None], y_old[sel])
-            for p, t, y in zip(self.idx[rows].tolist(), at.tolist(), ys):
-                self.ts_out[p].append(t)
-                self.ys_out[p].append(y)
-            self.te_i[rows] += 1
-            i = self.te_i[rows]
-            more = i < self.te.shape[1]
-            self.te_next[rows] = np.nan
-            self.te_next[rows[more]] = self.te[rows[more], i[more]]
+        reached, from the interpolants of their last steps: per row the
+        points from its next one on, up to the first it has not reached,
+        all interpolated in one call."""
+        te, cols = self.te[rows], np.arange(self.te.shape[1])
+        start = self.te_i[rows]
+        reached = self.sgn[rows, None] * (te - self.t[rows, None]) <= 0.0
+        reached |= cols < start[:, None]
+        due = np.logical_and.accumulate(reached, axis=1)
+        due &= cols >= start[:, None]
+        count = np.add.reduce(due, axis=1)
+        sel = np.repeat(np.arange(len(rows)), count)
+        at = te[due]
+        ys = _DOP853.interp(coefs[:, sel],
+                            ((at - t_old[sel]) / h[sel])[:, None],
+                            h[sel][:, None], y_old[sel])
+        stop = np.cumsum(count).tolist()
+        for p, a, b in zip(self.idx[rows].tolist(), [0] + stop, stop):
+            if b > a:
+                self.ts_out[p].append(at[a:b])
+                self.ys_out[p].append(ys[a:b])
+        i = start + count
+        self.te_i[rows] = i
+        more = i < self.te.shape[1]
+        self.te_next[rows] = np.nan
+        self.te_next[rows[more]] = te[more, i[more]]
 
     def run(self) -> OdeBatch:
         fun = self.fun
@@ -796,17 +823,17 @@ class _Lockstep:
         if np.count_nonzero(zero):
             if self.te is not None:     # each t_eval point is the start
                 for p in np.flatnonzero(zero).tolist():
-                    self.ts_out[p] = list(self.te[p])
-                    self.ys_out[p] = [self.y[p]] * len(self.te[p])
+                    self.ts_out[p] = [self.te[p].copy()]
+                    self.ys_out[p] = [np.tile(self.y[p], (len(self.te[p]), 1))]
             self._finish(zero, ["completed"] * int(zero.sum()))
         if len(self.idx):
-            self.f = np.asarray(fun(self.t, self.y), dtype=float)
+            self.f = np.array(fun(self.t, self.y), dtype=float)
             self.h_abs = _initial_step(
                 fun, self.t, self.y, self.f, self.tb, self.sgn, self.max_step,
                 self.rtol, self.atol)
             self.nfev += 2
             self.retry = np.zeros(len(self.idx), dtype=bool)
-            self.nonfinite = np.zeros(len(self.idx), dtype=bool)
+            self.err = np.zeros(len(self.idx))
             self.g = self._event_values(self.t, self.y)
         while len(self.idx):
             self._iterate()
@@ -814,8 +841,9 @@ class _Lockstep:
         return OdeBatch(
             self.t_out, self.y_out, tuple(self.stop), self.hit,
             self.nfev_out, self.nsteps_out,
-            tuple(np.array(ts, dtype=float) for ts in self.ts_out),
-            tuple(np.array(ys, dtype=float).reshape(-1, n)
+            tuple(np.concatenate(ts) if ts else np.empty(0)
+                  for ts in self.ts_out),
+            tuple(np.concatenate(ys) if ys else np.empty((0, n))
                   for ys in self.ys_out),
             tuple(self._dense(segs, row) for row, segs
                   in enumerate(self.segments)) if self.dense_output else ())
@@ -839,34 +867,41 @@ class _Lockstep:
         # rejection keeps its shrunk size and fails below min_step (or when
         # the size is NaN, where scipy's loop would never end)
         h_abs = np.minimum(np.maximum(self.h_abs, min_step), self.max_step)
-        if np.count_nonzero(retry):
+        retrying = np.count_nonzero(retry)
+        if retrying:
             h_abs = np.where(retry, self.h_abs, h_abs)
             collapsed = retry & ~(h_abs >= min_step)
             if np.count_nonzero(collapsed):
                 self._finish(collapsed, np.where(
-                    self.nonfinite[collapsed], "non-finite-rhs",
-                    "step-size-collapse").tolist())
+                    np.isfinite(self.err[collapsed]), "step-size-collapse",
+                    "non-finite-rhs").tolist())
                 return
         t_new = t + h_abs * sgn
         past = sgn * (t_new - self.tb) > 0
         if np.count_nonzero(past):
             t_new = np.where(past, self.tb, t_new)
         h = t_new - t
-        K, y_new = _rk_step(self.fun, t, self.y, self.f, h)
+        K, y_new = _rk_step(self.fun, t, self.y, self.f, h,
+                            self.K[:, :len(t)])
         self.nfev += _DOP853.n_stages
-        scale = self.atol + np.maximum(np.abs(self.y), np.abs(y_new)) * self.rtol
+        scale = np.maximum(np.abs(self.y), np.abs(y_new))
+        scale *= self.rtol
+        scale += self.atol
         err = _DOP853.error_norm(K, h, scale)
         ok = err < 1
+        accepted = np.count_nonzero(ok)
         # Python's min and max let a NaN lose: the power is NaN where err is
         # 0 (the step grows by the largest factor) or not a number
-        power = _SAFETY * _pow_each(err, _DOP853.error_exponent)
-        grow = np.fmin(_MAX_FACTOR, power)
-        if np.count_nonzero(retry):     # no growth right after a rejection
-            grow = np.where(retry, np.fmin(1.0, grow), grow)
-        self.h_abs = np.abs(h) * np.where(ok, grow, np.fmax(_MIN_FACTOR, power))
-        self.nonfinite = ~np.isfinite(err)
+        power = _pow_each(err, _DOP853.error_exponent, _SAFETY)
+        factor = np.fmin(_MAX_FACTOR, power)
+        if retrying:                    # no growth right after a rejection
+            factor = np.where(retry, np.fmin(1.0, factor), factor)
+        if accepted < len(ok):
+            factor = np.where(ok, factor, np.fmax(_MIN_FACTOR, power))
+        self.h_abs = np.abs(h)
+        self.h_abs *= factor
+        self.err = err
         self.retry = ~ok
-        accepted = np.count_nonzero(ok)
         if not accepted:
             return
         f_new = K[_DOP853.n_stages]
@@ -874,7 +909,8 @@ class _Lockstep:
         if accepted == len(ok):
             acc = slice(None)
             t_old, y_old = t, self.y
-            self.t, self.y, self.f = t_new, y_new, f_new
+            self.t, self.y = t_new, y_new
+            self.f[...] = f_new     # a view of the buffer the next step fills
         else:
             acc = np.flatnonzero(ok)
             t_old, y_old = t[acc], self.y[acc]

@@ -71,9 +71,9 @@ def grid_points(interval: Interval, count: int) -> list[float]:
 
 class Profile:
     """One scalar profile: its declared open domain and its numpy form
-    arrays(xs, value, d2): (value or None, d1, d2 or None) over the float
-    array xs of in-domain points, run with numpy's floating-point errors
-    ignored."""
+    arrays(xs, value, d1, d2): the jet (value, d1, d2) over the float array
+    xs of in-domain points, with None for each entry whose flag is false,
+    run with numpy's floating-point errors ignored."""
 
     def __init__(self, arrays: Callable,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf),
@@ -122,15 +122,17 @@ class Profile:
         exception of the shortest prefix of xs on which it raises. A point
         outside the domain raises DomainError naming the first one.
         """
-        jet, error = self._leading_jet(np.asarray(xs, dtype=float), value, d2)
+        jet, error = self._leading_jet(np.asarray(xs, dtype=float), value,
+                                       True, d2)
         if error is not None:
             raise error
         return jet
 
-    def _leading_jet(self, xs: np.ndarray, value: bool, d2: bool = True):
+    def _leading_jet(self, xs: np.ndarray, value: bool, d1: bool = True,
+                     d2: bool = True):
         """The jet over the longest prefix of xs on which nothing raises,
         and the exception raised by the prefix one point longer (None if
-        none). Without d2 the last entry of the jet is None."""
+        none). Entries not asked for are None."""
         error = None
         inside = (self.domain.lo < xs) & (xs < self.domain.hi)
         if np.count_nonzero(inside) < len(xs):
@@ -140,10 +142,11 @@ class Profile:
             xs = xs[:k]
         with np.errstate(all="ignore"):
             try:
-                return self._arrays(xs, value, d2), error
+                return self._arrays(xs, value, d1, d2), error
             except Exception as exc:
                 return _longest_prefix(
-                    lambda k: self._arrays(xs[:k], value, d2), len(xs), exc)
+                    lambda k: self._arrays(xs[:k], value, d1, d2), len(xs),
+                    exc)
 
     # -- constructors ---------------------------------------------------
 
@@ -164,8 +167,7 @@ class Profile:
                       d2: Optional[Callable[[float], float]] = None) -> "Profile":
         """A profile given by scalar callables; a missing derivative comes
         from central differences of value, and the profile is then marked
-        numeric. Its numpy form runs the scalars point by point, so a
-        one-point ``value`` runs the d1 callable as well."""
+        numeric. Its numpy form runs the scalars point by point."""
         analytic = d1 is not None and d2 is not None
         if d1 is None:
             d1 = lambda xi: central_d1(value, xi)
@@ -178,9 +180,10 @@ class Profile:
     def constant(cls, c: float,
                  domain: Interval | tuple[float, float] = (-math.inf, math.inf)
                  ) -> "Profile":
-        arrays = lambda xs, value, d2: (
+        arrays = lambda xs, value, d1, d2: (
             np.full(xs.shape, float(c)) if value else None,
-            np.zeros(xs.shape), np.zeros(xs.shape) if d2 else None)
+            np.zeros(xs.shape) if d1 else None,
+            np.zeros(xs.shape) if d2 else None)
         return cls(arrays, domain, source=repr(float(c)))
 
     # -- wrappers (used by invariance checks and families) ----------------
@@ -190,8 +193,8 @@ class Profile:
         that depend only on derivatives are bitwise unchanged."""
         arrays = self._arrays
 
-        def shifted_arrays(xs, value, d2):
-            v, e1, e2 = arrays(xs, value, d2)
+        def shifted_arrays(xs, value, d1, d2):
+            v, e1, e2 = arrays(xs, value, d1, d2)
             return (v + c if value else None, e1, e2)
 
         return Profile(shifted_arrays, self.domain,
@@ -200,9 +203,10 @@ class Profile:
     def scaled(self, c: float) -> "Profile":
         arrays = self._arrays
 
-        def scaled_arrays(xs, value, d2):
-            v, e1, e2 = arrays(xs, value, d2)
-            return (c * v if value else None, c * e1, c * e2 if d2 else None)
+        def scaled_arrays(xs, value, d1, d2):
+            v, e1, e2 = arrays(xs, value, d1, d2)
+            return (c * v if value else None, c * e1 if d1 else None,
+                    c * e2 if d2 else None)
 
         return Profile(scaled_arrays, self.domain,
                        analytic_derivatives=self.analytic_derivatives)
@@ -210,10 +214,10 @@ class Profile:
     def plus(self, other: "Profile") -> "Profile":
         mine, theirs = self._arrays, other._arrays
 
-        def sum_arrays(xs, value, d2):
-            (v, a1, a2), (w, b1, b2) = (mine(xs, value, d2),
-                                        theirs(xs, value, d2))
-            return (v + w if value else None, a1 + b1,
+        def sum_arrays(xs, value, d1, d2):
+            (v, a1, a2), (w, b1, b2) = (mine(xs, value, d1, d2),
+                                        theirs(xs, value, d1, d2))
+            return (v + w if value else None, a1 + b1 if d1 else None,
                     a2 + b2 if d2 else None)
 
         return Profile(sum_arrays, self.domain.clipped(other.domain),
@@ -227,7 +231,8 @@ class Profile:
         PositivityError, or EvaluationError where the value is not
         finite; a point the form raises at raises that."""
         pts = grid_points(interval, 64)
-        (values, _, _), error = self._leading_jet(np.array(pts), True, False)
+        (values, _, _), error = self._leading_jet(np.array(pts), True, False,
+                                                  False)
         for xi, v in zip(pts, values.tolist()):
             if not v > 0.0:
                 if not math.isfinite(v):
@@ -245,8 +250,10 @@ class Profile:
 
 @np.errstate(all="ignore")
 def _entry_at(arrays, xi: float, k: int) -> float:
-    """Entry k of the numpy form on the one-element array [xi]."""
-    return float(arrays(np.array([xi], dtype=float), k == 0, k == 2)[k][0])
+    """Entry k of the numpy form on the one-element array [xi], the only
+    entry it computes."""
+    return float(arrays(np.array([xi], dtype=float), k == 0, k == 1,
+                        k == 2)[k][0])
 
 
 def _longest_prefix(numpy_form, n: int, error: Exception):
@@ -284,8 +291,19 @@ def masked_jet(profile: Profile, xs: np.ndarray, errors):
     """Value and first derivative over xs, as ``profile.jet`` gives them,
     with NaN in both at every point where the profile raises one of
     ``errors``; the points after such a point are still evaluated. Any
-    other exception propagates."""
-    (value, d1, _), error = profile._leading_jet(xs, True, d2=False)
+    other exception propagates.
+
+    When every point is inside the domain (none is NaN) this is one call of
+    the numpy form, which then runs under the caller's floating-point
+    context; where that call raises, the jet is taken again prefix by
+    prefix."""
+    if len(xs) and _all_inside(profile.domain, xs):
+        try:
+            value, d1, _ = profile._arrays(xs, True, True, False)
+            return value, d1
+        except Exception:
+            pass
+    (value, d1, _), error = profile._leading_jet(xs, True, True, False)
     if error is None:
         return value, d1
     out = np.full((2, len(xs)), np.nan)
@@ -296,38 +314,45 @@ def masked_jet(profile: Profile, xs: np.ndarray, errors):
         stop = start + len(d1)
         out[:, start:stop] = value, d1
         start = stop + 1
-        (value, d1, _), error = profile._leading_jet(xs[start:], True,
-                                                     d2=False)
+        (value, d1, _), error = profile._leading_jet(xs[start:], True, True,
+                                                     False)
     out[:, start:] = value, d1
     return out[0], out[1]
 
 
+def _all_inside(domain: Interval, xs: np.ndarray) -> bool:
+    """Whether every point of the nonempty xs lies in the open domain; a
+    NaN point does not. On the whole line a finite sum of squares proves
+    every point finite (an overflow only sends xs the slow way)."""
+    if domain.lo == -math.inf and domain.hi == math.inf:
+        return math.isfinite(xs @ xs)
+    return domain.lo < np.minimum.reduce(xs) and \
+        np.maximum.reduce(xs) < domain.hi
+
+
 def _expression_arrays(*nodes):
     """Numpy form of an expression profile from the ASTs of its value, d1 and
-    d2. Each is compiled on first use, so building a profile compiles
-    nothing."""
-    compiled = [None] * len(nodes)
+    d2: for each set of entries asked for, one ``expressions.compile_jet``
+    function that computes just those. Each is compiled on first use, so
+    building a profile compiles nothing."""
+    compiled = {}
 
-    def arrays(xs, value, d2):
-        out = []
-        for k, node in enumerate(nodes):
-            if (k == 0 and not value) or (k == 2 and not d2):
-                out.append(None)
-                continue
-            if compiled[k] is None:
-                compiled[k] = expressions.compile_array_raw(node)
-            out.append(compiled[k](xs))
-        return tuple(out)
+    def arrays(xs, value, d1, d2):
+        want = (value, d1, d2)
+        jet = compiled.get(want)
+        if jet is None:
+            jet = compiled[want] = expressions.compile_jet(
+                [node if w else None for node, w in zip(nodes, want)])
+        return jet(xs)
 
     return arrays
 
 
 def _pointwise(*fns):
     """Numpy form of scalar value, d1 and d2 callables: each point in turn,
-    in order, calling value only when asked; the first exception
+    in order, calling only the entries asked for; the first exception
     propagates."""
-    def arrays(xs, value, d2):
-        wanted = (value, True, d2)
+    def arrays(xs, *wanted):
         rows = [fn for fn, want in zip(fns, wanted) if want]
         out = np.empty((len(rows), len(xs)))
         for i, x in enumerate(xs.tolist()):

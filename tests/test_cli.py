@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import yamabe
 from yamabe.cli import main
 
 EXAMPLE2_DOC = {
@@ -372,3 +376,21 @@ class TestExamples:
         code, _ = run(["verify", doc_path])
         assert code == 0
         capfd.readouterr()     # drain whatever the solvers logged
+
+
+def test_closed_stdout_exits_quietly():
+    """``yamabe portrait | head -1``: the portrait's CSV (about 86 kB) is
+    larger than a pipe's buffer, so the writer meets the closed pipe."""
+    package_root = os.path.dirname(os.path.dirname(yamabe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    child = subprocess.Popen([sys.executable, "-m", "yamabe", "portrait"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert first == b"xi,phi,dphi,status\n"
+    assert err == b""

@@ -9,7 +9,7 @@ from yamabe.errors import (BranchDomainError, EvaluationError,
                            ExpressionSyntaxError)
 from yamabe.expressions import (CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg,
                                 Num, Var, _simplify, compile_array,
-                                compile_callable, differentiate,
+                                compile_callable, compile_jet, differentiate,
                                 parse_expression, to_text)
 from yamabe.lambertw import lambert_w
 from yamabe.numerics import central_d1
@@ -251,6 +251,70 @@ class TestErrorContract:
                 # bitwise: equal, and with the sign of a zero
                 assert (entry, math.copysign(1.0, entry)) \
                     == (want, math.copysign(1.0, want))
+
+
+def reference_or_nan(node):
+    """The reference evaluator without its finiteness check: NaN where a
+    step raises in Python, the value (possibly infinite or NaN) otherwise."""
+    fn = eval(f"lambda xi: {_py_source(node)}",
+              {"math": math, "_sec": _sec, "_W": _w, "inf": math.inf,
+               "nan": math.nan})
+
+    def call(xi):
+        try:
+            return fn(xi)
+        except (ValueError, OverflowError, ZeroDivisionError,
+                BranchDomainError):
+            return math.nan
+
+    return call
+
+
+def same_float(a, b):
+    """Bitwise equal up to the payload of a NaN: both NaN, or equal with
+    the same sign (which tells 0.0 from -0.0)."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestCompiledJet:
+    @given(_any_tree, st.lists(_xis, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_jet_is_the_reference_at_every_point(self, node, xis):
+        """One generated function for a tree and its two derivatives: each
+        entry is the math-based evaluator's, NaN exactly where a step of
+        that entry's own tree raises."""
+        d1 = differentiate(node)
+        trees = (node, d1, differentiate(d1))
+        xs = np.array(xis, dtype=float)
+        with np.errstate(all="ignore"):
+            got = compile_jet(trees)(xs)
+        for tree, entry in zip(trees, got):
+            assert entry.dtype == np.float64 and entry.shape == xs.shape
+            want = reference_or_nan(tree)
+            for xi, value in zip(xis, entry.tolist()):
+                assert same_float(value, want(xi)), (to_text(tree), xi)
+
+    def test_only_the_entries_asked_for(self):
+        value, d1 = parse_expression("exp(0.5*xi)"), None
+        d2 = differentiate(differentiate(value))
+        with np.errstate(all="ignore"):
+            got = compile_jet((value, d1, d2))(np.array([0.0, 2.0]))
+        assert got[1] is None
+        assert got[0].tolist() == [1.0, math.exp(1.0)]
+        assert got[2].tolist() == [0.25, math.exp(1.0) * 0.5 * 0.5]
+
+    def test_a_failure_masks_only_the_trees_it_is_in(self):
+        # 1/xi raises at 0 in the first two trees; the third evaluates in
+        # the same function and has no step that raises
+        trees = [parse_expression(text)
+                 for text in ("1/xi + 1", "2*(1/xi)", "xi + 1")]
+        with np.errstate(all="ignore"):
+            got = compile_jet(trees)(np.array([0.0, 1.0]))
+        assert [np.isnan(g).tolist() for g in got] == [
+            [True, False], [True, False], [False, False]]
+        assert got[2].tolist() == [1.0, 2.0]
 
 
 # random ASTs for the print -> parse round trip; literals stay non-negative

@@ -215,6 +215,16 @@ class TestLambertFamily:
             family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.1, 0.1),
                          phi0=0.5)
 
+    @pytest.mark.parametrize("construction", ["quadrature", "ode"])
+    def test_anchor_past_the_wall_same_error_in_both_constructions(
+            self, construction):
+        # s = 1/phi0^2 = 4 lies past the wall s_w = 3.49 of k3 = -0.2: the
+        # anchor is checked before either construction runs
+        with pytest.raises(FamilyConstructionError,
+                           match=r"not defined at the anchor phi0=0\.5"):
+            family_thm15(1, 1, -0.2, lambda_f=-0.5, xi_range=(-0.3, 0.4),
+                         construction=construction, phi0=0.5)
+
     def test_maximal_interval_in_closed_form(self):
         """(lo, hi) in s = phi^-2: W's argument k3 exp(c s^2) reaches -1/e
         at a finite end and stays on the branch inside."""

@@ -8,8 +8,9 @@ import pytest
 
 from yamabe.catalog import build_example, example5_spec
 from yamabe.errors import EvaluationError
-from yamabe.geodesics import (compare_probe_modes, completeness_probe, energy,
-                              fiber_momentum, geodesic_rhs, integrate_geodesic)
+from yamabe.geodesics import (MODES, compare_probe_modes, completeness_probe,
+                              energy, fiber_momentum, geodesic_rhs,
+                              integrate_geodesic)
 from yamabe.profiles import Profile
 from yamabe.specio import load_document
 
@@ -321,6 +322,42 @@ class TestBatches:
         out = geodesic_rhs(spec)(0.0, states)
         assert np.all(np.isinf(out[1]))
         assert np.isfinite(out[[0, 2]]).all()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rhs_evaluates_each_distinct_profile_once(self, monkeypatch,
+                                                      mode):
+        spec = example5_spec(0.005)
+        assert spec.phi is spec.f
+        apart = dataclasses.replace(
+            example5_spec(0.005), f=Profile.from_expression("exp(0.005*xi)"))
+        states = np.random.default_rng(3).normal(size=(5, 12))
+        for case, distinct in ((spec, [spec.phi]),
+                               (apart, [apart.phi, apart.f])):
+            calls = []
+            for profile in distinct:
+                def counted(xs, *want, form=profile._arrays, p=profile):
+                    calls.append(p)
+                    return form(xs, *want)
+                monkeypatch.setattr(profile, "_arrays", counted)
+            geodesic_rhs(case, mode)(0.0, states)
+            assert calls == distinct
+
+    def test_rhs_rows_outside_a_finite_domain_are_inf_alone(self):
+        # the profiles live on (-1, 1) inside a spec on the whole line: xi
+        # = 2 is outside their domain and a NaN position is nowhere
+        grow = Profile.from_expression("exp(0.2*xi)", (-1.0, 1.0))
+        spec = dataclasses.replace(example5_spec(K), phi=grow, f=grow)
+        states = np.zeros((4, 12))
+        states[:, 0] = [0.0, 2.0, 0.5, np.nan]
+        states[:, 4:6] = 0.3
+        states[:, 10:] = 0.2
+        for mode in MODES:
+            rhs = geodesic_rhs(spec, mode)
+            out = rhs(0.0, states)
+            assert np.all(np.isinf(out[[1, 3]]))
+            assert np.isfinite(out[[0, 2]]).all()
+            for row, state in zip(out, states):
+                assert np.array_equal(row, rhs(0.0, state))
 
     def test_probe_batch_equals_samples_one_by_one(self):
         spec = example5_spec(0.005)

@@ -184,6 +184,21 @@ class TestRows:
             assert np.array_equal(alone.y[0], whole.y[i])
             assert alone.nfev[0] == whole.nfev[i]
 
+    def test_many_t_eval_points_per_step_equal_the_dense_solution(self):
+        # at rtol 1e-6 each step passes several of the 2,000 points, all
+        # interpolated together; row states are the dense solution's there,
+        # up to the event that stops a row between two points
+        ts = np.linspace(SPANS[:, 0], SPANS[:, 1], 2000, axis=1)
+        run = solve_ivp(damped_rows, SPANS, Y0, rtol=1e-6, atol=1e-9,
+                        t_eval=ts, events=[falling_through(0.2)],
+                        dense_output=True)
+        assert "event" in run.stop and "completed" in run.stop
+        for i in range(len(Y0)):
+            got = run.t_eval[i]
+            assert len(got) > 5 * run.nsteps[i]
+            assert np.array_equal(got, ts[i, :len(got)])
+            assert run.y_eval[i].tobytes() == run.sol[i](got).tobytes()
+
     def test_non_finite_rhs_stops_only_its_row(self):
         # row 0 runs into a wall where the RHS is inf; row 1 never does
         def walled(t, y):

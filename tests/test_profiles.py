@@ -150,17 +150,32 @@ class TestPositivity:
         assert "warp" in str(err.value)
 
 
+class TestExpressionForm:
+    def test_computes_only_the_entries_asked_for(self):
+        profile = Profile.from_expression("sqrt(xi)", (-1.0, 4.0))
+        xs = np.array([0.25, 1.0])
+        with np.errstate(all="ignore"):
+            value, d1, d2 = profile._arrays(xs, True, False, False)
+            assert d1 is None and d2 is None
+            assert value.tolist() == [0.5, 1.0]
+            assert profile._arrays(xs, False, True, False)[::2] == (None, None)
+        # a one-point value asks for the value alone
+        assert profile.value(0.0) == 0.0
+        assert profile(0.25) == 0.5 and profile.d1(0.25) == 1.0
+
+
 class TestFromArrays:
     @staticmethod
     def walled(calls=None):
         """xi + 1 and its derivatives, whose numpy form raises for the whole
         array once any point lies past xi = 0.5."""
-        def arrays(xs, value, d2):
+        def arrays(xs, value, d1, d2):
             if calls is not None:
                 calls.append(len(xs))
             if np.any(xs > 0.5):
                 raise EvaluationError(f"past the wall at {xs.max()!r}")
-            return (xs + 1.0 if value else None, np.ones(len(xs)),
+            return (xs + 1.0 if value else None,
+                    np.ones(len(xs)) if d1 else None,
                     np.zeros(len(xs)) if d2 else None)
         return Profile(arrays, (-2.0, 2.0))
 
