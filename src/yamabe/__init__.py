@@ -19,16 +19,15 @@ from .geometry import (SignatureSpec, TranslationDirection, causal_class,
                        signed_norm)
 from .lambertw import lambert_w
 from .profiles import Interval, Profile, grid_points
-from .soliton import (ANALYTIC_TOL, NUMERIC_TOL, ResidualReport,
-                      WarpedSolitonSpec, certify, classify,
-                      full_tensor_residual, lemma_identities, point_eval,
-                      reduced_residuals)
+from .soliton import (ANALYTIC_TOL, ResidualReport, WarpedSolitonSpec,
+                      certify, classify, full_tensor_residual,
+                      lemma_identities, point_eval, reduced_residuals)
 from .specio import load_document, loads_document
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANALYTIC_TOL", "NUMERIC_TOL", "BranchDomainError",
+    "ANALYTIC_TOL", "BranchDomainError",
     "DimensionMismatchError", "DomainError", "EvaluationError",
     "ExpressionSyntaxError", "FamilyConstructionError", "Interval",
     "PositivityError", "Profile", "QuadratureError", "ResidualReport",

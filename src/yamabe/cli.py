@@ -124,7 +124,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", parents=[], help="certify a document")
     p_verify.add_argument("document", help="path to a problem JSON document")
     p_verify.add_argument("--tol", type=_POSITIVE, default=None,
-                          help="residual tolerance (default: by profile kind)")
+                          help="residual tolerance (default: the document's "
+                          "tolerance, else 1e-8)")
     p_verify.add_argument("--grid", type=_GRID, default=None,
                           help="number of grid points (default 200)")
     p_verify.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),

@@ -276,7 +276,8 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
                 hi, t_hi = cand, t
                 if (t >= far) if rising else (t <= far):
                     break
-        bounds = sorted(travel(np.array([lo, hi])).tolist())
+        ends = travel(np.array([lo, hi]))
+        bounds = sorted(ends.tolist())
 
         def check(xs):
             outside = xs[~((bounds[0] <= xs + k4) & (xs + k4 <= bounds[1]))]
@@ -291,7 +292,7 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
 
         def solve(xs):
             check(xs)
-            s = invert_monotone(travel, xs + k4, (lo, hi),
+            s = invert_monotone(travel, xs + k4, (lo, hi), ends,
                                 dg=lambda s: -0.5 / u_w(s)[0], start=s0)
             phi = 1.0 / np.sqrt(s)
             u, w = u_w(s)

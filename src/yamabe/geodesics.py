@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
 from .numerics import solve_ivp
 from .profiles import masked_jet
 from .soliton import WarpedSolitonSpec
@@ -54,14 +53,11 @@ STATUS = {"completed": "completed", "domain-exit": "left-domain",
           "norm-escape": "blowup", "step-size-collapse": "blowup",
           "non-finite-rhs": "blowup", "positivity-loss": "positivity-loss"}
 
-# a profile raising one of these cannot be evaluated at that point
-_EVALUATION_ERRORS = (EvaluationError, DomainError, OverflowError)
-
 
 def _xi_of(spec: WarpedSolitonSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The function y (k, n) -> xi = alpha . y of each row, nudged inside an
     open finite domain so that trial steps slightly past the exit event
-    cannot raise a domain error."""
+    still evaluate the profiles instead of reading NaN there."""
     alpha = np.asarray(spec.direction.alpha, dtype=float)
     lo, hi = spec.domain.lo, spec.domain.hi
     lo = lo + 1e-13 * max(1.0, abs(lo)) if math.isfinite(lo) else None
@@ -79,18 +75,18 @@ def _xi_of(spec: WarpedSolitonSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _profiles_at(spec: WarpedSolitonSpec):
-    """The function y (k, n) -> phi, phi', f, f' at the rows' xi (from their
-    jets), NaN where a profile cannot be evaluated. A profile that is both
-    phi and f is evaluated once. It runs under the caller's
-    np.errstate(all="ignore")."""
+    """The function y (k, n) -> phi, phi', f, f' at the rows' xi, read
+    through ``masked_jet``: not finite where a profile cannot be evaluated.
+    A profile that is both phi and f is evaluated once. It runs under the
+    caller's np.errstate(all="ignore")."""
     xi_of, phi, f = _xi_of(spec), spec.phi, spec.f
 
     def at(y: np.ndarray):
         xi = xi_of(y)
-        p, dp = masked_jet(phi, xi, _EVALUATION_ERRORS)
+        p, dp, _ = masked_jet(phi, xi, True, True, False)
         if f is phi:
             return p, dp, p, dp
-        return (p, dp, *masked_jet(f, xi, _EVALUATION_ERRORS))
+        return (p, dp, *masked_jet(f, xi, True, True, False)[:2])
 
     return at
 
@@ -121,11 +117,11 @@ def geodesic_rhs(spec: WarpedSolitonSpec,
         vf''  : vf' = -2 (f'/f) (alpha.v) vf
 
     Paper-reduced mode keeps only the last term of y'' and the same vf'.
-    Every row is computed on its own. A row where phi or f cannot be
-    evaluated, or where their value or first derivative is not finite,
-    comes back as inf: the integrator rejects each step that evaluates
-    there and shrinks it until it falls below 10 ulps of s, and the row
-    stops with stop reason non-finite-rhs (status blowup).
+    Every row is computed on its own. A row where the value or first
+    derivative of phi or f is not finite (where a profile cannot be
+    evaluated) comes back as inf: the integrator rejects each step that
+    evaluates there and shrinks it until it falls below 10 ulps of s, and
+    the row stops with stop reason non-finite-rhs (status blowup).
 
     Cost per call (one Runge-Kutta stage of every running row): one numpy
     form call per distinct profile (one when phi is f, as on the

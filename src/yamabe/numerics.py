@@ -1,8 +1,7 @@
 """Small numerical kernels shared across modules.
 
 Adaptive Gauss-Legendre panels and a bracketed monotone inversion (both also
-elementwise over arrays), the central-difference stencils used for
-derivative fallbacks, and ``solve_ivp``: the explicit Runge-Kutta kernel
+elementwise over arrays), and ``solve_ivp``: the explicit Runge-Kutta kernel
 (Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
 batch of independent trajectories at a time, with dense output where asked.
 Adaptive Simpson quadrature and its cached antiderivative are still here,
@@ -23,8 +22,7 @@ from .errors import QuadratureError, RootFindError
 
 __all__ = [
     "adaptive_simpson", "CachedAntiderivative", "gauss_legendre",
-    "invert_monotone", "opposite",
-    "central_d1", "central_d2", "square", "solve_ivp", "OdeBatch",
+    "invert_monotone", "opposite", "square", "solve_ivp", "OdeBatch",
     "DenseTrajectory", "DEFAULT_QUAD_TOL",
 ]
 
@@ -117,11 +115,15 @@ _INVERT_STEPS = 200
 
 
 def invert_monotone(g: Callable, target, bracket: tuple[float, float],
-                    dg: Callable | None = None, start: float | None = None):
+                    g_ends, dg: Callable | None = None,
+                    start: float | None = None):
     """Solve g(x) = target for monotone g on a bracket (lo, hi) that
     straddles the target, elementwise over the array target: g and dg take
     and return arrays of the same shape, and g may give NaN where it cannot
-    be evaluated. The result has the shape of target (0-d for a float).
+    be evaluated. g_ends is g at the two ends of the bracket, in its order
+    (the caller has them, or pays for g(np.array(bracket))); they check the
+    straddle, raising RootFindError where it fails, and orient each step.
+    The result has the shape of target (0-d for a float).
 
     Every element is solved in lockstep. Each starts at start (default the
     bracket midpoint) and takes Newton steps with dg. A step that leaves
@@ -136,7 +138,7 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
     t = np.array(target, dtype=float).reshape(-1)
 
     lo_end, hi_end = bracket
-    glo, ghi = g(np.array([lo_end, hi_end], dtype=float))[:, None] - t
+    glo, ghi = np.asarray(g_ends, dtype=float)[:, None] - t
     bad = (glo != 0.0) & (ghi != 0.0) & ((glo < 0.0) == (ghi < 0.0))
     if np.count_nonzero(bad):
         raise RootFindError(
@@ -262,29 +264,6 @@ def gauss_legendre(f: Callable, a, b):
             tol = np.repeat(0.5 * tol[split], 2)
         failed[owner] = True
     return np.where(failed, np.nan, value).reshape(shape)
-
-
-def central_d1(f: Callable[[float], float], x: float,
-               step: float | None = None) -> float:
-    """First derivative, central difference with one Richardson level."""
-    h = step if step is not None else max(1e-6, 1e-6 * abs(x))
-    d_h = (f(x + h) - f(x - h)) / (2.0 * h)
-    d_h2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def central_d2(f: Callable[[float], float], x: float,
-               step: float | None = None) -> float:
-    """Second derivative with one Richardson level.
-
-    The default step is larger than for d1: second differences lose ~eps/h^2
-    to cancellation, so 1e-6 would leave 1e-4-sized noise.
-    """
-    h = step if step is not None else max(1e-4, 1e-4 * abs(x))
-    fx = f(x)
-    s_h = (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
-    s_h2 = (f(x + 0.5 * h) - 2.0 * fx + f(x - 0.5 * h)) / (0.25 * h * h)
-    return (4.0 * s_h2 - s_h) / 3.0
 
 
 def square(x):

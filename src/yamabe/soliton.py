@@ -28,20 +28,18 @@ from .errors import DimensionMismatchError
 from .geometry import (SignatureSpec, TranslationDirection,
                        warped_scalar_curvature)
 from .numerics import square
-from .profiles import Interval, Profile, grid_points, leading_jets
+from .profiles import Interval, Profile, grid_points, masked_jet
 
 __all__ = [
     "WarpedSolitonSpec", "PointEval", "point_eval", "Terms",
     "ResidualReport", "EquationStat",
     "Classification", "reduced_residuals", "full_tensor_residual",
-    "lemma_identities", "classify", "certify",
-    "ANALYTIC_TOL", "NUMERIC_TOL",
+    "lemma_identities", "classify", "certify", "ANALYTIC_TOL",
 ]
 
 log = logging.getLogger("yamabe.soliton")
 
-ANALYTIC_TOL = 1e-8   # default certification tolerance, analytic derivatives
-NUMERIC_TOL = 1e-4    # default when any profile uses FD fallback derivatives
+ANALYTIC_TOL = 1e-8   # default certification tolerance
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,6 @@ class WarpedSolitonSpec:
     @property
     def is_almost(self) -> bool:
         return isinstance(self.rho, Profile)
-
-    @property
-    def analytic(self) -> bool:
-        return (self.phi.analytic_derivatives and self.f.analytic_derivatives
-                and self.h.analytic_derivatives
-                and (not self.is_almost or self.rho.analytic_derivatives))
 
     def rho_at(self, xi: float) -> float:
         return self.rho.value(xi) if self.is_almost else self.rho
@@ -298,14 +290,13 @@ def classify(spec: WarpedSolitonSpec) -> Classification:
 
 
 def _h_is_constant(spec: WarpedSolitonSpec) -> bool:
-    """Whether |h'| <= 1e-12 on a 16-point grid of a finite domain."""
+    """Whether |h'| <= 1e-12 at each point of a 16-point grid of a finite
+    domain; a point where h' is not finite fails."""
     if not spec.domain.finite:
         return False
-    pts = grid_points(spec.domain, 16)
-    try:
-        d1 = spec.h.jet(pts, value=False, d2=False)[1]
-    except Exception:
-        return False
+    with np.errstate(all="ignore"):
+        d1 = masked_jet(spec.h, np.array(grid_points(spec.domain, 16)),
+                        False, True, False)[1]
     return bool(np.max(np.abs(d1)) <= 1e-12)
 
 
@@ -355,37 +346,39 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
             interval: Optional[Interval] = None,
             sign_variant: str = "minus") -> ResidualReport:
     """Grid certification: margin-clipped uniform grid, reduced and full
-    tensor residuals, verdict by comparison against the tolerance.
+    tensor residuals, verdict by comparison against the tolerance
+    (ANALYTIC_TOL when None).
 
-    The whole grid is evaluated in one pass over arrays. Verdict
-    'inconclusive' means that at some grid point a profile could not be
-    evaluated, or a profile value or residual is not finite (typically a
-    singularity inside the interval); the first such point is named in a
-    note, and the maxima come from the points before it. 'rejected' means
-    every evaluation was finite but some residual exceeds the tolerance.
+    The whole grid is evaluated in one pass over arrays, each profile
+    through ``masked_jet``. Verdict 'inconclusive' means that at some grid
+    point a profile value or residual is not finite (typically a
+    singularity inside the interval, where a profile cannot be evaluated);
+    the first such point is named in a note, "evaluation failed at
+    xi=...: non-finite <field>", and the maxima come from the points before
+    it. 'rejected' means every evaluation was finite but some residual
+    exceeds the tolerance.
     """
     interval = (interval or spec.domain).clipped(spec.domain)
     if tolerance is None:
-        tolerance = ANALYTIC_TOL if spec.analytic else NUMERIC_TOL
+        tolerance = ANALYTIC_TOL
     pts = grid_points(interval, grid_size)
+    xs = np.array(pts)
 
-    wanted = [(spec.phi, True), (spec.f, True), (spec.h, False)]
-    if spec.is_almost:
-        wanted.append((spec.rho, True))
-    (phi, f, h, *rho), stop, error = leading_jets(pts, wanted)
-    failure = (None if error is None
-               else f"evaluation failed at xi={pts[stop]!r}: {error}")
-    # PointEval fields in order; h itself is not needed, h' and h'' are
-    pv = PointEval(np.array(pts[:stop]), *phi, *f, *h[1:],
-                   rho[0][0] if rho else spec.rho)
     with np.errstate(all="ignore"):
+        # PointEval fields in order; h itself is not needed, h' and h'' are
+        pv = PointEval(xs, *masked_jet(spec.phi, xs, True, True, True),
+                       *masked_jet(spec.f, xs, True, True, True),
+                       *masked_jet(spec.h, xs, False, True, True)[1:],
+                       masked_jet(spec.rho, xs, True, False, False)[0]
+                       if spec.is_almost else spec.rho)
         terms = Terms(spec, pv, sign_variant)
         block, fiber = terms.tensor()
         residuals = {**terms.reduced(),
                      "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
                      "tensor-fiber": fiber}
         inequality = terms.s_base - terms.rhs
-    size = stop
+    size = stop = len(pts)
+    failure = None
     for name, values in {**vars(pv), **residuals}.items():
         bad = np.flatnonzero(~np.isfinite(np.broadcast_to(values, (size,))))
         if bad.size and bad[0] < stop:

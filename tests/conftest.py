@@ -15,6 +15,28 @@ def rel_err(approx, exact, floor=1.0):
     return np.max(np.abs(a - b) / np.maximum(floor, np.abs(b)))
 
 
+def central_d1(f, x, step=None):
+    """First derivative, central difference with one Richardson level: the
+    tests' finite-difference reference for exact derivatives."""
+    h = step if step is not None else max(1e-6, 1e-6 * abs(x))
+    d_h = (f(x + h) - f(x - h)) / (2.0 * h)
+    d_h2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def central_d2(f, x, step=None):
+    """Second derivative with one Richardson level.
+
+    The default step is larger than for d1: second differences lose ~eps/h^2
+    to cancellation, so 1e-6 would leave 1e-4-sized noise.
+    """
+    h = step if step is not None else max(1e-4, 1e-4 * abs(x))
+    fx = f(x)
+    s_h = (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
+    s_h2 = (f(x + 0.5 * h) - 2.0 * fx + f(x - 0.5 * h)) / (0.25 * h * h)
+    return (4.0 * s_h2 - s_h) / 3.0
+
+
 def make_spec(phi, f, h, *, n=4, d=2, eps=None, alpha=None, rho=0.0,
               lambda_f=0.0, domain=(-2.0, 2.0)):
     """Quick spec assembly from expression strings (or Profiles)."""

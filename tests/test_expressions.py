@@ -12,7 +12,8 @@ from yamabe.expressions import (CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg,
                                 compile_callable, compile_jet, differentiate,
                                 parse_expression, to_text)
 from yamabe.lambertw import lambert_w
-from yamabe.numerics import central_d1
+
+from conftest import central_d1
 
 
 def ev(text, xi):

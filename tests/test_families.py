@@ -9,10 +9,13 @@ from yamabe.families import (almost_soliton_lightlike, default_lightlike_frame,
                              family_thm16, family_thm17, family_thm18,
                              phase_portrait, riccati_general_solution,
                              riccati_residual)
+from yamabe.geodesics import integrate_geodesic
 from yamabe.lambertw import lambert_w
-from yamabe.numerics import CachedAntiderivative, central_d2
-from yamabe.profiles import Interval, Profile, grid_points
+from yamabe.numerics import CachedAntiderivative
+from yamabe.profiles import Interval, Profile, grid_points, masked_jet
 from yamabe.soliton import certify, classify
+
+from conftest import central_d2
 
 HALF_PI = 0.5 * math.pi
 
@@ -367,6 +370,30 @@ class TestLambertFamilyArrays:
                       .split(",")[0])
         assert abs(lower - -5.066027636174845) <= 1e-9
 
+    def test_a_raise_past_the_wall_propagates_promptly(self, monkeypatch):
+        """The 1%-clipped range ends at -5.016, inside the maximal interval,
+        so this builds; phi's form raises for a point between the range's
+        end and the wall at -5.066. The raise reaches the caller of jet and
+        of a geodesic whose RHS asks there. Read as NaN instead, it would
+        not end: phi is smooth with phi' = 0 at the wall, and the
+        integrator keeps accepting ever smaller steps toward it. The form
+        gets a budget of calls, which ends the test in any case."""
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(-5.07, 0.3))
+        form, calls = spec.phi._arrays, []
+
+        def budgeted(xs, *want):
+            calls.append(len(xs))
+            if len(calls) > 500:
+                pytest.fail("phi evaluated more than 500 times")
+            return form(xs, *want)
+        monkeypatch.setattr(spec.phi, "_arrays", budgeted)
+        with pytest.raises(FamilyConstructionError, match="maximal interval"):
+            spec.phi.jet([-5.068])
+        with pytest.raises(FamilyConstructionError, match="maximal interval"):
+            integrate_geodesic(spec, [-5.03, 0, 0], [-1, 0, 0], [0, 0, 0],
+                               [0, 0, 0], s_span=(0, 1))
+
     def test_certify_runs_no_scalar_closure(self, monkeypatch):
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})
         for name in ("value", "d1", "d2"):
@@ -677,12 +704,17 @@ def _every_constructor():
         ("almost-rho", lambda: almost_soliton_lightlike(
             grow, Profile.from_expression("exp(-0.1*xi)"), 1.0, -2.0,
             xi_range=(-2.0, 2.0), run_certify=False).rho),
-        ("from-callable", lambda: Profile.from_callable(math.cosh,
-                                                        (-1.5, 1.5))),
-        ("from-callable-plus-expression", lambda: Profile.from_callable(
-            math.cosh, (-1.5, 1.5)).plus(Profile.from_expression("2*xi"))),
+        ("from-arrays", lambda: Profile(_cosh_arrays, (-1.5, 1.5))),
+        ("from-arrays-plus-expression", lambda: Profile(
+            _cosh_arrays, (-1.5, 1.5)).plus(Profile.from_expression("2*xi"))),
     ]
     return cases
+
+
+def _cosh_arrays(xs, value, d1, d2):
+    """A numpy form written out by hand: cosh and its derivatives."""
+    return (np.cosh(xs) if value else None, np.sinh(xs) if d1 else None,
+            np.cosh(xs) if d2 else None)
 
 
 @pytest.mark.parametrize("build", [pytest.param(build, id=key)
@@ -696,3 +728,26 @@ def test_every_profile_has_a_numpy_form_equal_to_its_scalars(build):
                        (profile.value, profile.d1, profile.d2)])
     assert np.isfinite(jet).all()
     assert jet.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=key)
+                                   for key, build in _every_constructor()])
+def test_masked_jet_is_nan_outside_and_the_jet_inside(build):
+    profile = build()
+    lo, hi = profile.domain.as_tuple()
+    inner = grid_points(Interval(max(lo, -30.0), min(hi, 100.0)), 25)
+    outer = [x for x in (lo - 1.0, lo, hi, hi + 1.0) if math.isfinite(x)]
+    xs = np.array(outer[:2] + inner[:12] + [math.nan] + inner[12:]
+                  + outer[2:])
+    inside = np.isin(xs, inner)
+    assert np.count_nonzero(~inside) == len(outer) + 1
+    for want in ((True, True, True), (False, True, False)):
+        with np.errstate(all="ignore"):
+            got = masked_jet(profile, xs, *want)
+        jet = profile.jet(inner, value=want[0], d2=want[2])
+        for entry, asked, exact in zip(got, want, jet):
+            if not asked:
+                assert entry is None and exact is None
+                continue
+            assert np.isnan(entry[~inside]).all()
+            assert entry[inside].tobytes() == exact.tobytes()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from yamabe.catalog import build_example, example5_spec
-from yamabe.errors import EvaluationError
 from yamabe.geodesics import (MODES, compare_probe_modes, completeness_probe,
                               energy, fiber_momentum, geodesic_rhs,
                               integrate_geodesic)
@@ -309,14 +308,12 @@ class TestBatches:
                 assert np.array_equal(row, rhs(0.0, state))
 
     def test_rhs_keeps_failures_of_callable_profiles_in_their_row(self):
-        def value(xi):
-            if xi > 0.5:
-                raise EvaluationError("no value past 0.5")
-            return 1.0 + xi * xi
-        spec = example5_spec(K)
-        spec = dataclasses.replace(spec, f=Profile.from_callable(
-            value, (-math.inf, math.inf), d1=lambda xi: 2.0 * xi,
-            d2=lambda xi: 2.0))
+        def arrays(xs, value, d1, d2):
+            # no value past 0.5
+            return (np.where(xs > 0.5, np.nan, 1.0 + xs * xs) if value
+                    else None, 2.0 * xs if d1 else None,
+                    np.full(len(xs), 2.0) if d2 else None)
+        spec = dataclasses.replace(example5_spec(K), f=Profile(arrays))
         states = np.zeros((3, 12))
         states[:, 0] = [0.0, 1.0, 0.2]      # xi = 0, 1, 0.2
         out = geodesic_rhs(spec)(0.0, states)

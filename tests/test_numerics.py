@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from yamabe.errors import QuadratureError, RootFindError
 from yamabe.numerics import (CachedAntiderivative, adaptive_simpson,
-                             central_d1, central_d2, gauss_legendre,
-                             invert_monotone, opposite)
+                             gauss_legendre, invert_monotone, opposite)
+
+from conftest import central_d1, central_d2
 
 
 class TestAdaptiveSimpson:
@@ -81,22 +82,33 @@ class TestCachedAntiderivative:
             assert abs(v - exact) < 1e-8
 
 
+def invert(g, target, bracket, **kw):
+    """invert_monotone with g at the bracket's ends computed here."""
+    return invert_monotone(g, target, bracket, g(np.array(bracket)), **kw)
+
+
 class TestInvertMonotone:
     def test_bracketed(self):
-        x = invert_monotone(np.sinh, np.array(2.0), (0.0, 5.0))
+        x = invert(np.sinh, np.array(2.0), (0.0, 5.0))
         assert x.shape == ()
         assert abs(x - math.asinh(2.0)) < 1e-12
 
     def test_bracket_must_straddle(self):
         with pytest.raises(RootFindError):
-            invert_monotone(np.exp, np.array(0.5), (1.0, 2.0))
+            invert(np.exp, np.array(0.5), (1.0, 2.0))
+
+    def test_straddle_is_checked_on_the_given_ends(self):
+        def g(x):
+            raise AssertionError("g evaluated")
+        with pytest.raises(RootFindError, match="target 0.5"):
+            invert_monotone(g, np.array(0.5), (1.0, 2.0), np.exp([1.0, 2.0]))
 
     def test_decreasing_function(self):
-        x = invert_monotone(lambda t: np.exp(-t), np.array(0.2), (0.0, 5.0))
+        x = invert(lambda t: np.exp(-t), np.array(0.2), (0.0, 5.0))
         assert abs(x + math.log(0.2)) < 1e-10
 
     def test_newton_polish_improves(self):
-        x = invert_monotone(np.sinh, np.array(3.0), (0.0, 9.0), dg=np.cosh)
+        x = invert(np.sinh, np.array(3.0), (0.0, 9.0), dg=np.cosh)
         assert abs(x - math.asinh(3.0)) < 1e-14
 
     def test_opposite_survives_underflow(self):
@@ -109,7 +121,7 @@ class TestInvertMonotone:
     @settings(max_examples=150, deadline=None)
     def test_cubic_shift_property(self, target):
         g = lambda t: t ** 3 + t  # strictly increasing
-        x = invert_monotone(g, target, (-4.0, 4.0))
+        x = invert(g, target, (-4.0, 4.0))
         assert abs(g(x) - target) <= 1e-9 * max(1.0, abs(target))
 
 
@@ -165,17 +177,17 @@ class TestInvertMonotoneArrays:
     TARGETS = np.linspace(-9.0, 9.0, 37)
 
     def test_bisection_equals_scalar_calls(self):
-        got = invert_monotone(np.sinh, self.TARGETS, (-4.0, 4.0))
+        got = invert(np.sinh, self.TARGETS, (-4.0, 4.0))
         for t, x in zip(self.TARGETS.tolist(), got.tolist()):
-            assert invert_monotone(np.sinh, t, (-4.0, 4.0)) == x
+            assert invert(np.sinh, t, (-4.0, 4.0)) == x
         assert np.max(np.abs(got - np.arcsinh(self.TARGETS))) < 1e-12
 
     def test_newton_equals_scalar_calls(self):
-        got = invert_monotone(np.sinh, self.TARGETS, (-4.0, 4.0),
-                              dg=np.cosh, start=0.0)
+        got = invert(np.sinh, self.TARGETS, (-4.0, 4.0), dg=np.cosh,
+                     start=0.0)
         for t, x in zip(self.TARGETS.tolist(), got.tolist()):
-            assert invert_monotone(np.sinh, t, (-4.0, 4.0), dg=np.cosh,
-                                   start=0.0) == x
+            assert invert(np.sinh, t, (-4.0, 4.0), dg=np.cosh,
+                          start=0.0) == x
         assert np.max(np.abs(got - np.arcsinh(self.TARGETS))
                       / np.maximum(1.0, np.abs(got))) < 1e-15
 
@@ -190,24 +202,24 @@ class TestInvertMonotoneArrays:
             return np.round((8.0 - 20.0 / x) * 2.0 ** 46) / 2.0 ** 46
 
         targets = np.linspace(7.5, 7.8, 31) + 2.0 ** -48
-        got = invert_monotone(g, targets, (1.0, 200.0),
-                              dg=lambda x: 20.0 / (x * x), start=1.0)
+        got = invert(g, targets, (1.0, 200.0), dg=lambda x: 20.0 / (x * x),
+                     start=1.0)
         assert len(calls) < 40
         assert np.max(np.abs(got - 20.0 / (8.0 - targets)) / got) < 1e-13
 
     def test_newton_falls_back_to_bisection(self):
         # a flat derivative at the start throws Newton out of the bracket
         g = lambda x: np.arctan(x)
-        got = invert_monotone(g, np.array([-1.2, 0.3, 1.4]), (-20.0, 20.0),
-                              dg=lambda x: 1.0 / (1.0 + x * x), start=15.0)
+        got = invert(g, np.array([-1.2, 0.3, 1.4]), (-20.0, 20.0),
+                     dg=lambda x: 1.0 / (1.0 + x * x), start=15.0)
         assert np.allclose(got, np.tan([-1.2, 0.3, 1.4]), rtol=1e-14)
 
     def test_shape_kept_and_straddle_checked(self):
-        got = invert_monotone(np.sinh, self.TARGETS[:36].reshape(6, 6),
-                              (-4.0, 4.0), dg=np.cosh)
+        got = invert(np.sinh, self.TARGETS[:36].reshape(6, 6), (-4.0, 4.0),
+                     dg=np.cosh)
         assert got.shape == (6, 6)
         with pytest.raises(RootFindError, match="target 30.0"):
-            invert_monotone(np.sinh, np.array([1.0, 30.0]), (-4.0, 4.0))
+            invert(np.sinh, np.array([1.0, 30.0]), (-4.0, 4.0))
 
 
 class TestStencils:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from yamabe.errors import DomainError, EvaluationError, PositivityError
-from yamabe.numerics import central_d1, central_d2
 from yamabe.profiles import (DEFAULT_GRID_MARGIN, Interval, Profile,
-                             grid_points, leading_jets)
+                             grid_points, masked_jet)
+
+from conftest import central_d1, central_d2
 
 
 class TestInterval:
@@ -59,10 +60,6 @@ class TestExpressionProfiles:
             assert abs(p.d1(xi) - central_d1(p.value, xi)) < 1e-7
             assert abs(p.d2(xi) - central_d2(p.value, xi)) < 1e-5
 
-    def test_analytic_flag(self):
-        assert Profile.from_expression("xi^2").analytic_derivatives
-        assert Profile.constant(3.0).analytic_derivatives
-
     def test_source_retained(self):
         assert Profile.from_expression("exp(xi)").source == "exp(xi)"
 
@@ -87,24 +84,6 @@ class TestDomains:
         with pytest.raises(DomainError):
             p.value(0.0)
         assert p.value(1.0) == 0.0
-
-
-class TestCallableProfiles:
-    def test_fd_fallback_flags_numeric(self):
-        p = Profile.from_callable(math.cosh, (-3.0, 3.0))
-        assert not p.analytic_derivatives
-        assert abs(p.d1(0.5) - math.sinh(0.5)) < 1e-8
-        assert abs(p.d2(0.5) - math.cosh(0.5)) < 1e-6
-
-    def test_partial_derivatives_still_numeric(self):
-        p = Profile.from_callable(math.cosh, (-3.0, 3.0), d1=math.sinh)
-        assert not p.analytic_derivatives
-
-    def test_full_derivatives_analytic(self):
-        p = Profile.from_callable(math.cosh, (-3.0, 3.0),
-                                  d1=math.sinh, d2=math.cosh)
-        assert p.analytic_derivatives
-        assert p.d2(1.0) == math.cosh(1.0)
 
 
 class TestWrappers:
@@ -132,11 +111,6 @@ class TestWrappers:
         assert s.domain.as_tuple() == (0.0, 1.0)
         assert s.value(0.5) == 0.75
         assert s.d1(0.5) == 2.0
-
-    def test_plus_propagates_numeric_flag(self):
-        a = Profile.from_expression("xi")
-        b = Profile.from_callable(math.sin, (-2.0, 2.0))
-        assert not a.plus(b).analytic_derivatives
 
 
 class TestPositivity:
@@ -167,42 +141,56 @@ class TestExpressionForm:
 class TestFromArrays:
     @staticmethod
     def walled(calls=None):
-        """xi + 1 and its derivatives, whose numpy form raises for the whole
-        array once any point lies past xi = 0.5."""
+        """xi + 1 and its derivatives, whose numpy form gives NaN past the
+        wall at xi = 0.5 and counts its calls."""
         def arrays(xs, value, d1, d2):
             if calls is not None:
                 calls.append(len(xs))
-            if np.any(xs > 0.5):
-                raise EvaluationError(f"past the wall at {xs.max()!r}")
-            return (xs + 1.0 if value else None,
-                    np.ones(len(xs)) if d1 else None,
-                    np.zeros(len(xs)) if d2 else None)
+            wall = np.where(xs > 0.5, np.nan, 0.0)
+            return (xs + 1.0 + wall if value else None,
+                    np.ones(len(xs)) + wall if d1 else None,
+                    np.zeros(len(xs)) + wall if d2 else None)
         return Profile(arrays, (-2.0, 2.0))
 
     def test_scalar_calls_are_the_form_at_one_point(self):
         profile = self.walled()
         assert (profile.value(0.25), profile.d1(0.25), profile.d2(0.25)) \
             == (1.25, 1.0, 0.0)
-        assert profile.analytic_derivatives
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="non-finite value"):
             profile.value(0.75)
 
-    def test_raising_form_covers_the_longest_prefix(self):
+    def test_masked_jet_runs_the_form_once_on_the_points_inside(self):
         calls = []
         profile = self.walled(calls)
-        xs = np.linspace(-1.0, 1.0, 41)
-        (jet,), stop, error = leading_jets(xs, [(profile, True)])
-        assert stop == int(np.argmax(xs > 0.5))
-        assert isinstance(error, EvaluationError)
-        assert str(error) == f"past the wall at {xs[stop]!r}"
-        assert np.array_equal(jet[0], xs[:stop] + 1.0)
-        # one call over everything and a bisection on the prefix length; the
-        # error is the one the shortest raising prefix, xs[:stop + 1], raised
-        assert len(calls) < 10 and stop + 1 in calls
+        xs = np.array([-3.0, 0.25, 2.0, np.nan, 0.75, -1.0])
+        value, d1, d2 = masked_jet(profile, xs, True, True, False)
+        assert calls == [3] and d2 is None
+        assert np.array_equal(value, [np.nan, 1.25, np.nan, np.nan, np.nan,
+                                      0.0], equal_nan=True)
+        assert np.array_equal(d1, [np.nan, 1.0, np.nan, np.nan, np.nan,
+                                   1.0], equal_nan=True)
+        # every point inside: the form on xs itself
+        assert masked_jet(profile, xs[[1, 5]], True, False, False)[0] \
+            .tolist() == [1.25, 0.0]
+        assert calls == [3, 2]
+
+    def test_a_raising_form_propagates(self):
+        def arrays(xs, value, d1, d2):
+            raise ZeroDivisionError("the form's own")
+        profile = Profile(arrays, (-1.0, 1.0))
+        for read in (lambda: profile.jet([0.0]), lambda: profile.value(0.0),
+                     lambda: masked_jet(profile, np.array([0.0, 5.0]),
+                                        True, True, True)):
+            with pytest.raises(ZeroDivisionError, match="the form's own"):
+                read()
 
     def test_positivity_through_the_numpy_form(self):
-        with pytest.raises(EvaluationError, match="past the wall"):
-            self.walled().require_positive(Interval(-0.5, 1.0))
+        with pytest.raises(EvaluationError, match=r"non-finite f at xi=0\.5"):
+            self.walled().require_positive(Interval(-0.5, 1.0), name="f")
         self.walled().require_positive(Interval(-0.5, 0.5))
         with pytest.raises(PositivityError, match=r"f\(-1.97\) = -0.97"):
             self.walled().require_positive(Interval(-2.0, 1.0), name="f")
+        # the last grid point, 2.0195, lies outside the domain
+        with pytest.raises(EvaluationError, match=r"non-finite f at xi=2\.01"):
+            Profile.from_expression("xi + 3", (-2.0, 2.0)).require_positive(
+                Interval(-1.0, 2.05), name="f")

@@ -13,9 +13,9 @@ from yamabe.errors import (DimensionMismatchError, DomainError,
 from yamabe.geometry import (SignatureSpec, TranslationDirection,
                              base_point_for_xi)
 from yamabe.profiles import Interval, Profile, grid_points
-from yamabe.soliton import (ANALYTIC_TOL, NUMERIC_TOL, WarpedSolitonSpec,
-                            certify, classify, full_tensor_residual,
-                            lemma_identities, reduced_residuals)
+from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
+                            classify, full_tensor_residual, lemma_identities,
+                            reduced_residuals)
 
 from conftest import make_spec, random_polynomial_spec
 
@@ -39,12 +39,6 @@ class TestSpecValidation:
         other = SignatureSpec.euclidean(5)
         with pytest.raises(DimensionMismatchError):
             dataclasses.replace(spec, sig=other)
-
-    def test_analytic_reflects_profiles(self):
-        assert make_spec("exp(xi)", "exp(xi)", "xi").analytic
-        numeric = make_spec(Profile.from_callable(math.exp, (-2.0, 2.0)),
-                            "exp(xi)", "xi")
-        assert not numeric.analytic
 
     def test_rho_at_constant_and_profile(self):
         spec = make_spec("exp(xi)", "exp(xi)", "xi", rho=3.0)
@@ -249,15 +243,9 @@ class TestClassification:
 
 
 class TestCertify:
-    def test_tolerance_auto_selection(self):
-        analytic = make_spec("exp(xi)", "exp(xi)", "xi")
-        assert certify(analytic).tolerance == ANALYTIC_TOL
-        numeric = make_spec(Profile.from_callable(math.exp, (-2.0, 2.0)),
-                            "exp(xi)", "xi")
-        assert certify(numeric).tolerance == NUMERIC_TOL
-
     def test_tolerance_override(self):
         spec = make_spec("exp(xi)", "exp(xi)", "xi")
+        assert certify(spec).tolerance == ANALYTIC_TOL
         assert certify(spec, tolerance=0.5).tolerance == 0.5
 
     def test_inconclusive_on_singularity(self):
@@ -308,7 +296,7 @@ def reference_certify(spec, grid_size=200, interval=None):
     first point that raises or gives a non-finite residual makes the verdict
     inconclusive and ends the maxima."""
     interval = (interval or spec.domain).clipped(spec.domain)
-    tolerance = ANALYTIC_TOL if spec.analytic else NUMERIC_TOL
+    tolerance = ANALYTIC_TOL
     n = spec.n
     maxima = {}
     for xi in grid_points(interval, grid_size):
@@ -357,12 +345,18 @@ def _equivalence_cases():
                      id="lightlike-zero-phi"),
         pytest.param(_hostile("1", "1/xi^2", "0", lightlike=False), None,
                      id="spacelike-pole-f2"),
-        pytest.param(make_spec(Profile.from_callable(math.exp, (-2.0, 2.0)),
-                               "exp(xi)", "xi"), None, id="fd-callable"),
+        pytest.param(make_spec(Profile(_exp_arrays, (-2.0, 2.0)), "exp(xi)",
+                               "xi"), None, id="numpy-form"),
         pytest.param(make_spec("sqrt(xi)", "exp(xi)", "xi",
                                domain=(-2.0, 2.0)), None, id="sqrt-negative"),
     ]
     return cases
+
+
+def _exp_arrays(xs, value, d1, d2):
+    """A numpy form written out by hand: exp, which is its own derivatives."""
+    e = np.exp(xs)
+    return e if value else None, e if d1 else None, e if d2 else None
 
 
 class TestArrayCertifyEquivalence:
@@ -391,19 +385,17 @@ class TestArrayCertifyEquivalence:
         self._assert_same(spec, None, grid_size=60)
 
     def test_failure_ends_maxima_at_first_bad_point(self):
-        def value(xi):
-            if xi > 0.5:
-                raise ValueError("no value beyond 0.5")
-            return math.exp(xi)
-        phi = Profile.from_callable(value, (-2.0, 2.0), d1=math.exp,
-                                    d2=math.exp)
-        spec = make_spec(phi, "exp(xi)", "xi")
+        def arrays(xs, value, d1, d2):
+            # no value beyond 0.5
+            v, e1, e2 = _exp_arrays(xs, value, d1, d2)
+            return np.where(xs > 0.5, np.nan, v) if value else None, e1, e2
+        spec = make_spec(Profile(arrays, (-2.0, 2.0)), "exp(xi)", "xi")
         report = certify(spec, grid_size=50)
         pts = grid_points(spec.domain, 50)
         first_bad = next(x for x in pts if x > 0.5)
         assert report.verdict == "inconclusive"
         assert report.notes[0] == (f"evaluation failed at xi={first_bad!r}: "
-                                   "no value beyond 0.5")
+                                   "non-finite phi")
         assert all(st.argmax_xi < first_bad
                    for st in report.equations.values())
         self._assert_same(spec, None, grid_size=50)
@@ -458,34 +450,6 @@ class TestProfileJet:
                                  self._scalar(profile, self.XS)):
                 assert np.all(np.abs(got - want)
                               <= 4 * np.spacing(np.abs(want)))
-
-    def test_fallback_is_bitwise_and_in_grid_order(self):
-        seen = []
-
-        def value(xi):
-            seen.append(xi)
-            return math.cosh(xi)
-        profile = Profile.from_callable(value, (-1.5, 1.5))  # FD derivatives
-        jet = profile.jet(self.XS)
-        grid = self.XS.tolist()
-        # value runs at each grid point (again inside the d2 stencil),
-        # point after point
-        assert list(dict.fromkeys(x for x in seen if x in grid)) == grid
-        for got, want in zip(jet, self._scalar(profile, self.XS)):
-            assert np.array_equal(got, want)
-        summed = profile.plus(Profile.from_expression("xi"))
-        for got, want in zip(summed.jet(self.XS),
-                             self._scalar(summed, self.XS)):
-            assert np.array_equal(got, want)
-
-    def test_fallback_skips_value_when_not_asked(self):
-        def value(xi):
-            raise AssertionError("value evaluated")
-        profile = Profile.from_callable(value, (-1.5, 1.5), d1=math.sin,
-                                        d2=math.cos)
-        got, d1, d2 = profile.jet(self.XS, value=False)
-        assert got is None
-        assert np.array_equal(d1, np.sin(self.XS))
 
     def test_domain_error_names_first_bad_point(self):
         profile = Profile.from_expression("ln(xi)", (0.0, math.inf))
