@@ -40,6 +40,12 @@ log = logging.getLogger("yamabe.cli")
 
 _VERDICT_EXIT = {"certified": 0, "rejected": 2, "inconclusive": 3}
 
+# `yamabe family`: expression flags; per family, default n, d and lightlike
+_EXPRESSION_FLAGS = {"phi": "--phi", "f": "--f", "z_p": "--zp"}
+_FAMILY_FRAMES = {"thm15": (3, 3, False), "thm16": (5, 1, False),
+                  "thm17": (4, 3, False), "thm18": (4, 2, True),
+                  "almost-lightlike": (4, 2, True)}
+
 
 class _CliInputError(Exception):
     pass
@@ -166,9 +172,9 @@ def _build_parser() -> _Parser:
                           help="phi expression (thm17/thm18/almost-lightlike)")
     p_family.add_argument("--f", type=str, default=None,
                           help="f expression (thm18/almost-lightlike)")
-    p_family.add_argument("--zp", type=str, default=None,
+    p_family.add_argument("--zp", type=str, default=None, dest="z_p",
                           help="Riccati solution expression (thm17)")
-    p_family.add_argument("--c-const", type=float, default=1.0,
+    p_family.add_argument("--c-const", type=float, default=1.0, dest="C",
                           help="integration constant C (thm17)")
     p_family.add_argument("--tol", type=_POSITIVE, default=None)
     p_family.add_argument("--grid", type=_GRID, default=None)
@@ -247,42 +253,25 @@ def _cmd_verify(args) -> int:
 
 
 def _family_params(args) -> dict:
-    if args.id == "thm15":
-        return {"k1": args.k1, "k2": args.k2, "k3": args.k3, "k4": args.k4,
-                "phi0": args.phi0, "q_variant": args.q_variant,
-                "w_branch": args.w_branch, "construction": args.construction}
-    if args.id == "thm16":
-        return {"k1": args.k1, "k2": args.k2, "k3": args.k3, "k4": args.k4,
-                "branch": args.branch}
-    if args.id == "thm17":
-        if not args.phi or not args.zp:
-            raise _CliInputError("thm17 needs --phi and --zp expressions")
-        return {"phi": args.phi, "z_p": args.zp, "C": args.c_const}
-    # thm18 and almost-lightlike
-    if not args.phi or not args.f:
-        raise _CliInputError(f"{args.id} needs --phi and --f expressions")
-    return {"phi": args.phi, "f": args.f, "k1": args.k1}
+    entry = specio.FAMILY_TABLE[args.id]
+    missing = [_EXPRESSION_FLAGS[key] for key in entry.required
+               if key in _EXPRESSION_FLAGS and not getattr(args, key)]
+    if missing:
+        raise _CliInputError(
+            f"{args.id} needs {' and '.join(missing)} expressions")
+    return {key: getattr(args, key) for key in entry.required + entry.optional}
 
 
 def _family_frame(args) -> tuple[int, int, SignatureSpec, tuple[float, ...]]:
-    lightlike = args.id in ("thm18", "almost-lightlike")
-    n = args.n if args.n is not None else (4 if lightlike or args.id == "thm17"
-                                           else 3 if args.id == "thm15" else 5)
-    d = args.d if args.d is not None else (2 if lightlike
-                                           else 3 if args.id in ("thm15", "thm17")
-                                           else 1)
-    if args.signature is not None:
-        sig = SignatureSpec(_ints(args.signature))
-    elif lightlike:
-        sig = SignatureSpec.lorentzian(n)
-    else:
-        sig = SignatureSpec.euclidean(n)
-    if args.alpha is not None:
-        alpha = _floats(args.alpha)
-    elif lightlike:
-        alpha = (1.0, 1.0) + (0.0,) * (n - 2)
-    else:
-        alpha = (1.0,) + (0.0,) * (n - 1)
+    n, d, lightlike = _FAMILY_FRAMES[args.id]
+    n = args.n if args.n is not None else n
+    d = args.d if args.d is not None else d
+    default_frame = (families.default_lightlike_frame if lightlike
+                     else families.default_spacelike_frame)
+    sig = (SignatureSpec(_ints(args.signature)) if args.signature is not None
+           else default_frame(n)[0])
+    alpha = (_floats(args.alpha) if args.alpha is not None
+             else default_frame(n)[1].alpha)
     return n, d, sig, alpha
 
 

@@ -55,15 +55,24 @@ def default_lightlike_frame(n: int) -> tuple[SignatureSpec, TranslationDirection
     return sig, TranslationDirection((1.0, 1.0) + (0.0,) * (n - 2), sig)
 
 
-def _resolve_frame(n, sig, alpha, want_lightlike=False):
-    if sig is None and alpha is None:
-        return (default_lightlike_frame(n) if want_lightlike
-                else default_spacelike_frame(n))
-    if sig is None:
-        sig = SignatureSpec.euclidean(n)
+def _frame(n, sig, alpha, lightlike: bool):
+    """The frame a family builds in: its default frame when neither sig nor
+    alpha is given, else alpha in sig (default Euclidean). Raises
+    FamilyConstructionError unless alpha is lightlike exactly when the
+    family is."""
     if alpha is None:
-        raise FamilyConstructionError("alpha must be given when sig is")
-    return sig, TranslationDirection(alpha, sig)
+        if sig is not None:
+            raise FamilyConstructionError("alpha must be given when sig is")
+        sig, direction = (default_lightlike_frame(n) if lightlike
+                          else default_spacelike_frame(n))
+    else:
+        sig = SignatureSpec.euclidean(n) if sig is None else sig
+        direction = TranslationDirection(alpha, sig)
+    if (direction.norm == 0.0) != lightlike:
+        raise FamilyConstructionError(
+            f"alpha must be lightlike (signed norm 0), got {direction.norm!r}"
+            if lightlike else "alpha must not be lightlike")
+    return sig, direction
 
 
 def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
@@ -176,9 +185,7 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     if w_branch not in ("principal", "lower"):
         raise FamilyConstructionError(
             f"w_branch must be 'principal' or 'lower', got {w_branch!r}")
-    sig_, direction = _resolve_frame(n, sig, alpha)
-    if direction.norm == 0.0:
-        raise FamilyConstructionError("alpha must not be lightlike")
+    sig_, direction = _frame(n, sig, alpha, lightlike=False)
 
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, direction.norm, q_variant)
@@ -485,9 +492,7 @@ def family_thm16(k1: float, k2: float, k3: float = 0.0, k4: float = 0.0, *,
     if branch not in ("inner", "outer"):
         raise FamilyConstructionError(
             f"branch must be 'inner' or 'outer', got {branch!r}")
-    sig_, direction = _resolve_frame(n, sig, alpha)
-    if direction.norm == 0.0:
-        raise FamilyConstructionError("alpha must not be lightlike")
+    sig_, direction = _frame(n, sig, alpha, lightlike=False)
 
     interval = Interval(*xi_range)
     phi_profile, h_profile = _thm16_profiles(k1, k3, k4, branch)
@@ -633,7 +638,6 @@ def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
 
 def family_thm17(phi: Profile, z_p: Profile, C: float, *,
                  xi_range: tuple[float, float], n: int, d: int,
-                 lambda_f: float = 0.0,
                  sig: Optional[SignatureSpec] = None,
                  alpha: Optional[Sequence[float]] = None,
                  run_certify: bool = True) -> WarpedSolitonSpec:
@@ -642,16 +646,11 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
         f = phi^((n-2)/(d+1)) e^Phi (int e^{-(d+1) Phi} + 2C/(d+1))^(2/(d+1))
 
     with Phi = int z_p (midpoint anchor; the anchor shift is absorbed by C).
-    h is constant and rho = lambda_F = 0.
+    h is constant, rho = 0, and the fiber is scalar-flat (lambda_F = 0).
     """
-    if lambda_f != 0.0:
-        raise FamilyConstructionError(
-            "this construction requires a scalar-flat fiber (lambda_F = 0)")
     if n < 3 or d < 1:
         raise FamilyConstructionError(f"need n >= 3 and d >= 1; got n={n}, d={d}")
-    sig_, direction = _resolve_frame(n, sig, alpha)
-    if direction.norm == 0.0:
-        raise FamilyConstructionError("alpha must not be lightlike")
+    sig_, direction = _frame(n, sig, alpha, lightlike=False)
     interval = Interval(*xi_range)
     phi.require_positive(interval, name="phi")
 
@@ -710,10 +709,7 @@ def family_thm18(phi: Profile, f: Profile, k1: float, *,
     With ||alpha||^2 = 0 every curvature term vanishes, so the system
     collapses to the h-equation plus rho = lambda_F = 0.
     """
-    sig_, direction = _resolve_frame(n, sig, alpha, want_lightlike=True)
-    if direction.norm != 0.0:
-        raise FamilyConstructionError(
-            f"alpha must be lightlike (signed norm 0), got {direction.norm!r}")
+    sig_, direction = _frame(n, sig, alpha, lightlike=True)
     interval = Interval(*xi_range)
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")
@@ -737,10 +733,7 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
     definition of rho, so its residual is zero by construction; only the
     h-equation carries information.
     """
-    sig_, direction = _resolve_frame(n, sig, alpha, want_lightlike=True)
-    if direction.norm != 0.0:
-        raise FamilyConstructionError(
-            f"alpha must be lightlike (signed norm 0), got {direction.norm!r}")
+    sig_, direction = _frame(n, sig, alpha, lightlike=True)
     interval = Interval(*xi_range)
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")

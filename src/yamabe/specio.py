@@ -21,7 +21,18 @@ carries a constructor id and its parameters, e.g.
 and is the round-trippable representation for profiles defined through
 quadrature, which have no expression form. Family documents need a finite
 domain (it doubles as the construction range and supplies the quadrature
-anchor point).
+anchor point). Each family's keys, required | optional (FAMILY_TABLE):
+
+    thm15             k1 k2 k3 | k4 phi0 q_variant w_branch construction
+    thm16             k1 k2 | k3 k4 branch     (scalar-flat: lambda_f = 0)
+    thm17             phi z_p C                (scalar-flat)
+    thm18             phi f k1                 (scalar-flat)
+    almost-lightlike  phi f k1
+
+phi, f and z_p are expressions; an optional key left out takes the
+constructor's default. Any other key is an error naming "<key>" at the
+top level (whose keys the example shows), "profiles.<key>" or
+"family.<key>"; every family parameter error names "family.<key>".
 
 Floats are serialized with repr via the json module, so values survive a
 dump/load round trip bit-for-bit.
@@ -32,7 +43,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,14 +59,39 @@ __all__ = [
     "write_geodesic_csv", "report_json",
 ]
 
-FAMILY_IDS = ("thm15", "thm16", "thm17", "thm18", "almost-lightlike")
+
+class FamilyEntry(NamedTuple):
+    """A family's document keys, required and optional (left out: the
+    constructor's default), and whether lambda_f must be 0 (not passed)."""
+    build: Callable[..., WarpedSolitonSpec]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    scalar_flat: bool = False
 
 
-def _require(doc: dict, key: str, types, *, default=None,
-             required: bool = False):
+# `yamabe family` writes each family's keys in this order
+FAMILY_TABLE = {
+    "thm15": FamilyEntry(families.family_thm15, ("k1", "k2", "k3"),
+                         ("k4", "phi0", "q_variant", "w_branch",
+                          "construction")),
+    "thm16": FamilyEntry(families.family_thm16, ("k1", "k2"),
+                         ("k3", "k4", "branch"), scalar_flat=True),
+    "thm17": FamilyEntry(families.family_thm17, ("phi", "z_p", "C"),
+                         scalar_flat=True),
+    "thm18": FamilyEntry(families.family_thm18, ("phi", "f", "k1"),
+                         scalar_flat=True),
+    "almost-lightlike": FamilyEntry(families.almost_soliton_lightlike,
+                                    ("phi", "f", "k1")),
+}
+FAMILY_IDS = tuple(FAMILY_TABLE)
+_EXPRESSION_KEYS = ("phi", "f", "z_p")
+_CHOICE_KEYS = ("q_variant", "w_branch", "construction", "branch")
+_DOCUMENT_KEYS = ("n", "d", "signature", "alpha", "rho", "lambda_f", "domain",
+                  "profiles", "family", "tolerance", "grid", "label")
+
+
+def _require(doc: dict, key: str, types, *, default=None):
     if key not in doc:
-        if required:
-            raise SpecValidationError(key, "missing required field")
         return default
     value = doc[key]
     if types is not None and (not isinstance(value, types)
@@ -77,13 +113,24 @@ def _number(key: str, value) -> float:
     raise SpecValidationError(key, f"expected a finite number, got {value!r}")
 
 
-def _float_field(doc: dict, key: str, default: Optional[float] = None,
-                 required: bool = False) -> Optional[float]:
+def _float_field(doc: dict, key: str,
+                 default: Optional[float] = None) -> Optional[float]:
     if key not in doc:
-        if required:
-            raise SpecValidationError(key, "missing required field")
         return default
     return _number(key, doc[key])
+
+
+def _check_keys(block: dict, prefix: str, required: Sequence[str],
+                optional: Sequence[str] = ()) -> None:
+    """Raise SpecValidationError naming prefix + key for a key of block
+    outside required and optional, then for a missing required key."""
+    for key in block:
+        if key not in required and key not in optional:
+            raise SpecValidationError(f"{prefix}{key}", "unknown field")
+    for key in required:
+        if key not in block:
+            raise SpecValidationError(f"{prefix}{key}",
+                                      "missing required field")
 
 
 def _parse_domain(raw) -> Interval:
@@ -119,11 +166,12 @@ def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SpecValidationError("<root>", "document must be a JSON object")
+    _check_keys(doc, "", ("n", "d", "alpha"), _DOCUMENT_KEYS)
 
-    n = _require(doc, "n", int, required=True)
+    n = _require(doc, "n", int)
     if n < 3:
         raise SpecValidationError("n", f"base dimension must be >= 3, got {n}")
-    d = _require(doc, "d", int, required=True)
+    d = _require(doc, "d", int)
     if d < 1:
         raise SpecValidationError("d", f"fiber dimension must be >= 1, got {d}")
 
@@ -133,7 +181,7 @@ def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
             "signature", f"expected a list of n={n} entries from {{-1, +1}}")
     sig = SignatureSpec(tuple(raw_sig))
 
-    raw_alpha = _require(doc, "alpha", list, required=True)
+    raw_alpha = _require(doc, "alpha", list)
     if len(raw_alpha) != n:
         raise SpecValidationError("alpha", f"expected n={n} components")
     alpha = tuple(_number("alpha", a) for a in raw_alpha)
@@ -174,26 +222,24 @@ def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
     return spec, meta
 
 
-def _expression_profile(profiles: dict, key: str, domain: Interval) -> Profile:
-    if key not in profiles:
-        raise SpecValidationError(f"profiles.{key}", "missing required field")
-    text = profiles[key]
+def _expression_profile(key: str, text, domain: Interval) -> Profile:
     if not isinstance(text, str):
-        raise SpecValidationError(f"profiles.{key}",
+        raise SpecValidationError(key,
                                   f"expected an expression string, got {text!r}")
     try:
         return Profile.from_expression(text, domain)
     except YamabeError as exc:
-        raise SpecValidationError(f"profiles.{key}", str(exc)) from exc
+        raise SpecValidationError(key, str(exc)) from exc
 
 
 def _spec_from_profiles(profiles, sig, direction, d, rho, lambda_f,
                         domain, label) -> WarpedSolitonSpec:
     if not isinstance(profiles, dict):
         raise SpecValidationError("profiles", "expected an object")
-    phi = _expression_profile(profiles, "phi", domain)
-    f = _expression_profile(profiles, "f", domain)
-    h = _expression_profile(profiles, "h", domain)
+    keys = ("phi", "f", "h")
+    _check_keys(profiles, "profiles.", keys)
+    phi, f, h = (_expression_profile(f"profiles.{key}", profiles[key], domain)
+                 for key in keys)
     return WarpedSolitonSpec(sig, direction, d, rho, lambda_f,
                              phi, f, h, domain, label=label)
 
@@ -206,6 +252,8 @@ def _spec_from_family(fam, sig, direction, n, d, rho, lambda_f,
     if fid not in FAMILY_IDS:
         raise SpecValidationError("family.id",
                                   f"expected one of {FAMILY_IDS}, got {fid!r}")
+    entry = FAMILY_TABLE[fid]
+    _check_keys(fam, "family.", entry.required, ("id",) + entry.optional)
     if not (math.isfinite(domain.lo) and math.isfinite(domain.hi)):
         raise SpecValidationError(
             "domain", "family documents need a finite domain (it is the "
@@ -214,54 +262,21 @@ def _spec_from_family(fam, sig, direction, n, d, rho, lambda_f,
         raise SpecValidationError(
             "rho", "family documents describe steady constructions; rho "
             "must be 0 (the almost-lightlike family derives its own rho)")
-    if fid in ("thm16", "thm18") and lambda_f != 0.0:
+    if entry.scalar_flat and lambda_f != 0.0:
         raise SpecValidationError(
             "lambda_f", f"the {fid} family has a scalar-flat fiber; lambda_f "
             "must be 0")
-    xi_range = domain.as_tuple()
-    alpha = direction.alpha
-
-    def fnum(key, default=None, required=False):
-        return _float_field(fam, f"{key}", default, required)
-
+    kwargs = {} if entry.scalar_flat else {"lambda_f": lambda_f}
+    for key, value in fam.items():
+        if key in _EXPRESSION_KEYS:
+            kwargs[key] = _expression_profile(f"family.{key}", value, domain)
+        elif key in _CHOICE_KEYS:
+            kwargs[key] = value
+        elif key != "id":
+            kwargs[key] = _number(f"family.{key}", value)
     try:
-        if fid == "thm15":
-            return families.family_thm15(
-                fnum("k1", required=True), fnum("k2", required=True),
-                fnum("k3", required=True), fnum("k4", 0.0),
-                lambda_f=lambda_f, xi_range=xi_range, n=n, d=d,
-                sig=sig, alpha=alpha,
-                q_variant=fam.get("q_variant", "statement"),
-                w_branch=fam.get("w_branch", "principal"),
-                construction=fam.get("construction", "quadrature"),
-                phi0=fnum("phi0", 1.0), run_certify=False)
-        if fid == "thm16":
-            return families.family_thm16(
-                fnum("k1", required=True), fnum("k2", required=True),
-                fnum("k3", 0.0), fnum("k4", 0.0),
-                xi_range=xi_range, n=n, d=d, sig=sig, alpha=alpha,
-                branch=fam.get("branch", "inner"), run_certify=False)
-        if fid == "thm17":
-            phi = _expression_profile(fam, "phi", Interval(*xi_range))
-            z_p = _expression_profile(fam, "z_p", Interval(*xi_range))
-            return families.family_thm17(
-                phi, z_p, fnum("C", required=True), xi_range=xi_range,
-                n=n, d=d, lambda_f=lambda_f, sig=sig, alpha=alpha,
-                run_certify=False)
-        if fid == "thm18":
-            phi = _expression_profile(fam, "phi", Interval(*xi_range))
-            f = _expression_profile(fam, "f", Interval(*xi_range))
-            return families.family_thm18(
-                phi, f, fnum("k1", required=True), xi_range=xi_range,
-                n=n, d=d, sig=sig, alpha=alpha, run_certify=False)
-        phi = _expression_profile(fam, "phi", Interval(*xi_range))
-        f = _expression_profile(fam, "f", Interval(*xi_range))
-        return families.almost_soliton_lightlike(
-            phi, f, fnum("k1", required=True), lambda_f,
-            xi_range=xi_range, n=n, d=d, sig=sig, alpha=alpha,
-            run_certify=False)
-    except SpecValidationError:
-        raise
+        return entry.build(xi_range=domain.as_tuple(), n=n, d=d, sig=sig,
+                           alpha=direction.alpha, run_certify=False, **kwargs)
     except YamabeError as exc:
         raise SpecValidationError("family", str(exc)) from exc
 

@@ -177,12 +177,21 @@ class TestFamily:
         code, _ = run(["family", "thm17", "--range", "-1", "1"])
         assert code == 1
         assert "--zp" in capfd.readouterr().err
+        # only the missing flags are named
+        code, _ = run(["family", "thm17", "--range", "-1", "1",
+                       "--phi", "1/cos(xi)"])
+        assert code == 1
+        assert capfd.readouterr().err == \
+            "error: thm17 needs --zp expressions\n"
 
     def test_scalar_flat_family_rejects_lambda_f(self, capfd):
-        code, _ = run(["family", "thm16", "--k1", "1", "--k3", "-0.05",
-                       "--range", "1", "31", "--lambda-f", "0.5"])
-        assert code == 1
-        assert "lambda_f" in capfd.readouterr().err
+        for argv in (["thm16", "--k1", "1", "--k3", "-0.05",
+                      "--range", "1", "31"],
+                     ["thm17", "--phi", "1/cos(xi)", "--zp=-1/2",
+                      "--range", "-1.4", "1.4"]):
+            code, _ = run(["family", *argv, "--lambda-f", "0.5"])
+            assert code == 1
+            assert "invalid field 'lambda_f'" in capfd.readouterr().err
 
     def test_fractional_power_of_negative_base_exit_one(self, capfd):
         code, _ = run(["family", "thm18", "--phi", "xi^0.5", "--f", "exp(xi)",

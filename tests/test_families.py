@@ -534,11 +534,6 @@ class TestConstantPotentialFamily:
             family_thm17(sec_profile(), Profile.constant(-0.5, SEC_DOMAIN),
                          -50.0, xi_range=(-1.0, 1.0), n=4, d=3)
 
-    def test_fiber_curvature_must_vanish(self):
-        with pytest.raises(FamilyConstructionError, match="scalar-flat"):
-            family_thm17(sec_profile(), Profile.constant(-0.5, SEC_DOMAIN),
-                         1.0, xi_range=(-1.0, 1.0), n=4, d=3, lambda_f=1.0)
-
     def test_dimensions_free_of_sum_constraint(self):
         # unlike the n + d = 6 families this one accepts any n >= 3, d >= 1;
         # phi = const is a Riccati solution with z_p = 0

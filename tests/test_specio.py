@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -26,6 +27,36 @@ def doc_with(**overrides):
     doc = json.loads(json.dumps(BASE_DOC))
     doc.update(overrides)
     return doc
+
+
+def family_doc_with(family, **overrides):
+    doc = doc_with(domain=[1.0, 40.0], family=family, **overrides)
+    del doc["profiles"]
+    return doc
+
+
+# per family: document parameters, lambda_f, (n, d), domain, and the same
+# spec built by calling the constructor (ex compiles an expression)
+FAMILY_CASES = {
+    "thm15": ({"k1": 1.0, "k2": 1.0, "k3": -0.2}, -0.5, (3, 3), (-0.3, 0.4),
+              lambda ex, **kw: families.family_thm15(1.0, 1.0, -0.2,
+                                                     lambda_f=-0.5, **kw)),
+    "thm16": ({"k1": 1.0, "k2": 1.0, "k3": -0.05}, 0.0, (5, 1), (0.1, 2.0),
+              lambda ex, **kw: families.family_thm16(1.0, 1.0, -0.05, **kw)),
+    "thm17": ({"phi": "1/cos(xi)", "z_p": "-1/2", "C": 1.0}, 0.0, (4, 3),
+              (-1.4, 1.4),
+              lambda ex, **kw: families.family_thm17(
+                  ex("1/cos(xi)"), ex("-1/2"), 1.0, **kw)),
+    "thm18": ({"phi": "exp(xi)", "f": "1+xi^2", "k1": 1.0}, 0.0, (4, 2),
+              (-1.0, 1.0),
+              lambda ex, **kw: families.family_thm18(
+                  ex("exp(xi)"), ex("1+xi^2"), 1.0, **kw)),
+    "almost-lightlike": (
+        {"phi": "exp(xi)", "f": "1+xi^2", "k1": 1.0}, -2.0, (4, 2),
+        (-1.0, 1.0),
+        lambda ex, **kw: families.almost_soliton_lightlike(
+            ex("exp(xi)"), ex("1+xi^2"), 1.0, -2.0, **kw)),
+}
 
 
 class TestLoadDocument:
@@ -124,12 +155,32 @@ class TestLoadDocument:
             specio.loads_document(text)
 
     def test_family_parameter_must_be_finite(self):
-        doc = doc_with(domain=[1.0, 40.0])
-        del doc["profiles"]
-        doc["family"] = {"id": "thm16", "k1": math.nan, "k2": 1.0}
+        doc = family_doc_with({"id": "thm16", "k1": math.nan, "k2": 1.0})
         with pytest.raises(SpecValidationError) as err:
             specio.load_document(doc)
-        assert err.value.key == "k1"
+        assert err.value.key == "family.k1"
+
+    @pytest.mark.parametrize("doc, key", [
+        (doc_with(tolerence=1e-30), "tolerence"),
+        (family_doc_with({"id": "thm16", "k1": 1.0, "k2": 1.0,
+                          "kk3": -0.05}), "family.kk3"),
+        (doc_with(profiles=dict(BASE_DOC["profiles"], rho="1")),
+         "profiles.rho"),
+    ], ids=["top-level", "family", "profiles"])
+    def test_unknown_field_is_rejected(self, doc, key):
+        # each document certifies once the misspelt key is dropped
+        with pytest.raises(SpecValidationError) as err:
+            specio.load_document(doc)
+        assert str(err.value) == f"invalid field '{key}': unknown field"
+
+    @pytest.mark.parametrize("family, key", [
+        ({"id": "thm17", "phi": "1", "C": 1.0}, "family.z_p"),
+        ({"id": "thm18", "phi": 3, "f": "1", "k1": 1.0}, "family.phi"),
+    ], ids=["missing", "not-a-string"])
+    def test_family_expression_errors_name_the_family_key(self, family, key):
+        with pytest.raises(SpecValidationError) as err:
+            specio.load_document(family_doc_with(family))
+        assert err.value.key == key
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(SpecValidationError) as err:
@@ -155,9 +206,10 @@ class TestFamilyDocuments:
 
     @pytest.mark.parametrize("family", [
         {"id": "thm16", "k1": 1.0, "k2": 1.0},
-        {"id": "thm18", "phi": "exp(0.2*xi)", "f": "exp(0.2*xi)", "k1": 1.0}])
+        {"id": "thm18", "phi": "exp(0.2*xi)", "f": "exp(0.2*xi)", "k1": 1.0},
+        {"id": "thm17", "phi": "1", "z_p": "0", "C": 1.0}])
     def test_scalar_flat_families_reject_nonzero_lambda_f(self, family):
-        # both constructions build lambda_F = 0; a document saying otherwise
+        # these constructions build lambda_F = 0; a document saying otherwise
         # must not load as a different spec
         doc = {"n": 4, "d": 2, "signature": [-1, 1, 1, 1],
                "alpha": [1.0, 1.0, 0.0, 0.0]} if family["id"] == "thm18" \
@@ -194,6 +246,36 @@ class TestFamilyDocuments:
                 built.f.value(xi), rel=1e-12)
             assert reloaded.h.value(xi) == pytest.approx(
                 built.h.value(xi), rel=1e-12)
+
+    @pytest.mark.parametrize("fid", specio.FAMILY_IDS)
+    def test_family_table_matches_its_constructor(self, fid):
+        entry = specio.FAMILY_TABLE[fid]
+        params = inspect.signature(entry.build).parameters
+        keys = set(params) - {"xi_range", "n", "d", "sig", "alpha",
+                              "lambda_f", "run_certify"}
+        table_keys = entry.required + entry.optional
+        assert sorted(table_keys) == sorted(keys)
+        assert set(entry.required) == {
+            key for key in keys
+            if params[key].default is inspect.Parameter.empty}
+        assert entry.scalar_flat == ("lambda_f" not in params)
+
+    @pytest.mark.parametrize("fid", specio.FAMILY_IDS)
+    def test_family_document_round_trip_is_bitwise(self, fid):
+        params, lambda_f, (n, d), domain, build = FAMILY_CASES[fid]
+        built = build(lambda text: Profile.from_expression(
+                          text, Interval(*domain)),
+                      xi_range=domain, n=n, d=d, run_certify=False)
+        doc = specio.family_document(
+            fid, params, n=n, d=d, sig=built.sig,
+            alpha=built.direction.alpha, lambda_f=lambda_f, domain=domain)
+        reloaded, _ = specio.load_document(json.loads(json.dumps(doc)))
+        assert reloaded.lambda_f == built.lambda_f
+        xs = grid_points(Interval(*domain), 50)
+        for name in ("phi", "f", "h"):
+            np.testing.assert_array_equal(
+                np.array(getattr(reloaded, name).jet(xs)),
+                np.array(getattr(built, name).jet(xs)), err_msg=name)
 
     def test_thm15_roundtrip_carries_variant(self):
         built = families.family_thm15(1.0, 1.0, -0.2, 0.0, lambda_f=-0.5,
