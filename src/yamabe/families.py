@@ -6,11 +6,14 @@ so certification checks solution-hood rather than interpolation error.
 
 Conventions shared by the constructors:
 
-  * indefinite integrals computed numerically (h, the Riccati potentials)
-    are anchored at the midpoint of xi_range with value 0; h is only ever
-    compared through differences, so the anchor is a gauge choice;
-  * closed-form branches keep their natural antiderivative constants so the
-    catalog profiles come out in their familiar shape;
+  * indefinite integrals computed numerically (the h of thm18 and of the
+    almost-lightlike family, the Riccati potentials) are anchored at the
+    midpoint of xi_range with value 0; h is only ever compared through
+    differences, so the anchor is a gauge choice;
+  * closed forms keep their natural antiderivative constants so the
+    catalog profiles come out in their familiar shape: thm16's h, and
+    thm15's h = (k1/(4q)) (p/phi^4 - 4 phi'/phi^3), which the profile ODE
+    gives in both of its constructions;
   * the implicitly-defined phi of the Lambert family passes through phi0
     (default 1) at xi = -k4.
 """
@@ -89,9 +92,10 @@ def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
 
 def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
                 values: Optional[Callable] = None) -> Profile:
-    """h with h' = k1 / phi^2, value anchored to 0 at the range midpoint:
-    values(xs) when given, else k1 int_mid^xi dt/phi^2 on Gauss-Legendre
-    panels, with phi's jet at their nodes."""
+    """h with h' = k1 / phi^2, through phi's jet. Its values are
+    values(xs, phi, phi') when given, else k1 int_mid^xi dt/phi^2 anchored
+    to 0 at the range midpoint, on Gauss-Legendre panels with phi's jet at
+    their nodes."""
     if values is None:
         mid = 0.5 * (xi_range.lo + xi_range.hi)
 
@@ -99,21 +103,20 @@ def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
             p = phi.jet(t.reshape(-1), d2=False)[0].reshape(t.shape)
             return 1.0 / (p * p)
 
-        values = lambda xs: k1 * gauss_legendre(inverse_square, mid, xs)
+        values = lambda xs, p, dp: k1 * gauss_legendre(inverse_square, mid, xs)
 
     def arrays(xs, value, d1, d2):
         p, dp, _ = phi.jet(xs, d2=False)
-        return (values(xs) if value else None,
+        return (values(xs, p, dp) if value else None,
                 k1 / (p * p) if d1 else None,
                 -2.0 * k1 * dp / (p * p * p) if d2 else None)
 
     return Profile(arrays, phi.domain)
 
 
-def _certify_or_raise(spec: WarpedSolitonSpec, run: bool,
-                      tolerance: float = 1e-7) -> WarpedSolitonSpec:
+def _certify_or_raise(spec: WarpedSolitonSpec, run: bool) -> WarpedSolitonSpec:
     if run:
-        report = certify(spec, grid_size=120, tolerance=tolerance)
+        report = certify(spec, grid_size=120, tolerance=1e-7)
         if report.verdict != "certified":
             worst = max(report.equations.items(),
                         key=lambda kv: kv[1].max_abs_residual, default=None)
@@ -158,10 +161,11 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     phi' = u(phi) phi^3 with u = -(q/p) (1 + W(k3 exp(-p^2/(4 q phi^4)))).
 
     construction 'quadrature' solves xi + k4 = int_phi0^phi dt/(u t^3) for
-    phi and takes h = k1 int dt/(u t^5) on the same quadrature nodes; 'ode'
-    integrates the profile ODE from (phi0, u(phi0) phi0^3) and h' in xi. The
-    three profiles have numpy forms: one inversion (or one evaluation of the
-    dense ODE solution) per array of points serves all their jets, and
+    phi; 'ode' integrates the profile ODE from (phi0, u(phi0) phi0^3). In
+    both, h = (k1/(4q)) (p/phi^4 - 4 phi'/phi^3) with its natural constant:
+    its derivative is k1/phi^2 by the profile ODE. The three profiles have
+    numpy forms: one inversion (or one evaluation of the dense ODE
+    solution) per array of points serves all their jets, and
     value/d1/d2 at a point are that form on a one-element array. The
     quadrature inverts in s = phi^-2 on the relation's maximal interval,
     which has a closed form (``_s_interval``): every inversion shares that
@@ -199,15 +203,21 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
                 f"phi0={phi0!r}")
 
     if construction == "quadrature":
-        phi_profile, h_values = _thm15_quadrature(p, q, k1, k3, k4, phi0,
-                                                  w_branch, u_w, interval)
+        phi_profile = _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
+                                        interval)
     elif construction == "ode":
         dphi0 = u_w(1.0 / (phi0 * phi0))[0] * (phi0 * phi0 * phi0)
-        phi_profile, h_values = _thm15_phi_ode(p, q, k4, phi0, dphi0,
-                                               interval), None
+        phi_profile = _thm15_phi_ode(p, q, k4, phi0, dphi0, interval)
     else:
         raise FamilyConstructionError(
             f"construction must be 'quadrature' or 'ode', got {construction!r}")
+
+    def h_values(xs, phi, dphi):
+        # h' = -(k1/q) phi^-5 (phi^2 phi'' - 3 phi phi'^2 + p phi'), which
+        # is k1/phi^2 by the profile ODE
+        phi_sq = phi * phi
+        return (k1 / (4.0 * q)) * (p / (phi_sq * phi_sq)
+                                   - 4.0 * dphi / (phi_sq * phi))
 
     phi_profile.require_positive(interval, name="phi")
     f_profile = _reciprocal_profile(k2, phi_profile, phi_profile.domain)
@@ -231,15 +241,14 @@ def _lambert_u(p, q, k3, w_branch):
     return u_w
 
 
-def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
-                      interval: Interval):
-    """phi of the quadrature construction, and h's values, as numpy forms
-    that share one solve per array of points (the last one is kept).
+def _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
+                      interval: Interval) -> Profile:
+    """phi of the quadrature construction as a numpy form, one solve per
+    array of points (the last one is kept).
 
     In s = phi^-2 the travel integral is T(s) = int_phi0^phi dt/(u t^3) =
-    -1/2 int_s0^s ds'/u and h = k1 int dt/(u t^5) = -k1/2 int_s0^s s' ds'/u
-    (plus a constant), both on the Gauss-Legendre panels of
-    ``gauss_legendre``. xi + k4 = T(s) is inverted in s on the maximal
+    -1/2 int_s0^s ds'/u, on the Gauss-Legendre panels of ``gauss_legendre``
+    (``_lambert_integral``). xi + k4 = T(s) is inverted in s on the maximal
     interval of ``_s_interval``, one bracket for every solve: where that
     interval is unbounded above, its upper end is doubled from 2 s0 until T
     passes the far end of xi_range + k4 or stops moving, in at most 80
@@ -249,7 +258,7 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
 
     if k3 == 0.0:
         # u is the constant -q/p; the relation integrates in closed form to
-        # s = s0 + (2q/p)(xi + k4), and h to (k1 p / (4q)) s^2.
+        # s = s0 + (2q/p)(xi + k4)
         def solve(xs):
             s = s0 + (2.0 * q / p) * (xs + k4)
             bad = xs[~(s > 0.0)]
@@ -258,13 +267,10 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
                     f"phi^2 leaves the positive axis at xi={float(bad[0])!r}; "
                     "shrink xi_range to the sign-consistent interval")
             u = np.full(len(s), -q / p)
-            return 1.0 / np.sqrt(s), u, 0.0 * u, (k1 * p / (4.0 * q)) * (s * s)
+            return 1.0 / np.sqrt(s), u, 0.0 * u
     else:
         lo, hi = _s_interval(p, q, k3, w_branch)
-        integral = _lambert_integral(p, q, k3, w_branch, u_w, s0)
-
-        def travel(s):
-            return -0.5 * integral(0, s)
+        travel = _lambert_integral(p, q, k3, w_branch, u_w, s0)
 
         if math.isinf(hi):
             rising = u_w(s0)[0] < 0.0
@@ -303,33 +309,25 @@ def _thm15_quadrature(p, q, k1, k3, k4, phi0, w_branch, u_w,
                                 dg=lambda s: -0.5 / u_w(s)[0], start=s0)
             phi = 1.0 / np.sqrt(s)
             u, w = u_w(s)
-            h = -0.5 * k1 * integral(1, s)
-            return phi, u, -p * w * (s * s) / ((1.0 + w) * phi), h
+            return phi, u, -p * w * (s * s) / ((1.0 + w) * phi)
 
     last: list = []
-    h_mid: list = []
 
     def cached(xs):
         if not len(xs):
-            return (xs,) * 4
+            return (xs,) * 3
         if not (last and np.array_equal(last[0], xs)):
             last[:] = [xs.copy(), solve(xs)]
         return last[1]
 
     def phi_arrays(xs, value, d1, d2):
-        phi, u, du, _ = cached(xs)
+        phi, u, du = cached(xs)
         cube = phi * phi * phi
         dphi = u * cube
         return (phi if value else None, dphi if d1 else None,
                 (du * cube + 3.0 * u * (phi * phi)) * dphi if d2 else None)
 
-    def h_values(xs):
-        if not h_mid:
-            mid = 0.5 * (interval.lo + interval.hi)
-            h_mid.append(solve(np.array([mid]))[3][0])
-        return cached(xs)[3] - h_mid[0]
-
-    return Profile(phi_arrays, interval), h_values
+    return Profile(phi_arrays, interval)
 
 
 def _s_interval(p, q, k3, w_branch):
@@ -346,8 +344,8 @@ def _s_interval(p, q, k3, w_branch):
 
 
 def _lambert_integral(p, q, k3, w_branch, u_w, s0):
-    """int_s0^s t^power/u(t) dt over an array s, NaN where it cannot be
-    evaluated, on Gauss-Legendre panels.
+    """The travel integral T(s) = -1/2 int_s0^s dt/u(t) over an array s,
+    NaN where it cannot be evaluated, on Gauss-Legendre panels.
 
     Next to a branch-point wall of W (k3 < 0; W = -1, u = 0) 1/u grows like
     the inverse square root of the distance, and W's rounding there is more
@@ -356,8 +354,8 @@ def _lambert_integral(p, q, k3, w_branch, u_w, s0):
     w + ln(w/k3) = c s^2 gives dt/u = (2/p) dw/(w s(w)), smooth at w = -1,
     which it takes at the wall itself.
     """
-    def far(power, a, b):
-        return gauss_legendre(lambda t: t ** power / u_w(t)[0], a, b)
+    def far(a, b):
+        return gauss_legendre(lambda t: 1.0 / u_w(t)[0], a, b)
 
     c = -p * p / (4.0 * q)
     w_n = -0.75 if w_branch == "principal" else -1.25
@@ -367,32 +365,31 @@ def _lambert_integral(p, q, k3, w_branch, u_w, s0):
     square = ((w_n + math.log(w_n / k3)) / c if 0.0 < wall < math.inf
               else -1.0)
     if not square > 0.0:
-        return lambda power, s: far(power, s0, s)
+        return lambda s: -0.5 * far(s0, s)
     s_n = math.sqrt(square)
     lo, hi = sorted((s_n, wall))
     # the path s0 -> s cannot cross the wall, so its part between lo and hi
     # runs from a = clip(s0) to clip(s), and the rest in s
     a = min(max(s0, lo), hi)
     w_a = w_n if a == s_n else float(u_w(np.array([a]))[1][0])
-    to_a = {power: 0.0 if a == s0 else float(far(power, s0, [a])[0])
-            for power in (0, 1)}
+    to_a = 0.0 if a == s0 else float(far(s0, [a])[0])
 
     def s_of(w):
         return np.sqrt((w + np.log(w / k3)) / c)
 
-    def integral(power, s):
+    def travel(s):
         b = np.clip(s, lo, hi)
         w_b = np.where(b == s_n, w_n, -1.0)
         inside = (b != s_n) & (b != wall)
         if np.count_nonzero(inside):
             w_b[inside] = u_w(b[inside])[1]
         same = b == a
-        return (far(power, np.where(same, s0, b), s)
-                + np.where(same, 0.0, to_a[power])
-                + (2.0 / p) * gauss_legendre(
-                    lambda w: s_of(w) ** (power - 1) / w, w_a, w_b))
+        return -0.5 * (far(np.where(same, s0, b), s)
+                       + np.where(same, 0.0, to_a)
+                       + (2.0 / p) * gauss_legendre(
+                           lambda w: 1.0 / s_of(w) / w, w_a, w_b))
 
-    return integral
+    return travel
 
 
 def _profile_ode(phi, dphi, p, q):
@@ -600,17 +597,16 @@ def _riccati_potentials(z: Profile, interval: Interval, d: int):
     return lambda xs: states(xs).T
 
 
-def riccati_general_solution(z0: Profile, phi: Profile, n: int, d: int,
-                             C: Optional[float],
+def riccati_general_solution(z0: Profile, d: int, C: Optional[float],
                              xi_range: tuple[float, float]) -> Profile:
     """z = z0 + Psi / (C + (d+1)/2 int Psi), Psi = exp(-(d+1) int z0).
 
     Both integrals are anchored at the midpoint of xi_range; the anchor
     constants are absorbed into C. C = None (or +-inf) returns z0 itself.
-    The update solves the Riccati equation of z0 for any phi and n, so
-    neither enters it. Its domain is xi_range, on whose grid the denominator
-    is scanned for zero crossings: construction errors reported with a
-    bracketing interval.
+    The update solves the Riccati equation of z0 whatever phi and n are, so
+    neither is a parameter. Its domain is xi_range, on whose grid the
+    denominator is scanned for zero crossings: construction errors reported
+    with a bracketing interval.
     """
     if C is None or (isinstance(C, float) and math.isinf(C)):
         return z0

@@ -30,7 +30,8 @@ anchor point). Each family's keys, required | optional (FAMILY_TABLE):
     almost-lightlike  phi f k1
 
 phi, f and z_p are expressions; an optional key left out takes the
-constructor's default. Any other key is an error naming "<key>" at the
+constructor's default. The document's label, if any, replaces the
+constructor's. Any other key is an error naming "<key>" at the
 top level (whose keys the example shows), "profiles.<key>" or
 "family.<key>"; every family parameter error names "family.<key>".
 
@@ -41,6 +42,7 @@ dump/load round trip bit-for-bit.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 from typing import IO, Callable, NamedTuple, Optional, Sequence, Union
@@ -275,10 +277,11 @@ def _spec_from_family(fam, sig, direction, n, d, rho, lambda_f,
         elif key != "id":
             kwargs[key] = _number(f"family.{key}", value)
     try:
-        return entry.build(xi_range=domain.as_tuple(), n=n, d=d, sig=sig,
+        spec = entry.build(xi_range=domain.as_tuple(), n=n, d=d, sig=sig,
                            alpha=direction.alpha, run_certify=False, **kwargs)
     except YamabeError as exc:
         raise SpecValidationError("family", str(exc)) from exc
+    return dataclasses.replace(spec, label=label) if label else spec
 
 
 def family_document(fid: str, params: dict, *, n: int, d: int,
@@ -374,8 +377,5 @@ def write_geodesic_csv(result, n: int, d: int, out: IO) -> None:
         out.write("\n")
 
 
-def report_json(report: ResidualReport, extra: Optional[dict] = None) -> str:
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2)
+def report_json(report: ResidualReport) -> str:
+    return json.dumps(report.to_dict(), indent=2)

@@ -154,9 +154,11 @@ class TestFamily:
         payload = json.loads(stdout)
         assert payload["report"]["verdict"] == "certified"
         assert payload["document"]["family"]["id"] == "thm16"
-        # the emitted document reloads through verify
-        code2, stdout2 = run(["verify", str(out_doc)])
+        # the emitted document reloads through verify, under its label
+        code2, stdout2 = run(["verify", str(out_doc), "--out",
+                              str(tmp_path / "report.json")])
         assert code2 == 0
+        assert stdout2 == "family-thm16: certified\n"
         assert out_csv.read_text(encoding="utf-8").startswith("xi,phi,f,h\n")
 
     def test_thm15_proof_variant_rejected(self):

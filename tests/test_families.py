@@ -156,14 +156,20 @@ class TestLambertFamily:
             assert abs(qd.phi.value(xi) - od.phi.value(xi)) < 1e-10
             assert abs(qd.phi.d1(xi) - od.phi.d1(xi)) < 1e-9
             assert abs(qd.phi.d2(xi) - od.phi.d2(xi)) < 1e-8
+        xs = np.linspace(-0.45, 0.95, 29)
+        h_qd, h_od = (spec.h.jet(xs, d2=False)[0] for spec in (qd, od))
+        assert np.max(np.abs((h_qd - h_qd[0]) - (h_od - h_od[0]))) < 1e-9
 
     def test_k3_zero_closed_form(self):
+        # s = phi^-2 = 1 + (2q/p) xi, and h = (k1 p/(4q)) s^2 + k1/p
         spec = family_thm15(1.0, 1.0, 0.0, lambda_f=-0.5,
                             xi_range=(-0.2, 0.5))
         p, q = 0.1, -0.05
         for xi in (-0.15, 0.0, 0.45):
-            expected = (1.0 + (2.0 * q / p) * xi) ** -0.5
-            assert spec.phi.value(xi) == pytest.approx(expected, rel=1e-12)
+            s = 1.0 + (2.0 * q / p) * xi
+            assert spec.phi.value(xi) == pytest.approx(s ** -0.5, rel=1e-12)
+            assert spec.h.value(xi) == pytest.approx(
+                (p / (4.0 * q)) * s * s + 1.0 / p, rel=1e-13)
 
     def test_k3_zero_sign_consistency_window(self):
         # 1/phi^2 = 1 - (xi + k4) crosses zero at xi = 1
@@ -260,11 +266,12 @@ THM15_QUADRATURE_CASES = [
 
 
 class TestLambertFamilyArrays:
-    @pytest.mark.parametrize("case", THM15_QUADRATURE_CASES)
+    @pytest.mark.parametrize("case", THM15_QUADRATURE_CASES + [
+        {"k3": 0.0, "construction": "ode"}])
     def test_quadrature_profile_against_scipy_quad(self, case):
         """phi solves xi = int_1^phi dt/(u t^3), and h differences are the
         integrals of k1/phi^2: both rebuilt with scipy's quad and scipy's
-        Lambert W, within 1e-10."""
+        Lambert W, within 1e-10. The last case is the ode construction."""
         quad = pytest.importorskip("scipy.integrate").quad
         scipy_w = pytest.importorskip("scipy.special").lambertw
         params = {**THM15_COMMON, **case}
@@ -288,6 +295,24 @@ class TestLambertFamilyArrays:
                            right, epsabs=1e-13, epsrel=1e-13)
             step = spec.h.value(right) - spec.h.value(left)
             assert abs(step - rise) <= 1e-10
+
+    @pytest.mark.parametrize("construction", ["quadrature", "ode"])
+    def test_h_reads_phi_jet_without_quadrature(self, monkeypatch,
+                                                construction):
+        """Once phi is solved on an array, h's jet there is a closed form
+        over phi's jet: no Gauss-Legendre panel and no inversion."""
+        import yamabe.families as families_module
+        spec = family_thm15(**{**THM15_COMMON, "k3": -0.2,
+                               "construction": construction},
+                            run_certify=False)
+        xs = np.array(grid_points(spec.domain, 40))
+        spec.phi.jet(xs)
+        calls = []
+        for name in ("gauss_legendre", "invert_monotone"):
+            monkeypatch.setattr(families_module, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        h = np.array(spec.h.jet(xs))
+        assert calls == [] and np.isfinite(h).all()
 
     @pytest.mark.parametrize("gap", [1e-3, 3e-4, 1e-5])
     def test_range_reaching_close_to_the_wall(self, gap):
@@ -437,7 +462,7 @@ class TestRiccati:
     def test_general_solution_still_solves(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         phi = sec_profile()
-        z = riccati_general_solution(z0, phi, 4, 3, 2.5, (-1.4, 1.4))
+        z = riccati_general_solution(z0, 3, 2.5, (-1.4, 1.4))
         worst = max(abs(riccati_residual(z, phi, 4, 3, x))
                     for x in grid_points(Interval(-1.3, 1.3), 48))
         assert worst < 1e-10
@@ -448,30 +473,26 @@ class TestRiccati:
         # here, and a stage time of the last step rounds onto the end 0.0
         z0 = Profile.constant(-0.5, (0.0, 1.0))
         phi = sec_profile()
-        z = riccati_general_solution(z0, phi, 4, 3, 2.5, (0.0, 1.0))
+        z = riccati_general_solution(z0, 3, 2.5, (0.0, 1.0))
         worst = max(abs(riccati_residual(z, phi, 4, 3, x))
                     for x in [1e-300] + grid_points(Interval(0.0, 1.0), 32))
         assert worst < 1e-10
 
     def test_none_or_infinite_c_returns_z0(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
-        phi = sec_profile()
-        assert riccati_general_solution(z0, phi, 4, 3, None, (-1.0, 1.0)) is z0
-        assert riccati_general_solution(z0, phi, 4, 3, math.inf,
-                                        (-1.0, 1.0)) is z0
+        assert riccati_general_solution(z0, 3, None, (-1.0, 1.0)) is z0
+        assert riccati_general_solution(z0, 3, math.inf, (-1.0, 1.0)) is z0
 
     def test_denominator_crossing_reported(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         with pytest.raises(FamilyConstructionError, match="denominator"):
-            riccati_general_solution(z0, sec_profile(), 4, 3, -0.1,
-                                     (-1.4, 1.4))
+            riccati_general_solution(z0, 3, -0.1, (-1.4, 1.4))
 
     def test_update_is_defined_on_xi_range_only(self):
         # the denominator is scanned on xi_range alone; past it, near
         # xi = -0.40, the update has a pole
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
-        z = riccati_general_solution(z0, sec_profile(), 4, 3, -2.0,
-                                     (-1.4, -0.5))
+        z = riccati_general_solution(z0, 3, -2.0, (-1.4, -0.5))
         assert z.domain.as_tuple() == (-1.4, -0.5)
         assert math.isfinite(z.value(-0.51))
         with pytest.raises(DomainError):
@@ -481,8 +502,7 @@ class TestRiccati:
         # den(xi) = xi here, and the product of two neighbouring values
         # rounds to -0.0; a product sign test let this range through
         with pytest.raises(FamilyConstructionError, match="denominator"):
-            riccati_general_solution(Profile.constant(0.0),
-                                     Profile.constant(1.0), 4, 1, 0.0,
+            riccati_general_solution(Profile.constant(0.0), 1, 0.0,
                                      (-1e-162, 1e-162))
 
 
@@ -508,14 +528,14 @@ class TestConstantPotentialFamily:
     def test_riccati_derived_input_certifies(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         phi = sec_profile()
-        z = riccati_general_solution(z0, phi, 4, 3, 3.0, (-1.2, 1.2))
+        z = riccati_general_solution(z0, 3, 3.0, (-1.2, 1.2))
         spec = family_thm17(phi, z, 2.0, xi_range=(-1.1, 1.1), n=4, d=3)
         assert certify(spec).verdict == "certified"
 
     def test_certify_runs_no_scalar_closure(self, monkeypatch):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         phi = sec_profile()
-        z = riccati_general_solution(z0, phi, 4, 3, 3.0, (-1.2, 1.2))
+        z = riccati_general_solution(z0, 3, 3.0, (-1.2, 1.2))
         spec = family_thm17(phi, z, 2.0, xi_range=(-1.1, 1.1), n=4, d=3,
                             run_certify=False)
         for name in ("value", "d1", "d2"):
@@ -688,7 +708,7 @@ def _every_constructor():
                           lambda kw=kw, n=name: getattr(family_thm16(
                               k2=1.0, run_certify=False, **kw), n)))
     cases += [
-        ("riccati", lambda: riccati_general_solution(half, sec(), 4, 3, 2.5,
+        ("riccati", lambda: riccati_general_solution(half, 3, 2.5,
                                                      (-1.4, 1.4))),
         ("thm17-f", lambda: family_thm17(sec(), half, 1.0,
                                          xi_range=(-1.0, 1.0), n=4, d=3,

@@ -12,7 +12,6 @@ from yamabe.catalog import build_example
 from yamabe.errors import EvaluationError, SpecValidationError
 from yamabe.geodesics import integrate_geodesic
 from yamabe.geometry import SignatureSpec
-from yamabe.soliton import certify
 from yamabe.profiles import Interval, Profile, grid_points
 
 BASE_DOC = {
@@ -277,6 +276,21 @@ class TestFamilyDocuments:
                 np.array(getattr(reloaded, name).jet(xs)),
                 np.array(getattr(built, name).jet(xs)), err_msg=name)
 
+    @pytest.mark.parametrize("fid", specio.FAMILY_IDS)
+    def test_family_document_label_names_the_spec(self, fid):
+        """A family document's label is its spec's label; without one the
+        spec keeps its constructor's label."""
+        params, lambda_f, (n, d), domain, build = FAMILY_CASES[fid]
+        built = build(lambda text: Profile.from_expression(
+                          text, Interval(*domain)),
+                      xi_range=domain, n=n, d=d, run_certify=False)
+        doc = specio.family_document(
+            fid, params, n=n, d=d, sig=built.sig,
+            alpha=built.direction.alpha, lambda_f=lambda_f, domain=domain)
+        assert specio.load_document(doc)[0].label == built.label
+        doc["label"] = f"family-{fid}"
+        assert specio.load_document(doc)[0].label == f"family-{fid}"
+
     def test_thm15_roundtrip_carries_variant(self):
         built = families.family_thm15(1.0, 1.0, -0.2, 0.0, lambda_f=-0.5,
                                       xi_range=(-0.4, 0.6), n=5, d=1,
@@ -400,10 +414,3 @@ class TestCsvWriters:
         assert lines[1].endswith(",completed")
         assert float(lines[1].split(",")[0]) == 0.0
 
-    def test_report_json_merges_extra(self):
-        spec = build_example("example-2")
-        report = certify(spec, interval=Interval(1.0, 40.0))
-        text = specio.report_json(report, extra={"source": "catalog"})
-        payload = json.loads(text)
-        assert payload["verdict"] == "certified"
-        assert payload["source"] == "catalog"
