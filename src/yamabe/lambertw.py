@@ -3,8 +3,10 @@
 Halley iteration on w*exp(w) = x, every element of an array in lockstep with
 a stop of its own. Initial guesses: a truncated branch-point series in
 p = sqrt(2*(e*x + 1)) near x = -1/e, log asymptotics for large |x| or
-x -> 0- on the lower branch, and w0 = x/(1+x)-style guesses elsewhere. An
-element stops when its Halley step falls below a few ulps of w.
+x -> 0- on the lower branch, and w0 = x/(1+x)-style guesses elsewhere, each
+computed only on the elements that use it. An element stops when its Halley
+step falls below a few ulps of w; the running arrays shrink only on an
+iteration where some element stops.
 
 A float runs the same code as a one-element array, and no element's
 iterates depend on the others, so W of a float equals W of any array that
@@ -32,21 +34,45 @@ def _branch_point_series(x, sign: float):
     return -1.0 + p - p * p / 3.0 + 11.0 * (p * p * p) / 72.0
 
 
+def _guess_where(w, x, mask, guess) -> None:
+    """w[mask] = guess(x[mask]), evaluating guess on those elements only."""
+    if mask.all():
+        w[:] = guess(x)
+    elif mask.any():
+        w[mask] = guess(x[mask])
+
+
 def _initial_principal(x):
-    lx = np.log(np.maximum(x, 1.0))
-    llx = np.log(np.maximum(lx, 1.0))
+    w = np.empty(x.shape)
+    fold, mid, small, moderate = x < -0.32, x <= -0.25, x < 1.0, x < 3.0
+    _guess_where(w, x, fold, lambda v: _branch_point_series(v, +1.0))
+    _guess_where(w, x, mid & ~fold, lambda v: v)
     # below 1: the series W ~ x(1 - x + 1.5x^2) padded into a rational guess
-    return np.select([x < -0.32, x <= -0.25, x < 1.0, x < 3.0],
-                     [_branch_point_series(x, +1.0), x, x / (1.0 + x),
-                      0.5 * lx + 0.6],
-                     lx - llx + llx / lx)
+    _guess_where(w, x, small & ~mid, lambda v: v / (1.0 + v))
+    _guess_where(w, x, moderate & ~small, lambda v: 0.5 * np.log(v) + 0.6)
+    _guess_where(w, x, ~moderate, _log_asymptotic)
+    return w
+
+
+def _log_asymptotic(x):
+    # w ~ ln x - ln ln x + ln ln x / ln x as x -> inf (here x >= 3)
+    lx = np.log(x)
+    llx = np.log(lx)
+    return lx - llx + llx / lx
 
 
 def _initial_lower(x):
-    lx = np.log(-x)
+    w = np.empty(x.shape)
+    fold = x < -0.27
+    _guess_where(w, x, fold, lambda v: _branch_point_series(v, -1.0))
+    _guess_where(w, x, ~fold, _log_lower)
+    return w
+
+
+def _log_lower(x):
     # w ~ ln(-x) - ln(-ln(-x)) as x -> 0-
-    return np.where(x < -0.27, _branch_point_series(x, -1.0),
-                    lx - np.log(-lx))
+    lx = np.log(-x)
+    return lx - np.log(-lx)
 
 
 def _lambert(x: np.ndarray, branch: str) -> np.ndarray:
@@ -82,11 +108,16 @@ def _lambert(x: np.ndarray, branch: str) -> np.ndarray:
         # point) leaves w as accurate as double precision permits
         done = (astep <= 4e-16 * scale) | ((astep >= prev)
                                            & (astep <= 1e-8 * scale))
-        w[idx[done]] = new[done]
         # a step that is not finite (zero or non-finite denominator) fails
-        going = ~done & np.isfinite(step)
-        prev = np.minimum(prev, astep)
-        idx, xr, wr, prev = idx[going], xr[going], new[going], prev[going]
+        stop = done | ~np.isfinite(step)
+        if stop.any():
+            w[idx[done]] = new[done]
+            if stop.all():
+                break
+            going = ~stop
+            idx, xr, new, astep, prev = (a[going] for a in
+                                         (idx, xr, new, astep, prev))
+        wr, prev = new, np.minimum(prev, astep)
     return w
 
 

@@ -197,6 +197,8 @@ def _gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre_rule(20)
+# the weights of one row of nodes: the whole panel, then its two halves
+_GL_ROW_WEIGHTS = np.tile(_GL_WEIGHTS, 3)
 _GL_DEPTH = 40    # levels of panel splitting before an element gives up
 _GL_PANELS = 64   # panels of one element at one level before it gives up
 
@@ -238,7 +240,7 @@ def gauss_legendre(f: Callable, a, b):
                                     (left + quarter) + quarter * x,
                                     (left + 3.0 * quarter) + quarter * x],
                                    axis=1)
-            fw = np.asarray(f(nodes), dtype=float) * np.tile(_GL_WEIGHTS, 3)
+            fw = np.asarray(f(nodes), dtype=float) * _GL_ROW_WEIGHTS
             whole, first, second = (np.add.reduce(fw[:, k * m:(k + 1) * m],
                                                   axis=1) for k in range(3))
             panel = quarter[:, 0] * (first + second)

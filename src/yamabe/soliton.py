@@ -248,11 +248,29 @@ class Classification:
 def classify(spec: WarpedSolitonSpec) -> Classification:
     """Sign class of rho x causal class, with the lightlike guards.
 
+    The class is 'trivial' when h' vanishes at the 16 points of
+    ``_classify_points`` (a finite domain and a constant rho only).
     Lightlike + lambda_F != 0 forces f = sqrt(lambda_F / rho) constant, and
     is impossible outright when rho and lambda_F disagree in sign (no steady
     or expanding soliton for lambda_F > 0, none steady or shrinking for
     lambda_F < 0).
     """
+    xs = _classify_points(spec)
+    with np.errstate(all="ignore"):
+        dh = masked_jet(spec.h, xs, False, True, False)[1] if len(xs) else xs
+    return _classification(spec, dh)
+
+
+def _classify_points(spec: WarpedSolitonSpec) -> np.ndarray:
+    """The 16 grid points of a finite domain where h' tells a trivial
+    soliton; none for an almost soliton or an infinite domain."""
+    if spec.is_almost or not spec.domain.finite:
+        return np.empty(0)
+    return np.array(grid_points(spec.domain, 16))
+
+
+def _classification(spec: WarpedSolitonSpec, dh: np.ndarray) -> Classification:
+    """``classify`` given h' at the points of ``_classify_points``."""
     causal = spec.direction.causal
     guards: list[str] = []
     rejected = False
@@ -262,7 +280,7 @@ def classify(spec: WarpedSolitonSpec) -> Classification:
         soliton_class = "almost"
     else:
         rho = float(spec.rho)
-        if _h_is_constant(spec):
+        if _h_is_constant(dh):
             soliton_class = "trivial"
         elif rho > 0.0:
             soliton_class = "shrinking"
@@ -289,15 +307,11 @@ def classify(spec: WarpedSolitonSpec) -> Classification:
     return Classification(soliton_class, causal, tuple(guards), rejected, forced_f)
 
 
-def _h_is_constant(spec: WarpedSolitonSpec) -> bool:
-    """Whether |h'| <= 1e-12 at each point of a 16-point grid of a finite
-    domain; a point where h' is not finite fails."""
-    if not spec.domain.finite:
-        return False
-    with np.errstate(all="ignore"):
-        d1 = masked_jet(spec.h, np.array(grid_points(spec.domain, 16)),
-                        False, True, False)[1]
-    return bool(np.max(np.abs(d1)) <= 1e-12)
+def _h_is_constant(dh: np.ndarray) -> bool:
+    """Whether |h'| <= 1e-12 at each of the values dh, which are h' at the
+    points of ``_classify_points``; a value that is not finite fails, and so
+    does an empty dh (an infinite domain)."""
+    return bool(len(dh)) and bool(np.max(np.abs(dh)) <= 1e-12)
 
 
 # --- certification ------------------------------------------------------------
@@ -350,7 +364,10 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     (ANALYTIC_TOL when None).
 
     The whole grid is evaluated in one pass over arrays, each profile
-    through ``masked_jet``. Verdict 'inconclusive' means that at some grid
+    through one ``masked_jet`` call on the grid followed by the points of
+    ``_classify_points``, whose h' gives the classification; only the
+    grid's entries enter the verdict, the notes and the maxima.
+    Verdict 'inconclusive' means that at some grid
     point a profile value or residual is not finite (typically a
     singularity inside the interval, where a profile cannot be evaluated);
     the first such point is named in a note, "evaluation failed at
@@ -362,13 +379,18 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     if tolerance is None:
         tolerance = ANALYTIC_TOL
     pts = grid_points(interval, grid_size)
-    xs = np.array(pts)
+    size = len(pts)
+    # classify's h' points ride along in the same call of each profile, so
+    # a profile that solves per array of points solves once
+    xs = np.concatenate((pts, _classify_points(spec)))
 
     with np.errstate(all="ignore"):
         # PointEval fields in order; h itself is not needed, h' and h'' are
-        pv = PointEval(xs, *masked_jet(spec.phi, xs, True, True, True),
-                       *masked_jet(spec.f, xs, True, True, True),
-                       *masked_jet(spec.h, xs, False, True, True)[1:],
+        jets = (*masked_jet(spec.phi, xs, True, True, True),
+                *masked_jet(spec.f, xs, True, True, True))
+        dh, ddh = masked_jet(spec.h, xs, False, True, True)[1:]
+        pv = PointEval(xs[:size],
+                       *(jet[:size] for jet in (*jets, dh, ddh)),
                        masked_jet(spec.rho, xs, True, False, False)[0]
                        if spec.is_almost else spec.rho)
         terms = Terms(spec, pv, sign_variant)
@@ -377,7 +399,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
                      "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
                      "tensor-fiber": fiber}
         inequality = terms.s_base - terms.rhs
-    size = stop = len(pts)
+    stop = size
     failure = None
     for name, values in {**vars(pv), **residuals}.items():
         bad = np.flatnonzero(~np.isfinite(np.broadcast_to(values, (size,))))
@@ -391,7 +413,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
               for key, values in residuals.items()} if stop else {}
     stats = {key: EquationStat(float(v.max()), pts[int(v.argmax())], len(pts))
              for key, v in maxima.items()}
-    cls = classify(spec)
+    cls = _classification(spec, dh[size:])
     if cls.rejected:
         notes.extend(cls.guards)
 

@@ -8,6 +8,16 @@ from yamabe.profiles import Interval, Profile
 from yamabe.soliton import WarpedSolitonSpec
 
 
+# the quadrature cases of the thm15-build benchmark: n = 3, d = 3 over
+# (-0.3, 0.4), k1 = k2 = 1, lambda_F = -0.5 unless a case overrides it
+THM15_COMMON = dict(k1=1.0, k2=1.0, lambda_f=-0.5, xi_range=(-0.3, 0.4),
+                    n=3, d=3)
+THM15_QUADRATURE_CASES = [
+    {"k3": -0.2}, {"k3": -0.1}, {"k3": 0.2},
+    {"k3": -0.2, "w_branch": "lower"}, {"k3": -0.2, "lambda_f": 0.5},
+]
+
+
 def rel_err(approx, exact, floor=1.0):
     """|approx - exact| / max(floor, |exact|); arrays or scalars."""
     a = np.asarray(approx, dtype=float)

@@ -15,7 +15,7 @@ from yamabe.numerics import CachedAntiderivative
 from yamabe.profiles import Interval, Profile, grid_points, masked_jet
 from yamabe.soliton import certify, classify
 
-from conftest import central_d2
+from conftest import THM15_COMMON, THM15_QUADRATURE_CASES, central_d2
 
 HALF_PI = 0.5 * math.pi
 
@@ -255,16 +255,6 @@ class TestLambertFamily:
             assert not lo < hi
 
 
-# the quadrature cases of the thm15-build benchmark: n = 3, d = 3 over
-# (-0.3, 0.4), k1 = k2 = 1, lambda_F = -0.5 unless a case overrides it
-THM15_COMMON = dict(k1=1.0, k2=1.0, lambda_f=-0.5, xi_range=(-0.3, 0.4),
-                    n=3, d=3)
-THM15_QUADRATURE_CASES = [
-    {"k3": -0.2}, {"k3": -0.1}, {"k3": 0.2},
-    {"k3": -0.2, "w_branch": "lower"}, {"k3": -0.2, "lambda_f": 0.5},
-]
-
-
 class TestLambertFamilyArrays:
     @pytest.mark.parametrize("case", THM15_QUADRATURE_CASES + [
         {"k3": 0.0, "construction": "ode"}])
@@ -437,7 +427,13 @@ class TestLambertFamilyArrays:
                             run_certify=False)
         assert calls == [64]
         certify(spec, grid_size=200)
-        assert calls == [64, 200, 16]     # the grid, then classify's h'
+        # the grid and classify's 16 h' points in one call
+        assert calls == [64, 216]
+        calls.clear()
+        certify(family_thm15(**{**THM15_COMMON, "k3": -0.2},
+                             run_certify=True), grid_size=200)
+        # positivity, the build's 120-point certify, the 200-point one
+        assert calls == [64, 136, 216]
 
 
 SEC_DOMAIN = (-HALF_PI, HALF_PI)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe.errors import BranchDomainError
-from yamabe.lambertw import lambert_w
+from yamabe.lambertw import (_branch_point_series, _initial_lower,
+                             _initial_principal, lambert_w)
 
 _E = math.e
 _BRANCH_POINT = -1.0 / _E
@@ -136,3 +137,54 @@ class TestArrayForm:
     def test_unknown_branch_rejected_for_arrays(self):
         with pytest.raises(BranchDomainError):
             lambert_w(np.array([1.0]), branch="upper")
+
+
+# The initial guesses as np.select / np.where write them, every candidate
+# computed on every element: the bitwise reference for the masked guesses,
+# which compute each element's candidate only.
+def _reference_principal(x):
+    lx = np.log(np.maximum(x, 1.0))
+    llx = np.log(np.maximum(lx, 1.0))
+    return np.select([x < -0.32, x <= -0.25, x < 1.0, x < 3.0],
+                     [_branch_point_series(x, +1.0), x, x / (1.0 + x),
+                      0.5 * lx + 0.6],
+                     lx - llx + llx / lx)
+
+
+def _reference_lower(x):
+    lx = np.log(-x)
+    return np.where(x < -0.27, _branch_point_series(x, -1.0),
+                    lx - np.log(-lx))
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                            _BRANCH_POINT, -math.exp(-1.0), -0.32, -0.25,
+                            -0.27, 1.0, 3.0])
+_PRINCIPAL_REGIONS = st.one_of(
+    st.floats(max_value=-0.32, exclude_max=True),
+    st.floats(min_value=-0.32, max_value=-0.25),
+    st.floats(min_value=-0.25, max_value=1.0, exclude_min=True,
+              exclude_max=True),
+    st.floats(min_value=1.0, max_value=3.0, exclude_max=True),
+    st.floats(min_value=3.0), _SPECIAL)
+_LOWER_REGIONS = st.one_of(
+    st.floats(min_value=_BRANCH_POINT, max_value=-0.27, exclude_max=True),
+    st.floats(min_value=-0.27, max_value=0.0, exclude_max=True), _SPECIAL)
+
+
+class TestMaskedGuesses:
+    @given(st.lists(_PRINCIPAL_REGIONS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_principal_equals_select_bitwise(self, xs):
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            assert (_initial_principal(x).tobytes()
+                    == _reference_principal(x).tobytes())
+
+    @given(st.lists(_LOWER_REGIONS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_lower_equals_where_bitwise(self, xs):
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            assert (_initial_lower(x).tobytes()
+                    == _reference_lower(x).tobytes())

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
                             classify, full_tensor_residual, lemma_identities,
                             reduced_residuals)
 
-from conftest import make_spec, random_polynomial_spec
+from conftest import (THM15_COMMON, THM15_QUADRATURE_CASES, make_spec,
+                      random_polynomial_spec)
 
 SOLITON_KEYS = ["example-2", "example-3", "example-4", "example-5"]
 
@@ -329,7 +331,9 @@ def _hostile(phi, f, h, *, lightlike):
     return specio.load_document(doc)[0]
 
 
-def _equivalence_cases():
+def _catalog_cases():
+    """Each soliton of the catalog on its certify interval, and its
+    rho + 1e-3 twin."""
     cases = []
     for key in SOLITON_KEYS:
         entry = catalog()[key]
@@ -338,6 +342,11 @@ def _equivalence_cases():
         cases.append(pytest.param(spec, interval, id=key))
         twin = dataclasses.replace(spec, rho=spec.rho + 1e-3)
         cases.append(pytest.param(twin, interval, id=f"{key}+rho"))
+    return cases
+
+
+def _equivalence_cases():
+    cases = _catalog_cases()
     cases += [
         pytest.param(_hostile("1", "1/xi", "xi", lightlike=True), None,
                      id="lightlike-pole-f"),
@@ -420,6 +429,82 @@ class TestArrayCertifyEquivalence:
         assert report.verdict == "certified"
         assert all(st.argmax_xi == first and st.max_abs_residual == 0.0
                    for st in report.equations.values())
+
+
+_BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def _counting(profile, seen):
+    """profile, recording the length of every array its form is called on."""
+    def arrays(xs, value, d1, d2):
+        seen.append(len(xs))
+        return profile._arrays(xs, value, d1, d2)
+    return Profile(arrays, profile.domain)
+
+
+def _h_with_bad_slope_at(xi_bad):
+    """h = 4.5 whose h' is NaN at the one point xi_bad."""
+    def arrays(xs, value, d1, d2):
+        return (np.full(xs.shape, 4.5) if value else None,
+                np.where(xs == xi_bad, np.nan, 0.0) if d1 else None,
+                np.zeros(xs.shape) if d2 else None)
+    return Profile(arrays, (-2.0, 2.0))
+
+
+def _classification_cases():
+    cases = _catalog_cases()
+    for path in sorted(_BENCH_INPUTS.glob("*.json")):
+        cases.append(pytest.param(specio.load_document(str(path))[0], None,
+                                  id=path.stem))
+    # the Lambert-family cases of the thm15-build benchmark that build
+    for params in THM15_QUADRATURE_CASES + [
+            {"k3": -0.2, "construction": "ode"}, {"k3": 0.0}]:
+        spec = families.family_thm15(**{**THM15_COMMON, **params},
+                                     run_certify=False)
+        name = ",".join(f"{key}={value}" for key, value in params.items())
+        cases.append(pytest.param(spec, None, id=f"thm15-{name}"))
+    return cases
+
+
+class TestCertifyClassification:
+    """certify reads classify's h' points in the same call as its grid; its
+    classification must be classify's."""
+
+    @pytest.mark.parametrize("spec,interval", _classification_cases())
+    def test_certify_classifies_as_classify(self, spec, interval):
+        for grid_size in (200, 2000):
+            report = certify(spec, grid_size=grid_size, interval=interval)
+            assert report.classification == classify(spec)
+
+    def test_constant_h_on_a_wider_domain_is_trivial(self):
+        spec = make_spec("exp(xi)", "exp(xi)", "4.5", rho=2.0)
+        report = certify(spec, interval=Interval(-0.5, 0.5))
+        assert report.classification == classify(spec)
+        assert report.classification.soliton_class == "trivial"
+
+    def test_bad_slope_at_a_classify_point_only(self):
+        xi_bad = grid_points(Interval(-2.0, 2.0), 16)[5]
+        assert xi_bad not in grid_points(Interval(-2.0, 2.0), 200)
+        clean = make_spec("exp(xi)", "exp(xi)", "4.5", rho=2.0)
+        spec = dataclasses.replace(clean, h=_h_with_bad_slope_at(xi_bad))
+        report, clean_report = certify(spec), certify(clean)
+        assert report.verdict == clean_report.verdict
+        assert report.notes == clean_report.notes
+        assert report.equations == clean_report.equations
+        assert clean_report.classification.soliton_class == "trivial"
+        assert report.classification == classify(spec)
+        assert report.classification.soliton_class == "shrinking"
+
+    def test_almost_soliton_adds_no_points(self):
+        base = make_spec("exp(xi)", "exp(xi)", "xi")
+        seen = []
+        almost = dataclasses.replace(base, h=_counting(base.h, seen),
+                                     rho=Profile.from_expression("xi"))
+        report = certify(almost, grid_size=50)
+        assert seen == [50]
+        assert report.classification == classify(almost)
+        assert report.classification.soliton_class == "almost"
+        assert seen == [50]     # classify reads no h' for an almost soliton
 
 
 class TestProfileJet:
