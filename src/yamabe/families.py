@@ -27,9 +27,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FamilyConstructionError
+from .errors import BranchDomainError, FamilyConstructionError
 from .geometry import SignatureSpec, TranslationDirection
-from .lambertw import lambert_w
+from .lambertw import BRANCH_POINT, lambert_w
 # no caller here; bench/spans.py patches families.CachedAntiderivative by name
 from .numerics import CachedAntiderivative  # noqa: F401
 from .numerics import gauss_legendre, invert_monotone, opposite, solve_ivp
@@ -158,19 +158,22 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     p = k1/10; q_variant selects q = lambda_F/(10 k2^2 ||alpha||^2)
     ('statement', the value consistent with the n + d = 6 reduction and the
     one that certifies) or the tenfold 'proof' value, exposed for comparison.
-    phi' = u(phi) phi^3 with u = -(q/p) (1 + W(k3 exp(-p^2/(4 q phi^4)))).
+    phi' = u phi^3, u = -(q/p) (1 + w), w = W(k3 exp(c s^2)), s = phi^-2,
+    c = -p^2/(4q); w_branch is W's branch at phi0 (xi = -k4). In both
+    constructions h = (k1/(4q)) (p/phi^4 - 4 phi'/phi^3) (h' = k1/phi^2 by
+    the profile ODE), and one inversion, or one evaluation of the dense ODE
+    solution ('ode'), per array of points serves the jets of phi, f and h.
 
-    construction 'quadrature' solves xi + k4 = int_phi0^phi dt/(u t^3) for
-    phi; 'ode' integrates the profile ODE from (phi0, u(phi0) phi0^3). In
-    both, h = (k1/(4q)) (p/phi^4 - 4 phi'/phi^3) with its natural constant:
-    its derivative is k1/phi^2 by the profile ODE. The three profiles have
-    numpy forms: one inversion (or one evaluation of the dense ODE
-    solution) per array of points serves all their jets, and
-    value/d1/d2 at a point are that form on a one-element array. The
-    quadrature inverts in s = phi^-2 on the relation's maximal interval,
-    which has a closed form (``_s_interval``): every inversion shares that
-    bracket, so a point comes out the same in any array, and a range that
-    leaves the interval raises FamilyConstructionError naming it.
+    'quadrature' inverts xi in z = ln(w/k3) (``_thm15_chart``) on the
+    component of F(z)/c > 0, F = z + k3 e^z = c s^2, holding the anchor,
+    where the wall w = -1 is an ordinary point: a maximal interval passes
+    through it. Its ends are roots -W(k3) of F (phi -> inf at a finite xi),
+    z -> +inf if k3/c > 0 (phi -> 0 at a finite xi) and z -> -inf if c < 0
+    (xi unbounded). So with c > 0, k3 < 0 'lower' is the principal solution
+    translated in xi (by 8.4233490036 for k1 = k2 = 1, k3 = -0.2,
+    lambda_F = -0.5, phi0 = 1); with c < 0, -1/e < k3 < 0 it selects the
+    other component. A range past the maximal interval raises
+    FamilyConstructionError.
     """
     if n + d != 6:
         raise FamilyConstructionError(
@@ -194,20 +197,22 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, direction.norm, q_variant)
     interval = Interval(*xi_range)
-    u_w = _lambert_u(p, q, k3, w_branch)
+    s0, w0 = 1.0 / (phi0 * phi0), 0.0
     if k3 != 0.0:
-        lo, hi = _s_interval(p, q, k3, w_branch)
-        if not lo < 1.0 / (phi0 * phi0) < hi:
+        with np.errstate(over="ignore"):
+            x0 = k3 * np.exp(-p * p / (4.0 * q) * (s0 * s0))
+        try:
+            w0 = float(lambert_w(x0, w_branch))
+        except BranchDomainError:
             raise FamilyConstructionError(
                 "the implicit relation is not defined at the anchor "
-                f"phi0={phi0!r}")
+                f"phi0={phi0!r}") from None
 
     if construction == "quadrature":
-        phi_profile = _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
-                                        interval)
+        phi_profile = _thm15_chart(p, q, k3, k4, s0, w0, interval)
     elif construction == "ode":
-        dphi0 = u_w(1.0 / (phi0 * phi0))[0] * (phi0 * phi0 * phi0)
-        phi_profile = _thm15_phi_ode(p, q, k4, phi0, dphi0, interval)
+        phi_profile = _thm15_phi_ode(p, q, k4, phi0, w0, interval)
+        phi_profile.require_positive(interval, name="phi")
     else:
         raise FamilyConstructionError(
             f"construction must be 'quadrature' or 'ode', got {construction!r}")
@@ -219,7 +224,6 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
         return (k1 / (4.0 * q)) * (p / (phi_sq * phi_sq)
                                    - 4.0 * dphi / (phi_sq * phi))
 
-    phi_profile.require_positive(interval, name="phi")
     f_profile = _reciprocal_profile(k2, phi_profile, phi_profile.domain)
     h_profile = _h_from_phi(k1, phi_profile, interval, h_values)
     spec = WarpedSolitonSpec(sig_, direction, d, 0.0, lambda_f,
@@ -228,37 +232,21 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     return _certify_or_raise(spec, run_certify)
 
 
-def _lambert_u(p, q, k3, w_branch):
-    """(u, W) at s = phi^-2, for a float or an array:
-    u = -(q/p) (1 + W(k3 exp(c s^2))) with c = -p^2/(4q)."""
-    c = -p * p / (4.0 * q)
+def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
+    """phi as a numpy form, one solve per array of points (the last is kept).
 
-    def u_w(s):
-        w = (lambert_w(k3 * np.exp(c * (s * s)), w_branch) if k3 != 0.0
-             else 0.0 * s)
-        return -(q / p) * (1.0 + w), w
-
-    return u_w
-
-
-def _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
-                      interval: Interval) -> Profile:
-    """phi of the quadrature construction as a numpy form, one solve per
-    array of points (the last one is kept).
-
-    In s = phi^-2 the travel integral is T(s) = int_phi0^phi dt/(u t^3) =
-    -1/2 int_s0^s ds'/u, on the Gauss-Legendre panels of ``gauss_legendre``
-    (``_lambert_integral``). xi + k4 = T(s) is inverted in s on the maximal
-    interval of ``_s_interval``, one bracket for every solve: where that
-    interval is unbounded above, its upper end is doubled from 2 s0 until T
-    passes the far end of xi_range + k4 or stops moving, in at most 80
-    steps; a step to where T is NaN is halved instead.
+    xi + k4 = -(1/p) int_z0^z dt/s runs in x = z - z0 through y, dx/dy = 1
+    at the anchor: toward a root end x_e (``_chart_ends``) x = y (1 + e)/2,
+    e = 1 - |y|/(2|x_e|), so z = z_e -+ tau^2 with tau ~ e and the integrand
+    is smooth up to the root; toward an infinite end x = y, cut where
+    |w| = e^700 for z -> +inf (xi within e^-350 of the end) and for z -> -inf
+    at Z = -((|p| D/(2 sqrt|c|) + sqrt(|z_a| + A))^2 - A), D = 1 + |far end
+    of xi_range + k4|, from s^2 <= (|z| + A)/|c| on z <= z_a = min(z0, 0),
+    A = max(0, -k3) e^z_a.
     """
-    s0 = 1.0 / (phi0 * phi0)
-
+    c = -p * p / (4.0 * q)
     if k3 == 0.0:
-        # u is the constant -q/p; the relation integrates in closed form to
-        # s = s0 + (2q/p)(xi + k4)
+        # w = 0, u = -q/p: s = s0 + (2q/p)(xi + k4)
         def solve(xs):
             s = s0 + (2.0 * q / p) * (xs + k4)
             bad = xs[~(s > 0.0)]
@@ -266,31 +254,44 @@ def _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
                 raise FamilyConstructionError(
                     f"phi^2 leaves the positive axis at xi={float(bad[0])!r}; "
                     "shrink xi_range to the sign-consistent interval")
-            u = np.full(len(s), -q / p)
-            return 1.0 / np.sqrt(s), u, 0.0 * u
+            return 1.0 / np.sqrt(s), 0.0 * s
     else:
-        lo, hi = _s_interval(p, q, k3, w_branch)
-        travel = _lambert_integral(p, q, k3, w_branch, u_w, s0)
+        f0 = c * (s0 * s0)
+        z0 = f0 - w0
+        roots = _chart_ends(k3, z0)
+        root = np.isfinite(roots)
+        z_a = min(z0, 0.0)
+        a = max(0.0, -k3) * math.exp(z_a)
+        # cuts of infinite ends (unused at a root); past Z, T passes xi_range
+        far = abs((interval.hi if p > 0.0 else interval.lo) + k4) + 1.0
+        x_end = np.where(root, roots - z0, [
+            a - z0 - (abs(p) * far / (2.0 * math.sqrt(abs(c)))
+                      + math.sqrt(a - z_a)) ** 2,
+            700.0 - math.log(abs(k3)) - z0])
+        length = np.where(root, 2.0, 1.0) * np.abs(x_end)
 
-        if math.isinf(hi):
-            rising = u_w(s0)[0] < 0.0
-            far = (interval.hi if rising else interval.lo) + k4
-            hi, t_hi, nan_at = s0, 0.0, math.inf
-            for _ in range(80):
-                # T is NaN where exp(c s^2) overflows, or underflows on the
-                # lower branch; steps stop short of that
-                cand = min(2.0 * hi, 0.5 * (hi + nan_at))
-                t = float(travel(np.array([cand]))[0])
-                if math.isnan(t):
-                    nan_at = cand
-                    continue
-                if t == t_hi:
-                    break
-                hi, t_hi = cand, t
-                if (t >= far) if rising else (t <= far):
-                    break
-        ends = travel(np.array([lo, hi]))
-        bounds = sorted(ends.tolist())
+        def chart(y):
+            """c s^2, w and dxi/dy at y, NaN past the bracket."""
+            side = (y >= 0.0).astype(np.intp)
+            at_root = root[side]
+            e = 1.0 - np.abs(y) / length[side]
+            x = np.where(at_root, 0.5 * y * (1.0 + e), y)
+            d = -x_end[side] * (e * e)
+            near, w_e = at_root & (e < 0.5), -roots[side]
+            w = np.where(near, w_e * np.exp(d), k3 * np.exp(z0 + x))
+            # w - w0 in the form that neither overflows nor loses an
+            # underflowed w0
+            rise = np.where(x > 0.0, -w * np.expm1(-x), w0 * np.expm1(x))
+            f = np.where(near, d + w_e * np.expm1(d), f0 + x + rise)
+            dx = np.where(e < 0.0, np.nan, np.where(at_root, e, 1.0))
+            return f, w, -dx / (p * np.sqrt(f / c))
+
+        rate = lambda y: chart(y)[2]
+        travel = lambda y: gauss_legendre(rate, 0.0, y)
+        bracket = (-float(length[0]), float(length[1]))
+        ends = travel(np.array(bracket)).tolist()
+        # z -> -inf takes xi to infinity
+        bounds = sorted([ends[0] if root[0] else p * math.inf, ends[1]])
 
         def check(xs):
             outside = xs[~((bounds[0] <= xs + k4) & (xs + k4 <= bounds[1]))]
@@ -305,91 +306,39 @@ def _thm15_quadrature(p, q, k3, k4, phi0, w_branch, u_w,
 
         def solve(xs):
             check(xs)
-            s = invert_monotone(travel, xs + k4, (lo, hi), ends,
-                                dg=lambda s: -0.5 / u_w(s)[0], start=s0)
-            phi = 1.0 / np.sqrt(s)
-            u, w = u_w(s)
-            return phi, u, -p * w * (s * s) / ((1.0 + w) * phi)
+            y = invert_monotone(travel, xs + k4, bracket, ends, dg=rate,
+                                start=0.0)
+            with np.errstate(all="ignore"):
+                f, w, _ = chart(y)
+            return 1.0 / np.sqrt(np.sqrt(f / c)), w
 
     last: list = []
 
     def cached(xs):
         if not len(xs):
-            return (xs,) * 3
+            return (xs,) * 2
         if not (last and np.array_equal(last[0], xs)):
             last[:] = [xs.copy(), solve(xs)]
         return last[1]
 
     def phi_arrays(xs, value, d1, d2):
-        phi, u, du = cached(xs)
-        cube = phi * phi * phi
-        dphi = u * cube
+        phi, w = cached(xs)
+        u = -(q / p) * (1.0 + w)
+        phi_sq = phi * phi
+        dphi = u * phi_sq * phi
         return (phi if value else None, dphi if d1 else None,
-                (du * cube + 3.0 * u * (phi * phi)) * dphi if d2 else None)
+                q * w * phi + 3.0 * u * dphi * phi_sq if d2 else None)
 
     return Profile(phi_arrays, interval)
 
 
-def _s_interval(p, q, k3, w_branch):
-    """The open interval (lo, hi) of s = phi^-2 > 0 on which u is defined
-    and nonzero (k3 != 0): W's argument k3 exp(c s^2) stays on the branch
-    and off the branch point -1/e, where W = -1. For k3 < 0 that point is
-    the wall s_w, s_w^2 = (ln(-1/k3) - 1)/c (Corless et al., "On the
-    Lambert W function", 1996). An empty interval is (0, 0)."""
-    if k3 > 0.0:
-        return (0.0, math.inf) if w_branch == "principal" else (0.0, 0.0)
-    c = -p * p / (4.0 * q)
-    wall = math.sqrt(max((math.log(-1.0 / k3) - 1.0) / c, 0.0))
-    return (0.0, wall) if c > 0.0 else (wall, math.inf)
-
-
-def _lambert_integral(p, q, k3, w_branch, u_w, s0):
-    """The travel integral T(s) = -1/2 int_s0^s dt/u(t) over an array s,
-    NaN where it cannot be evaluated, on Gauss-Legendre panels.
-
-    Next to a branch-point wall of W (k3 < 0; W = -1, u = 0) 1/u grows like
-    the inverse square root of the distance, and W's rounding there is more
-    noise than the panels' error estimate can absorb. Between s_n, where
-    W = w_n = -1 -+ 1/4, and the wall the integral runs in w = W instead:
-    w + ln(w/k3) = c s^2 gives dt/u = (2/p) dw/(w s(w)), smooth at w = -1,
-    which it takes at the wall itself.
-    """
-    def far(a, b):
-        return gauss_legendre(lambda t: 1.0 / u_w(t)[0], a, b)
-
-    c = -p * p / (4.0 * q)
-    w_n = -0.75 if w_branch == "principal" else -1.25
-    # the end of the maximal interval where W = -1, if k3 < 0
-    ends = _s_interval(p, q, k3, w_branch)
-    wall = ends[1] if c > 0.0 else ends[0]
-    square = ((w_n + math.log(w_n / k3)) / c if 0.0 < wall < math.inf
-              else -1.0)
-    if not square > 0.0:
-        return lambda s: -0.5 * far(s0, s)
-    s_n = math.sqrt(square)
-    lo, hi = sorted((s_n, wall))
-    # the path s0 -> s cannot cross the wall, so its part between lo and hi
-    # runs from a = clip(s0) to clip(s), and the rest in s
-    a = min(max(s0, lo), hi)
-    w_a = w_n if a == s_n else float(u_w(np.array([a]))[1][0])
-    to_a = 0.0 if a == s0 else float(far(s0, [a])[0])
-
-    def s_of(w):
-        return np.sqrt((w + np.log(w / k3)) / c)
-
-    def travel(s):
-        b = np.clip(s, lo, hi)
-        w_b = np.where(b == s_n, w_n, -1.0)
-        inside = (b != s_n) & (b != wall)
-        if np.count_nonzero(inside):
-            w_b[inside] = u_w(b[inside])[1]
-        same = b == a
-        return -0.5 * (far(np.where(same, s0, b), s)
-                       + np.where(same, 0.0, to_a)
-                       + (2.0 / p) * gauss_legendre(
-                           lambda w: 1.0 / s_of(w) / w, w_a, w_b))
-
-    return travel
+def _chart_ends(k3, z0):
+    """The ends in z of the component of F/c > 0 that holds z0: the nearest
+    roots -W(k3) of F(z) = z + k3 e^z, else -inf and +inf."""
+    roots = [-float(lambert_w(k3, branch)) for branch in ("principal", "lower")
+             if k3 >= BRANCH_POINT and (branch == "principal" or k3 < 0.0)]
+    return np.array([max((r for r in roots if r < z0), default=-math.inf),
+                     min((r for r in roots if r > z0), default=math.inf)])
 
 
 def _profile_ode(phi, dphi, p, q):
@@ -409,8 +358,8 @@ def _profile_ode_rhs(p, q):
     return rhs
 
 
-def _thm15_phi_ode(p, q, k4, phi0, dphi0, interval: Interval) -> Profile:
-    y0 = [phi0, dphi0]
+def _thm15_phi_ode(p, q, k4, phi0, w0, interval: Interval) -> Profile:
+    y0 = [phi0, -(q / p) * (1.0 + w0) * (phi0 * phi0 * phi0)]
     states = _two_sided_solve(_profile_ode_rhs(p, q), -k4, y0,
                               (interval.lo, interval.hi), "profile ODE")
 

@@ -201,8 +201,9 @@ class TestLambertFamily:
             family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.5, 8.0))
 
     def test_range_reaching_where_the_w_argument_overflows(self):
-        """k3 exp(c s^2) overflows past s = 119.1 (xi = -7.8225), so T is
-        NaN there; the upper end of the bracket steps up to it, not past."""
+        """k3 exp(c s^2) overflows past s = 119.1 (xi = -7.8225), but in the
+        chart z = ln(W/k3) nothing does: the maximal interval of k3 = 0.2
+        ends at xi = -7.9911, where z -> +inf and phi -> 0."""
         spec = family_thm15(1.0, 1.0, 0.2, lambda_f=-0.5,
                             xi_range=(-7.9, 0.3))
         assert spec.phi.value(-7.8) < 0.1
@@ -235,24 +236,83 @@ class TestLambertFamily:
                          construction=construction, phi0=0.5)
 
     def test_maximal_interval_in_closed_form(self):
-        """(lo, hi) in s = phi^-2: W's argument k3 exp(c s^2) reaches -1/e
-        at a finite end and stays on the branch inside."""
-        from yamabe.families import _s_interval
-        p = 0.1
-        for q, k3, branch, finite_end in (
-                (-0.05, -0.2, "principal", 1), (-0.05, -0.2, "lower", 1),
-                (0.05, -0.5, "principal", 0), (0.05, -0.5, "lower", 0)):
+        """The chart's ends in z = ln(W/k3) are the roots -W(k3) of
+        F(z) = z + k3 e^z nearest the anchor, or -inf (c < 0) and +inf
+        (k3/c > 0); F/c > 0 between them."""
+        from yamabe.families import _chart_ends
+        p, inf = 0.1, math.inf
+        for q, k3, s0, branch, ends in (
+                (-0.05, -0.2, 1.0, "principal", "rr"),
+                (-0.05, -0.2, 1.0, "lower", "rr"),
+                (-0.05, 0.2, 1.0, "principal", "r+"),
+                (0.05, -0.2, 1.0, "principal", "-r"),
+                (0.05, -0.2, 1.0, "lower", "r+"),
+                (0.05, 0.2, 1.0, "principal", "-r"),
+                (0.05, -0.5, 4.0, "principal", "-+")):
             c = -p * p / (4.0 * q)
-            ends = _s_interval(p, q, k3, branch)
-            wall = ends[finite_end]
-            assert k3 * math.exp(c * wall * wall) == pytest.approx(
-                -1.0 / math.e, rel=1e-15)
-            assert math.isinf(ends[1]) == (c < 0.0) and ends[0] < ends[1]
-        assert _s_interval(p, -0.05, 0.2, "principal") == (0.0, math.inf)
-        assert _s_interval(p, 0.05, -0.2, "principal") == (0.0, math.inf)
-        for q, k3, branch in ((-0.05, 0.2, "lower"), (-0.05, -0.5, "lower")):
-            lo, hi = _s_interval(p, q, k3, branch)
-            assert not lo < hi
+            z0 = c * s0 * s0 - lambert_w(k3 * math.exp(c * s0 * s0), branch)
+            lo, hi = _chart_ends(k3, z0)
+            for end, kind in zip((lo, hi), ends):
+                if kind == "r":
+                    assert abs(end + k3 * math.exp(end)) <= 1e-15
+                else:
+                    assert end == (inf if kind == "+" else -inf)
+            zs = np.linspace(max(lo, z0 - 30.0), min(hi, z0 + 30.0), 203)
+            assert np.all((zs + k3 * np.exp(zs))[1:-1] / c > 0.0)
+
+    def test_whole_maximal_interval_against_scipy_ode(self):
+        """The README case: the maximal interval runs from the blow-up at
+        xi = -9.0835973218 through the wall at -5.066 to the blow-up at
+        1.3609272635. With 1% margins, phi and phi' agree with scipy's
+        solve_ivp of the profile ODE from the anchor within 1e-9."""
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        p, q = 0.1, -0.05
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(-9.0835973218, 1.3609272635),
+                            run_certify=False)
+        xs = np.array(grid_points(spec.domain, 200))
+        phi, dphi, _ = spec.phi.jet(xs)
+        y0 = [1.0, -(q / p) * (1.0 + lambert_w(-0.2 * math.exp(0.05)))]
+
+        def rhs(xi, y):
+            return [y[1], (3.0 * y[0] * y[1] ** 2 - p * y[1]
+                           - q * y[0] ** 3) / y[0] ** 2]
+
+        for side in (xs < 0.0, xs >= 0.0):
+            t = xs[side] if xs[side][0] >= 0.0 else xs[side][::-1]
+            run = solve_ivp(rhs, (0.0, t[-1]), y0, method="DOP853",
+                            t_eval=t, rtol=1e-12, atol=1e-14)
+            ref = run.y[:, np.argsort(t)]
+            assert np.max(np.abs(phi[side] - ref[0]) / ref[0]) <= 1e-9
+            assert np.max(np.abs(dphi[side] - ref[1])
+                          / np.abs(ref[1])) <= 1e-9
+
+    def test_lower_branch_is_a_translate_or_another_component(self):
+        """With c > 0 and k3 < 0 both W branches lie on one maximal
+        solution, and 'lower' at phi0 = 1 is the principal solution
+        translated by 8.4233490036; with c < 0 it is another solution,
+        with a bounded maximal interval where the principal one is not."""
+        def interval(**kw):
+            with pytest.raises(FamilyConstructionError) as err:
+                family_thm15(1.0, 1.0, -0.2, xi_range=(-1e4, 1e4), **kw)
+            inside = str(err.value).split("maximal interval (")[1]
+            return [float(v) for v in inside.split(")")[0].split(",")]
+
+        shift = 8.4233490036
+        lower = interval(lambda_f=-0.5, w_branch="lower")
+        assert np.allclose(np.array(lower) - shift,
+                           [-9.0835973218, 1.3609272635], atol=1e-10)
+        principal = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                                 xi_range=(-0.3, 0.4))
+        translate = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                                 xi_range=(-0.3 + shift, 0.4 + shift),
+                                 w_branch="lower")
+        xs = np.array(grid_points(principal.domain, 50))
+        assert np.allclose(principal.phi.jet(xs),
+                           translate.phi.jet(xs + shift), rtol=0.0,
+                           atol=1e-9)
+        assert interval(lambda_f=0.5)[1] == math.inf
+        assert max(map(abs, interval(lambda_f=0.5, w_branch="lower"))) < 5.0
 
 
 class TestLambertFamilyArrays:
@@ -306,11 +366,11 @@ class TestLambertFamilyArrays:
 
     @pytest.mark.parametrize("gap", [1e-3, 3e-4, 1e-5])
     def test_range_reaching_close_to_the_wall(self, gap):
-        """The maximal interval of k3 = -0.2 ends at the wall phi = 0.5352
-        (xi = -5.066027636), where W's argument reaches -1/e and 1/u blows
-        up; the first grid point here sits gap from it in xi. The reference
-        integrates in w = W itself, where the integrand of the travel
-        integral, p / (4 c q s w) with s = sqrt((ln(w/k3) + w)/c) and
+        """The wall phi = 0.5352 (xi = -5.066027636) of k3 = -0.2, where
+        W's argument reaches -1/e and u = 0, is an interior point of the
+        chart; the first grid point here sits gap from it in xi. The
+        reference integrates in w = W itself, where the integrand of the
+        travel integral, p / (4 c q s w) with s = sqrt((ln(w/k3) + w)/c) and
         c = -p^2/(4q), stays smooth at the wall."""
         quad = pytest.importorskip("scipy.integrate").quad
         scipy_w = pytest.importorskip("scipy.special").lambertw
@@ -349,8 +409,9 @@ class TestLambertFamilyArrays:
             assert np.array(jet).tobytes() == scalar.tobytes(), name
 
     def test_points_come_out_the_same_in_any_array(self):
-        """Next to the wall the inversion bisects; every solve still shares
-        one bracket, so a point's jet does not depend on the array."""
+        """The range passes through the wall at -5.066; every solve shares
+        one bracket and one start, so a point's jet does not depend on the
+        array."""
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                             xi_range=(-5.1, 0.3), run_certify=False)
         xs = np.array(grid_points(spec.domain, 200))
@@ -364,9 +425,9 @@ class TestLambertFamilyArrays:
                 assert got.tobytes() == whole[:, i].tobytes()
 
     def test_saturating_range_fails_before_any_inversion(self, monkeypatch):
-        """The benchmark's q = proof case: T(s) saturates at xi = 0.135 as
-        phi grows, below the top of the range, and the construction says so
-        without inverting."""
+        """The benchmark's q = proof case: phi blows up at xi = 0.135, below
+        the top of the range, and the construction says so without
+        inverting."""
         import yamabe.families as families_module
         calls = []
         monkeypatch.setattr(families_module, "invert_monotone",
@@ -377,37 +438,25 @@ class TestLambertFamilyArrays:
                             "q_variant": "proof"})
         assert calls == []
 
-    def test_error_names_the_wall_as_the_lower_end(self):
+    def test_error_names_the_blow_up_as_the_lower_end(self):
         with pytest.raises(FamilyConstructionError,
                            match=r"maximal interval \(") as err:
-            family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-5.2, 0.3))
+            family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-9.2, 0.3))
         lower = float(str(err.value).split("maximal interval (")[1]
                       .split(",")[0])
-        assert abs(lower - -5.066027636174845) <= 1e-9
+        assert abs(lower - -9.0835973218) <= 1e-9
 
-    def test_a_raise_past_the_wall_propagates_promptly(self, monkeypatch):
-        """The 1%-clipped range ends at -5.016, inside the maximal interval,
-        so this builds; phi's form raises for a point between the range's
-        end and the wall at -5.066. The raise reaches the caller of jet and
-        of a geodesic whose RHS asks there. Read as NaN instead, it would
-        not end: phi is smooth with phi' = 0 at the wall, and the
-        integrator keeps accepting ever smaller steps toward it. The form
-        gets a budget of calls, which ends the test in any case."""
+    def test_a_geodesic_runs_through_the_wall(self):
+        """The range reaches past the wall at -5.066, an ordinary point of
+        the chart: phi is defined there, and a geodesic that crosses it
+        runs on to the end of the domain and stops with a reason."""
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                             xi_range=(-5.07, 0.3))
-        form, calls = spec.phi._arrays, []
-
-        def budgeted(xs, *want):
-            calls.append(len(xs))
-            if len(calls) > 500:
-                pytest.fail("phi evaluated more than 500 times")
-            return form(xs, *want)
-        monkeypatch.setattr(spec.phi, "_arrays", budgeted)
-        with pytest.raises(FamilyConstructionError, match="maximal interval"):
-            spec.phi.jet([-5.068])
-        with pytest.raises(FamilyConstructionError, match="maximal interval"):
-            integrate_geodesic(spec, [-5.03, 0, 0], [-1, 0, 0], [0, 0, 0],
-                               [0, 0, 0], s_span=(0, 1))
+        assert np.isfinite(spec.phi.jet([-5.068])).all()
+        run = integrate_geodesic(spec, [-5.03, 0, 0], [-1, 0, 0], [0, 0, 0],
+                                 [0, 0, 0], s_span=(0, 1))
+        assert run.stop_reason == "domain-exit"
+        assert run.rows[-1, 1] < -5.066
 
     def test_certify_runs_no_scalar_closure(self, monkeypatch):
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})
@@ -425,15 +474,16 @@ class TestLambertFamilyArrays:
                             or invert(g, t, *a, **k))
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2},
                             run_certify=False)
-        assert calls == [64]
+        # phi = s^(-1/2) is positive by construction: no positivity check
+        assert calls == []
         certify(spec, grid_size=200)
         # the grid and classify's 16 h' points in one call
-        assert calls == [64, 216]
+        assert calls == [216]
         calls.clear()
         certify(family_thm15(**{**THM15_COMMON, "k3": -0.2},
                              run_certify=True), grid_size=200)
-        # positivity, the build's 120-point certify, the 200-point one
-        assert calls == [64, 136, 216]
+        # the build's 120-point certify, the 200-point one
+        assert calls == [136, 216]
 
 
 SEC_DOMAIN = (-HALF_PI, HALF_PI)
