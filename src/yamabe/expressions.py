@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionSyntaxError
+from .errors import BranchDomainError, EvaluationError, ExpressionSyntaxError
 from .lambertw import lambert_w
 
 __all__ = [
@@ -264,7 +264,7 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     numpy's SIMD exp, log, tan and power round differently in the last bit
     on some inputs, and derivatives amplify that past a few ulp, so those go
     through libm one element at a time (``^`` through ``np.float_power``).
-    W is ``lambert_w`` on the whole array.
+    W is ``lambert_w`` one element at a time, as the scalar form calls it.
     """
     evaluate = compile_jet((node,))
 
@@ -338,15 +338,6 @@ def _elementwise(fn: Callable[[float], float], errors) -> Callable:
     return apply
 
 
-def _w_array(x, raised):
-    """W on an array: NaN, recorded, off the principal branch's domain."""
-    out = lambert_w(np.atleast_1d(np.asarray(x, dtype=float)), "principal")
-    nan = np.isnan(out)
-    if np.count_nonzero(nan):
-        raised.append(nan)
-    return out
-
-
 def _math_checked(fn: Callable) -> Callable:
     """A numpy function, recording where the math module raises instead: a
     NaN from a non-NaN argument or an infinity from a finite one."""
@@ -386,7 +377,8 @@ _ARRAY_NAMESPACE = {
     "_tan": _elementwise(math.tan, _MATH_ERRORS),
     "_exp": _elementwise(math.exp, _MATH_ERRORS),
     "_ln": _elementwise(math.log, _MATH_ERRORS),
-    "_W": _w_array,
+    # looked up at each call, so a wrapper of this module's lambert_w sees it
+    "_W": _elementwise(lambda x: lambert_w(x), (BranchDomainError,)),
     "_div": _div_array, "_pow": _pow_array, "_output": _output,
 }
 

@@ -202,7 +202,7 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
         with np.errstate(over="ignore"):
             x0 = k3 * np.exp(-p * p / (4.0 * q) * (s0 * s0))
         try:
-            w0 = float(lambert_w(x0, w_branch))
+            w0 = lambert_w(x0, w_branch)
         except BranchDomainError:
             raise FamilyConstructionError(
                 "the implicit relation is not defined at the anchor "
@@ -245,15 +245,19 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
     A = max(0, -k3) e^z_a.
     """
     c = -p * p / (4.0 * q)
+    # every point a profile reads lies inside the declared range, so its
+    # ends are checked once, here
     if k3 == 0.0:
         # w = 0, u = -q/p: s = s0 + (2q/p)(xi + k4)
-        def solve(xs):
-            s = s0 + (2.0 * q / p) * (xs + k4)
-            bad = xs[~(s > 0.0)]
-            if len(bad):
+        slope = 2.0 * q / p
+        for end in interval.as_tuple():
+            if not s0 + slope * (end + k4) >= 0.0:
                 raise FamilyConstructionError(
-                    f"phi^2 leaves the positive axis at xi={float(bad[0])!r}; "
+                    f"phi^2 leaves the positive axis at xi={float(end)!r}; "
                     "shrink xi_range to the sign-consistent interval")
+
+        def solve(xs):
+            s = s0 + slope * (xs + k4)
             return 1.0 / np.sqrt(s), 0.0 * s
     else:
         f0 = c * (s0 * s0)
@@ -290,22 +294,25 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
         travel = lambda y: gauss_legendre(rate, 0.0, y)
         bracket = (-float(length[0]), float(length[1]))
         ends = travel(np.array(bracket)).tolist()
+        for side, end in enumerate(ends):
+            if math.isnan(end):
+                # toward z's lower end xi rises when p > 0
+                xi_end = "upper" if (side == 0) == (p > 0.0) else "lower"
+                raise FamilyConstructionError(
+                    f"the travel integral toward the {xi_end} end of the "
+                    f"maximal interval (z -> {float(roots[side])!r}) does "
+                    "not converge")
         # z -> -inf takes xi to infinity
         bounds = sorted([ends[0] if root[0] else p * math.inf, ends[1]])
-
-        def check(xs):
-            outside = xs[~((bounds[0] <= xs + k4) & (xs + k4 <= bounds[1]))]
-            if len(outside):
-                raise FamilyConstructionError(
-                    f"xi target {float(outside[0])!r} lies outside the "
-                    f"maximal interval ({bounds[0] - k4!r}, {bounds[1] - k4!r})"
-                    " of the implicit relation")
-
         # a range past the interval fails here, before any inversion
-        check(np.array(grid_points(interval, 2)))
+        for end in interval.as_tuple():
+            if not bounds[0] <= end + k4 <= bounds[1]:
+                raise FamilyConstructionError(
+                    f"xi target {float(end)!r} lies outside the maximal "
+                    f"interval ({bounds[0] - k4!r}, {bounds[1] - k4!r}) of "
+                    "the implicit relation")
 
         def solve(xs):
-            check(xs)
             y = invert_monotone(travel, xs + k4, bracket, ends, dg=rate,
                                 start=0.0)
             with np.errstate(all="ignore"):
@@ -335,7 +342,7 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
 def _chart_ends(k3, z0):
     """The ends in z of the component of F/c > 0 that holds z0: the nearest
     roots -W(k3) of F(z) = z + k3 e^z, else -inf and +inf."""
-    roots = [-float(lambert_w(k3, branch)) for branch in ("principal", "lower")
+    roots = [-lambert_w(k3, branch) for branch in ("principal", "lower")
              if k3 >= BRANCH_POINT and (branch == "principal" or k3 < 0.0)]
     return np.array([max((r for r in roots if r < z0), default=-math.inf),
                      min((r for r in roots if r > z0), default=math.inf)])

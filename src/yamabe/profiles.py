@@ -10,8 +10,7 @@ parents' forms.
 A form reports a point where it cannot be evaluated in one way: the entries
 there are not finite. ``masked_jet`` is how the package reads profiles on
 points that may lie outside the domain: NaN there, and one call of the form
-on the rest. An exception a form raises itself (a family closure asked for
-a point past the range it was built on) always propagates.
+on the rest. An exception a form raises itself always propagates.
 """
 
 from __future__ import annotations

@@ -200,6 +200,25 @@ class TestLambertFamily:
                            match="maximal interval"):
             family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.5, 8.0))
 
+    def test_declared_end_inside_the_grid_margin(self):
+        # phi -> inf at xi = 1.3609272635, past the 1%-clipped grid's top
+        # end but before the declared end
+        with pytest.raises(FamilyConstructionError, match=r"xi target 1\.37 "
+                           "lies outside the maximal interval"):
+            family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5, xi_range=(-0.3, 1.37))
+
+    @pytest.mark.parametrize("k3,phi0,end", [
+        # a double root of F at z = 1, where xi diverges logarithmically
+        (-math.exp(-1.0), 1.0, r"\(z -> 1\.0\)"),
+        # the anchor z0 = -5e6 leaves x = z - z0 no resolution near z = 0
+        (-0.5, 0.01, r"\(z -> inf\)")])
+    def test_travel_that_does_not_converge(self, k3, phi0, end):
+        with pytest.raises(FamilyConstructionError,
+                           match="travel integral toward the lower end of the"
+                           " maximal interval " + end + " does not converge"):
+            family_thm15(1.0, 1.0, k3, lambda_f=0.5, xi_range=(-0.1, 0.1),
+                         phi0=phi0)
+
     def test_range_reaching_where_the_w_argument_overflows(self):
         """k3 exp(c s^2) overflows past s = 119.1 (xi = -7.8225), but in the
         chart z = ln(W/k3) nothing does: the maximal interval of k3 = 0.2
@@ -268,7 +287,7 @@ class TestLambertFamily:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         p, q = 0.1, -0.05
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
-                            xi_range=(-9.0835973218, 1.3609272635),
+                            xi_range=(-9.08359732179, 1.3609272635),
                             run_certify=False)
         xs = np.array(grid_points(spec.domain, 200))
         phi, dphi, _ = spec.phi.jet(xs)
