@@ -6,8 +6,7 @@ from .catalog import build_example, catalog, example5_spec, portrait_defaults
 from .errors import (BranchDomainError, DimensionMismatchError, DomainError,
                      EvaluationError, ExpressionSyntaxError,
                      FamilyConstructionError, PositivityError, QuadratureError,
-                     RootFindError, SingularMetricError, SpecValidationError,
-                     YamabeError)
+                     RootFindError, SpecValidationError, YamabeError)
 from .expressions import (compile_callable, differentiate, parse_expression,
                           to_text)
 from .families import (almost_soliton_lightlike, family_thm15, family_thm16,
@@ -31,8 +30,8 @@ __all__ = [
     "DimensionMismatchError", "DomainError", "EvaluationError",
     "ExpressionSyntaxError", "FamilyConstructionError", "Interval",
     "PositivityError", "Profile", "QuadratureError", "ResidualReport",
-    "RootFindError", "SignatureSpec", "SingularMetricError",
-    "SpecValidationError", "TranslationDirection", "WarpedSolitonSpec",
+    "RootFindError", "SignatureSpec", "SpecValidationError",
+    "TranslationDirection", "WarpedSolitonSpec",
     "YamabeError", "almost_soliton_lightlike", "build_example", "catalog",
     "causal_class", "certify", "classify", "compare_probe_modes",
     "compile_callable", "completeness_probe", "differentiate", "energy",

@@ -40,11 +40,8 @@ log = logging.getLogger("yamabe.cli")
 
 _VERDICT_EXIT = {"certified": 0, "rejected": 2, "inconclusive": 3}
 
-# `yamabe family`: expression flags; per family, default n, d and lightlike
+# `yamabe family`: the flags of the expression keys
 _EXPRESSION_FLAGS = {"phi": "--phi", "f": "--f", "z_p": "--zp"}
-_FAMILY_FRAMES = {"thm15": (3, 3, False), "thm16": (5, 1, False),
-                  "thm17": (4, 3, False), "thm18": (4, 2, True),
-                  "almost-lightlike": (4, 2, True)}
 
 
 class _CliInputError(Exception):
@@ -263,15 +260,17 @@ def _family_params(args) -> dict:
 
 
 def _family_frame(args) -> tuple[int, int, SignatureSpec, tuple[float, ...]]:
-    n, d, lightlike = _FAMILY_FRAMES[args.id]
-    n = args.n if args.n is not None else n
-    d = args.d if args.d is not None else d
-    default_frame = (families.default_lightlike_frame if lightlike
-                     else families.default_spacelike_frame)
+    entry = specio.FAMILY_TABLE[args.id]
+    n = args.n if args.n is not None else entry.n
+    d = args.d if args.d is not None else entry.d
+    if args.signature is None or args.alpha is None:
+        default_sig, default_direction = (
+            families.default_lightlike_frame if entry.lightlike
+            else families.default_spacelike_frame)(n)
     sig = (SignatureSpec(_ints(args.signature)) if args.signature is not None
-           else default_frame(n)[0])
+           else default_sig)
     alpha = (_floats(args.alpha) if args.alpha is not None
-             else default_frame(n)[1].alpha)
+             else default_direction.alpha)
     return n, d, sig, alpha
 
 

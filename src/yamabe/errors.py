@@ -21,10 +21,6 @@ class DimensionMismatchError(YamabeError):
     """Vector lengths or base/fiber dimensions are inconsistent."""
 
 
-class SingularMetricError(YamabeError):
-    """Metric matrix is numerically singular (pivot below threshold)."""
-
-
 class ExpressionSyntaxError(YamabeError):
     """Parse failure; carries the byte offset and what was expected."""
 

@@ -2,17 +2,19 @@
 
 A spec bundles the base signature, translation direction, fiber dimension and
 fiber scalar curvature, the soliton constant rho (a profile in the almost
-case), and the three profiles phi, f, h. Verification runs two independent
-routes over a margin-clipped grid:
+case), and the three profiles phi, f, h. ``Terms`` computes the closed forms
+of the base geometry once, and from them one S - rho, S the warped scalar
+curvature. Verification assembles it two ways over a margin-clipped grid:
 
   * the reduced scalar system in xi (one h-equation plus two diagonal
-    equations, or the h-equation plus the constant-rho constraint when the
-    direction is lightlike), and
-  * the full tensor equation (S - rho) g = Hess(h) assembled blockwise from
-    the closed-form tensors.
+    equations, S - rho plus gradient terms; or the h-equation plus the
+    constant-rho constraint when the direction is lightlike), and
+  * the full tensor equation (S - rho) g = Hess(h) assembled blockwise.
 
-The two routes are linear images of one another, so verdicts must agree; the
-tests pin that down.
+The two assemblies are linear images of one another, so verdicts must agree.
+The tests pin that down, and hold the closed forms themselves to a
+finite-difference oracle on metric samples (``tests/oracles.py``), with a
+flat fiber and an upper-half-space H^d fiber.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class Terms:
     and ``lap_h`` (Laplacians), ``pair`` = <grad f, grad h>, ``grad2_f`` =
     |grad f|^2 and ``pair_ln`` = <grad ln f, grad h>. Each carries
     ||alpha||^2, so a lightlike direction annihilates them exactly.
+    ``s_minus_rho`` is S - rho, S from ``warped_scalar_curvature``; both
+    diagonal equations and the lemma read it.
     """
 
     def __init__(self, spec: WarpedSolitonSpec, pv: PointEval,
@@ -133,32 +137,29 @@ class Terms:
         if norm == 0.0:
             self.s_base = self.lap_f = self.pair = 0.0
             self.grad2_f = self.lap_h = self.pair_ln = 0.0
-            return
-        p2 = square(pv.phi)
-        self.s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi
-                                        - n * square(pv.dphi))
-        self.lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
-        self.pair = norm * p2 * pv.df * pv.dh
-        self.grad2_f = norm * p2 * square(pv.df)
-        self.lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
-        self.pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
+        else:
+            p2 = square(pv.phi)
+            self.s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi
+                                            - n * square(pv.dphi))
+            self.lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
+            self.pair = norm * p2 * pv.df * pv.dh
+            self.grad2_f = norm * p2 * square(pv.df)
+            self.lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
+            self.pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
+        self.s_minus_rho = warped_scalar_curvature(
+            self.s_base, pv.f, self.lap_f, self.grad2_f, spec.lambda_f,
+            spec.d) - pv.rho
 
     def reduced(self) -> dict:
         """{'h-ode', 'diag-1', 'diag-2'}, or {'h-ode', 'lightlike'}."""
         spec, pv = self.spec, self.pv
         r_h = pv.ddh + 2.0 * (pv.dphi / pv.phi) * pv.dh
-        norm, n, d = spec.direction.norm, spec.n, spec.d
+        norm = spec.direction.norm
         if norm == 0.0:
             return {"h-ode": r_h, "lightlike": self.rhs}
-        # the ||alpha||^2 bracket shared by both diagonal equations
-        p2 = square(pv.phi)
-        bracket = ((n - 1) * (2.0 * pv.phi * pv.ddphi - n * square(pv.dphi))
-                   - (2.0 * d / pv.f) * (p2 * pv.ddf
-                                         - (n - 2) * pv.phi * pv.dphi * pv.df)
-                   - (d * (d - 1) / square(pv.f)) * p2 * square(pv.df))
         return {"h-ode": r_h,
-                "diag-1": norm * (bracket + pv.phi * pv.dphi * pv.dh) - self.rhs,
-                "diag-2": norm * (bracket - (p2 / pv.f) * pv.df * pv.dh) - self.rhs}
+                "diag-1": self.s_minus_rho + norm * pv.phi * pv.dphi * pv.dh,
+                "diag-2": self.s_minus_rho - self.pair / pv.f}
 
     def hessian(self) -> np.ndarray:
         """Hess(h)_ij of the base, an n x n block per point:
@@ -185,10 +186,8 @@ class Terms:
 
     def lemma(self, s: float) -> tuple:
         """See ``lemma_identities``."""
-        pv, d = self.pv, self.spec.d
-        lam = (self.rhs + 2.0 * d * self.lap_f / pv.f
-               + d * (d - 1) * self.grad2_f / square(pv.f))
-        return (lam, self.s_base - self.pair / pv.f - lam,
+        return (self.s_base - self.s_minus_rho,
+                self.s_minus_rho - self.pair / self.pv.f,
                 self.lap_h - s * self.pair_ln)
 
 
@@ -224,8 +223,10 @@ def lemma_identities(spec: WarpedSolitonSpec, xi: float,
     """(soliton function lambda, scalar identity residual, weighted
     harmonicity residual) at xi.
 
-    lambda = rho - lambda_F/f^2 + 2d Lap f / f + d(d-1)|grad f|^2 / f^2 and
-    the scalar identity residual is S_base - <grad f, grad h>/f - lambda.
+    lambda = S_base - (S - rho), which is rho - lambda_F/f^2 + 2d Lap f / f
+    + d(d-1)|grad f|^2 / f^2, and the scalar identity residual is
+    S_base - <grad f, grad h>/f - lambda = (S - rho) - <grad f, grad h>/f,
+    the reduced 'diag-2' when the direction is not lightlike.
     The weighted residual is Lap h - s <grad ln f, grad h> with s defaulting
     to n: tracing the base equation of a certified spec gives
     Lap h = n <grad f, grad h>/f pointwise, which fixes the exponent.

@@ -64,10 +64,15 @@ __all__ = [
 
 class FamilyEntry(NamedTuple):
     """A family's document keys, required and optional (left out: the
-    constructor's default), and whether lambda_f must be 0 (not passed)."""
+    constructor's default), the frame `yamabe family` builds it in unless
+    told otherwise (n, d, and the default lightlike or spacelike direction)
+    and whether lambda_f must be 0 (not passed)."""
     build: Callable[..., WarpedSolitonSpec]
     required: tuple[str, ...]
-    optional: tuple[str, ...] = ()
+    optional: tuple[str, ...]
+    n: int
+    d: int
+    lightlike: bool = False
     scalar_flat: bool = False
 
 
@@ -75,15 +80,16 @@ class FamilyEntry(NamedTuple):
 FAMILY_TABLE = {
     "thm15": FamilyEntry(families.family_thm15, ("k1", "k2", "k3"),
                          ("k4", "phi0", "q_variant", "w_branch",
-                          "construction")),
+                          "construction"), n=3, d=3),
     "thm16": FamilyEntry(families.family_thm16, ("k1", "k2"),
-                         ("k3", "k4", "branch"), scalar_flat=True),
-    "thm17": FamilyEntry(families.family_thm17, ("phi", "z_p", "C"),
-                         scalar_flat=True),
-    "thm18": FamilyEntry(families.family_thm18, ("phi", "f", "k1"),
-                         scalar_flat=True),
+                         ("k3", "k4", "branch"), n=5, d=1, scalar_flat=True),
+    "thm17": FamilyEntry(families.family_thm17, ("phi", "z_p", "C"), (),
+                         n=4, d=3, scalar_flat=True),
+    "thm18": FamilyEntry(families.family_thm18, ("phi", "f", "k1"), (),
+                         n=4, d=2, lightlike=True, scalar_flat=True),
     "almost-lightlike": FamilyEntry(families.almost_soliton_lightlike,
-                                    ("phi", "f", "k1")),
+                                    ("phi", "f", "k1"), (), n=4, d=2,
+                                    lightlike=True),
 }
 FAMILY_IDS = tuple(FAMILY_TABLE)
 _EXPRESSION_KEYS = ("phi", "f", "z_p")

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from conftest import random_polynomial_spec
+from oracles import (base_point_for_xi, conformal_metric_sampler,
+                     fd_curvature_oracle, fd_hessian_oracle,
+                     fd_laplacian_oracle, profile_field)
 
 from yamabe import families
 from yamabe.catalog import build_example, catalog, example5_spec
 from yamabe.geodesics import (compare_probe_modes, energy, integrate_geodesic)
-from yamabe.geometry import (TranslationDirection, base_point_for_xi,
-                             conformal_metric_sampler, fd_curvature_oracle,
-                             fd_hessian_oracle, fd_laplacian_oracle)
+from yamabe.geometry import TranslationDirection
 from yamabe.lambertw import lambert_w
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import (Terms, WarpedSolitonSpec, certify, classify,
@@ -147,12 +148,8 @@ def test_oracle_equivalence():
             spec = random_polynomial_spec(rng, bounded=True)
             sampler = conformal_metric_sampler(spec.phi, spec.direction,
                                                spec.sig)
-
-            def h_field(x):
-                return spec.h.value(spec.direction.xi_at(x))
-
-            def f_field(x):
-                return spec.f.value(spec.direction.xi_at(x))
+            h_field = profile_field(spec.h, spec.direction)
+            f_field = profile_field(spec.f, spec.direction)
 
             for xi in grid_points(spec.domain, 10):
                 pt = base_point_for_xi(spec.direction, xi)

@@ -1,13 +1,17 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
-from yamabe.errors import DimensionMismatchError, SingularMetricError
+from oracles import (base_point_for_xi, conformal_metric_sampler,
+                     fd_curvature_oracle, fd_hessian_oracle,
+                     fd_laplacian_oracle, profile_field,
+                     warped_metric_sampler)
+from yamabe.errors import DimensionMismatchError
 from yamabe.geodesics import geodesic_rhs
 from yamabe.geometry import (SignatureSpec, TranslationDirection,
-                             base_point_for_xi, causal_class,
-                             conformal_metric_sampler, fd_curvature_oracle,
-                             fd_hessian_oracle, fd_laplacian_oracle,
-                             signed_norm, warped_metric_sampler,
+                             causal_class, signed_norm,
                              warped_scalar_curvature)
 from yamabe.profiles import Profile
 from yamabe.soliton import Terms, WarpedSolitonSpec, point_eval
@@ -31,10 +35,6 @@ def terms_at(xi, direction=DIRECTION, sig=EPS):
     """The closed forms that certify runs, at one xi."""
     spec = geometry_spec(direction, sig)
     return Terms(spec, point_eval(spec, xi))
-
-
-def scalar_field(profile, direction):
-    return lambda x: profile.value(direction.xi_at(x))
 
 
 def richardson(fn, step):
@@ -152,6 +152,29 @@ class TestScalarCurvature:
                                         t.grad2_f, lambda_f, d)
         assert abs(richardson(fd, 2e-3) - exact) < 1e-5 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("xi", [0.4, -0.5])
+    def test_hyperbolic_fiber_matches_fd(self, xi, d):
+        """An upper-half-space H^d fiber: the FD scalar curvature carries
+        lambda_F / f^2 with lambda_F = -d(d-1)."""
+        lambda_f = -d * (d - 1)
+        sampler = warped_metric_sampler(PHI, F, DIRECTION, EPS, d,
+                                        hyperbolic=True)
+        point = np.concatenate([base_point_for_xi(DIRECTION, xi),
+                                np.full(d, 0.3)])
+
+        def fd(step):
+            return fd_curvature_oracle(sampler, point, step)[1]
+
+        t = terms_at(xi)
+        exact = warped_scalar_curvature(t.s_base, F.value(xi), t.lap_f,
+                                        t.grad2_f, lambda_f, d)
+        flat = warped_scalar_curvature(t.s_base, F.value(xi), t.lap_f,
+                                       t.grad2_f, 0.0, d)
+        bound = 1e-5 * max(1.0, abs(exact))
+        assert abs(exact - flat) > 1e4 * bound
+        assert abs(richardson(fd, 2e-3) - exact) < bound
+
     def test_sign_variants_differ_by_gradient_term(self):
         t = terms_at(0.4)
         lap, grad2 = t.lap_f, t.grad2_f
@@ -172,7 +195,7 @@ class TestHessian:
     def test_matrix_matches_fd(self, xi):
         sampler = conformal_metric_sampler(PHI, DIRECTION, EPS)
         point = base_point_for_xi(DIRECTION, xi)
-        field = scalar_field(H, DIRECTION)
+        field = profile_field(H, DIRECTION)
 
         def fd(step):
             return fd_hessian_oracle(field, sampler, point, step)
@@ -189,7 +212,7 @@ class TestHessian:
         assert np.allclose(got, expected, atol=1e-14)
         sampler = conformal_metric_sampler(PHI, LIGHT, LIGHT_SIG)
         point = base_point_for_xi(LIGHT, xi)
-        fd = fd_hessian_oracle(scalar_field(H, LIGHT), sampler, point,
+        fd = fd_hessian_oracle(profile_field(H, LIGHT), sampler, point,
                                step=1e-3)
         assert np.max(np.abs(fd - expected)) < 1e-6
 
@@ -207,7 +230,7 @@ class TestLaplacianAndPairings:
     def _check_laplacian(profile, lap, xi):
         sampler = conformal_metric_sampler(PHI, DIRECTION, EPS)
         point = base_point_for_xi(DIRECTION, xi)
-        field = scalar_field(profile, DIRECTION)
+        field = profile_field(profile, DIRECTION)
 
         def fd(step):
             return fd_laplacian_oracle(field, sampler, point, step)
@@ -222,7 +245,7 @@ class TestLaplacianAndPairings:
         step = 1e-5
 
         def grad(profile):
-            field = scalar_field(profile, DIRECTION)
+            field = profile_field(profile, DIRECTION)
             g = np.empty(4)
             for i in range(4):
                 e = np.zeros(4)
@@ -244,7 +267,25 @@ class TestLaplacianAndPairings:
 
 def test_degenerate_metric_raises():
     def sampler(x):
-        return np.diag([1.0, 1.0, 1.0, 0.0])
+        return np.broadcast_to(np.diag([1.0, 1.0, 1.0, 0.0]),
+                               np.shape(x)[:-1] + (4, 4))
 
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(np.linalg.LinAlgError):
         fd_curvature_oracle(sampler, np.zeros(4))
+
+
+def test_oracles_import_neither_soliton_nor_geodesics():
+    """The FD route stays independent of the closed forms it checks."""
+    tree = ast.parse(
+        (pathlib.Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    banned = ("yamabe.soliton", "yamabe.geodesics")
+    assert [name for name in imported
+            if name.startswith(banned)] == []

@@ -11,8 +11,7 @@ from yamabe import families, specio
 from yamabe.catalog import build_example, catalog
 from yamabe.errors import (DimensionMismatchError, DomainError,
                            PositivityError)
-from yamabe.geometry import (SignatureSpec, TranslationDirection,
-                             base_point_for_xi)
+from yamabe.geometry import SignatureSpec
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
                             classify, full_tensor_residual, lemma_identities,
@@ -20,6 +19,7 @@ from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
 
 from conftest import (THM15_COMMON, THM15_QUADRATURE_CASES, make_spec,
                       random_polynomial_spec)
+from oracles import base_point_for_xi
 
 SOLITON_KEYS = ["example-2", "example-3", "example-4", "example-5"]
 
@@ -179,6 +179,24 @@ class TestLemmaIdentities:
         assert lam == spec.rho - spec.lambda_f / spec.f.value(1.0) ** 2
         assert scalar_res == -lam
         assert weighted_res == 0.0
+
+    @pytest.mark.parametrize("alpha", [(0.6, -0.3, 0.8, 0.2),
+                                       (1.0, 1.0, 0.0, 0.0)],
+                             ids=["spacelike", "lightlike"])
+    def test_scalar_identity_reads_the_reduced_s_minus_rho(self, alpha):
+        """One S - rho behind both: the scalar identity residual is 'diag-2'
+        bit for bit, and minus the 'lightlike' residual when every
+        ||alpha||^2 term vanishes."""
+        spec = make_spec("1 + 0.2*xi^2", "1.5 + 0.1*xi^2", "0.5*xi + xi^2",
+                         eps=(-1, 1, 1, 1), alpha=alpha, rho=0.3,
+                         lambda_f=-0.7)
+        for xi in (-1.0, 0.3, 1.5):
+            red = reduced_residuals(spec, xi)
+            scalar_res = lemma_identities(spec, xi)[1]
+            if spec.direction.causal == "lightlike":
+                assert scalar_res == -red["lightlike"]
+            else:
+                assert scalar_res == red["diag-2"]
 
 
 class TestClassification:

@@ -260,6 +260,14 @@ class TestFamilyDocuments:
         assert entry.scalar_flat == ("lambda_f" not in params)
 
     @pytest.mark.parametrize("fid", specio.FAMILY_IDS)
+    def test_family_frame_matches_its_constructor_defaults(self, fid):
+        entry = specio.FAMILY_TABLE[fid]
+        params = inspect.signature(entry.build).parameters
+        for key in ("n", "d"):
+            if params[key].default is not inspect.Parameter.empty:
+                assert getattr(entry, key) == params[key].default
+
+    @pytest.mark.parametrize("fid", specio.FAMILY_IDS)
     def test_family_document_round_trip_is_bitwise(self, fid):
         params, lambda_f, (n, d), domain, build = FAMILY_CASES[fid]
         built = build(lambda text: Profile.from_expression(
