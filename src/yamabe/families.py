@@ -523,14 +523,24 @@ def riccati_residual(z: Profile, phi: Profile, n: int, d: int,
     elementwise over the points xi, from one jet per profile; a float xi
     gives a 0-d array."""
     xs = np.asarray(xi, dtype=float)
-    (z_val, dz, _), (p, dp, ddp) = (z.jet(xs.ravel(), d2=False),
-                                    phi.jet(xs.ravel()))
     coeff = (n + d - 1) / (d * (d + 1.0) ** 2)
     with np.errstate(all="ignore"):
+        (z_val, dz, _), (p, dp, ddp) = (z.jet(xs.ravel(), d2=False),
+                                        phi.jet(xs.ravel()))
         ratio = dp / p
         out = (z_val ** 2 + 2.0 * dz / (d + 1.0)
                + coeff * (n * ratio ** 2 - 2.0 * ddp / p))
     return out.reshape(xs.shape)
+
+
+def _require_covers(profile: Profile, name: str, interval: Interval) -> None:
+    """FamilyConstructionError unless profile's domain contains the whole
+    xi_range interval, on which the family reads it."""
+    lo, hi = profile.domain.as_tuple()
+    if not (lo <= interval.lo and interval.hi <= hi):
+        raise FamilyConstructionError(
+            f"{name} is defined on {profile.domain.as_tuple()!r}, which does "
+            f"not cover xi_range {interval.as_tuple()!r}")
 
 
 def _riccati_potentials(z: Profile, interval: Interval, d: int):
@@ -560,13 +570,14 @@ def riccati_general_solution(z0: Profile, d: int, C: Optional[float],
     Both integrals are anchored at the midpoint of xi_range; the anchor
     constants are absorbed into C. C = None (or +-inf) returns z0 itself.
     The update solves the Riccati equation of z0 whatever phi and n are, so
-    neither is a parameter. Its domain is xi_range, on whose grid the
-    denominator is scanned for zero crossings: construction errors reported
-    with a bracketing interval.
+    neither is a parameter. z0 must be defined on all of xi_range. That is
+    the update's domain, on whose grid the denominator is scanned for zero
+    crossings: construction errors reported with a bracketing interval.
     """
     if C is None or (isinstance(C, float) and math.isinf(C)):
         return z0
     interval = Interval(*xi_range)
+    _require_covers(z0, "z0", interval)
     potentials = _riccati_potentials(z0, interval, d)
     pts = grid_points(interval, 256)
     signs = (C + 0.5 * (d + 1.0) * potentials(np.array(pts))[1]).tolist()
@@ -604,6 +615,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
         raise FamilyConstructionError(f"need n >= 3 and d >= 1; got n={n}, d={d}")
     sig_, direction = _frame(n, sig, alpha, lightlike=False)
     interval = Interval(*xi_range)
+    _require_covers(z_p, "z_p", interval)
     phi.require_positive(interval, name="phi")
 
     worst = float(np.max(np.abs(riccati_residual(

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import solve_ivp
-from .profiles import masked_jet
 from .soliton import WarpedSolitonSpec
 
 __all__ = [
@@ -76,17 +75,17 @@ def _xi_of(spec: WarpedSolitonSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 def _profiles_at(spec: WarpedSolitonSpec):
     """The function y (k, n) -> phi, phi', f, f' at the rows' xi, read
-    through ``masked_jet``: not finite where a profile cannot be evaluated.
+    through ``Profile.jet``: not finite where a profile cannot be evaluated.
     A profile that is both phi and f is evaluated once. It runs under the
     caller's np.errstate(all="ignore")."""
     xi_of, phi, f = _xi_of(spec), spec.phi, spec.f
 
     def at(y: np.ndarray):
         xi = xi_of(y)
-        p, dp, _ = masked_jet(phi, xi, True, True, False)
+        p, dp, _ = phi.jet(xi, True, True, False)
         if f is phi:
             return p, dp, p, dp
-        return (p, dp, *masked_jet(f, xi, True, True, False)[:2])
+        return (p, dp, *f.jet(xi, True, True, False)[:2])
 
     return at
 

@@ -8,9 +8,10 @@ given by its own; shifted, scaled and summed profiles compose their
 parents' forms.
 
 A form reports a point where it cannot be evaluated in one way: the entries
-there are not finite. ``masked_jet`` is how the package reads profiles on
-points that may lie outside the domain: NaN there, and one call of the form
-on the rest. An exception a form raises itself always propagates.
+there are not finite. ``Profile.jet`` is the one way the package reads a
+profile on an array of points: NaN at a point outside the domain, one call
+of the form on the rest, under the caller's floating-point context. An
+exception a form raises itself always propagates.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from . import expressions
 from .errors import DomainError, EvaluationError, PositivityError
 
-__all__ = ["Interval", "Profile", "grid_points", "masked_jet",
-           "DEFAULT_GRID_MARGIN"]
+__all__ = ["Interval", "Profile", "grid_points", "DEFAULT_GRID_MARGIN"]
 
 DEFAULT_GRID_MARGIN = 0.01  # fraction of interval length clipped at each end
 
@@ -74,7 +74,7 @@ class Profile:
     """One scalar profile: its declared open domain and its numpy form
     arrays(xs, value, d1, d2): the jet (value, d1, d2) over the float array
     xs of in-domain points, with None for each entry whose flag is false,
-    run with numpy's floating-point errors ignored. Where it cannot be
+    run under its reader's floating-point context. Where it cannot be
     evaluated, its entries are not finite."""
 
     def __init__(self, arrays: Callable,
@@ -93,7 +93,8 @@ class Profile:
         if not self.domain.contains(xi):
             raise DomainError(
                 f"xi={xi!r} outside declared domain {self.domain.as_tuple()!r}")
-        got = _entry_at(self._arrays, xi, k)
+        with np.errstate(all="ignore"):
+            got = float(self.jet([xi], k == 0, k == 1, k == 2)[k][0])
         if not math.isfinite(got):
             raise EvaluationError(
                 f"non-finite {('value', 'd1', 'd2')[k]} at xi={xi!r}")
@@ -110,22 +111,28 @@ class Profile:
 
     __call__ = value
 
-    def jet(self, xs, value: bool = True, d2: bool = True):
-        """(value, d1, d2) as arrays over the 1-D points xs, from one call of
-        the numpy form; value is None unless asked for, and so is d2.
+    def jet(self, xs, value: bool = True, d1: bool = True, d2: bool = True):
+        """(value, d1, d2) as arrays over the 1-D points xs, None for each
+        entry not asked for. The numpy form runs once, on the points inside
+        the domain, under the caller's floating-point context; an exception
+        it raises propagates. Every asked entry is NaN at a point outside
+        the domain (a NaN point included), and not finite where the profile
+        cannot be evaluated.
 
-        An entry is not finite where the profile cannot be evaluated. A
-        point outside the domain raises DomainError naming the first one,
-        and an exception the form raises propagates.
-        """
+        When every point is inside the domain this is the one call of the
+        form on xs itself."""
         xs = np.asarray(xs, dtype=float)
+        if len(xs) and _all_inside(self.domain, xs):
+            return self._arrays(xs, value, d1, d2)
         inside = (self.domain.lo < xs) & (xs < self.domain.hi)
-        if not inside.all():
-            raise DomainError(
-                f"xi={float(xs[np.argmin(inside)])!r} outside declared "
-                f"domain {self.domain.as_tuple()!r}")
-        with np.errstate(all="ignore"):
-            return self._arrays(xs, value, True, d2)
+        out = []
+        for got in self._arrays(xs[inside], value, d1, d2):
+            if got is not None:
+                full = np.full(len(xs), np.nan)
+                full[inside] = got
+                got = full
+            out.append(got)
+        return tuple(out)
 
     # -- constructors ---------------------------------------------------
 
@@ -186,12 +193,12 @@ class Profile:
     def require_positive(self, interval: Interval,
                          name: str = "profile") -> None:
         """Positivity check at 64 points of the margin-clipped interval,
-        through ``masked_jet``. The first point that fails raises
-        PositivityError, or EvaluationError where the value is not finite
-        (a point outside the domain included)."""
+        through ``jet``. The first point that fails raises PositivityError,
+        or EvaluationError where the value is not finite (a point outside
+        the domain included)."""
         pts = grid_points(interval, 64)
         with np.errstate(all="ignore"):
-            values = masked_jet(self, np.array(pts), True, False, False)[0]
+            values = self.jet(pts, True, False, False)[0]
         for xi, v in zip(pts, values.tolist()):
             if not v > 0.0:
                 if not math.isfinite(v):
@@ -202,36 +209,6 @@ class Profile:
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""
         return f"Profile(domain={self.domain.as_tuple()!r}{src})"
-
-
-@np.errstate(all="ignore")
-def _entry_at(arrays, xi: float, k: int) -> float:
-    """Entry k of the numpy form on the one-element array [xi], the only
-    entry it computes."""
-    return float(arrays(np.array([xi], dtype=float), k == 0, k == 1,
-                        k == 2)[k][0])
-
-
-def masked_jet(profile: Profile, xs: np.ndarray, value: bool, d1: bool,
-               d2: bool):
-    """The jet of profile over the float array xs, entries not asked for
-    None, with NaN in every asked entry at a point outside the domain (a NaN
-    point included). The numpy form runs once, on the points inside, under
-    the caller's floating-point context; an exception it raises propagates.
-
-    When every point is inside the domain this is the one call of the form
-    on xs itself."""
-    if len(xs) and _all_inside(profile.domain, xs):
-        return profile._arrays(xs, value, d1, d2)
-    inside = (profile.domain.lo < xs) & (xs < profile.domain.hi)
-    out = []
-    for got in profile._arrays(xs[inside], value, d1, d2):
-        if got is not None:
-            full = np.full(len(xs), np.nan)
-            full[inside] = got
-            got = full
-        out.append(got)
-    return tuple(out)
 
 
 def _all_inside(domain: Interval, xs: np.ndarray) -> bool:

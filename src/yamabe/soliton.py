@@ -30,7 +30,7 @@ from .errors import DimensionMismatchError
 from .geometry import (SignatureSpec, TranslationDirection,
                        warped_scalar_curvature)
 from .numerics import square
-from .profiles import Interval, Profile, grid_points, masked_jet
+from .profiles import Interval, Profile, grid_points
 
 __all__ = [
     "WarpedSolitonSpec", "PointEval", "point_eval", "Terms",
@@ -175,9 +175,11 @@ class Terms:
         """(n x n base block (S - rho) g_ij - Hess(h)_ij, fiber block per
         unit fiber metric component (S - rho) f^2 - f <grad f, grad h>)."""
         spec, pv = self.spec, self.pv
-        factor = warped_scalar_curvature(self.s_base, pv.f, self.lap_f,
-                                         self.grad2_f, spec.lambda_f, spec.d,
-                                         self.sign_variant) - pv.rho
+        factor = self.s_minus_rho
+        if self.sign_variant != "minus":
+            factor = warped_scalar_curvature(
+                self.s_base, pv.f, self.lap_f, self.grad2_f, spec.lambda_f,
+                spec.d, self.sign_variant) - pv.rho
         n = spec.n
         eps = np.asarray(spec.sig.epsilon, dtype=float)
         block = -self.hessian()
@@ -258,7 +260,7 @@ def classify(spec: WarpedSolitonSpec) -> Classification:
     """
     xs = _classify_points(spec)
     with np.errstate(all="ignore"):
-        dh = masked_jet(spec.h, xs, False, True, False)[1] if len(xs) else xs
+        dh = spec.h.jet(xs, False, True, False)[1] if len(xs) else xs
     return _classification(spec, dh)
 
 
@@ -365,7 +367,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     (ANALYTIC_TOL when None).
 
     The whole grid is evaluated in one pass over arrays, each profile
-    through one ``masked_jet`` call on the grid followed by the points of
+    through one ``Profile.jet`` call on the grid followed by the points of
     ``_classify_points``, whose h' gives the classification; only the
     grid's entries enter the verdict, the notes and the maxima.
     Verdict 'inconclusive' means that at some grid
@@ -387,12 +389,11 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
 
     with np.errstate(all="ignore"):
         # PointEval fields in order; h itself is not needed, h' and h'' are
-        jets = (*masked_jet(spec.phi, xs, True, True, True),
-                *masked_jet(spec.f, xs, True, True, True))
-        dh, ddh = masked_jet(spec.h, xs, False, True, True)[1:]
+        jets = (*spec.phi.jet(xs), *spec.f.jet(xs))
+        dh, ddh = spec.h.jet(xs, False, True, True)[1:]
         pv = PointEval(xs[:size],
                        *(jet[:size] for jet in (*jets, dh, ddh)),
-                       masked_jet(spec.rho, xs, True, False, False)[0]
+                       spec.rho.jet(xs, True, False, False)[0]
                        if spec.is_almost else spec.rho)
         terms = Terms(spec, pv, sign_variant)
         block, fiber = terms.tensor()

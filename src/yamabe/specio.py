@@ -348,7 +348,9 @@ def write_profile_csv(spec: WarpedSolitonSpec, out: IO, grid: int = 200,
     where = (interval or spec.domain).clipped(spec.domain)
     xs = grid_points(where, grid)
     profiles = (spec.phi, spec.f, spec.h)
-    columns = [profile.jet(xs, d2=False)[0].tolist() for profile in profiles]
+    with np.errstate(all="ignore"):
+        columns = [profile.jet(xs, True, False, False)[0].tolist()
+                   for profile in profiles]
     out.write("xi,phi,f,h\n")
     for xi, *row in zip(xs, *columns):
         for name, v in zip(("phi", "f", "h"), row):

@@ -12,7 +12,7 @@ from yamabe.families import (almost_soliton_lightlike, default_lightlike_frame,
 from yamabe.geodesics import integrate_geodesic
 from yamabe.lambertw import lambert_w
 from yamabe.numerics import CachedAntiderivative
-from yamabe.profiles import Interval, Profile, grid_points, masked_jet
+from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import certify, classify
 
 from conftest import THM15_COMMON, THM15_QUADRATURE_CASES, central_d2
@@ -543,6 +543,13 @@ class TestRiccati:
                     for x in [1e-300] + grid_points(Interval(0.0, 1.0), 32))
         assert worst < 1e-10
 
+    def test_z0_not_covering_xi_range_rejected_at_build(self):
+        with pytest.raises(FamilyConstructionError,
+                           match=r"z0 is defined on \(-0\.5, 0\.5\), which "
+                                 r"does not cover xi_range \(-1\.0, 1\.0\)"):
+            riccati_general_solution(Profile.constant(-0.5, (-0.5, 0.5)), 3,
+                                     2.5, (-1.0, 1.0))
+
     def test_none_or_infinite_c_returns_z0(self):
         z0 = Profile.constant(-0.5, SEC_DOMAIN)
         assert riccati_general_solution(z0, 3, None, (-1.0, 1.0)) is z0
@@ -612,6 +619,13 @@ class TestConstantPotentialFamily:
         with pytest.raises(FamilyConstructionError,
                            match="Riccati equation"):
             family_thm17(sec_profile(), Profile.constant(0.3, SEC_DOMAIN),
+                         1.0, xi_range=(-1.0, 1.0), n=4, d=3)
+
+    def test_zp_not_covering_xi_range_rejected_at_build(self):
+        with pytest.raises(FamilyConstructionError,
+                           match=r"z_p is defined on \(-0\.5, 0\.5\), which "
+                                 r"does not cover xi_range \(-1\.0, 1\.0\)"):
+            family_thm17(sec_profile(), Profile.constant(0.0, (-0.5, 0.5)),
                          1.0, xi_range=(-1.0, 1.0), n=4, d=3)
 
     def test_nonpositive_inner_term_rejected(self):
@@ -813,6 +827,8 @@ def test_every_profile_has_a_numpy_form_equal_to_its_scalars(build):
 @pytest.mark.parametrize("build", [pytest.param(build, id=key)
                                    for key, build in _every_constructor()])
 def test_masked_jet_is_nan_outside_and_the_jet_inside(build):
+    """Profile.jet masks every point outside the domain, a NaN point
+    included, with NaN, and is bitwise the jet of the inside points there."""
     profile = build()
     lo, hi = profile.domain.as_tuple()
     inner = grid_points(Interval(max(lo, -30.0), min(hi, 100.0)), 25)
@@ -823,8 +839,8 @@ def test_masked_jet_is_nan_outside_and_the_jet_inside(build):
     assert np.count_nonzero(~inside) == len(outer) + 1
     for want in ((True, True, True), (False, True, False)):
         with np.errstate(all="ignore"):
-            got = masked_jet(profile, xs, *want)
-        jet = profile.jet(inner, value=want[0], d2=want[2])
+            got = profile.jet(xs, *want)
+        jet = profile.jet(inner, *want)
         for entry, asked, exact in zip(got, want, jet):
             if not asked:
                 assert entry is None and exact is None

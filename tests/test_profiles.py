@@ -1,11 +1,14 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from yamabe import profiles
 from yamabe.errors import DomainError, EvaluationError, PositivityError
 from yamabe.profiles import (DEFAULT_GRID_MARGIN, Interval, Profile,
-                             grid_points, masked_jet)
+                             grid_points)
 
 from conftest import central_d1, central_d2
 
@@ -159,28 +162,34 @@ class TestFromArrays:
         with pytest.raises(EvaluationError, match="non-finite value"):
             profile.value(0.75)
 
-    def test_masked_jet_runs_the_form_once_on_the_points_inside(self):
+    def test_jet_runs_the_form_once_on_the_points_inside(self):
         calls = []
         profile = self.walled(calls)
         xs = np.array([-3.0, 0.25, 2.0, np.nan, 0.75, -1.0])
-        value, d1, d2 = masked_jet(profile, xs, True, True, False)
+        value, d1, d2 = profile.jet(xs, True, True, False)
         assert calls == [3] and d2 is None
         assert np.array_equal(value, [np.nan, 1.25, np.nan, np.nan, np.nan,
                                       0.0], equal_nan=True)
         assert np.array_equal(d1, [np.nan, 1.0, np.nan, np.nan, np.nan,
                                    1.0], equal_nan=True)
         # every point inside: the form on xs itself
-        assert masked_jet(profile, xs[[1, 5]], True, False, False)[0] \
+        assert profile.jet(xs[[1, 5]], True, False, False)[0] \
             .tolist() == [1.25, 0.0]
         assert calls == [3, 2]
+
+    def test_jet_gives_none_for_an_entry_not_asked_for(self):
+        profile = self.walled()
+        for xs in ([0.25, -1.0], [0.25, 3.0]):    # all inside, one outside
+            value, d1, d2 = profile.jet(xs, d1=False)
+            assert d1 is None
+            assert value[0] == 1.25 and d2[0] == 0.0
 
     def test_a_raising_form_propagates(self):
         def arrays(xs, value, d1, d2):
             raise ZeroDivisionError("the form's own")
         profile = Profile(arrays, (-1.0, 1.0))
         for read in (lambda: profile.jet([0.0]), lambda: profile.value(0.0),
-                     lambda: masked_jet(profile, np.array([0.0, 5.0]),
-                                        True, True, True)):
+                     lambda: profile.jet([0.0, 5.0])):
             with pytest.raises(ZeroDivisionError, match="the form's own"):
                 read()
 
@@ -194,3 +203,18 @@ class TestFromArrays:
         with pytest.raises(EvaluationError, match=r"non-finite f at xi=2\.01"):
             Profile.from_expression("xi + 3", (-2.0, 2.0)).require_positive(
                 Interval(-1.0, 2.05), name="f")
+
+
+def test_jet_is_the_only_read_of_a_form():
+    """No module but profiles.py touches a form's ``_arrays``, and none names
+    the array readers that ``Profile.jet`` replaced."""
+    found = []
+    for path in sorted(pathlib.Path(profiles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name in ("masked_jet", "_entry_at") or (
+                    name == "_arrays" and isinstance(node, ast.Attribute)
+                    and path.name != "profiles.py"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

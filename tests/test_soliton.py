@@ -9,8 +9,7 @@ import pytest
 
 from yamabe import families, specio
 from yamabe.catalog import build_example, catalog
-from yamabe.errors import (DimensionMismatchError, DomainError,
-                           PositivityError)
+from yamabe.errors import DimensionMismatchError, PositivityError
 from yamabe.geometry import SignatureSpec
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
@@ -554,13 +553,9 @@ class TestProfileJet:
                 assert np.all(np.abs(got - want)
                               <= 4 * np.spacing(np.abs(want)))
 
-    def test_domain_error_names_first_bad_point(self):
-        profile = Profile.from_expression("ln(xi)", (0.0, math.inf))
-        with pytest.raises(DomainError, match=r"xi=-2\.0 outside"):
-            profile.jet([1.0, -2.0, 0.0, -3.0])
-
     def test_numpy_failure_is_non_finite_not_raised(self):
         profile = Profile.from_expression("sqrt(xi)", (-2.0, 2.0))
-        value, d1, _ = profile.jet([-1.0, 1.0])
+        with np.errstate(all="ignore"):
+            value, d1, _ = profile.jet([-1.0, 1.0])
         assert math.isnan(value[0]) and value[1] == 1.0
         assert not math.isfinite(d1[0])
