@@ -7,8 +7,7 @@ from .errors import (BranchDomainError, DimensionMismatchError, DomainError,
                      EvaluationError, ExpressionSyntaxError,
                      FamilyConstructionError, PositivityError, QuadratureError,
                      RootFindError, SpecValidationError, YamabeError)
-from .expressions import (compile_callable, differentiate, parse_expression,
-                          to_text)
+from .expressions import compile_callable, differentiate, parse_expression
 from .families import (almost_soliton_lightlike, family_thm15, family_thm16,
                        family_thm17, family_thm18, phase_portrait,
                        riccati_general_solution, riccati_residual)
@@ -21,7 +20,7 @@ from .profiles import Interval, Profile, grid_points
 from .soliton import (ANALYTIC_TOL, ResidualReport, WarpedSolitonSpec,
                       certify, classify, full_tensor_residual,
                       lemma_identities, point_eval, reduced_residuals)
-from .specio import load_document, loads_document
+from .specio import load_document
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "family_thm16", "family_thm17", "family_thm18", "fiber_momentum",
     "full_tensor_residual", "geodesic_rhs", "grid_points",
     "integrate_geodesic", "lambert_w", "lemma_identities", "load_document",
-    "loads_document", "parse_expression", "phase_portrait", "point_eval",
-    "portrait_defaults", "reduced_residuals", "riccati_general_solution",
-    "riccati_residual", "signed_norm", "to_text",
+    "parse_expression", "phase_portrait", "point_eval", "portrait_defaults",
+    "reduced_residuals", "riccati_general_solution", "riccati_residual",
+    "signed_norm",
 ]

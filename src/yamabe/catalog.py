@@ -1,20 +1,20 @@
-"""Worked examples, frozen as ready-to-certify configurations.
+"""Worked examples, frozen as problem documents.
 
-Each entry records the closed-form profiles, the frame data, and a finite
-certification interval on which the residual grid check is run (profiles
-with a singular endpoint get an interval bounded away from it; the grid
-itself additionally clips a 1% margin off both ends).
+Each soliton entry holds the problem document (see ``specio``) of one of the
+paper's closed-form steady solitons, which ``specio.load_document`` turns
+into a spec, and a finite certification interval on which the residual grid
+check is run (profiles with a singular endpoint get an interval bounded away
+from it; the grid itself additionally clips a 1% margin off both ends).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .geometry import SignatureSpec, TranslationDirection
-from .profiles import Interval, Profile
 from .soliton import WarpedSolitonSpec
+from .specio import load_document
 
 __all__ = ["CatalogEntry", "catalog", "build_example", "portrait_defaults",
            "example5_spec"]
@@ -26,68 +26,36 @@ class CatalogEntry:
     title: str
     kind: str                                   # "soliton" or "portrait"
     certify_interval: Optional[tuple[float, float]]
-    build: Optional[Callable[[], WarpedSolitonSpec]]
+    document: Optional[dict]
     notes: str = ""
 
-
-def _example2() -> WarpedSolitonSpec:
-    dom = Interval(0.0, math.inf)
-    sig = SignatureSpec.euclidean(5)
-    return WarpedSolitonSpec(
-        sig=sig,
-        direction=TranslationDirection((1.0, 0.0, 0.0, 0.0, 0.0), sig),
-        d=1, rho=0.0, lambda_f=0.0,
-        phi=Profile.from_expression("sqrt(xi/20)", dom),
-        f=Profile.from_expression("sqrt(20/xi)", dom),
-        h=Profile.from_expression("20*ln(xi)", dom),
-        domain=dom, label="example-2")
+    @property
+    def build(self) -> Optional[Callable[[], WarpedSolitonSpec]]:
+        """The spec of the entry's document, or None for a portrait."""
+        if self.document is None:
+            return None
+        return lambda: load_document(self.document)[0]
 
 
-def _example3() -> WarpedSolitonSpec:
-    dom = Interval(0.0, 10.0 * math.pi)
-    sig = SignatureSpec.euclidean(4)
-    return WarpedSolitonSpec(
-        sig=sig,
-        direction=TranslationDirection((1.0, 0.0, 0.0, 0.0), sig),
-        d=2, rho=0.0, lambda_f=0.0,
-        phi=Profile.from_expression("sqrt(tan(xi/20))", dom),
-        f=Profile.from_expression("1/sqrt(tan(xi/20))", dom),
-        h=Profile.from_expression("20*ln(sin(xi/20))", dom),
-        domain=dom, label="example-3")
-
-
-def _example4() -> WarpedSolitonSpec:
-    dom = Interval(-0.5 * math.pi, 0.5 * math.pi)
-    sig = SignatureSpec((-1, 1, 1, 1))
-    return WarpedSolitonSpec(
-        sig=sig,
-        direction=TranslationDirection((0.0, 1.0, 1.0, 1.0), sig),
-        d=3, rho=0.0, lambda_f=0.0,
-        phi=Profile.from_expression("sec(xi)", dom),
-        f=Profile.from_expression("sqrt(2*sec(xi)*exp(xi))", dom),
-        h=Profile.constant(0.0, dom),
-        domain=dom, label="example-4")
+def _example5_document(k: float, k1: float, n: int, d: int) -> dict:
+    grow = f"exp({k!r}*xi)"
+    return {
+        "n": n, "d": d, "signature": [-1] + [1] * (n - 1),
+        "alpha": [1.0, 1.0] + [0.0] * (n - 2), "domain": None,
+        "profiles": {"phi": grow, "f": grow,
+                     "h": f"{-k1 / (2.0 * k)!r}*exp({-2.0 * k!r}*xi)"},
+        "label": f"example-5(k={k:g})"}
 
 
 def example5_spec(k: float = 0.2, k1: float = 1.0, *,
                   n: int = 4, d: int = 2) -> WarpedSolitonSpec:
     """Lightlike steady soliton phi = f = e^(k xi), h = -k1 e^(-2k xi)/(2k)
-    on a Lorentzian base with xi = x1 + x2.
+    on a Lorentzian base with xi = x1 + x2; phi and f are one profile.
 
     The catalog certifies k = 0.2; the completeness probe uses a smaller
     rate so the exponentials stay in range over long affine parameter.
     """
-    dom = Interval(-math.inf, math.inf)
-    sig = SignatureSpec((-1,) + (1,) * (n - 1))
-    alpha = (1.0, 1.0) + (0.0,) * (n - 2)
-    grow = Profile.from_expression(f"exp({k!r}*xi)", dom)
-    return WarpedSolitonSpec(
-        sig=sig, direction=TranslationDirection(alpha, sig),
-        d=d, rho=0.0, lambda_f=0.0,
-        phi=grow, f=grow,
-        h=Profile.from_expression(f"{-k1 / (2.0 * k)!r}*exp({-2.0 * k!r}*xi)",
-                                  dom),
-        domain=dom, label=f"example-5(k={k:g})")
+    return load_document(_example5_document(k, k1, n, d))[0]
 
 
 def portrait_defaults() -> dict:
@@ -109,19 +77,36 @@ def catalog() -> dict[str, CatalogEntry]:
             notes="R^3 x H^3 parameters; see portrait_defaults()"),
         "example-2": CatalogEntry(
             "example-2", "phi = sqrt(xi/20), f = sqrt(20/xi), h = 20 ln xi",
-            "soliton", (0.0, 40.0), _example2,
+            "soliton", (0.0, 40.0), {
+                "n": 5, "d": 1, "alpha": [1.0, 0.0, 0.0, 0.0, 0.0],
+                "domain": [0.0, None],
+                "profiles": {"phi": "sqrt(xi/20)", "f": "sqrt(20/xi)",
+                             "h": "20*ln(xi)"},
+                "label": "example-2"},
             notes="steady, Euclidean base, xi > 0"),
         "example-3": CatalogEntry(
             "example-3", "phi^2 = tan(xi/20), h = 20 ln sin(xi/20)",
-            "soliton", (0.0, 10.0 * math.pi), _example3,
+            "soliton", (0.0, 10.0 * math.pi), {
+                "n": 4, "d": 2, "alpha": [1.0, 0.0, 0.0, 0.0],
+                "domain": [0.0, 10.0 * math.pi],
+                "profiles": {"phi": "sqrt(tan(xi/20))",
+                             "f": "1/sqrt(tan(xi/20))",
+                             "h": "20*ln(sin(xi/20))"},
+                "label": "example-3"},
             notes="steady, Euclidean base, periodic branch"),
         "example-4": CatalogEntry(
             "example-4", "phi = sec xi, f = sqrt(2 sec xi e^xi), h const",
-            "soliton", (-1.45, 1.45), _example4,
+            "soliton", (-1.45, 1.45), {
+                "n": 4, "d": 3, "signature": [-1, 1, 1, 1],
+                "alpha": [0.0, 1.0, 1.0, 1.0],
+                "domain": [-0.5 * math.pi, 0.5 * math.pi],
+                "profiles": {"phi": "sec(xi)", "f": "sqrt(2*sec(xi)*exp(xi))",
+                             "h": "0"},
+                "label": "example-4"},
             notes="trivial potential, Lorentzian base, spacelike direction"),
         "example-5": CatalogEntry(
             "example-5", "phi = f = e^(xi/5), lightlike direction",
-            "soliton", (-10.0, 10.0), example5_spec,
+            "soliton", (-10.0, 10.0), _example5_document(0.2, 1.0, 4, 2),
             notes="steady, Lorentzian base, xi = x1 + x2 lightlike"),
     }
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import families, geodesics, specio
 from .catalog import catalog as example_catalog, portrait_defaults
-from .errors import SpecValidationError, YamabeError
+from .errors import YamabeError
 from .geometry import SignatureSpec
 from .profiles import Interval
 from .soliton import certify
@@ -411,13 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return status
     except BrokenPipeError:
         return _reader_gone()
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecValidationError, YamabeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (_CliInputError, YamabeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -10,9 +10,7 @@ Grammar (whitespace insignificant)::
             | FUNC '(' expr ')' | '(' expr ')'
 
 Functions: sin cos tan sec exp ln sqrt abs W (principal Lambert branch).
-Number literals are non-negative; a leading '-' is always the unary operator,
-which keeps print -> parse an exact round trip on any tree whose literals are
-non-negative.
+Number literals are non-negative; a leading '-' is always the unary operator.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .lambertw import lambert_w
 
 __all__ = [
     "Node", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "parse_expression", "to_text", "differentiate",
+    "parse_expression", "differentiate",
     "compile_callable", "compile_array", "compile_jet", "FUNCTIONS",
     "CONSTANTS",
 ]
@@ -182,51 +180,6 @@ class _Parser:
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into an AST; raises ExpressionSyntaxError with offset."""
     return _Parser(text).parse()
-
-
-# --- printing ---------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def to_text(node: Node) -> str:
-    """Render an AST; parse(to_text(ast)) == ast for non-negative literals."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "xi"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})"
-    if isinstance(node, Neg):
-        inner = to_text(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return "-" + inner
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        left, right = to_text(node.left), to_text(node.right)
-        if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
-            left = f"({left})"
-        # +-*/ are left-associative, ^ right-associative.  A right operand of
-        # equal precedence is parenthesised even for + and * so the printed
-        # text reparses to the identical tree, not just an equal value.
-        rp = _prec(node.right)
-        if node.op in "+-*/" and (rp <= p or isinstance(node.right, Neg)):
-            right = f"({right})"
-        elif node.op == "^" and rp < _PREC["neg"]:
-            right = f"({right})"
-        return f"{left}{node.op}{right}" if node.op == "^" else f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- evaluation -------------------------------------------------------------

@@ -616,6 +616,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
     sig_, direction = _frame(n, sig, alpha, lightlike=False)
     interval = Interval(*xi_range)
     _require_covers(z_p, "z_p", interval)
+    _require_covers(phi, "phi", interval)
     phi.require_positive(interval, name="phi")
 
     worst = float(np.max(np.abs(riccati_residual(
@@ -675,6 +676,8 @@ def family_thm18(phi: Profile, f: Profile, k1: float, *,
     """
     sig_, direction = _frame(n, sig, alpha, lightlike=True)
     interval = Interval(*xi_range)
+    _require_covers(phi, "phi", interval)
+    _require_covers(f, "f", interval)
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")
     h_profile = _h_from_phi(k1, phi, interval)
@@ -699,6 +702,8 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
     """
     sig_, direction = _frame(n, sig, alpha, lightlike=True)
     interval = Interval(*xi_range)
+    _require_covers(phi, "phi", interval)
+    _require_covers(f, "f", interval)
     phi.require_positive(interval, name="phi")
     f.require_positive(interval, name="f")
 

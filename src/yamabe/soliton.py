@@ -77,12 +77,6 @@ class WarpedSolitonSpec:
     def rho_at(self, xi: float) -> float:
         return self.rho.value(xi) if self.is_almost else self.rho
 
-    def validate_positivity(self, interval: Optional[Interval] = None) -> None:
-        interval = interval or self.domain
-        if interval.finite:
-            self.phi.require_positive(interval, name="phi")
-            self.f.require_positive(interval, name="f")
-
 
 @dataclass(frozen=True)
 class PointEval:

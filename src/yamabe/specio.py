@@ -1,6 +1,8 @@
 """JSON problem documents and CSV output.
 
-A problem document describes one warped-product configuration:
+A problem document describes one warped-product configuration, and
+``load_document`` is the one way the package turns one into a spec (the
+example catalog included):
 
     {
       "n": 5, "d": 1,
@@ -30,10 +32,12 @@ anchor point). Each family's keys, required | optional (FAMILY_TABLE):
     almost-lightlike  phi f k1
 
 phi, f and z_p are expressions; an optional key left out takes the
-constructor's default. The document's label, if any, replaces the
-constructor's. Any other key is an error naming "<key>" at the
-top level (whose keys the example shows), "profiles.<key>" or
-"family.<key>"; every family parameter error names "family.<key>".
+constructor's default. Equal expression texts in one document, in either
+block, load as one Profile, so a spec with phi = f reads it once where a
+reader dedupes by identity (the geodesic RHS does). The document's label,
+if any, replaces the constructor's. Any other key is an error naming
+"<key>" at the top level (whose keys the example shows), "profiles.<key>"
+or "family.<key>"; every family parameter error names "family.<key>".
 
 Floats are serialized with repr via the json module, so values survive a
 dump/load round trip bit-for-bit.
@@ -56,9 +60,8 @@ from .profiles import Interval, Profile, grid_points
 from .soliton import ResidualReport, WarpedSolitonSpec
 
 __all__ = [
-    "load_document", "loads_document", "document_from_spec",
-    "family_document", "write_profile_csv", "write_portrait_csv",
-    "write_geodesic_csv", "report_json",
+    "load_document", "family_document", "write_profile_csv",
+    "write_portrait_csv", "write_geodesic_csv", "report_json",
 ]
 
 
@@ -156,10 +159,6 @@ def _parse_domain(raw) -> Interval:
         raise SpecValidationError("domain", str(exc)) from exc
 
 
-def loads_document(text: str) -> tuple[WarpedSolitonSpec, dict]:
-    return load_document(json.loads(text))
-
-
 def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
     """Build a WarpedSolitonSpec from a problem document.
 
@@ -230,14 +229,19 @@ def load_document(doc: Union[dict, str, IO]) -> tuple[WarpedSolitonSpec, dict]:
     return spec, meta
 
 
-def _expression_profile(key: str, text, domain: Interval) -> Profile:
+def _expression_profile(key: str, text, domain: Interval,
+                        made: dict[str, Profile]) -> Profile:
+    """The profile of an expression text on domain; a text already in made
+    gives the profile made for it, so equal texts are one profile."""
     if not isinstance(text, str):
         raise SpecValidationError(key,
                                   f"expected an expression string, got {text!r}")
-    try:
-        return Profile.from_expression(text, domain)
-    except YamabeError as exc:
-        raise SpecValidationError(key, str(exc)) from exc
+    if text not in made:
+        try:
+            made[text] = Profile.from_expression(text, domain)
+        except YamabeError as exc:
+            raise SpecValidationError(key, str(exc)) from exc
+    return made[text]
 
 
 def _spec_from_profiles(profiles, sig, direction, d, rho, lambda_f,
@@ -246,8 +250,9 @@ def _spec_from_profiles(profiles, sig, direction, d, rho, lambda_f,
         raise SpecValidationError("profiles", "expected an object")
     keys = ("phi", "f", "h")
     _check_keys(profiles, "profiles.", keys)
-    phi, f, h = (_expression_profile(f"profiles.{key}", profiles[key], domain)
-                 for key in keys)
+    made = {}
+    phi, f, h = (_expression_profile(f"profiles.{key}", profiles[key], domain,
+                                     made) for key in keys)
     return WarpedSolitonSpec(sig, direction, d, rho, lambda_f,
                              phi, f, h, domain, label=label)
 
@@ -275,9 +280,11 @@ def _spec_from_family(fam, sig, direction, n, d, rho, lambda_f,
             "lambda_f", f"the {fid} family has a scalar-flat fiber; lambda_f "
             "must be 0")
     kwargs = {} if entry.scalar_flat else {"lambda_f": lambda_f}
+    made = {}
     for key, value in fam.items():
         if key in _EXPRESSION_KEYS:
-            kwargs[key] = _expression_profile(f"family.{key}", value, domain)
+            kwargs[key] = _expression_profile(f"family.{key}", value, domain,
+                                              made)
         elif key in _CHOICE_KEYS:
             kwargs[key] = value
         elif key != "id":
@@ -308,30 +315,6 @@ def family_document(fid: str, params: dict, *, n: int, d: int,
     if label:
         doc["label"] = label
     return doc
-
-
-def document_from_spec(spec: WarpedSolitonSpec, profiles: dict[str, str]
-                       ) -> dict:
-    """Document for a spec whose profiles have expression forms (the caller
-    supplies the expression strings; quadrature profiles have none). An
-    almost soliton's rho profile has no such form: its document is the
-    almost-lightlike family document."""
-    if spec.is_almost:
-        raise SpecValidationError(
-            "rho", "an almost soliton's rho is a profile, which only a "
-                   "family document can carry")
-    lo, hi = spec.domain.as_tuple()
-    return {
-        "n": spec.n, "d": spec.d,
-        "signature": list(spec.sig.epsilon),
-        "alpha": [float(a) for a in spec.direction.alpha],
-        "rho": float(spec.rho),
-        "lambda_f": spec.lambda_f,
-        "domain": [None if math.isinf(lo) else lo,
-                   None if math.isinf(hi) else hi],
-        "profiles": dict(profiles),
-        "label": spec.label,
-    }
 
 
 # --- CSV ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import yamabe
+from yamabe.catalog import catalog
 from yamabe.cli import main
 
 EXAMPLE2_DOC = {
@@ -381,6 +382,26 @@ class TestExamples:
             assert f"{key}: certified" in stdout
             assert (out_dir / f"{key}.csv").exists()
         assert "portrait" in stdout
+
+    def test_verify_on_each_catalog_document_gives_its_verdict(self,
+                                                              tmp_path):
+        """A soliton entry's document, written as JSON and checked by
+        `yamabe verify` on the entry's interval, gets the verdict that
+        `yamabe examples` prints for the entry."""
+        _, listing = run(["examples"])
+        for key, entry in catalog().items():
+            if entry.document is None:
+                continue
+            text = json.dumps(entry.document)
+            assert json.loads(text) == entry.document
+            path = tmp_path / f"{key}.json"
+            path.write_text(text, encoding="utf-8")
+            lo, hi = entry.certify_interval
+            code, stdout = run(["verify", str(path), "--interval", repr(lo),
+                                repr(hi), "--out", str(tmp_path / "r.json")])
+            verdict = stdout.rsplit(": ", 1)[1].strip()
+            assert f"{key}: {verdict} (max residual" in listing
+            assert code == 0 and verdict == "certified"
 
     def test_log_env_smoke(self, doc_path, monkeypatch, capfd):
         monkeypatch.setenv("YAMABE_LOG", "debug")

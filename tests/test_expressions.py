@@ -10,7 +10,7 @@ from yamabe.errors import (BranchDomainError, EvaluationError,
 from yamabe.expressions import (CONSTANTS, FUNCTIONS, BinOp, Call, Const, Neg,
                                 Num, Var, _simplify, compile_array,
                                 compile_callable, compile_jet, differentiate,
-                                parse_expression, to_text)
+                                parse_expression)
 from yamabe.lambertw import lambert_w
 
 from conftest import central_d1
@@ -295,7 +295,7 @@ class TestCompiledJet:
             assert entry.dtype == np.float64 and entry.shape == xs.shape
             want = reference_or_nan(tree)
             for xi, value in zip(xis, entry.tolist()):
-                assert same_float(value, want(xi)), (to_text(tree), xi)
+                assert same_float(value, want(xi)), (repr(tree), xi)
 
     def test_only_the_entries_asked_for(self):
         value, d1 = parse_expression("exp(0.5*xi)"), None
@@ -316,39 +316,6 @@ class TestCompiledJet:
         assert [np.isnan(g).tolist() for g in got] == [
             [True, False], [True, False], [False, False]]
         assert got[2].tolist() == [1.0, 2.0]
-
-
-# random ASTs for the print -> parse round trip; literals stay non-negative
-# so textual round-tripping is exact by construction
-_leaf = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=100.0,
-                             allow_nan=False, allow_infinity=False)),
-    st.just(Var()),
-    st.builds(Const, st.sampled_from(["pi", "e"])),
-)
-
-
-def _node_strategy(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
-                  children),
-    )
-
-
-_ast = st.recursive(_leaf, _node_strategy, max_leaves=25)
-
-
-class TestRoundTrip:
-    @given(_ast)
-    @settings(max_examples=300, deadline=None)
-    def test_print_parse_is_identity(self, node):
-        assert parse_expression(to_text(node)) == node
-
-    def test_readable_rendering(self):
-        node = parse_expression("-(xi + 1)*2^xi")
-        assert parse_expression(to_text(node)) == node
 
 
 class TestDifferentiation:

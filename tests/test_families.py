@@ -481,7 +481,8 @@ class TestLambertFamilyArrays:
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})
         for name in ("value", "d1", "d2"):
             monkeypatch.setattr(Profile, name, None)
-        spec.validate_positivity()
+        spec.phi.require_positive(spec.domain, name="phi")
+        spec.f.require_positive(spec.domain, name="f")
         assert certify(spec, grid_size=200).verdict == "certified"
 
     def test_one_inversion_per_grid(self, monkeypatch):
@@ -612,7 +613,8 @@ class TestConstantPotentialFamily:
                             run_certify=False)
         for name in ("value", "d1", "d2"):
             monkeypatch.setattr(Profile, name, None)
-        spec.validate_positivity()
+        spec.phi.require_positive(spec.domain, name="phi")
+        spec.f.require_positive(spec.domain, name="f")
         assert certify(spec, grid_size=200).verdict == "certified"
 
     def test_non_solution_zp_rejected(self):
@@ -627,6 +629,16 @@ class TestConstantPotentialFamily:
                                  r"does not cover xi_range \(-1\.0, 1\.0\)"):
             family_thm17(sec_profile(), Profile.constant(0.0, (-0.5, 0.5)),
                          1.0, xi_range=(-1.0, 1.0), n=4, d=3)
+
+    def test_phi_not_covering_xi_range_rejected_at_build(self):
+        # before the check this certified, with h not finite near the ends
+        phi = Profile.from_expression("1/cos(xi)", (-0.995, 0.995))
+        with pytest.raises(FamilyConstructionError,
+                           match=r"phi is defined on \(-0\.995, 0\.995\), "
+                                 r"which does not cover xi_range "
+                                 r"\(-1\.0, 1\.0\)"):
+            family_thm17(phi, Profile.constant(-0.5, SEC_DOMAIN), 1.0,
+                         xi_range=(-1.0, 1.0), n=4, d=3)
 
     def test_nonpositive_inner_term_rejected(self):
         with pytest.raises(FamilyConstructionError, match="nonpositive"):
@@ -666,6 +678,24 @@ class TestLightlikeFamilies:
         with pytest.raises(FamilyConstructionError, match="lightlike"):
             family_thm18(phi, phi, 1.0, xi_range=(-1.0, 1.0), sig=sig,
                          alpha=(0.0, 1.0, 0.0, 0.0))
+
+    def test_thm18_phi_not_covering_xi_range_rejected_at_build(self):
+        phi = Profile.from_expression(self.GROW, (-0.995, 0.995))
+        with pytest.raises(FamilyConstructionError,
+                           match=r"phi is defined on \(-0\.995, 0\.995\), "
+                                 r"which does not cover xi_range "
+                                 r"\(-1\.0, 1\.0\)"):
+            family_thm18(phi, Profile.from_expression("2 + sin(xi)"), 0.7,
+                         xi_range=(-1.0, 1.0))
+
+    def test_almost_soliton_f_not_covering_xi_range_rejected_at_build(self):
+        f = Profile.from_expression("2 + sin(xi)", (-0.995, 0.995))
+        with pytest.raises(FamilyConstructionError,
+                           match=r"f is defined on \(-0\.995, 0\.995\), "
+                                 r"which does not cover xi_range "
+                                 r"\(-1\.0, 1\.0\)"):
+            almost_soliton_lightlike(Profile.from_expression(self.GROW), f,
+                                     0.7, -2.0, xi_range=(-1.0, 1.0))
 
     def test_almost_soliton_rho_profile(self):
         phi = Profile.from_expression(self.GROW)

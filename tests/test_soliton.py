@@ -9,7 +9,7 @@ import pytest
 
 from yamabe import families, specio
 from yamabe.catalog import build_example, catalog
-from yamabe.errors import DimensionMismatchError, PositivityError
+from yamabe.errors import DimensionMismatchError
 from yamabe.geometry import SignatureSpec
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
@@ -47,11 +47,6 @@ class TestSpecValidation:
         almost = dataclasses.replace(spec, rho=Profile.from_expression("xi^2"))
         assert almost.is_almost
         assert almost.rho_at(0.5) == 0.25
-
-    def test_positivity_validation(self):
-        bad = make_spec("exp(xi)", "xi", "0", domain=(-1.0, 1.0))
-        with pytest.raises(PositivityError):
-            bad.validate_positivity()
 
 
 class TestCatalogResiduals:

@@ -1,8 +1,9 @@
-import dataclasses
+import ast
 import inspect
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from yamabe import families, specio
 from yamabe.catalog import build_example
 from yamabe.errors import EvaluationError, SpecValidationError
-from yamabe.geodesics import integrate_geodesic
+from yamabe.geodesics import geodesic_rhs, integrate_geodesic
 from yamabe.geometry import SignatureSpec
 from yamabe.profiles import Interval, Profile, grid_points
 
@@ -68,16 +69,15 @@ class TestLoadDocument:
         assert spec.phi.value(20.0) == pytest.approx(1.0)
 
     def test_loads_from_text_path_and_file(self, tmp_path):
-        text = json.dumps(doc_with(label="roundtrip"))
-        by_text, _ = specio.loads_document(text)
         path = tmp_path / "doc.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(json.dumps(doc_with(label="roundtrip")),
+                        encoding="utf-8")
         by_path, _ = specio.load_document(str(path))
         with open(path, "r", encoding="utf-8") as fh:
             by_file, _ = specio.load_document(fh)
-        for spec in (by_text, by_path, by_file):
+        for spec in (by_path, by_file):
             assert spec.label == "roundtrip"
-            assert spec.h.value(2.0) == by_text.h.value(2.0)
+        assert by_file.h.value(2.0) == by_path.h.value(2.0)
 
     def test_meta_settings(self):
         _, meta = specio.load_document(doc_with(tolerance=1e-6, grid=50))
@@ -151,7 +151,7 @@ class TestLoadDocument:
                                                             "Infinity")
         with pytest.raises(SpecValidationError,
                            match="invalid field 'tolerance'"):
-            specio.loads_document(text)
+            specio.load_document(io.StringIO(text))
 
     def test_family_parameter_must_be_finite(self):
         doc = family_doc_with({"id": "thm16", "k1": math.nan, "k2": 1.0})
@@ -185,6 +185,58 @@ class TestLoadDocument:
         with pytest.raises(SpecValidationError) as err:
             specio.load_document(doc_with(n=True))
         assert err.value.key == "n"
+
+
+class TestSharedProfiles:
+    GROW = "exp(0.2*xi)"
+    LIGHTLIKE = dict(n=4, d=2, signature=[-1, 1, 1, 1],
+                     alpha=[1.0, 1.0, 0.0, 0.0])
+
+    def test_equal_texts_are_one_profile(self):
+        doc = doc_with(**self.LIGHTLIKE, profiles={
+            "phi": self.GROW, "f": self.GROW, "h": "-2.5*exp(-0.4*xi)"})
+        spec, _ = specio.load_document(doc)
+        assert spec.phi is spec.f and spec.h is not spec.phi
+        spec, _ = specio.load_document(family_doc_with(
+            {"id": "thm18", "phi": self.GROW, "f": self.GROW, "k1": 1.0},
+            **self.LIGHTLIKE))
+        assert spec.phi is spec.f
+
+    def test_one_jet_read_per_geodesic_rhs_call(self, monkeypatch):
+        doc = doc_with(**self.LIGHTLIKE, profiles={
+            "phi": self.GROW, "f": self.GROW, "h": "xi"})
+        spec, _ = specio.load_document(doc)
+        reads = []
+        jet = Profile.jet
+
+        def counted(profile, *args, **kwargs):
+            reads.append(profile)
+            return jet(profile, *args, **kwargs)
+
+        monkeypatch.setattr(Profile, "jet", counted)
+        rhs = geodesic_rhs(spec)
+        state = np.array([0.1, 0.2, 0.0, 0.0, 0.3, -0.1, 0.0, 0.0,
+                          0.0, 0.0, 0.2, 0.1])
+        assert np.isfinite(rhs(0.0, state)).all()
+        assert reads == [spec.phi]
+
+
+def test_catalog_imports_neither_geometry_nor_profiles():
+    """The catalog holds documents; load_document alone makes its specs."""
+    tree = ast.parse(
+        (pathlib.Path(specio.__file__).parent / "catalog.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["yamabe" if node.level else "",
+                                          node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    banned = ("yamabe.geometry", "yamabe.profiles")
+    assert "yamabe.specio.load_document" in imported
+    assert [name for name in imported if name.startswith(banned)] == []
 
 
 class TestFamilyDocuments:
@@ -314,28 +366,9 @@ class TestFamilyDocuments:
             assert reloaded.phi.value(xi) == pytest.approx(
                 built.phi.value(xi), rel=1e-10)
 
-    def test_expression_document_roundtrip(self):
-        spec, _ = specio.load_document(doc_with(label="example-2"))
-        doc = specio.document_from_spec(spec, dict(BASE_DOC["profiles"]))
-        again, _ = specio.load_document(doc)
-        assert again.label == "example-2"
-        assert again.h.value(3.0) == spec.h.value(3.0)
-
     def test_integer_rho_document_loads(self):
-        spec, _ = specio.load_document(doc_with())
-        spec = dataclasses.replace(spec, rho=0)
-        doc = specio.document_from_spec(spec, dict(BASE_DOC["profiles"]))
-        assert doc["rho"] == 0.0 and isinstance(doc["rho"], float)
-        again, _ = specio.load_document(json.loads(json.dumps(doc)))
-        assert again.rho == 0.0
-
-    def test_almost_soliton_has_no_expression_document(self):
-        spec, _ = specio.load_document(doc_with())
-        almost = dataclasses.replace(
-            spec, rho=Profile.from_expression("xi", spec.domain))
-        with pytest.raises(SpecValidationError) as err:
-            specio.document_from_spec(almost, dict(BASE_DOC["profiles"]))
-        assert err.value.key == "rho"
+        spec, _ = specio.load_document(json.loads(json.dumps(doc_with(rho=0))))
+        assert spec.rho == 0.0 and isinstance(spec.rho, float)
 
     def test_floats_survive_json_roundtrip(self):
         values = [0.1, 1e-8, math.pi, 2.0 / 3.0, 1e300]
