@@ -664,6 +664,24 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
 
 # --- lightlike families ---------------------------------------------------------
 
+def _lightlike(phi: Profile, f: Profile, k1: float, rho: float | Profile,
+               lambda_f: float, label: str, xi_range, n: int, d: int, sig,
+               alpha, run_certify: bool) -> WarpedSolitonSpec:
+    """The spec of a lightlike family member: phi and f checked to cover
+    xi_range and to stay positive on it, h' = k1/phi^2, the given rho and
+    lambda_F; certified when run_certify is true."""
+    sig_, direction = _frame(n, sig, alpha, lightlike=True)
+    interval = Interval(*xi_range)
+    _require_covers(phi, "phi", interval)
+    _require_covers(f, "f", interval)
+    phi.require_positive(interval, name="phi")
+    f.require_positive(interval, name="f")
+    spec = WarpedSolitonSpec(sig_, direction, d, rho, lambda_f, phi, f,
+                             _h_from_phi(k1, phi, interval), interval,
+                             label=label)
+    return _certify_or_raise(spec, run_certify)
+
+
 def family_thm18(phi: Profile, f: Profile, k1: float, *,
                  xi_range: tuple[float, float], n: int = 4, d: int = 2,
                  sig: Optional[SignatureSpec] = None,
@@ -674,17 +692,8 @@ def family_thm18(phi: Profile, f: Profile, k1: float, *,
     With ||alpha||^2 = 0 every curvature term vanishes, so the system
     collapses to the h-equation plus rho = lambda_F = 0.
     """
-    sig_, direction = _frame(n, sig, alpha, lightlike=True)
-    interval = Interval(*xi_range)
-    _require_covers(phi, "phi", interval)
-    _require_covers(f, "f", interval)
-    phi.require_positive(interval, name="phi")
-    f.require_positive(interval, name="f")
-    h_profile = _h_from_phi(k1, phi, interval)
-    spec = WarpedSolitonSpec(sig_, direction, d, 0.0, 0.0,
-                             phi, f, h_profile, interval,
-                             label="lightlike-family")
-    return _certify_or_raise(spec, run_certify)
+    return _lightlike(phi, f, k1, 0.0, 0.0, "lightlike-family", xi_range,
+                      n, d, sig, alpha, run_certify)
 
 
 def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
@@ -700,13 +709,6 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
     definition of rho, so its residual is zero by construction; only the
     h-equation carries information.
     """
-    sig_, direction = _frame(n, sig, alpha, lightlike=True)
-    interval = Interval(*xi_range)
-    _require_covers(phi, "phi", interval)
-    _require_covers(f, "f", interval)
-    phi.require_positive(interval, name="phi")
-    f.require_positive(interval, name="f")
-
     def rho_arrays(xs, value, d1, d2):
         fv, df, ddf = f.jet(xs, d2=d2)
         f2 = fv * fv
@@ -715,12 +717,9 @@ def almost_soliton_lightlike(phi: Profile, f: Profile, k1: float,
                 lambda_f * (6.0 * df * df / (f2 * f2) - 2.0 * ddf / (f2 * fv))
                 if d2 else None)
 
-    rho_profile = Profile(rho_arrays, f.domain)
-    h_profile = _h_from_phi(k1, phi, interval)
-    spec = WarpedSolitonSpec(sig_, direction, d, rho_profile, lambda_f,
-                             phi, f, h_profile, interval,
-                             label="almost-lightlike-family")
-    return _certify_or_raise(spec, run_certify)
+    return _lightlike(phi, f, k1, Profile(rho_arrays, f.domain), lambda_f,
+                      "almost-lightlike-family", xi_range, n, d, sig, alpha,
+                      run_certify)
 
 
 # --- phase portrait -------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Geodesic integration on the warped product, in coordinates.
 
 State layout: the flat vector (y, v, yf, vf) with y, v in R^n (base position
-and velocity) and yf, vf in R^d (fiber position and velocity). The fiber is
-charted with a flat metric, which is exact for the flat-fiber catalog
-entries and is the standard local model otherwise.
+and velocity) and yf, vf in R^d (fiber position and velocity). The base
+motion is exact for any fiber of constant curvature: the right-hand side
+reads the fiber only through |vf|^2, and m = f^2 vf is conserved (O'Neill,
+Semi-Riemannian Geometry, 1983, ch. 7). The yf columns are coordinates of a
+flat chart of the fiber.
+
+Profiles are read at a state's own xi = alpha . y, NaN off the domain. A
+start where a stop event is not positive (xi past a finite end of the
+domain or within DOMAIN_MARGIN of it) is a DomainError.
 
 Two dynamics modes are provided:
 
@@ -27,11 +33,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DomainError
 from .numerics import solve_ivp
 from .soliton import WarpedSolitonSpec
 
@@ -54,30 +62,16 @@ STATUS = {"completed": "completed", "domain-exit": "left-domain",
 
 
 def _xi_of(spec: WarpedSolitonSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The function y (k, n) -> xi = alpha . y of each row, nudged inside an
-    open finite domain so that trial steps slightly past the exit event
-    still evaluate the profiles instead of reading NaN there."""
+    """The function y (k, n) -> xi = alpha . y of each row."""
     alpha = np.asarray(spec.direction.alpha, dtype=float)
-    lo, hi = spec.domain.lo, spec.domain.hi
-    lo = lo + 1e-13 * max(1.0, abs(lo)) if math.isfinite(lo) else None
-    hi = hi - 1e-13 * max(1.0, abs(hi)) if math.isfinite(hi) else None
-
-    def xi(y: np.ndarray) -> np.ndarray:
-        out = np.add.reduce(y * alpha, axis=1)
-        if lo is not None:
-            out = np.maximum(out, lo)
-        if hi is not None:
-            out = np.minimum(out, hi)
-        return out
-
-    return xi
+    return lambda y: np.add.reduce(y * alpha, axis=1)
 
 
 def _profiles_at(spec: WarpedSolitonSpec):
-    """The function y (k, n) -> phi, phi', f, f' at the rows' xi, read
-    through ``Profile.jet``: not finite where a profile cannot be evaluated.
-    A profile that is both phi and f is evaluated once. It runs under the
-    caller's np.errstate(all="ignore")."""
+    """The function y (k, n) -> phi, phi', f, f' at the rows' own xi, read
+    through ``Profile.jet``: NaN off a profile's domain, not finite where it
+    cannot be evaluated. A profile that is both phi and f is evaluated
+    once. It runs under the caller's np.errstate(all="ignore")."""
     xi_of, phi, f = _xi_of(spec), spec.phi, spec.f
 
     def at(y: np.ndarray):
@@ -162,26 +156,26 @@ def geodesic_rhs(spec: WarpedSolitonSpec,
 
 
 def energy(spec: WarpedSolitonSpec, state: np.ndarray) -> float:
-    """Metric speed g(gamma', gamma') = sum(eps v^2)/phi^2 + f^2 |vf|^2.
+    """Metric speed g(gamma', gamma') = sum(eps v^2)/phi^2 + f^2 |vf|^2,
+    NaN at a state whose xi is outside the domain.
 
     A first integral of the full mode; the reduced mode does not conserve
     it except where the two systems happen to coincide.
     """
     n, d = spec.n, spec.d
-    y = state[:n]
-    v = state[n:2 * n]
-    vf = state[2 * n + d:]
-    xi = float(_xi_of(spec)(y[None, :])[0])
+    v, vf = state[n:2 * n], state[2 * n + d:]
+    with np.errstate(all="ignore"):
+        phi, _, f, _ = _profiles_at(spec)(state[None, :n])
     eps = np.asarray(spec.sig.epsilon, dtype=float)
-    phi = spec.phi.value(xi)
-    return float(eps @ (v * v)) / phi ** 2 + spec.f.value(xi) ** 2 * float(vf @ vf)
+    return float(eps @ (v * v) / phi[0] ** 2 + f[0] ** 2 * (vf @ vf))
 
 
 def fiber_momentum(spec: WarpedSolitonSpec, state: np.ndarray) -> np.ndarray:
-    """f^2 vf, conserved by both dynamics modes."""
+    """f^2 vf, conserved by both dynamics modes; NaN off the domain."""
     n, d = spec.n, spec.d
-    xi = float(_xi_of(spec)(state[None, :n])[0])
-    return spec.f.value(xi) ** 2 * state[2 * n + d:]
+    with np.errstate(all="ignore"):
+        f = _profiles_at(spec)(state[None, :n])[2]
+    return f[0] ** 2 * state[2 * n + d:]
 
 
 def _initial_state(spec: WarpedSolitonSpec, y0, v0, yf0=(), vf0=()
@@ -201,50 +195,50 @@ def _initial_state(spec: WarpedSolitonSpec, y0, v0, yf0=(), vf0=()
 
 def _stop_events(spec: WarpedSolitonSpec):
     """The terminal events of a geodesic, and the stop reason of each: exit
-    of xi from a finite domain, the state norm passing BLOWUP_NORM, and
-    loss of positivity of phi or f (or a point where they cannot be
-    evaluated)."""
+    of xi from the domain past a finite end, the state norm passing
+    BLOWUP_NORM, and loss of positivity of phi or f (or a point where they
+    cannot be evaluated). Each is positive where a geodesic may run."""
     n = spec.n
-    alpha = np.asarray(spec.direction.alpha, dtype=float)
-    events, reasons = [], []
+    xi_of, profiles_at = _xi_of(spec), _profiles_at(spec)
     lo, hi = spec.domain.lo, spec.domain.hi
-    def xi(st):
-        return np.add.reduce(st[:, :n] * alpha, axis=1)
 
-    if math.isfinite(lo):
-        def exit_lo(s, st):
-            return xi(st) - (lo + DOMAIN_MARGIN)
-        events.append(exit_lo)
-        reasons.append("domain-exit")
-    if math.isfinite(hi):
-        def exit_hi(s, st):
-            return (hi - DOMAIN_MARGIN) - xi(st)
-        events.append(exit_hi)
-        reasons.append("domain-exit")
+    def exit_domain(s, st):
+        # an infinite end gives inf on its side, so the other side decides
+        xi = xi_of(st[:, :n])
+        return np.minimum(xi - (lo + DOMAIN_MARGIN), (hi - DOMAIN_MARGIN) - xi)
 
     def escape(s, st):
         return BLOWUP_NORM - np.sqrt(np.add.reduce(st * st, axis=1))
-    events.append(escape)
-    reasons.append("norm-escape")
-
-    profiles_at = _profiles_at(spec)
 
     def positivity(s, st):
         with np.errstate(all="ignore"):
             phi, _, f, _ = profiles_at(st[:, :n])
             margin = (phi if f is phi else np.minimum(phi, f)) - 1e-12
         return np.where(np.isnan(margin), -1.0, margin)
-    events.append(positivity)
-    reasons.append("positivity-loss")
-    for event in events:
+
+    events = {"domain-exit": exit_domain, "norm-escape": escape,
+              "positivity-loss": positivity}
+    if not (math.isfinite(lo) or math.isfinite(hi)):
+        del events["domain-exit"]
+    for event in events.values():
         event.terminal = True
-    return events, reasons
+    return list(events.values()), list(events)
 
 
 def _run(spec: WarpedSolitonSpec, mode: str, spans, states, **options):
     """Integrate the rows of states over spans in one solve_ivp call; the
-    solver result and each row's stop reason."""
+    solver result and each row's stop reason. A start where a stop event is
+    not positive (xi outside the domain or inside its margin, say) is a
+    DomainError."""
     events, reasons = _stop_events(spec)
+    s0 = np.broadcast_to(spans, (len(states), 2))[:, 0]
+    for event, reason in zip(events, reasons):
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~(event(s0, states) > 0.0))
+        if len(bad):
+            xi = float(_xi_of(spec)(states[bad[:1], :spec.n])[0])
+            raise DomainError(f"a geodesic cannot start at xi={xi!r}: "
+                              f"it is already past its {reason} stop")
     run = solve_ivp(geodesic_rhs(spec, mode), spans, states, events=events,
                     **options)
     return run, [reasons[e] if stop == "event" else stop
@@ -276,10 +270,12 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
     hold the state at `samples` (a positive count) evenly spaced parameters
     up to the stop.
 
-    Terminal events: exit of xi from a finite domain (status left-domain),
-    state norm passing BLOWUP_NORM (blowup), and loss of positivity of phi
-    or f along numerically defined profiles (positivity-loss). A step-size
-    collapse also reports blowup; stop_reason tells the causes apart.
+    Terminal events: exit of xi from the domain past a finite end (status
+    left-domain), state norm passing BLOWUP_NORM (blowup), and loss of
+    positivity of phi or f along numerically defined profiles
+    (positivity-loss). A step-size collapse also reports blowup;
+    stop_reason tells the causes apart. A start where an event is not
+    positive raises DomainError.
     """
     if not samples >= 1:
         raise ValueError(f"samples must be a positive count, got {samples!r}")
@@ -320,16 +316,21 @@ class ProbeSummary:
 
 
 def _default_initial_sampler(spec: WarpedSolitonSpec, rng: np.random.Generator):
-    """Random start: positions uniform in [-1, 1]^k (base shifted so xi sits
-    in the middle half of a finite domain), Euclidean unit-speed velocity."""
+    """Random start: positions uniform in [-1, 1]^k, Euclidean unit-speed
+    velocity. Where the domain has a finite end, the base is shifted along
+    alpha so that xi sits inside it: in the middle half of a finite domain,
+    in [lo + 0.5, lo + 1.5) on (lo, inf) and in (hi - 1.5, hi - 0.5] on
+    (-inf, hi)."""
     n, d = spec.n, spec.d
     alpha = np.asarray(spec.direction.alpha, dtype=float)
+    lo, hi = spec.domain.lo, spec.domain.hi
 
     def sample():
         y = rng.uniform(-1.0, 1.0, n)
-        lo, hi = spec.domain.lo, spec.domain.hi
-        if math.isfinite(lo) and math.isfinite(hi):
-            target = lo + (0.25 + 0.5 * rng.uniform()) * (hi - lo)
+        if math.isfinite(lo) or math.isfinite(hi):
+            u = rng.uniform()
+            target = (lo + (0.25 + 0.5 * u) * (hi - lo) if spec.domain.finite
+                      else lo + 0.5 + u if math.isfinite(lo) else hi - 0.5 - u)
             y = y + (target - float(alpha @ y)) * alpha / float(alpha @ alpha)
         yf = rng.uniform(-1.0, 1.0, d)
         w = rng.normal(size=n + d)
@@ -345,7 +346,9 @@ def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
                        sampler=None) -> ProbeSummary:
     """Integrate `count` random geodesics to +-s_max and report how many ran
     the full affine-parameter range in both directions. All samples are
-    drawn first; one solve_ivp call then runs each of them both ways."""
+    drawn first; one solve_ivp call then runs each of them both ways. The
+    default sampler starts every sample inside the domain; a sample from
+    `sampler` that starts outside it raises DomainError."""
     rng = np.random.default_rng(seed)
     sample = sampler or _default_initial_sampler(spec, rng)
     starts = [_initial_state(spec, *sample()) for _ in range(count)]
@@ -355,23 +358,14 @@ def completeness_probe(spec: WarpedSolitonSpec, count: int = 100,
         np.repeat(np.reshape(starts, (count, 2 * spec.n + 2 * spec.d)), 2,
                   axis=0),
         rtol=rtol, atol=atol)
-    completed = 0
-    counts: dict[str, int] = {}
-    reasons: dict[str, int] = {}
-    failures = []
-    for i in range(count):
-        ok = True
-        for j, direction in enumerate(("forward", "backward")):
-            row = 2 * i + j
-            status = STATUS[stops[row]]
-            counts[status] = counts.get(status, 0) + 1
-            reasons[stops[row]] = reasons.get(stops[row], 0) + 1
-            if status != "completed":
-                ok = False
-                failures.append((i, direction, status, float(run.t[row])))
-        completed += ok
-    summary = ProbeSummary(mode, count, s_max, completed, counts,
-                           tuple(failures), reasons)
+    completed = sum(stops[2 * i] == stops[2 * i + 1] == "completed"
+                    for i in range(count))
+    failures = tuple((row // 2, ("forward", "backward")[row % 2], STATUS[why],
+                      float(run.t[row]))
+                     for row, why in enumerate(stops) if why != "completed")
+    summary = ProbeSummary(mode, count, s_max, completed,
+                           dict(Counter(STATUS[why] for why in stops)),
+                           failures, dict(Counter(stops)))
     log.info("completeness probe (%s): %d/%d completed", mode, completed, count)
     return summary
 

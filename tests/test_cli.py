@@ -28,6 +28,23 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def child_env():
+    """The environment of a child `python -m yamabe` that imports this
+    package."""
+    package_root = os.path.dirname(os.path.dirname(yamabe.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def run_child(argv, timeout=60):
+    """`python -m yamabe argv` in a child process that is killed after
+    timeout seconds, so that a run that never ends fails its test instead
+    of stalling the suite. The finished process, stdout and stderr bytes."""
+    return subprocess.run([sys.executable, "-m", "yamabe"] + argv,
+                          capture_output=True, env=child_env(),
+                          timeout=timeout)
+
+
 @pytest.fixture()
 def doc_path(tmp_path):
     path = tmp_path / "doc.json"
@@ -372,6 +389,43 @@ class TestGeodesic:
         assert "Traceback" not in err
 
 
+class TestGeodesicOnHalfLine:
+    """Catalog example 2 lives on xi in (0, inf)."""
+
+    @pytest.fixture()
+    def example2_path(self, tmp_path):
+        path = tmp_path / "example-2.json"
+        path.write_text(json.dumps(catalog()["example-2"].document),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["--compare-modes"],
+                                      ["--mode", "paper-reduced"]])
+    def test_probe_ends_with_no_stop_at_its_start(self, example2_path, argv):
+        done = run_child(["geodesic", example2_path, "--probe", "4"] + argv)
+        assert done.returncode == 0
+        payload = json.loads(done.stdout)
+        for summary in ([payload["full"], payload["paper-reduced"]]
+                        if "full" in payload else [payload]):
+            assert summary["count"] == 4
+            assert all(s != 0.0 for *_, s in summary["failures"])
+
+    @pytest.mark.parametrize("xi,vf,mode", [
+        ("-0.5", "1", "full"), ("-0.5", "1", "paper-reduced"),
+        ("5e-10", "0", "full"), ("5e-10", "0", "paper-reduced")])
+    def test_start_past_the_domain_exit_exits_one(self, example2_path, xi,
+                                                  vf, mode):
+        # 5e-10 is inside (0, inf) but within the 1e-9 exit margin
+        done = run_child(["geodesic", example2_path, f"--y={xi},0,0,0,0",
+                          "--v", "1,0,0,0,0", "--vf", vf, "--mode", mode])
+        assert done.returncode == 1
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and "domain-exit" in err
+        assert f"xi={float(xi)!r}" in err
+        assert "Traceback" not in err
+
+
 class TestExamples:
     def test_catalog_runs_clean(self, tmp_path):
         out_dir = tmp_path / "csv"
@@ -413,12 +467,9 @@ class TestExamples:
 def test_closed_stdout_exits_quietly():
     """``yamabe portrait | head -1``: the portrait's CSV (about 86 kB) is
     larger than a pipe's buffer, so the writer meets the closed pipe."""
-    package_root = os.path.dirname(os.path.dirname(yamabe.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     child = subprocess.Popen([sys.executable, "-m", "yamabe", "portrait"],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env=env)
+                             env=child_env())
     first = child.stdout.readline()
     child.stdout.close()
     err = child.stderr.read()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from collections import Counter
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from yamabe.catalog import build_example, example5_spec
-from yamabe.geodesics import (MODES, compare_probe_modes, completeness_probe,
+from yamabe.errors import DomainError
+from yamabe.geodesics import (MODES, _default_initial_sampler,
+                              compare_probe_modes, completeness_probe,
                               energy, fiber_momentum, geodesic_rhs,
                               integrate_geodesic)
-from yamabe.profiles import Profile
+from yamabe.profiles import Interval, Profile
 from yamabe.specio import load_document
 
 K = 0.2
@@ -192,6 +195,72 @@ class TestDomainsAndStatuses:
         state[0] = state[1] = 1e5   # xi = 2e5, exp overflows
         out = rhs(0.0, state)
         assert np.all(np.isinf(out))
+
+
+class TestStarts:
+    """A geodesic starts only where each of its stop events is positive,
+    and the profiles are read at a state's own xi."""
+
+    @pytest.mark.parametrize("xi", [-0.5, 0.0, 5e-10])
+    def test_start_past_the_domain_exit_raises(self, xi):
+        # example 2 lives on (0, inf); 5e-10 is inside the 1e-9 exit margin.
+        # Both modes, and the paper-reduced one that ran without end from
+        # such starts, are checked through the CLI under a timeout.
+        spec = build_example("example-2")
+        with pytest.raises(DomainError, match=rf"xi={xi!r}: .*domain-exit"):
+            integrate_geodesic(spec, [xi, 0, 0, 0, 0], [1.0, 0, 0, 0, 0],
+                               vf0=[1.0])
+
+    def test_start_where_a_profile_cannot_be_read_raises(self):
+        grow = Profile.from_expression("exp(0.2*xi)", (-1.0, 1.0))
+        spec = dataclasses.replace(example5_spec(K), phi=grow, f=grow)
+        with pytest.raises(DomainError, match="positivity-loss"):
+            integrate_geodesic(spec, [2.0, 0, 0, 0], [1.0, 0, 0, 0])
+
+    def test_probe_sample_outside_the_domain_raises(self):
+        spec = build_example("example-2")
+        starts = iter([([1.0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [0.0], [0.0]),
+                       ([-0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [0.0], [0.0])])
+        with pytest.raises(DomainError, match=r"xi=-0\.5"):
+            completeness_probe(spec, count=2, s_max=1.0,
+                               sampler=lambda: next(starts))
+
+    def test_first_integrals_off_the_domain_are_nan(self):
+        spec = build_example("example-2")
+        state = np.array([-0.5, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 0.0, 1.0])
+        assert math.isnan(energy(spec, state))
+        assert np.isnan(fiber_momentum(spec, state)).all()
+        state[0] = 0.5
+        phi, f = spec.phi.value(0.5), spec.f.value(0.5)
+        assert energy(spec, state) == pytest.approx(1.0 / phi ** 2 + f ** 2)
+        assert fiber_momentum(spec, state) == pytest.approx([f ** 2])
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 2.0)])
+    def test_sampler_starts_inside_a_half_line(self, lo, hi):
+        # xi in [lo + 0.5, lo + 1.5) on (lo, inf), the mirror on (-inf, hi)
+        spec = dataclasses.replace(build_example("example-2"),
+                                   domain=Interval(lo, hi))
+        sample = _default_initial_sampler(spec, np.random.default_rng(0))
+        alpha = np.asarray(spec.direction.alpha)
+        xis = np.array([alpha @ sample()[0] for _ in range(200)])
+        depth = xis - lo if math.isfinite(lo) else hi - xis
+        assert 0.5 <= depth.min() and depth.max() < 1.5
+
+    @pytest.mark.parametrize("key,digest", [
+        ("example-3",   # finite domain (0, 10 pi)
+         "06d58e60b2e0202347b0daa27a0a8f60012df202f97093bc3a0a7d7a27141d54"),
+        ("example-4",   # finite domain (-pi/2, pi/2)
+         "f6e6987d4e4e037c87b8d5a88842862926250978361cc47dfb8fa41fb6ed1384"),
+        ("example-5",   # the whole line
+         "ea518b795a7121ecf190de3d8f2b4067992615971a91f302a33ddafcdadaad6f")])
+    def test_sampler_stream_on_finite_domains_and_the_line(self, key, digest):
+        # sha256 of the first 8 seed-0 samples as drawn before half-lines
+        # got their own shift: those domains keep their stream bit for bit
+        sample = _default_initial_sampler(build_example(key),
+                                          np.random.default_rng(0))
+        flat = np.concatenate([np.concatenate(sample()) for _ in range(8)])
+        assert hashlib.sha256(
+            flat.astype("<f8").tobytes()).hexdigest() == digest
 
 
 class TestProbes:
