@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -49,6 +50,12 @@ class _CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts like a negative number (-3e-1, -.5, -1,0) is
+        # a value, not a flag: no flag starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad flags; route through our own
     # error type so input problems uniformly exit 1
     def error(self, message):

@@ -78,7 +78,7 @@ def _frame(n, sig, alpha, lightlike: bool):
     return sig, direction
 
 
-def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
+def _reciprocal_profile(k2: float, phi: Profile) -> Profile:
     """f = k2 / phi with exact derivatives, through phi's jet."""
     def arrays(xs, value, d1, d2):
         p, dp, ddp = phi.jet(xs, d2=d2)
@@ -87,7 +87,7 @@ def _reciprocal_profile(k2: float, phi: Profile, domain: Interval) -> Profile:
                 k2 * (2.0 * dp * dp / (p * p * p) - ddp / (p * p))
                 if d2 else None)
 
-    return Profile(arrays, domain)
+    return Profile(arrays, phi.domain)
 
 
 def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
@@ -130,7 +130,37 @@ def _certify_or_raise(spec: WarpedSolitonSpec, run: bool) -> WarpedSolitonSpec:
     return spec
 
 
-# --- Lambert-W family (lambda_F != 0, n + d = 6) -------------------------------
+# --- steady families with n + d = 6 (thm15, thm16) ------------------------------
+
+def _six_frame(n, d, k1, k2, sig, alpha):
+    """The frame of an n + d = 6 family, once its shared hypotheses hold:
+    n + d = 6, n >= 3, d >= 1, k1 and k2 nonzero."""
+    if n + d != 6:
+        raise FamilyConstructionError(
+            "this family requires base and fiber dimensions with n + d = 6; "
+            f"got n={n}, d={d}")
+    if n < 3 or d < 1:
+        raise FamilyConstructionError(f"need n >= 3 and d >= 1; got n={n}, d={d}")
+    if k1 == 0.0 or k2 == 0.0:
+        raise FamilyConstructionError("k1 and k2 must be nonzero")
+    return _frame(n, sig, alpha, lightlike=False)
+
+
+def _six_spec(frame, d, lambda_f, k1, k2, phi: Profile, h_values: Callable,
+              interval: Interval, label: str,
+              run_certify: bool) -> WarpedSolitonSpec:
+    """The spec of an n + d = 6 family member: f = k2/phi, h' = k1/phi^2
+    with values h_values(xs, phi, phi'); certified when run_certify is
+    true."""
+    sig_, direction = frame
+    spec = WarpedSolitonSpec(sig_, direction, d, 0.0, lambda_f, phi,
+                             _reciprocal_profile(k2, phi),
+                             _h_from_phi(k1, phi, interval, h_values),
+                             interval, label=label)
+    return _certify_or_raise(spec, run_certify)
+
+
+# --- Lambert-W family (lambda_F != 0) ------------------------------------------
 
 def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
     if k2 == 0.0:
@@ -175,14 +205,7 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     other component. A range past the maximal interval raises
     FamilyConstructionError.
     """
-    if n + d != 6:
-        raise FamilyConstructionError(
-            "this family requires base and fiber dimensions with n + d = 6; "
-            f"got n={n}, d={d}")
-    if n < 3 or d < 1:
-        raise FamilyConstructionError(f"need n >= 3 and d >= 1; got n={n}, d={d}")
-    if k1 == 0.0 or k2 == 0.0:
-        raise FamilyConstructionError("k1 and k2 must be nonzero")
+    frame = _six_frame(n, d, k1, k2, sig, alpha)
     if lambda_f == 0.0:
         raise FamilyConstructionError(
             "lambda_F must be nonzero here; the lambda_F = 0 case has its own "
@@ -192,10 +215,9 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     if w_branch not in ("principal", "lower"):
         raise FamilyConstructionError(
             f"w_branch must be 'principal' or 'lower', got {w_branch!r}")
-    sig_, direction = _frame(n, sig, alpha, lightlike=False)
 
     p = k1 / 10.0
-    q = _q_value(k2, lambda_f, direction.norm, q_variant)
+    q = _q_value(k2, lambda_f, frame[1].norm, q_variant)
     interval = Interval(*xi_range)
     s0, w0 = 1.0 / (phi0 * phi0), 0.0
     if k3 != 0.0:
@@ -224,12 +246,8 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
         return (k1 / (4.0 * q)) * (p / (phi_sq * phi_sq)
                                    - 4.0 * dphi / (phi_sq * phi))
 
-    f_profile = _reciprocal_profile(k2, phi_profile, phi_profile.domain)
-    h_profile = _h_from_phi(k1, phi_profile, interval, h_values)
-    spec = WarpedSolitonSpec(sig_, direction, d, 0.0, lambda_f,
-                             phi_profile, f_profile, h_profile, interval,
-                             label=f"lambert-family(q={q_variant})")
-    return _certify_or_raise(spec, run_certify)
+    return _six_spec(frame, d, lambda_f, k1, k2, phi_profile, h_values,
+                     interval, f"lambert-family(q={q_variant})", run_certify)
 
 
 def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
@@ -409,7 +427,7 @@ def _two_sided_solve(rhs, xi_c, y0, ends, what: str):
     return states
 
 
-# --- elementary family (lambda_F = 0, n + d = 6) -------------------------------
+# --- elementary family (lambda_F = 0) ------------------------------------------
 
 def _reflect(profile: Profile) -> Profile:
     """xi -> profile(-xi), through profile's jet."""
@@ -436,36 +454,25 @@ def family_thm16(k1: float, k2: float, k3: float = 0.0, k4: float = 0.0, *,
     the reflection xi -> -xi. h comes out as 20 ln |trig| with the natural
     constant, so the catalog profiles match their familiar closed forms.
     """
-    if n + d != 6:
-        raise FamilyConstructionError(
-            "this family requires base and fiber dimensions with n + d = 6; "
-            f"got n={n}, d={d}")
-    if k1 == 0.0 or k2 == 0.0:
-        raise FamilyConstructionError("k1 and k2 must be nonzero")
+    frame = _six_frame(n, d, k1, k2, sig, alpha)
     if branch not in ("inner", "outer"):
         raise FamilyConstructionError(
             f"branch must be 'inner' or 'outer', got {branch!r}")
-    sig_, direction = _frame(n, sig, alpha, lightlike=False)
 
     interval = Interval(*xi_range)
-    phi_profile, h_profile = _thm16_profiles(k1, k3, k4, branch)
-    if not (phi_profile.domain.lo <= interval.lo
-            and interval.hi <= phi_profile.domain.hi):
-        raise FamilyConstructionError(
-            f"xi_range {xi_range!r} leaves the branch's validity interval "
-            f"{phi_profile.domain.as_tuple()!r}")
+    phi_profile, h_values = _thm16_profiles(k1, k3, k4, branch)
+    _require_covers(phi_profile, "phi", interval)
     phi_profile.require_positive(interval, name="phi")
-    f_profile = _reciprocal_profile(k2, phi_profile, phi_profile.domain)
-    spec = WarpedSolitonSpec(sig_, direction, d, 0.0, 0.0,
-                             phi_profile, f_profile, h_profile, interval,
-                             label="elementary-family")
-    return _certify_or_raise(spec, run_certify)
+    return _six_spec(frame, d, 0.0, k1, k2, phi_profile, h_values, interval,
+                     "elementary-family", run_certify)
 
 
-def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Profile]:
+def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Callable]:
+    """phi on the branch's validity interval and the values of h, a
+    function of (xs, phi, phi')."""
     if k1 < 0.0:
         phi_r, h_r = _thm16_profiles(-k1, -k3, -k4, branch)
-        return _reflect(phi_r), _reflect(h_r)
+        return _reflect(phi_r), lambda xs, p, dp: h_r(-xs, p, dp)
 
     # u = phi^2 as a function of sigma = xi + k4; all cases share
     # phi' = (k1 - 20 k3 phi^4)/(40 phi) once phi solves the relation.
@@ -492,27 +499,15 @@ def _thm16_profiles(k1, k3, k4, branch) -> tuple[Profile, Profile]:
             h_val = lambda s: 20.0 * np.log(np.cosh(w * s))
         dom = Interval(-k4, math.inf)
 
-    def solve(xs):
-        """sigma, phi^2, phi and phi' over xs."""
-        sigma = xs + k4
-        phi_sq = u(sigma)
+    def phi_arrays(xs, value, d1, d2):
+        phi_sq = u(xs + k4)
         phi = np.sqrt(phi_sq)
         dphi = (k1 - 20.0 * k3 * (phi_sq * phi_sq)) / (40.0 * phi)
-        return sigma, phi_sq, phi, dphi
-
-    def phi_arrays(xs, value, d1, d2):
-        _, phi_sq, phi, dphi = solve(xs)
         return (phi if value else None, dphi if d1 else None,
                 dphi * (-60.0 * k3 * (phi_sq * phi_sq) - k1) / (40.0 * phi_sq)
                 if d2 else None)
 
-    def h_arrays(xs, value, d1, d2):
-        sigma, phi_sq, phi, dphi = solve(xs)
-        return (h_val(sigma) if value else None,
-                k1 / phi_sq if d1 else None,
-                -2.0 * k1 * dphi / (phi_sq * phi) if d2 else None)
-
-    return Profile(phi_arrays, dom), Profile(h_arrays, dom)
+    return Profile(phi_arrays, dom), lambda xs, p, dp: h_val(xs + k4)
 
 
 # --- constant-potential family (h' = 0, lambda_F = 0, any n, d) ----------------
@@ -745,11 +740,14 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
     scalar curvature -6). One DOP853 call at rtol 1e-10, atol 1e-12 runs
     every initial toward both ends of the span; a side stops when phi falls
-    to phi_floor (positivity-loss), when |(phi, phi')| passes 1e12 or the
+    to phi_floor (positivity-loss), when |(phi, phi')| reaches 1e12 or the
     step size collapses (blowup). The first side that stops, toward the
-    lower end first, sets the status. An integrated trajectory's rows are
-    the start once, then the points_per_side - 1 points after it of
-    linspace(start_xi, end, points_per_side) on each side, up to its stop.
+    lower end first, sets the status. A start with phi0 <= phi_floor is
+    positivity-loss with no rows and is not integrated; a start with
+    |(phi, phi')| >= 1e12 stops at its first step. An integrated
+    trajectory's rows are the start once, then the points_per_side - 1
+    points after it of linspace(start_xi, end, points_per_side) on each
+    side, up to its stop.
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, 1.0, q_variant) if lambda_f != 0.0 else 0.0
@@ -763,18 +761,16 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     def positivity(xi, y):
         return y[:, 0] - phi_floor
     positivity.terminal = True
-    positivity.direction = -1
 
     def escape(xi, y):
         return 1e12 - np.hypot(y[:, 0], y[:, 1])
     escape.terminal = True
-    escape.direction = -1
 
     out = []
     parts: dict[int, list] = {}   # rows of each integrated trajectory
     sides = []                    # one solver row per integrated side
     for k, (phi0, dphi0) in enumerate(initials):
-        if phi0 <= 0.0:
+        if phi0 <= phi_floor:
             out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss"))
         elif dphi0 == 0.0 and q * phi0 == 0.0:
             # equilibrium of the first-order system: both components of the

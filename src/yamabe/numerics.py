@@ -4,6 +4,8 @@ Adaptive Gauss-Legendre panels and a bracketed monotone inversion (both also
 elementwise over arrays), and ``solve_ivp``: the explicit Runge-Kutta kernel
 (Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
 batch of independent trajectories at a time, with dense output where asked.
+Its stop events follow one rule: each is positive wherever a row may run,
+and a row stops at the first accepted step where one is <= 0.
 Adaptive Simpson quadrature and its cached antiderivative are still here,
 but no code of the package calls them any more: the benchmark's tracer
 (bench/spans.py) patches them by name.
@@ -677,9 +679,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
     only on the same row of the input. Every row runs DOP853.
     t_eval, (m,) or (B, m), lists points in each row's direction at which
     to report the state. events are callables event(t, Y) -> (k,) with a
-    true ``terminal`` attribute and an optional ``direction`` (+1: rising
-    zeros only, -1: falling only); a row stops at the first located zero.
-    dense_output keeps each row's interpolants.
+    true ``terminal`` attribute, each positive wherever a row may run: a
+    running row stops at the first accepted step where some event is <= 0,
+    at the earliest stop of those events: an event's first zero inside the
+    step, or the step's start where the event is 0 there, or the step's
+    end where it is negative at both ends. dense_output keeps each row's
+    interpolants.
     """
     if not max_step > 0.0:
         raise ValueError("max_step must be positive")
@@ -708,15 +713,15 @@ class _Lockstep:
     about 130 numpy calls on arrays of that many rows, whatever their
     count; half of them are the stage sums, the rest the step-size clip,
     the error norm, the controller and the bookkeeping. Event values, and
-    the crossing test on them, run on the rows that accepted their step;
-    the interpolant is built only for accepted rows that cross an event,
-    pass t_eval points or keep dense output, and every t_eval point those
-    rows passed comes from one interpolation. The stage buffer is allocated
-    once per solve and sliced to the running rows.
+    the test for <= 0 on them, run on the rows that accepted their step;
+    the interpolant is built only for accepted rows where an event is <= 0,
+    that pass t_eval points or that keep dense output, and every t_eval
+    point those rows passed comes from one interpolation. The stage buffer
+    is allocated once per solve and sliced to the running rows.
     """
 
     _WORKING = ("idx", "t", "tb", "sgn", "far", "y", "f", "h_abs", "retry",
-                "err", "g", "te", "te_i", "te_next", "nfev", "nsteps")
+                "err", "te", "te_i", "te_next", "nfev", "nsteps")
 
     def __init__(self, fun, span, y0, rtol, atol, max_step, t_eval, events,
                  dense_output):
@@ -725,9 +730,6 @@ class _Lockstep:
         self.rtol, self.atol = rtol, atol
         self.max_step = max_step
         self.events = events
-        direction = np.array([getattr(ev, "direction", 0) for ev in events],
-                             dtype=float)
-        self.rising, self.falling = direction >= 0, direction <= 0
         self.dense_output = dense_output
         self.K = np.empty((_DOP853.n_k,) + y0.shape)
         # outputs
@@ -751,7 +753,7 @@ class _Lockstep:
             (t_eval[:, 0].copy() if t_eval.shape[1] else np.full(rows, np.nan))
         self.nfev = np.zeros(rows, dtype=int)
         self.nsteps = np.zeros(rows, dtype=int)
-        self.f = self.h_abs = self.retry = self.err = self.g = None
+        self.f = self.h_abs = self.retry = self.err = None
 
     def _keep(self, keep: np.ndarray) -> None:
         for name in self._WORKING:
@@ -815,7 +817,6 @@ class _Lockstep:
             self.nfev += 2
             self.retry = np.zeros(len(self.idx), dtype=bool)
             self.err = np.zeros(len(self.idx))
-            self.g = self._event_values(self.t, self.y)
         while len(self.idx):
             self._iterate()
         n = self.y_out.shape[1]
@@ -902,16 +903,13 @@ class _Lockstep:
         ta, ya = self.t[acc], self.y[acc]
 
         # the accepted rows that need their step's interpolant: an event
-        # changed sign, a t_eval point was passed, or dense output is kept
+        # is <= 0, a t_eval point was passed, or dense output is kept
         need = np.full(len(ta), self.dense_output)
-        crossed = None
+        fired = None
         if self.events:
-            g_old, g_new = self.g[acc], self._event_values(ta, ya)
-            crossed = (((g_old <= 0) & (g_new >= 0) & self.rising)
-                       | ((g_old >= 0) & (g_new <= 0) & self.falling))
-            self.g[acc] = g_new
-            if np.count_nonzero(crossed):
-                need |= crossed.any(axis=1)
+            fired = self._event_values(ta, ya) <= 0.0
+            if np.count_nonzero(fired):
+                need |= fired.any(axis=1)
         if self.te is not None:
             need |= sgn[acc] * (self.te_next[acc] - ta) <= 0.0
         if not np.count_nonzero(need):
@@ -924,10 +922,10 @@ class _Lockstep:
         coefs = _DOP853.dense(self.fun, K[:, rows], t_old, h, y_old, ya[q])
         self.nfev[rows] += _DOP853.n_k - _DOP853.n_stages - 1
         stops = ["completed"] * len(ok)
-        if crossed is not None:
-            for j in np.flatnonzero(crossed[q].any(axis=1)).tolist():
+        if fired is not None:
+            for j in np.flatnonzero(fired[q].any(axis=1)).tolist():
                 p = int(rows[j])
-                self._locate(p, crossed[q[j]], coefs[:, j], t_old[j], h[j],
+                self._locate(p, fired[q[j]], coefs[:, j], t_old[j], h[j],
                              y_old[j])
                 stops[p], stopped[p] = "event", True
         if self.te is not None:
@@ -939,15 +937,15 @@ class _Lockstep:
         if np.count_nonzero(stopped):
             self._finish(stopped, [s for s, m in zip(stops, stopped) if m])
 
-    def _locate(self, p, crossed, coefs, t_old, h, y_old) -> None:
-        """Move running row p back to the first zero, in its direction, of
-        the events that changed sign during its last step."""
+    def _locate(self, p, fired, coefs, t_old, h, y_old) -> None:
+        """Move running row p back to the first zero of the events that are
+        <= 0 at the end of its last step."""
         def state(s):
             return _DOP853.interp(coefs, float((s - t_old) / h), float(h),
                                   y_old)
 
         best = None
-        for e in np.flatnonzero(crossed).tolist():
+        for e in np.flatnonzero(fired).tolist():
             event = self.events[e]
             root = _brentq(
                 lambda s: float(event(np.array([s]), state(s)[None, :])[0]),

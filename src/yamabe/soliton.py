@@ -36,7 +36,7 @@ __all__ = [
     "WarpedSolitonSpec", "PointEval", "point_eval", "Terms",
     "ResidualReport", "EquationStat",
     "Classification", "reduced_residuals", "full_tensor_residual",
-    "lemma_identities", "classify", "certify", "ANALYTIC_TOL",
+    "classify", "certify", "ANALYTIC_TOL",
 ]
 
 log = logging.getLogger("yamabe.soliton")
@@ -180,8 +180,20 @@ class Terms:
         block[..., range(n), range(n)] += _col(factor) * (eps / _col(square(pv.phi)))
         return block, factor * square(pv.f) - pv.f * self.pair
 
-    def lemma(self, s: float) -> tuple:
-        """See ``lemma_identities``."""
+    def lemma(self, s: Optional[float] = None) -> tuple:
+        """(soliton function lambda, scalar identity residual, weighted
+        harmonicity residual).
+
+        lambda = S_base - (S - rho), which is rho - lambda_F/f^2
+        + 2d Lap f / f + d(d-1)|grad f|^2 / f^2, and the scalar identity
+        residual is S_base - <grad f, grad h>/f - lambda = (S - rho)
+        - <grad f, grad h>/f, the reduced 'diag-2' when the direction is not
+        lightlike. The weighted residual is Lap h - s <grad ln f, grad h>
+        with s defaulting to n: tracing the base equation of a certified
+        spec gives Lap h = n <grad f, grad h>/f pointwise, which fixes the
+        exponent.
+        """
+        s = float(self.spec.n) if s is None else float(s)
         return (self.s_base - self.s_minus_rho,
                 self.s_minus_rho - self.pair / self.pv.f,
                 self.lap_h - s * self.pair_ln)
@@ -212,23 +224,6 @@ def full_tensor_residual(spec: WarpedSolitonSpec, base_point: Sequence[float],
     out[:n, :n] = block
     out[n, n] = fiber
     return out
-
-
-def lemma_identities(spec: WarpedSolitonSpec, xi: float,
-                     s: Optional[float] = None) -> tuple[float, float, float]:
-    """(soliton function lambda, scalar identity residual, weighted
-    harmonicity residual) at xi.
-
-    lambda = S_base - (S - rho), which is rho - lambda_F/f^2 + 2d Lap f / f
-    + d(d-1)|grad f|^2 / f^2, and the scalar identity residual is
-    S_base - <grad f, grad h>/f - lambda = (S - rho) - <grad f, grad h>/f,
-    the reduced 'diag-2' when the direction is not lightlike.
-    The weighted residual is Lap h - s <grad ln f, grad h> with s defaulting
-    to n: tracing the base equation of a certified spec gives
-    Lap h = n <grad f, grad h>/f pointwise, which fixes the exponent.
-    """
-    s_exp = float(spec.n) if s is None else float(s)
-    return Terms(spec, point_eval(spec, xi)).lemma(s_exp)
 
 
 # --- classification ----------------------------------------------------------

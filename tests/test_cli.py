@@ -268,6 +268,23 @@ class TestPortrait:
         assert lines[2] == "0.0,1.0,0.2,ok"
         assert all(row[3] == "ok" for row in rows)
 
+    def test_starts_past_a_stop_end_at_once(self):
+        # phi0 below the 1e-9 floor is positivity-loss with no rows, and a
+        # state past the 1e12 escape norm is blowup at its first step
+        proc = run_child(["portrait", "--initial", "1e-10,0",
+                          "--initial", "1,1e13"])
+        assert proc.returncode == 0
+        header, floor_rows, *escape_rows = proc.stdout.decode().splitlines()
+        assert header == "xi,phi,dphi,status" and floor_rows == ""
+        assert escape_rows and all(row.endswith(",blowup")
+                                   for row in escape_rows)
+        script = ("from yamabe.families import phase_portrait; "
+                  "print(*(t.status for t in phase_portrait("
+                  "[(1e-10, 0.0), (1.0, 1e13)], (-1.0, 1.0))))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, env=child_env(), timeout=60)
+        assert proc.stdout.decode().split() == ["positivity-loss", "blowup"]
+
     def test_bad_initial_exit_one(self, capfd):
         code, _ = run(["portrait", "--initial", "1.0"])
         assert code == 1
@@ -287,6 +304,37 @@ class TestPortrait:
         err = capfd.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+class TestNegativeNumbers:
+    """A value that starts like a negative number in any form float() reads
+    follows its flag as a separate token, the same as after '='."""
+
+    THM15 = ["family", "thm15", "--n", "3", "--d", "3", "--k3", "-0.2",
+             "--lambda-f", "-0.5"]
+
+    def test_number(self):
+        spaced = run(self.THM15 + ["--range", "-0.3", "0.4", "--k4", "-5e-2"])
+        joined = run(self.THM15 + ["--range", "-0.3", "0.4", "--k4=-0.05"])
+        assert spaced == joined and spaced[0] == 0
+
+    def test_pair(self):
+        exponent = run(self.THM15 + ["--range", "-3e-1", "4e-1"])
+        decimal = run(self.THM15 + ["--range", "-0.3", "0.4"])
+        assert exponent == decimal and exponent[0] == 0
+
+    @pytest.mark.parametrize("spaced,joined", [
+        (["portrait", "--points", "3", "--initial", "-1,0",
+          "--initial", "1,-.5"],
+         ["portrait", "--points", "3", "--initial=-1,0", "--initial=1,-.5"]),
+        (["family", "thm16", "--range", "1", "5",
+          "--signature", "-1,1,1,1,1", "--alpha", "0,-1,0,0,0"],
+         ["family", "thm16", "--range", "1", "5",
+          "--signature=-1,1,1,1,1", "--alpha=0,-1,0,0,0"]),
+    ])
+    def test_comma_list(self, spaced, joined):
+        got = run(spaced)
+        assert got == run(joined) and got[0] == 0
 
 
 class TestGeodesic:

@@ -63,7 +63,7 @@ class TestElementaryFamily:
     def test_arctan_branch_validity_window(self):
         # the tangent blows up at w*sigma = pi/2, i.e. xi = 10 pi here
         with pytest.raises(FamilyConstructionError,
-                           match="validity interval"):
+                           match="does not cover xi_range"):
             family_thm16(1.0, 1.0, k3=-0.05, xi_range=(1.0, 40.0))
 
     @pytest.mark.parametrize("branch", ["inner", "outer"])
@@ -106,9 +106,21 @@ class TestElementaryFamily:
                            match=r"n \+ d = 6"):
             family_thm16(1.0, 1.0, xi_range=(1.0, 5.0), n=4, d=3)
 
+    def test_base_dimension_enforced(self):
+        with pytest.raises(FamilyConstructionError, match="n >= 3"):
+            family_thm16(1.0, 1.0, xi_range=(1.0, 5.0), n=2, d=4)
+
     def test_nonzero_constants_enforced(self):
         with pytest.raises(FamilyConstructionError, match="nonzero"):
             family_thm16(0.0, 1.0, xi_range=(1.0, 5.0))
+
+    def test_negative_k1_arctan_branch_certifies(self):
+        # the reflection of k1 = 1, k3 = -0.05, valid on (-10 pi, 0)
+        spec = family_thm16(-1.0, 1.0, k3=0.05, xi_range=(-25.0, -1.0))
+        assert certify(spec).verdict == "certified"
+        for xi in (-20.0, -2.0):
+            phi = spec.phi.value(xi)
+            assert spec.h.d1(xi) == pytest.approx(-1.0 / phi ** 2, rel=1e-14)
 
     def test_branch_name_validated(self):
         with pytest.raises(FamilyConstructionError, match="branch"):
@@ -737,9 +749,11 @@ class TestPhasePortrait:
         assert trajs[0].status == "positivity-loss"
 
     def test_nonpositive_start_short_circuits(self):
-        trajs = phase_portrait([(-1.0, 0.0)], (-1.0, 1.0))
-        assert trajs[0].status == "positivity-loss"
-        assert trajs[0].rows.shape == (0, 3)
+        # a start on the floor is not integrated either
+        for initial, floor in (((-1.0, 0.0), 1e-9), ((0.05, 0.0), 0.05)):
+            trajs = phase_portrait([initial], (-1.0, 1.0), phi_floor=floor)
+            assert trajs[0].status == "positivity-loss"
+            assert trajs[0].rows.shape == (0, 3)
 
     def test_blowup(self):
         trajs = phase_portrait([(2.0, 5.0)], (0.0, 20.0), lambda_f=-6.0)

@@ -3,6 +3,9 @@
 scipy is a test-only dependency: its ``solve_ivp`` runs the same tableaux,
 error norm, controller and event location one trajectory at a time, so
 every row of a batch must agree with it to the level of the tolerances.
+The kernel's events are positive wherever a row may run, so the events
+here are positive at every row's start, and scipy, which stops at any sign
+change, stops where the kernel does.
 """
 
 import math
@@ -28,32 +31,33 @@ def one_row(fun):
     return lambda t, y: fun(np.array([t]), np.asarray(y)[None, :])[0]
 
 
-def falling_through(level):
+def falling_to(level):
+    """Positive while y stays above level."""
     def event(t, y):
         return y[:, 0] - level
     event.terminal = True
-    event.direction = -1
     return event
 
 
-def rising_speed(level):
+def speed_above(level):
+    """Positive while y' stays above level."""
     def event(t, y):
         return y[:, 1] - level
     event.terminal = True
-    event.direction = 1
     return event
 
 
 def scipy_event(event):
     scalar = one_row(event)
     scalar.terminal = True
-    scalar.direction = getattr(event, "direction", 0)
     return scalar
 
 
 SPANS = np.array([[0.0, 10.0], [0.0, -7.0], [1.0, 6.0], [2.0, -3.0]])
 Y0 = np.array([[1.0, 0.0], [0.5, 0.3], [2.0, -1.0], [-0.4, 0.9]])
 RTOL, ATOL = 1e-10, 1e-12
+# y falls to -0.8 on every row but the second, whose span ends first
+FALL = -0.8
 
 
 class TestCoefficients:
@@ -84,8 +88,8 @@ class TestAgainstScipy:
             assert run.nsteps[i] == len(ref.t) - 1
             assert run.nfev[i] == ref.nfev
 
-    def test_directional_events_and_t_eval(self, method):
-        events = [falling_through(0.2), rising_speed(0.5)]
+    def test_events_and_t_eval(self, method):
+        events = [falling_to(FALL), speed_above(-1.2)]
         t_eval = np.array([np.linspace(a, b, 23) for a, b in SPANS])
         run = solve_ivp(damped_rows, SPANS, Y0, rtol=RTOL, atol=ATOL,
                         t_eval=t_eval, events=events)
@@ -116,8 +120,9 @@ class TestAgainstScipy:
             return np.ones_like(y)
 
         def level(c):
+            # positive at y = 0, zero where y reaches c
             def event(t, y):
-                return y[:, 0] - c
+                return 1.0 - y[:, 0] / c
             event.terminal = True
             return event
 
@@ -173,7 +178,7 @@ class TestAgainstScipy:
 
 class TestRows:
     def test_rows_are_independent_bitwise(self):
-        events = [falling_through(0.2)]
+        events = [falling_to(FALL)]
         whole = solve_ivp(damped_rows, SPANS, Y0, rtol=1e-9, atol=1e-12,
                           events=events)
         for i in range(len(Y0)):
@@ -190,7 +195,7 @@ class TestRows:
         # up to the event that stops a row between two points
         ts = np.linspace(SPANS[:, 0], SPANS[:, 1], 2000, axis=1)
         run = solve_ivp(damped_rows, SPANS, Y0, rtol=1e-6, atol=1e-9,
-                        t_eval=ts, events=[falling_through(0.2)],
+                        t_eval=ts, events=[falling_to(FALL)],
                         dense_output=True)
         assert "event" in run.stop and "completed" in run.stop
         for i in range(len(Y0)):
@@ -198,6 +203,16 @@ class TestRows:
             assert len(got) > 5 * run.nsteps[i]
             assert np.array_equal(got, ts[i, :len(got)])
             assert run.y_eval[i].tobytes() == run.sol[i](got).tobytes()
+
+    def test_event_not_positive_at_the_start_stops_at_the_first_step(self):
+        # row 0 starts below the level and row 1 on it: each stops after
+        # one accepted step, row 1 back at its start where its event is 0
+        run = solve_ivp(damped_rows, SPANS[:2], [[-1.0, 0.0], [FALL, 0.3]],
+                        rtol=RTOL, atol=ATOL, events=[falling_to(FALL)])
+        assert run.stop == ("event", "event")
+        assert run.nsteps.tolist() == [1, 1]
+        assert run.t[0] > SPANS[0, 0] and run.y[0, 0] < FALL
+        assert run.t[1] == SPANS[1, 0] and run.y[1].tolist() == [FALL, 0.3]
 
     def test_non_finite_rhs_stops_only_its_row(self):
         # row 0 runs into a wall where the RHS is inf; row 1 never does

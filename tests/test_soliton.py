@@ -12,15 +12,26 @@ from yamabe.catalog import build_example, catalog
 from yamabe.errors import DimensionMismatchError
 from yamabe.geometry import SignatureSpec
 from yamabe.profiles import Interval, Profile, grid_points
-from yamabe.soliton import (ANALYTIC_TOL, WarpedSolitonSpec, certify,
-                            classify, full_tensor_residual, lemma_identities,
-                            reduced_residuals)
+from yamabe.soliton import (ANALYTIC_TOL, PointEval, Terms,
+                            WarpedSolitonSpec, certify, classify,
+                            full_tensor_residual, reduced_residuals)
 
 from conftest import (THM15_COMMON, THM15_QUADRATURE_CASES, make_spec,
                       random_polynomial_spec)
 from oracles import base_point_for_xi
 
 SOLITON_KEYS = ["example-2", "example-3", "example-4", "example-5"]
+
+
+def lemma_at(spec, xi, s=None):
+    """``Terms.lemma`` at the one point xi of a spec with constant rho, as
+    floats: (soliton function lambda, scalar identity residual, weighted
+    harmonicity residual), over a PointEval that each profile's jet fills
+    on a one-element array."""
+    xs = np.array([xi])
+    pv = PointEval(xs, *spec.phi.jet(xs), *spec.f.jet(xs),
+                   *spec.h.jet(xs, value=False)[1:], spec.rho)
+    return tuple(float(np.squeeze(v)) for v in Terms(spec, pv).lemma(s))
 
 
 def certify_entry(key):
@@ -150,24 +161,24 @@ class TestLemmaIdentities:
     def test_identities_hold_on_solution(self):
         spec = build_example("example-2")
         for xi in (2.0, 7.0, 15.0):
-            lam, scalar_res, weighted_res = lemma_identities(spec, xi)
+            lam, scalar_res, weighted_res = lemma_at(spec, xi)
             assert abs(scalar_res) < 1e-10 * max(1.0, abs(lam))
             assert abs(weighted_res) < 1e-10
 
     def test_wrong_weight_exponent_fails(self):
         spec = build_example("example-2")
-        bad = max(abs(lemma_identities(spec, xi, s=spec.n + 1)[2])
+        bad = max(abs(lemma_at(spec, xi, s=spec.n + 1)[2])
                   for xi in (2.0, 7.0, 15.0))
         assert bad > 1e-3
 
     def test_identities_fail_off_solution(self, rng):
         spec = random_polynomial_spec(rng, bounded=True)
-        worst = max(abs(lemma_identities(spec, xi)[1]) for xi in (-1.0, 0.5))
+        worst = max(abs(lemma_at(spec, xi)[1]) for xi in (-1.0, 0.5))
         assert worst > 1e-6
 
     def test_lightlike_lambda_reduces(self):
         spec = build_example("example-5")
-        lam, scalar_res, weighted_res = lemma_identities(spec, 1.0)
+        lam, scalar_res, weighted_res = lemma_at(spec, 1.0)
         # every alpha-norm factor vanishes, so lambda collapses to
         # rho - lambda_F / f^2 and both residuals are exact zeros
         assert lam == spec.rho - spec.lambda_f / spec.f.value(1.0) ** 2
@@ -186,7 +197,7 @@ class TestLemmaIdentities:
                          lambda_f=-0.7)
         for xi in (-1.0, 0.3, 1.5):
             red = reduced_residuals(spec, xi)
-            scalar_res = lemma_identities(spec, xi)[1]
+            scalar_res = lemma_at(spec, xi)[1]
             if spec.direction.causal == "lightlike":
                 assert scalar_res == -red["lightlike"]
             else:
