@@ -32,7 +32,7 @@ from .geometry import SignatureSpec, TranslationDirection
 from .lambertw import BRANCH_POINT, lambert_w
 # no caller here; bench/spans.py patches families.CachedAntiderivative by name
 from .numerics import CachedAntiderivative  # noqa: F401
-from .numerics import gauss_legendre, invert_monotone, opposite, solve_ivp
+from .numerics import gauss_kronrod, invert_monotone, opposite, solve_ivp
 from .profiles import Interval, Profile, grid_points
 from .soliton import WarpedSolitonSpec, certify
 
@@ -94,8 +94,8 @@ def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
                 values: Optional[Callable] = None) -> Profile:
     """h with h' = k1 / phi^2, through phi's jet. Its values are
     values(xs, phi, phi') when given, else k1 int_mid^xi dt/phi^2 anchored
-    to 0 at the range midpoint, on Gauss-Legendre panels with phi's jet at
-    their nodes."""
+    to 0 at the range midpoint, on Gauss-Kronrod panels (``gauss_kronrod``)
+    with phi's jet at their 21 nodes."""
     if values is None:
         mid = 0.5 * (xi_range.lo + xi_range.hi)
 
@@ -103,7 +103,7 @@ def _h_from_phi(k1: float, phi: Profile, xi_range: Interval,
             p = phi.jet(t.reshape(-1), d2=False)[0].reshape(t.shape)
             return 1.0 / (p * p)
 
-        values = lambda xs, p, dp: k1 * gauss_legendre(inverse_square, mid, xs)
+        values = lambda xs, p, dp: k1 * gauss_kronrod(inverse_square, mid, xs)
 
     def arrays(xs, value, d1, d2):
         p, dp, _ = phi.jet(xs, d2=False)
@@ -309,7 +309,7 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
             return f, w, -dx / (p * np.sqrt(f / c))
 
         rate = lambda y: chart(y)[2]
-        travel = lambda y: gauss_legendre(rate, 0.0, y)
+        travel = lambda y: gauss_kronrod(rate, 0.0, y)
         bracket = (-float(length[0]), float(length[1]))
         ends = travel(np.array(bracket)).tolist()
         for side, end in enumerate(ends):
@@ -743,8 +743,8 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     to phi_floor (positivity-loss), when |(phi, phi')| reaches 1e12 or the
     step size collapses (blowup). The first side that stops, toward the
     lower end first, sets the status. A start with phi0 <= phi_floor is
-    positivity-loss with no rows and is not integrated; a start with
-    |(phi, phi')| >= 1e12 stops at its first step. An integrated
+    positivity-loss with the start as its one row and is not integrated; a
+    start with |(phi, phi')| >= 1e12 stops at its first step. An integrated
     trajectory's rows are the start once, then the points_per_side - 1
     points after it of linspace(start_xi, end, points_per_side) on each
     side, up to its stop.
@@ -771,7 +771,8 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     sides = []                    # one solver row per integrated side
     for k, (phi0, dphi0) in enumerate(initials):
         if phi0 <= phi_floor:
-            out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss"))
+            out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss",
+                                          np.array([[start_xi, phi0, dphi0]])))
         elif dphi0 == 0.0 and q * phi0 == 0.0:
             # equilibrium of the first-order system: both components of the
             # vector field vanish identically

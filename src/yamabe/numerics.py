@@ -1,6 +1,6 @@
 """Small numerical kernels shared across modules.
 
-Adaptive Gauss-Legendre panels and a bracketed monotone inversion (both also
+Adaptive Gauss-Kronrod panels and a bracketed monotone inversion (both also
 elementwise over arrays), and ``solve_ivp``: the explicit Runge-Kutta kernel
 (Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
 batch of independent trajectories at a time, with dense output where asked.
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import QuadratureError, RootFindError
 
 __all__ = [
-    "adaptive_simpson", "CachedAntiderivative", "gauss_legendre",
+    "adaptive_simpson", "CachedAntiderivative", "gauss_kronrod",
     "invert_monotone", "opposite", "square", "solve_ivp", "OdeBatch",
     "DenseTrajectory", "DEFAULT_QUAD_TOL",
 ]
@@ -179,44 +179,49 @@ def invert_monotone(g: Callable, target, bracket: tuple[float, float],
     return out.reshape(np.shape(target))
 
 
-def _gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] and weights of the m-point Gauss-Legendre rule:
-    Newton's method on the Legendre polynomial P_m from the guesses
-    cos(pi (i - 1/4) / (m + 1/2)), which converges in a few steps."""
-    def legendre(x):
-        """P_m and its derivative at x."""
-        p0, p1 = np.ones(m), x
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, m * (x * p1 - p0) / (x * x - 1.0)
+# The 21-point Gauss-Kronrod rule and its embedded 10-point Gauss rule
+# (Kronrod 1965; QUADPACK's qk21): each nonnegative node on [-1, 1], largest
+# first, with its K21 weight. Every other node from the first is a G10 node.
+_K21 = np.array([
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068),
+    (0.000000000000000000000000000000000, 0.149445554002916905664936468389821),
+])
+_G10 = np.zeros(11)
+_G10[1::2] = (0.066671344308688137593568809893332,
+              0.149451349150580593145776339657697,
+              0.219086362515982043995534934228163,
+              0.269266719309996355091226921569469,
+              0.295524224714752870173892994651338)
+# nodes in increasing order, the negative ones mirrored from the positive
+_KR_NODES = np.concatenate([-_K21[:-1, 0], _K21[::-1, 0]])
+_KR_WEIGHTS, _G10_WEIGHTS = (np.concatenate([w[:-1], w[::-1]])
+                             for w in (_K21[:, 1], _G10))
+_GK_DEPTH = 40    # levels of panel splitting before an element gives up
+_GK_PANELS = 64   # panels of one element at one level before it gives up
 
-    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
-    for _ in range(8):
-        p, dp = legendre(x)
-        x = x - p / dp
-    dp = legendre(x)[1]
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre_rule(20)
-# the weights of one row of nodes: the whole panel, then its two halves
-_GL_ROW_WEIGHTS = np.tile(_GL_WEIGHTS, 3)
-_GL_DEPTH = 40    # levels of panel splitting before an element gives up
-_GL_PANELS = 64   # panels of one element at one level before it gives up
-
-
-def gauss_legendre(f: Callable, a, b):
+def gauss_kronrod(f: Callable, a, b):
     """Integral of f from a to b, elementwise over the arrays a and b (which
-    broadcast; the result has their shape), on adaptive Gauss-Legendre
-    panels: a panel takes the 20-point rule on each of its halves, with the
-    same rule on the whole panel as its error estimate. A panel is split in
-    two while its estimate exceeds its share of DEFAULT_QUAD_TOL (halved at
-    each split, as in adaptive Simpson) and the estimates of its element do
-    not add up to less than DEFAULT_QUAD_TOL, down to 40 levels and up to
-    64 panels at a level. The panels of every element are evaluated
-    together, one level at a time.
+    broadcast; the result has their shape), on adaptive Gauss-Kronrod
+    panels: a panel's value is the 21-point Kronrod rule and its error
+    estimate is the distance to the 10-point Gauss rule on the same nodes
+    (QUADPACK's G10/K21 pair). A panel is split in two while its estimate
+    exceeds its share of DEFAULT_QUAD_TOL (halved at each split, as in
+    adaptive Simpson) and the estimates of its element do not add up to
+    less than DEFAULT_QUAD_TOL, down to 40 levels and up to 64 panels at a
+    level. The panels of every element are evaluated together, one level at
+    a time.
 
-    f takes the nodes, an array (k, 60) with one row per panel, and returns
+    f takes the nodes, an array (k, 21) with one row per panel, and returns
     the integrand there. An element with a == b is 0. An element with a
     panel that is not finite, or still too coarse at the last level or with
     too many panels, comes back NaN. An element's panels and the order of
@@ -231,22 +236,16 @@ def gauss_legendre(f: Callable, a, b):
     owner = np.flatnonzero(a != b)
     lo, hi = a[owner], b[owner]
     tol = np.full(len(owner), DEFAULT_QUAD_TOL)
-    x, m = _GL_NODES, len(_GL_NODES)
     with np.errstate(all="ignore"):
-        for _ in range(_GL_DEPTH):
+        for _ in range(_GK_DEPTH):
             if not len(owner):
                 break
-            left, half = lo[:, None], 0.5 * (hi - lo)[:, None]
-            quarter = 0.5 * half
-            nodes = np.concatenate([(left + half) + half * x,
-                                    (left + quarter) + quarter * x,
-                                    (left + 3.0 * quarter) + quarter * x],
-                                   axis=1)
-            fw = np.asarray(f(nodes), dtype=float) * _GL_ROW_WEIGHTS
-            whole, first, second = (np.add.reduce(fw[:, k * m:(k + 1) * m],
-                                                  axis=1) for k in range(3))
-            panel = quarter[:, 0] * (first + second)
-            estimate = np.abs(panel - half[:, 0] * whole)
+            half = 0.5 * (hi - lo)
+            nodes = (lo + half)[:, None] + half[:, None] * _KR_NODES
+            fx = np.asarray(f(nodes), dtype=float)
+            panel, gauss = (half * np.add.reduce(fx * w, axis=1)
+                            for w in (_KR_WEIGHTS, _G10_WEIGHTS))
+            estimate = np.abs(panel - gauss)
             # a panel within its share is done, and so are all panels of an
             # element whose estimates fit in what is left of its budget
             total = spent + np.bincount(owner, estimate, a.size)
@@ -256,9 +255,9 @@ def gauss_legendre(f: Callable, a, b):
             failed[owner[~np.isfinite(estimate)]] = True
             split = ~done & ~failed[owner]
             # an estimate held up by noise in f splits every panel; an
-            # element with more than _GL_PANELS at one level gives up
+            # element with more than _GK_PANELS at one level gives up
             crowded = np.bincount(owner[split], minlength=a.size) \
-                > _GL_PANELS // 2
+                > _GK_PANELS // 2
             failed |= crowded
             split &= ~crowded[owner]
             mid = 0.5 * (lo + hi)[split]

@@ -269,13 +269,16 @@ class TestPortrait:
         assert all(row[3] == "ok" for row in rows)
 
     def test_starts_past_a_stop_end_at_once(self):
-        # phi0 below the 1e-9 floor is positivity-loss with no rows, and a
-        # state past the 1e12 escape norm is blowup at its first step
+        # phi0 below the 1e-9 floor is positivity-loss with the start as
+        # its one row, and a state past the 1e12 escape norm is blowup at
+        # its first step
         proc = run_child(["portrait", "--initial", "1e-10,0",
                           "--initial", "1,1e13"])
         assert proc.returncode == 0
-        header, floor_rows, *escape_rows = proc.stdout.decode().splitlines()
-        assert header == "xi,phi,dphi,status" and floor_rows == ""
+        header, floor_row, gap, *escape_rows = \
+            proc.stdout.decode().splitlines()
+        assert header == "xi,phi,dphi,status"
+        assert floor_row == "0.0,1e-10,0.0,positivity-loss" and gap == ""
         assert escape_rows and all(row.endswith(",blowup")
                                    for row in escape_rows)
         script = ("from yamabe.families import phase_portrait; "

@@ -381,7 +381,7 @@ class TestLambertFamilyArrays:
     def test_h_reads_phi_jet_without_quadrature(self, monkeypatch,
                                                 construction):
         """Once phi is solved on an array, h's jet there is a closed form
-        over phi's jet: no Gauss-Legendre panel and no inversion."""
+        over phi's jet: no Gauss-Kronrod panel and no inversion."""
         import yamabe.families as families_module
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2,
                                "construction": construction},
@@ -389,11 +389,31 @@ class TestLambertFamilyArrays:
         xs = np.array(grid_points(spec.domain, 40))
         spec.phi.jet(xs)
         calls = []
-        for name in ("gauss_legendre", "invert_monotone"):
+        for name in ("gauss_kronrod", "invert_monotone"):
             monkeypatch.setattr(families_module, name,
                                 lambda *a, name=name, **k: calls.append(name))
         h = np.array(spec.h.jet(xs))
         assert calls == [] and np.isfinite(h).all()
+
+    def test_travel_integrand_work(self, monkeypatch):
+        """The travel integral is thm15's only integrand, and it is read on
+        whole 21-node Kronrod panels: one build plus a grid-200 certify
+        feeds it under 30,000 nodes."""
+        import yamabe.families as families_module
+        from yamabe.numerics import gauss_kronrod
+        shapes = []
+
+        def counted(f, a, b):
+            def integrand(x):
+                shapes.append(x.shape)
+                return f(x)
+            return gauss_kronrod(integrand, a, b)
+
+        monkeypatch.setattr(families_module, "gauss_kronrod", counted)
+        spec = family_thm15(**{**THM15_COMMON, "k3": -0.2})
+        assert certify(spec, grid_size=200).verdict == "certified"
+        assert shapes and all(len(s) == 2 and s[1] == 21 for s in shapes)
+        assert sum(rows * cols for rows, cols in shapes) < 30_000
 
     @pytest.mark.parametrize("gap", [1e-3, 3e-4, 1e-5])
     def test_range_reaching_close_to_the_wall(self, gap):
@@ -749,11 +769,13 @@ class TestPhasePortrait:
         assert trajs[0].status == "positivity-loss"
 
     def test_nonpositive_start_short_circuits(self):
-        # a start on the floor is not integrated either
+        # a start on the floor is not integrated either; its one row is
+        # the start
         for initial, floor in (((-1.0, 0.0), 1e-9), ((0.05, 0.0), 0.05)):
-            trajs = phase_portrait([initial], (-1.0, 1.0), phi_floor=floor)
+            trajs = phase_portrait([initial], (-1.0, 1.0), phi_floor=floor,
+                                   start_xi=0.25)
             assert trajs[0].status == "positivity-loss"
-            assert trajs[0].rows.shape == (0, 3)
+            assert trajs[0].rows.tolist() == [[0.25, *initial]]
 
     def test_blowup(self):
         trajs = phase_portrait([(2.0, 5.0)], (0.0, 20.0), lambda_f=-6.0)
