@@ -264,8 +264,8 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
                        y0, v0, yf0=(), vf0=(), *,
                        s_span: tuple[float, float] = (0.0, 10.0),
                        mode: str = "full", samples: int = 201,
-                       rtol: float = 1e-10, atol: float = 1e-12,
-                       max_step: Optional[float] = None) -> GeodesicResult:
+                       rtol: float = 1e-10, atol: float = 1e-12
+                       ) -> GeodesicResult:
     """Integrate one geodesic over s_span (which may run backwards); rows
     hold the state at `samples` (a positive count) evenly spaced parameters
     up to the stop.
@@ -282,11 +282,8 @@ def integrate_geodesic(spec: WarpedSolitonSpec,
     state0 = _initial_state(spec, y0, v0, yf0, vf0)
     run, (stop,) = _run(spec, mode, s_span, state0[None, :],
                         rtol=rtol, atol=atol,
-                        max_step=math.inf if max_step is None else max_step,
                         t_eval=np.linspace(s_span[0], s_span[1], samples))
-    ts, ys = run.t_eval[0], run.y_eval[0]
-    rows = np.column_stack([ts, ys]) if len(ts) else \
-        np.concatenate([[s_span[0]], state0])[None, :]
+    rows = np.column_stack([run.t_eval[0], run.y_eval[0]])
     return GeodesicResult(rows, STATUS[stop], float(run.t[0]), mode, stop,
                           int(run.nfev[0]), int(run.nsteps[0]))
 

@@ -3,9 +3,10 @@
 Adaptive Gauss-Kronrod panels and a bracketed monotone inversion (both also
 elementwise over arrays), and ``solve_ivp``: the explicit Runge-Kutta kernel
 (Dormand-Prince 8(5,3), DOP853) that integrates every ODE of the package, a
-batch of independent trajectories at a time, with dense output where asked.
-Its stop events follow one rule: each is positive wherever a row may run,
-and a row stops at the first accepted step where one is <= 0.
+batch of independent trajectories at a time. Its stop events follow one
+rule: each is positive wherever a row may run, and a row stops at the first
+accepted step where one is <= 0. Its t_eval points and its dense output are
+read by one reader of the kept steps' interpolants, DenseTrajectory.
 Adaptive Simpson quadrature and its cached antiderivative are still here,
 but no code of the package calls them any more: the benchmark's tracer
 (bench/spans.py) patches them by name.
@@ -529,10 +530,10 @@ class _DOP853:
         return F
 
     @staticmethod
-    def interp(F, x, h, y_old):
+    def interp(F, x, y_old):
         """The state at the step fraction x from the coefficients F (7, ...,
-        n): one row's (7, n) with floats x and h, or r rows' (7, r, n) with
-        x and h of shape (r, 1)."""
+        n): one row's (7, n) with a float x, or r rows' (7, r, n) with x of
+        shape (r, 1)."""
         rest = 1 - x
         y = F[-1] * x
         for i, f in enumerate(F[-2::-1], start=1):
@@ -557,7 +558,7 @@ def _rk_step(fun, t, y, f, h, K):
     return K, y_new
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, max_step, rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     """|h| of each row's first trial step (Hairer, Norsett & Wanner II.4)."""
     length = np.abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -571,7 +572,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, max_step, rtol, atol):
                   _first_max(1e-6, h0 * 1e-3),
                   _pow_each(0.01 / _first_max(d1, d2),
                             -_DOP853.error_exponent))
-    return _first_min(_first_min(_first_min(100 * h0, h1), length), max_step)
+    return _first_min(_first_min(100 * h0, h1), length)
 
 
 def _brentq(g, a: float, b: float) -> float:
@@ -617,18 +618,18 @@ def _brentq(g, a: float, b: float) -> float:
 
 
 class DenseTrajectory:
-    """The continuous solution of one row: its steps' interpolants. Called
-    with a parameter value, it returns the state there (n,); called with an
-    array of m values, the states (m, n), each equal to its one-point call.
-    At a step boundary the step that ends there is used. A row that took no
-    step is constant."""
+    """The continuous solution of one row, running in the direction sign
+    (+1 or -1): the interpolants of its kept steps. Called with a parameter
+    value, it returns the state there (n,); called with an array of m
+    values, the states (m, n), each equal to its one-point call. A value is
+    read from the kept step that holds it, at a step boundary the one that
+    ends there. A row that kept no step is constant."""
 
-    def __init__(self, t_old, h, y_old, coefs, t_end, y_end):
+    def __init__(self, t_old, h, y_old, coefs, t_end, y_end, sign):
         self._t_old, self._h = np.asarray(t_old), np.asarray(h)
         self._y_old, self._coefs, self._y_end = y_old, coefs, y_end
-        ts = np.append(self._t_old, t_end)
-        self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
-        self._keys = self._sign * ts
+        self._sign = sign
+        self._keys = sign * np.append(self._t_old, t_end)
 
     def __call__(self, t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
@@ -637,10 +638,9 @@ class DenseTrajectory:
         at = ts.reshape(-1)
         i = np.clip(self._keys.searchsorted(self._sign * at) - 1,
                     0, len(self._h) - 1)
-        h = self._h[i]
         y = _DOP853.interp(np.moveaxis(self._coefs[i], 0, 1),
-                         ((at - self._t_old[i]) / h)[:, None], h[:, None],
-                         self._y_old[i])
+                           ((at - self._t_old[i]) / self._h[i])[:, None],
+                           self._y_old[i])
         return y[0] if ts.ndim == 0 else y.reshape(ts.shape + y.shape[1:])
 
 
@@ -661,13 +661,13 @@ class OdeBatch:
     event: np.ndarray                  # (B,) terminal event index or -1
     nfev: np.ndarray                   # (B,) RHS evaluations of each row
     nsteps: np.ndarray                 # (B,) accepted steps of each row
-    t_eval: tuple[np.ndarray, ...]     # per row, the t_eval points reached
+    t_eval: tuple[np.ndarray, ...]     # per row with t_eval, points reached
     y_eval: tuple[np.ndarray, ...]     # per row, the states there (k, n)
     sol: tuple[DenseTrajectory, ...]   # per row, with dense_output
 
 
 def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
-              max_step: float = math.inf, t_eval=None, events=None,
+              t_eval=None, events=None,
               dense_output: bool = False) -> OdeBatch:
     """Integrate the rows of y0 (B, n) through y' = fun(t, y), row i over
     t_span[i] (t_span is (B, 2), or one (start, end) pair for every row;
@@ -676,17 +676,17 @@ def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
     fun(t, Y) receives the times (k,) and states (k, n) of any k rows and
     returns their derivatives (k, n); each row of the result may depend
     only on the same row of the input. Every row runs DOP853.
-    t_eval, (m,) or (B, m), lists points in each row's direction at which
-    to report the state. events are callables event(t, Y) -> (k,) with a
+    t_eval, (m,) or (B, m), lists points ordered in each row's direction
+    from its start: a row reports those it reached, with the bytes its
+    DenseTrajectory gives there, read from the steps that hold a point (at
+    most two per point). events are callables event(t, Y) -> (k,) with a
     true ``terminal`` attribute, each positive wherever a row may run: a
     running row stops at the first accepted step where some event is <= 0,
     at the earliest stop of those events: an event's first zero inside the
     step, or the step's start where the event is 0 there, or the step's
-    end where it is negative at both ends. dense_output keeps each row's
-    interpolants.
+    end where it is negative at both ends. dense_output keeps every step
+    and returns each row's DenseTrajectory as sol.
     """
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
     events = list(events or ())
     if not all(getattr(ev, "terminal", False) for ev in events):
         raise ValueError("every event must be terminal")
@@ -700,7 +700,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float = 1e-3, atol: float = 1e-6,
         t_eval = np.asarray(t_eval, dtype=float)
         t_eval = np.broadcast_to(t_eval, (len(y0), t_eval.shape[-1]))
     with np.errstate(all="ignore"):
-        return _Lockstep(fun, span, y0, rtol, atol, max_step, t_eval, events,
+        return _Lockstep(fun, span, y0, rtol, atol, t_eval, events,
                          dense_output).run()
 
 
@@ -709,47 +709,43 @@ class _Lockstep:
     arrays of the rows still running (compacted as rows stop).
 
     One iteration (``_iterate``) costs 12 RHS calls on the running rows and
-    about 130 numpy calls on arrays of that many rows, whatever their
-    count; half of them are the stage sums, the rest the step-size clip,
-    the error norm, the controller and the bookkeeping. Event values, and
-    the test for <= 0 on them, run on the rows that accepted their step;
-    the interpolant is built only for accepted rows where an event is <= 0,
-    that pass t_eval points or that keep dense output, and every t_eval
-    point those rows passed comes from one interpolation. The stage buffer
-    is allocated once per solve and sliced to the running rows.
+    a fixed number of numpy calls on arrays of that many rows, whatever
+    their count. Event values, and the test for <= 0 on them, run on the
+    rows that accepted their step; the interpolant is built only for
+    accepted rows where an event is <= 0 or whose step is kept: every step
+    for dense output, and the steps that hold a t_eval point, from which
+    ``run`` reads the points at the end. The stage buffer is allocated
+    once per solve and sliced to the running rows.
     """
 
     _WORKING = ("idx", "t", "tb", "sgn", "far", "y", "f", "h_abs", "retry",
-                "err", "te", "te_i", "te_next", "nfev", "nsteps")
+                "err", "te", "nfev", "nsteps")
 
-    def __init__(self, fun, span, y0, rtol, atol, max_step, t_eval, events,
+    def __init__(self, fun, span, y0, rtol, atol, t_eval, events,
                  dense_output):
         rows = len(y0)
         self.fun = fun
         self.rtol, self.atol = rtol, atol
-        self.max_step = max_step
         self.events = events
         self.dense_output = dense_output
         self.K = np.empty((_DOP853.n_k,) + y0.shape)
         # outputs
         self.t_out, self.y_out = span[:, 0].copy(), y0.copy()
+        self.sign = np.where(span[:, 1] >= span[:, 0], 1.0, -1.0)
+        self.t_eval = t_eval
         self.stop = ["completed"] * rows
         self.hit = np.full(rows, -1)
         self.nfev_out = np.zeros(rows, dtype=int)
         self.nsteps_out = np.zeros(rows, dtype=int)
-        self.ts_out = [[] for _ in range(rows)]    # blocks of t_eval points
-        self.ys_out = [[] for _ in range(rows)]    # and of the states there
-        self.segments = [[] for _ in range(rows)]
+        self.segments = [[] for _ in range(rows)]   # the kept steps
         # working arrays of the running rows
         self.idx = np.arange(rows)
         self.t, self.tb = span[:, 0].copy(), span[:, 1].copy()
-        self.sgn = np.where(self.tb >= self.t, 1.0, -1.0)
+        self.sgn = self.sign
         self.far = self.sgn * np.inf
         self.y = y0.copy()
-        self.te = t_eval
-        self.te_i = np.zeros(rows, dtype=int)
-        self.te_next = None if t_eval is None else \
-            (t_eval[:, 0].copy() if t_eval.shape[1] else np.full(rows, np.nan))
+        # the t_eval points times the row's sign, increasing along the row
+        self.te = None if t_eval is None else self.sign[:, None] * t_eval
         self.nfev = np.zeros(rows, dtype=int)
         self.nsteps = np.zeros(rows, dtype=int)
         self.f = self.h_abs = self.retry = self.err = None
@@ -771,63 +767,30 @@ class _Lockstep:
             self.stop[row] = why
         self._keep(~mask)
 
-    def _outputs(self, rows, coefs, t_old, h, y_old) -> None:
-        """Record every t_eval point that the running rows ``rows`` have
-        reached, from the interpolants of their last steps: per row the
-        points from its next one on, up to the first it has not reached,
-        all interpolated in one call."""
-        te, cols = self.te[rows], np.arange(self.te.shape[1])
-        start = self.te_i[rows]
-        reached = self.sgn[rows, None] * (te - self.t[rows, None]) <= 0.0
-        reached |= cols < start[:, None]
-        due = np.logical_and.accumulate(reached, axis=1)
-        due &= cols >= start[:, None]
-        count = np.add.reduce(due, axis=1)
-        sel = np.repeat(np.arange(len(rows)), count)
-        at = te[due]
-        ys = _DOP853.interp(coefs[:, sel],
-                            ((at - t_old[sel]) / h[sel])[:, None],
-                            h[sel][:, None], y_old[sel])
-        stop = np.cumsum(count).tolist()
-        for p, a, b in zip(self.idx[rows].tolist(), [0] + stop, stop):
-            if b > a:
-                self.ts_out[p].append(at[a:b])
-                self.ys_out[p].append(ys[a:b])
-        i = start + count
-        self.te_i[rows] = i
-        more = i < self.te.shape[1]
-        self.te_next[rows] = np.nan
-        self.te_next[rows[more]] = te[more, i[more]]
-
     def run(self) -> OdeBatch:
-        fun = self.fun
         zero = self.t == self.tb
         if np.count_nonzero(zero):
-            if self.te is not None:     # each t_eval point is the start
-                for p in np.flatnonzero(zero).tolist():
-                    self.ts_out[p] = [self.te[p].copy()]
-                    self.ys_out[p] = [np.tile(self.y[p], (len(self.te[p]), 1))]
             self._finish(zero, ["completed"] * int(zero.sum()))
         if len(self.idx):
-            self.f = np.array(fun(self.t, self.y), dtype=float)
-            self.h_abs = _initial_step(
-                fun, self.t, self.y, self.f, self.tb, self.sgn, self.max_step,
-                self.rtol, self.atol)
+            self.f = np.array(self.fun(self.t, self.y), dtype=float)
+            self.h_abs = _initial_step(self.fun, self.t, self.y, self.f,
+                                       self.tb, self.sgn, self.rtol, self.atol)
             self.nfev += 2
             self.retry = np.zeros(len(self.idx), dtype=bool)
             self.err = np.zeros(len(self.idx))
         while len(self.idx):
             self._iterate()
-        n = self.y_out.shape[1]
-        return OdeBatch(
-            self.t_out, self.y_out, tuple(self.stop), self.hit,
-            self.nfev_out, self.nsteps_out,
-            tuple(np.concatenate(ts) if ts else np.empty(0)
-                  for ts in self.ts_out),
-            tuple(np.concatenate(ys) if ys else np.empty((0, n))
-                  for ys in self.ys_out),
-            tuple(self._dense(segs, row) for row, segs
-                  in enumerate(self.segments)) if self.dense_output else ())
+        sol = ts = ys = ()
+        if self.dense_output or self.t_eval is not None:
+            sol = tuple(map(self._dense, range(len(self.segments))))
+        if self.t_eval is not None:
+            reached = self.sign[:, None] * (
+                self.t_eval - self.t_out[:, None]) <= 0.0
+            ts = tuple(te[r] for te, r in zip(self.t_eval, reached))
+            ys = tuple(trajectory(t) for trajectory, t in zip(sol, ts))
+        return OdeBatch(self.t_out, self.y_out, tuple(self.stop), self.hit,
+                        self.nfev_out, self.nsteps_out, ts, ys,
+                        sol if self.dense_output else ())
 
     def _event_values(self, t, y) -> np.ndarray:
         g = np.empty((len(t), len(self.events)))
@@ -835,19 +798,21 @@ class _Lockstep:
             g[:, e] = event(t, y)
         return g
 
-    def _dense(self, segs, row) -> DenseTrajectory:
+    def _dense(self, row) -> DenseTrajectory:
+        segs = self.segments[row]
         t_old, h, y_old, coefs = zip(*segs) if segs else ((), (), (), ())
         return DenseTrajectory(t_old, h, np.array(y_old), np.array(coefs),
-                               self.t_out[row], self.y_out[row])
+                               self.t_out[row], self.y_out[row],
+                               self.sign[row])
 
     def _iterate(self) -> None:
         """One lockstep iteration: every running row tries one step."""
         t, sgn, retry = self.t, self.sgn, self.retry
         min_step = 10 * np.abs(np.nextafter(t, self.far) - t)
-        # a fresh step starts inside [min_step, max_step]; a retry after a
-        # rejection keeps its shrunk size and fails below min_step (or when
-        # the size is NaN, where scipy's loop would never end)
-        h_abs = np.minimum(np.maximum(self.h_abs, min_step), self.max_step)
+        # a fresh step is at least min_step long; a retry after a rejection
+        # keeps its shrunk size and fails below min_step (or when the size
+        # is NaN, where scipy's loop would never end)
+        h_abs = np.maximum(self.h_abs, min_step)
         retrying = np.count_nonzero(retry)
         if retrying:
             h_abs = np.where(retry, self.h_abs, h_abs)
@@ -901,16 +866,20 @@ class _Lockstep:
         self.nsteps += ok
         ta, ya = self.t[acc], self.y[acc]
 
-        # the accepted rows that need their step's interpolant: an event
-        # is <= 0, a t_eval point was passed, or dense output is kept
-        need = np.full(len(ta), self.dense_output)
+        # the steps kept: every one for dense output, else those where a
+        # t_eval point lies in [t_old, t_new]; they and the rows where an
+        # event is <= 0 need the step's interpolant
+        keep = np.full(len(ta), self.dense_output)
+        if self.te is not None:
+            te, lo, hi = self.te[acc], sgn[acc] * t_old, sgn[acc] * ta
+            keep |= np.logical_or.reduce(
+                (te >= lo[:, None]) & (te <= hi[:, None]), axis=1)
+        need = keep
         fired = None
         if self.events:
             fired = self._event_values(ta, ya) <= 0.0
             if np.count_nonzero(fired):
-                need |= fired.any(axis=1)
-        if self.te is not None:
-            need |= sgn[acc] * (self.te_next[acc] - ta) <= 0.0
+                need = keep | fired.any(axis=1)
         if not np.count_nonzero(need):
             if np.count_nonzero(stopped):
                 self._finish(stopped, ["completed"] * int(stopped.sum()))
@@ -927,12 +896,9 @@ class _Lockstep:
                 self._locate(p, fired[q[j]], coefs[:, j], t_old[j], h[j],
                              y_old[j])
                 stops[p], stopped[p] = "event", True
-        if self.te is not None:
-            self._outputs(rows, coefs, t_old, h, y_old)
-        if self.dense_output:
-            for j, p in enumerate(self.idx[rows].tolist()):
-                self.segments[p].append((t_old[j], h[j], y_old[j],
-                                         coefs[:, j]))
+        for j in np.flatnonzero(keep[q]).tolist():
+            self.segments[self.idx[rows[j]]].append(
+                (t_old[j], h[j], y_old[j], coefs[:, j]))
         if np.count_nonzero(stopped):
             self._finish(stopped, [s for s, m in zip(stops, stopped) if m])
 
@@ -940,8 +906,7 @@ class _Lockstep:
         """Move running row p back to the first zero of the events that are
         <= 0 at the end of its last step."""
         def state(s):
-            return _DOP853.interp(coefs, float((s - t_old) / h), float(h),
-                                  y_old)
+            return _DOP853.interp(coefs, float((s - t_old) / h), y_old)
 
         best = None
         for e in np.flatnonzero(fired).tolist():

@@ -322,6 +322,7 @@ class ResidualReport:
     tolerance: float
     grid: int
     interval: tuple[float, float]
+    sampled_interval: tuple[float, float]   # first and last grid point
     equations: dict[str, EquationStat] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
@@ -337,6 +338,7 @@ class ResidualReport:
             "tolerance": self.tolerance,
             "grid": self.grid,
             "interval": list(self.interval),
+            "sampled_interval": list(self.sampled_interval),
             "equations": {
                 key: {"max_abs_residual": st.max_abs_residual,
                       "argmax_xi": st.argmax_xi,
@@ -426,7 +428,8 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
             f"on grid (min margin {min_inequality:.6e})")
 
     report = ResidualReport(verdict, cls, tolerance, grid_size,
-                            interval.as_tuple(), stats, tuple(notes))
+                            interval.as_tuple(), (pts[0], pts[-1]), stats,
+                            tuple(notes))
     log.info("certify[%s]: %s (tol=%g, grid=%d)",
              spec.label or "spec", verdict, tolerance, grid_size)
     return report

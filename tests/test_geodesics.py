@@ -126,24 +126,6 @@ class TestFullMode:
                                                  res.final_state()) - p0))
             assert drift < 1e-9
 
-    def test_convergence_order_of_driver(self, light_spec):
-        # force the step size with loose tolerances; halving max_step must
-        # shrink the final-state error by at least the theoretical margin
-        y0 = np.array([0.2, 0.3, 0.0, 0.0])
-        v0 = np.array([0.2, 0.3, 0.1, 0.0])
-        yf0 = np.array([0.1, 0.0])
-        vf0 = np.array([0.2, -0.1])
-        ref = integrate_geodesic(light_spec, y0, v0, yf0, vf0,
-                                 s_span=(0.0, 3.0), rtol=1e-12, atol=1e-13)
-        errs = []
-        for h in (0.3, 0.15):
-            r = integrate_geodesic(light_spec, y0, v0, yf0, vf0,
-                                   s_span=(0.0, 3.0), rtol=1e10, atol=1e10,
-                                   max_step=h)
-            errs.append(np.max(np.abs(r.final_state() - ref.final_state())))
-        assert errs[1] < errs[0]
-        assert errs[0] / errs[1] >= 4.0
-
 
 class TestDomainsAndStatuses:
     def test_left_domain(self):

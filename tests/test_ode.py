@@ -15,7 +15,7 @@ import pytest
 
 from yamabe import families
 from yamabe.families import family_thm15
-from yamabe.numerics import _DOP853, solve_ivp
+from yamabe.numerics import _DOP853, _Lockstep, solve_ivp
 
 pytest.importorskip("scipy.integrate")
 from scipy.integrate import solve_ivp as scipy_solve_ivp  # noqa: E402
@@ -204,6 +204,27 @@ class TestRows:
             assert np.array_equal(got, ts[i, :len(got)])
             assert run.y_eval[i].tobytes() == run.sol[i](got).tobytes()
 
+    def test_t_eval_keeps_only_the_steps_that_hold_a_point(self):
+        # over these spans each row takes over 1,000 steps; for 3 t_eval
+        # points it keeps at most 2 steps per point (a point on a step
+        # boundary lies in both), dense output keeps every step, and a
+        # solve with neither keeps none
+        spans = np.array([[0.0, 1000.0], [0.0, -1000.0]])
+        ts = np.linspace(spans[:, 0], spans[:, 1], 3, axis=1)
+        args = (damped_rows, spans, Y0[:2], RTOL, ATOL)
+        solves = [_Lockstep(*args, te, [], dense)
+                  for te, dense in ((ts, False), (None, True), (None, False))]
+        with np.errstate(all="ignore"):
+            sparse, full, probe = (solve.run() for solve in solves)
+        assert min(full.nsteps) >= 1000
+        for i in range(2):
+            assert len(solves[0].segments[i]) <= 2 * 3
+            assert len(solves[1].segments[i]) == full.nsteps[i]
+            assert solves[2].segments[i] == []
+            assert np.array_equal(sparse.t_eval[i], ts[i])
+            assert sparse.y_eval[i].tobytes() == full.sol[i](ts[i]).tobytes()
+        assert probe.sol == () and probe.t_eval == ()
+
     def test_event_not_positive_at_the_start_stops_at_the_first_step(self):
         # row 0 starts below the level and row 1 on it: each stops after
         # one accepted step, row 1 back at its start where its event is 0
@@ -227,12 +248,17 @@ class TestRows:
 
     def test_nan_rhs_at_the_start_stops_instead_of_looping(self):
         # a NaN derivative makes the first step size NaN, which never
-        # compares below the failure threshold
+        # compares below the failure threshold; the row that took no step
+        # reports its t_eval point at the start, as a zero-length span does
         def nan_above_zero(t, y):
             return np.where(y > 0.0, np.nan, 1.0)
-        run = solve_ivp(nan_above_zero, (0.0, 1.0), [[1.0], [-5.0]])
+        run = solve_ivp(nan_above_zero, (0.0, 1.0), [[1.0], [-5.0]],
+                        t_eval=[0.0, 0.5, 1.0])
         assert run.stop == ("non-finite-rhs", "completed")
         assert run.t[0] == 0.0 and run.nsteps[0] == 0
+        assert run.t_eval[0].tolist() == [0.0]
+        assert run.y_eval[0].tolist() == [[1.0]]
+        assert run.t_eval[1].tolist() == [0.0, 0.5, 1.0]
 
     def test_zero_length_span_and_empty_batch(self):
         run = solve_ivp(damped_rows, [(1.0, 1.0)], [[0.3, 0.4]],

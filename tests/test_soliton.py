@@ -312,6 +312,16 @@ class TestCertify:
         assert set(d["equations"]) == set(report.equations)
         assert d["tolerance"] == report.tolerance
 
+    def test_report_names_the_sampled_interval(self):
+        # the grid is clipped 1 % inside each end of the named interval
+        report = certify_entry("example-2")
+        pts = grid_points(Interval(*report.interval), report.grid)
+        assert report.sampled_interval == (pts[0], pts[-1])
+        assert report.interval[0] < pts[0] < pts[-1] < report.interval[1]
+        d = report.to_dict()
+        assert d["sampled_interval"] == [pts[0], pts[-1]]
+        assert d["interval"] == list(report.interval)
+
 
 # --- array certify against the scalar functions ------------------------------
 
