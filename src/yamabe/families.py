@@ -261,6 +261,14 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
     at Z = -((|p| D/(2 sqrt|c|) + sqrt(|z_a| + A))^2 - A), D = 1 + |far end
     of xi_range + k4|, from s^2 <= (|z| + A)/|c| on z <= z_a = min(z0, 0),
     A = max(0, -k3) e^z_a.
+
+    Each node evaluates only the form it uses. Which x(y) and dx/dy each
+    side takes is fixed by the kinds of its two ends, and c s^2 =
+    F0 + x + (w - w0) costs one exp and one expm1. A node with e < 0.5 on a
+    root side takes the root-end form c s^2 = d + w_e expm1(d), w = w_e e^d
+    in d = z - z_e, which keeps its digits at the root. That form is
+    computed only for an array that holds such a node, and every such node
+    takes it, so a node's value does not depend on its array.
     """
     c = -p * p / (4.0 * q)
     # every point a profile reads lies inside the declared range, so its
@@ -294,18 +302,28 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
 
         def chart(y):
             """c s^2, w and dxi/dy at y, NaN past the bracket."""
-            side = (y >= 0.0).astype(np.intp)
-            at_root = root[side]
-            e = 1.0 - np.abs(y) / length[side]
-            x = np.where(at_root, 0.5 * y * (1.0 + e), y)
-            d = -x_end[side] * (e * e)
-            near, w_e = at_root & (e < 0.5), -roots[side]
-            w = np.where(near, w_e * np.exp(d), k3 * np.exp(z0 + x))
+            pos = y >= 0.0
+            e = 1.0 - np.abs(y) / np.where(pos, length[1], length[0])
+            if root.all():
+                at_root, x, dx = True, 0.5 * y * (1.0 + e), e
+            elif root.any():
+                at_root = pos == root[1]
+                x = np.where(at_root, 0.5 * y * (1.0 + e), y)
+                dx = np.where(at_root, e, 1.0)
+            else:
+                at_root, x, dx = False, y, 1.0
+            w = k3 * np.exp(z0 + x)
             # w - w0 in the form that neither overflows nor loses an
-            # underflowed w0
-            rise = np.where(x > 0.0, -w * np.expm1(-x), w0 * np.expm1(x))
-            f = np.where(near, d + w_e * np.expm1(d), f0 + x + rise)
-            dx = np.where(e < 0.0, np.nan, np.where(at_root, e, 1.0))
+            # underflowed w0: expm1(-|x|) is expm1(-x) for x > 0, else
+            # expm1(x)
+            f = f0 + x + np.where(x > 0.0, -w, w0) * np.expm1(-np.abs(x))
+            near = at_root & (e < 0.5)
+            if np.any(near):
+                d = -np.where(pos, x_end[1], x_end[0]) * (e * e)
+                w_e = -np.where(pos, roots[1], roots[0])
+                w = np.where(near, w_e * np.exp(d), w)
+                f = np.where(near, d + w_e * np.expm1(d), f)
+            dx = np.where(e < 0.0, np.nan, dx)
             return f, w, -dx / (p * np.sqrt(f / c))
 
         rate = lambda y: chart(y)[2]

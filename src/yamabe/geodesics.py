@@ -198,8 +198,8 @@ def _stop_events(spec: WarpedSolitonSpec):
     of xi from the domain past a finite end, the state norm passing
     BLOWUP_NORM, and loss of positivity of phi or f (or a point where they
     cannot be evaluated). Each is positive where a geodesic may run."""
-    n = spec.n
-    xi_of, profiles_at = _xi_of(spec), _profiles_at(spec)
+    n, phi, f = spec.n, spec.phi, spec.f
+    xi_of = _xi_of(spec)
     lo, hi = spec.domain.lo, spec.domain.hi
 
     def exit_domain(s, st):
@@ -212,8 +212,11 @@ def _stop_events(spec: WarpedSolitonSpec):
 
     def positivity(s, st):
         with np.errstate(all="ignore"):
-            phi, _, f, _ = profiles_at(st[:, :n])
-            margin = (phi if f is phi else np.minimum(phi, f)) - 1e-12
+            xi = xi_of(st[:, :n])
+            margin = phi.jet(xi, d1=False, d2=False)[0]
+            if f is not phi:
+                margin = np.minimum(margin, f.jet(xi, d1=False, d2=False)[0])
+            margin = margin - 1e-12
         return np.where(np.isnan(margin), -1.0, margin)
 
     events = {"domain-exit": exit_domain, "norm-escape": escape,

@@ -216,11 +216,13 @@ def gauss_kronrod(f: Callable, a, b):
     panels: a panel's value is the 21-point Kronrod rule and its error
     estimate is the distance to the 10-point Gauss rule on the same nodes
     (QUADPACK's G10/K21 pair). A panel is split in two while its estimate
-    exceeds its share of DEFAULT_QUAD_TOL (halved at each split, as in
-    adaptive Simpson) and the estimates of its element do not add up to
-    less than DEFAULT_QUAD_TOL, down to 40 levels and up to 64 panels at a
-    level. The panels of every element are evaluated together, one level at
-    a time.
+    exceeds its share of DEFAULT_QUAD_TOL (halved at each split) and the
+    estimates of its element do not add up to less than DEFAULT_QUAD_TOL,
+    down to 40 levels and up to 64 panels at a level. The panels of every
+    element are evaluated together, one level at a time, and a level whose
+    panels are all within their shares is the last: its panels are added
+    and nothing is split, so an element whose first panel is done is
+    0.0 + that panel.
 
     f takes the nodes, an array (k, 21) with one row per panel, and returns
     the integrand there. An element with a == b is 0. An element with a
@@ -247,6 +249,10 @@ def gauss_kronrod(f: Callable, a, b):
             panel, gauss = (half * np.add.reduce(fx * w, axis=1)
                             for w in (_KR_WEIGHTS, _G10_WEIGHTS))
             estimate = np.abs(panel - gauss)
+            if (estimate <= tol).all():
+                # no panel splits, so this level is the last
+                np.add.at(value, owner, panel)
+                break
             # a panel within its share is done, and so are all panels of an
             # element whose estimates fit in what is left of its budget
             total = spent + np.bincount(owner, estimate, a.size)
@@ -266,7 +272,9 @@ def gauss_kronrod(f: Callable, a, b):
             lo = np.column_stack([lo[split], mid]).reshape(-1)
             hi = np.column_stack([mid, hi[split]]).reshape(-1)
             tol = np.repeat(0.5 * tol[split], 2)
-        failed[owner] = True
+        else:
+            # panels still open after the last level are too coarse
+            failed[owner] = True
     return np.where(failed, np.nan, value).reshape(shape)
 
 

@@ -11,7 +11,7 @@ from yamabe.families import (almost_soliton_lightlike, default_lightlike_frame,
                              riccati_residual)
 from yamabe.geodesics import integrate_geodesic
 from yamabe.lambertw import lambert_w
-from yamabe.numerics import CachedAntiderivative
+from yamabe.numerics import CachedAntiderivative, invert_monotone
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import certify, classify
 
@@ -474,6 +474,37 @@ class TestLambertFamilyArrays:
             for part, j in ((xs[i:i + 2], 0), (xs[:i + 1], i), (xs[i:], 0)):
                 got = np.array(spec.phi.jet(part))[:, j]
                 assert got.tobytes() == whole[:, i].tobytes()
+
+    def test_root_end_points_come_out_the_same_in_any_array(self,
+                                                            monkeypatch):
+        """The README member over its maximal interval, whose two ends are
+        roots of F: the chart takes its root-end form only for an array
+        holding a point with e < 0.5 at a root end, and every such point
+        keeps it, so a point read alone equals its entry in an array that
+        holds interior points and points of both root-end zones."""
+        import yamabe.families as families_module
+        solved = []
+
+        def recorded(g, targets, bracket, *args, **kwargs):
+            y = invert_monotone(g, targets, bracket, *args, **kwargs)
+            solved.append((bracket, y))
+            return y
+
+        monkeypatch.setattr(families_module, "invert_monotone", recorded)
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(-9.08359732179, 1.3609272635),
+                            run_certify=False)
+        xs = np.array(grid_points(spec.domain, 200))
+        whole = [np.array(getattr(spec, name).jet(xs))
+                 for name in ("phi", "f", "h")]
+        (lower, upper), y = solved[-1]
+        e = 1.0 - y / np.where(y >= 0.0, upper, lower)
+        zones = [(e < 0.5) & (y < 0.0), (e < 0.5) & (y >= 0.0), e >= 0.5]
+        assert all(zone.any() for zone in zones)
+        for i in range(len(xs)):
+            for name, jets in zip(("phi", "f", "h"), whole):
+                alone = np.array(getattr(spec, name).jet(xs[i:i + 1]))
+                assert alone[:, 0].tobytes() == jets[:, i].tobytes(), (name, i)
 
     def test_saturating_range_fails_before_any_inversion(self, monkeypatch):
         """The benchmark's q = proof case: phi blows up at xi = 0.135, below

@@ -10,6 +10,7 @@ import pytest
 from yamabe.catalog import build_example, example5_spec
 from yamabe.errors import DomainError
 from yamabe.geodesics import (MODES, _default_initial_sampler,
+                              _profiles_at, _stop_events,
                               compare_probe_modes, completeness_probe,
                               energy, fiber_momentum, geodesic_rhs,
                               integrate_geodesic)
@@ -389,6 +390,25 @@ class TestBatches:
                 monkeypatch.setattr(profile, "_arrays", counted)
             geodesic_rhs(case, mode)(0.0, states)
             assert calls == distinct
+
+    def test_positivity_event_reads_values_only(self, monkeypatch):
+        spec = example5_spec(0.005)
+        apart = dataclasses.replace(
+            example5_spec(0.005), f=Profile.from_expression("exp(0.005*xi)"))
+        states = np.random.default_rng(3).normal(size=(5, 12))
+        for case, distinct in ((spec, [spec.phi]),
+                               (apart, [apart.phi, apart.f])):
+            calls = []
+            for profile in distinct:
+                def counted(xs, *want, form=profile._arrays, p=profile):
+                    calls.append((p, want))
+                    return form(xs, *want)
+                monkeypatch.setattr(profile, "_arrays", counted)
+            events, reasons = _stop_events(case)
+            margin = events[reasons.index("positivity-loss")](0.0, states)
+            assert calls == [(p, (True, False, False)) for p in distinct]
+            phi, _, f, _ = _profiles_at(case)(states[:, :case.n])
+            assert margin.tobytes() == (np.minimum(phi, f) - 1e-12).tobytes()
 
     def test_rhs_rows_outside_a_finite_domain_are_inf_alone(self):
         # the profiles live on (-1, 1) inside a spec on the whole line: xi

@@ -164,6 +164,25 @@ class TestGaussLegendre:
         nan = lambda x: np.full(x.shape, np.nan)
         assert gauss_kronrod(nan, 1.0, 1.0) == 0.0
 
+    def test_a_level_that_splits_no_panel_is_the_last(self):
+        """One batch: [1, 2] is done on its first panel, [1e-9, 1] splits
+        toward its singular end and [1, 1] is 0 with no panel."""
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 / np.sqrt(x)
+
+        got = gauss_kronrod(f, np.array([1.0, 1e-9, 1.0]),
+                            np.array([2.0, 1.0, 1.0]))
+        assert len(seen[0]) == 2 and all(len(x) <= 2 for x in seen[1:])
+        half = 0.5 * (2.0 - 1.0)
+        first = half * np.add.reduce(1.0 / np.sqrt(seen[0][:1])
+                                     * numerics._KR_WEIGHTS, axis=1)
+        assert got[0].tobytes() == (0.0 + first[0]).tobytes()
+        assert got[1] == float.fromhex("0x1.fffbdaea6ad8fp+0")
+        assert got[2].tobytes() == np.float64(0.0).tobytes()
+
     def test_each_element_is_the_same_alone(self):
         f = lambda x: np.exp(np.sin(x)) / (1.0 + x * x)
         b = np.linspace(-1.0, 2.0, 31)
