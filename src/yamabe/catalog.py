@@ -37,25 +37,24 @@ class CatalogEntry:
         return lambda: load_document(self.document)[0]
 
 
-def _example5_document(k: float, k1: float, n: int, d: int) -> dict:
+def _example5_document(k: float) -> dict:
     grow = f"exp({k!r}*xi)"
     return {
-        "n": n, "d": d, "signature": [-1] + [1] * (n - 1),
-        "alpha": [1.0, 1.0] + [0.0] * (n - 2), "domain": None,
+        "n": 4, "d": 2, "signature": [-1, 1, 1, 1],
+        "alpha": [1.0, 1.0, 0.0, 0.0], "domain": None,
         "profiles": {"phi": grow, "f": grow,
-                     "h": f"{-k1 / (2.0 * k)!r}*exp({-2.0 * k!r}*xi)"},
+                     "h": f"{-1.0 / (2.0 * k)!r}*exp({-2.0 * k!r}*xi)"},
         "label": f"example-5(k={k:g})"}
 
 
-def example5_spec(k: float = 0.2, k1: float = 1.0, *,
-                  n: int = 4, d: int = 2) -> WarpedSolitonSpec:
-    """Lightlike steady soliton phi = f = e^(k xi), h = -k1 e^(-2k xi)/(2k)
-    on a Lorentzian base with xi = x1 + x2; phi and f are one profile.
+def example5_spec(k: float = 0.2) -> WarpedSolitonSpec:
+    """Lightlike steady soliton phi = f = e^(k xi), h = -e^(-2k xi)/(2k)
+    on R^(1,3) x F^2 with xi = x1 + x2; phi and f are one profile.
 
     The catalog certifies k = 0.2; the completeness probe uses a smaller
     rate so the exponentials stay in range over long affine parameter.
     """
-    return load_document(_example5_document(k, k1, n, d))[0]
+    return load_document(_example5_document(k))[0]
 
 
 def portrait_defaults() -> dict:
@@ -106,7 +105,7 @@ def catalog() -> dict[str, CatalogEntry]:
             notes="trivial potential, Lorentzian base, spacelike direction"),
         "example-5": CatalogEntry(
             "example-5", "phi = f = e^(xi/5), lightlike direction",
-            "soliton", (-10.0, 10.0), _example5_document(0.2, 1.0, 4, 2),
+            "soliton", (-10.0, 10.0), _example5_document(0.2),
             notes="steady, Lorentzian base, xi = x1 + x2 lightlike"),
     }
 

@@ -168,8 +168,6 @@ def _build_parser() -> _Parser:
                           default="statement", dest="q_variant")
     p_family.add_argument("--w-branch", choices=("principal", "lower"),
                           default="principal", dest="w_branch")
-    p_family.add_argument("--construction", choices=("quadrature", "ode"),
-                          default="quadrature")
     p_family.add_argument("--branch", choices=("inner", "outer"),
                           default="inner")
     p_family.add_argument("--phi", type=str, default=None,

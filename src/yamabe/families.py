@@ -162,15 +162,18 @@ def _six_spec(frame, d, lambda_f, k1, k2, phi: Profile, h_values: Callable,
 
 # --- Lambert-W family (lambda_F != 0) ------------------------------------------
 
+_Q_DIVISOR = {"statement": 10.0, "proof": 1.0}
+
+
 def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
+    if q_variant not in _Q_DIVISOR:
+        raise FamilyConstructionError(
+            f"q_variant must be 'statement' or 'proof', got {q_variant!r}")
+    if lambda_f == 0.0:     # a scalar-flat fiber: q = 0 whatever k2 is
+        return 0.0
     if k2 == 0.0:
         raise FamilyConstructionError("k2 must be nonzero")
-    if q_variant == "statement":
-        return lambda_f / (10.0 * k2 ** 2 * norm)
-    if q_variant == "proof":
-        return lambda_f / (k2 ** 2 * norm)
-    raise FamilyConstructionError(
-        f"q_variant must be 'statement' or 'proof', got {q_variant!r}")
+    return lambda_f / (_Q_DIVISOR[q_variant] * k2 ** 2 * norm)
 
 
 def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
@@ -193,6 +196,9 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     constructions h = (k1/(4q)) (p/phi^4 - 4 phi'/phi^3) (h' = k1/phi^2 by
     the profile ODE), and one inversion, or one evaluation of the dense ODE
     solution ('ode'), per array of points serves the jets of phi, f and h.
+    'ode' (``_thm15_phi_ode``) is reachable only from Python, since
+    documents and the CLI always build 'quadrature': it is the reference
+    the tests hold the chart to, and the benchmark builds it by name.
 
     'quadrature' inverts xi in z = ln(w/k3) (``_thm15_chart``) on the
     component of F(z)/c > 0, F = z + k3 e^z = c s^2, holding the anchor,
@@ -765,11 +771,14 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     start with |(phi, phi')| >= 1e12 stops at its first step. An integrated
     trajectory's rows are the start once, then the points_per_side - 1
     points after it of linspace(start_xi, end, points_per_side) on each
-    side, up to its stop.
+    side, up to its stop. A span with lo >= hi, a start_xi outside it and
+    an unknown q_variant (at any lambda_f) raise FamilyConstructionError.
     """
     p = k1 / 10.0
-    q = _q_value(k2, lambda_f, 1.0, q_variant) if lambda_f != 0.0 else 0.0
+    q = _q_value(k2, lambda_f, 1.0, q_variant)
     lo, hi = xi_span
+    if not lo < hi:
+        raise FamilyConstructionError(f"xi_span {xi_span!r} must have lo < hi")
     if start_xi is None:
         start_xi = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     if not lo <= start_xi <= hi:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .numerics import square
 
 __all__ = [
     "SignatureSpec", "TranslationDirection", "signed_norm", "causal_class",
@@ -103,6 +102,6 @@ def warped_scalar_curvature(s_base: float, f_value: float, laplacian_f: float,
     if sign_variant not in ("minus", "plus"):
         raise ValueError(f"sign_variant must be 'minus' or 'plus', got {sign_variant!r}")
     sign = -1.0 if sign_variant == "minus" else 1.0
-    return (s_base + lambda_f / square(f_value)
-            - 2.0 * d * laplacian_f / f_value
-            + sign * d * (d - 1) * gradsq_f / square(f_value))
+    f_sq = f_value * f_value
+    return (s_base + lambda_f / f_sq - 2.0 * d * laplacian_f / f_value
+            + sign * d * (d - 1) * gradsq_f / f_sq)

@@ -25,7 +25,7 @@ from .errors import QuadratureError, RootFindError
 
 __all__ = [
     "adaptive_simpson", "CachedAntiderivative", "gauss_kronrod",
-    "invert_monotone", "opposite", "square", "solve_ivp", "OdeBatch",
+    "invert_monotone", "opposite", "solve_ivp", "OdeBatch",
     "DenseTrajectory", "DEFAULT_QUAD_TOL",
 ]
 
@@ -276,14 +276,6 @@ def gauss_kronrod(f: Callable, a, b):
             # panels still open after the last level are too coarse
             failed[owner] = True
     return np.where(failed, np.nan, value).reshape(shape)
-
-
-def square(x):
-    """x ** 2 for a float or an array, rounded as Python rounds float powers
-    (libm pow). numpy's own x ** 2 is x * x, and numpy's power loop has its
-    own SIMD kernel; both differ from libm in the last bit on some inputs,
-    and array and scalar residuals must agree bitwise."""
-    return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
 
 
 # --- explicit Runge-Kutta kernel ---------------------------------------------

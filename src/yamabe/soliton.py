@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .geometry import (SignatureSpec, TranslationDirection,
                        warped_scalar_curvature)
-from .numerics import square
 from .profiles import Interval, Profile, grid_points
 
 __all__ = [
@@ -112,8 +111,9 @@ def _col(x):
 class Terms:
     """The closed forms of the base geometry and every residual formula of
     the package, once, over a PointEval of floats at one xi or of arrays over
-    a grid. Both run the same operations in the same order (squares through
-    ``numerics.square``), so they agree bitwise.
+    a grid. Both run the same operations in the same order, and squares are
+    products x * x, which IEEE arithmetic rounds correctly on a float and on
+    each array element alike, so they agree bitwise.
 
     Base terms of g = phi^-2 delta: ``s_base`` (scalar curvature), ``lap_f``
     and ``lap_h`` (Laplacians), ``pair`` = <grad f, grad h>, ``grad2_f`` =
@@ -126,18 +126,18 @@ class Terms:
     def __init__(self, spec: WarpedSolitonSpec, pv: PointEval,
                  sign_variant: str = "minus"):
         self.spec, self.pv, self.sign_variant = spec, pv, sign_variant
-        self.rhs = pv.rho - spec.lambda_f / square(pv.f)
+        self.rhs = pv.rho - spec.lambda_f / (pv.f * pv.f)
         norm, n = spec.direction.norm, spec.n
         if norm == 0.0:
             self.s_base = self.lap_f = self.pair = 0.0
             self.grad2_f = self.lap_h = self.pair_ln = 0.0
         else:
-            p2 = square(pv.phi)
+            p2 = pv.phi * pv.phi
             self.s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi
-                                            - n * square(pv.dphi))
+                                            - n * (pv.dphi * pv.dphi))
             self.lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
             self.pair = norm * p2 * pv.df * pv.dh
-            self.grad2_f = norm * p2 * square(pv.df)
+            self.grad2_f = norm * p2 * (pv.df * pv.df)
             self.lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
             self.pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
         self.s_minus_rho = warped_scalar_curvature(
@@ -177,8 +177,8 @@ class Terms:
         n = spec.n
         eps = np.asarray(spec.sig.epsilon, dtype=float)
         block = -self.hessian()
-        block[..., range(n), range(n)] += _col(factor) * (eps / _col(square(pv.phi)))
-        return block, factor * square(pv.f) - pv.f * self.pair
+        block[..., range(n), range(n)] += _col(factor) * (eps / _col(pv.phi * pv.phi))
+        return block, factor * (pv.f * pv.f) - pv.f * self.pair
 
     def lemma(self, s: Optional[float] = None) -> tuple:
         """(soliton function lambda, scalar identity residual, weighted

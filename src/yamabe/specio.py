@@ -25,7 +25,7 @@ quadrature, which have no expression form. Family documents need a finite
 domain (it doubles as the construction range and supplies the quadrature
 anchor point). Each family's keys, required | optional (FAMILY_TABLE):
 
-    thm15             k1 k2 k3 | k4 phi0 q_variant w_branch construction
+    thm15             k1 k2 k3 | k4 phi0 q_variant w_branch
     thm16             k1 k2 | k3 k4 branch     (scalar-flat: lambda_f = 0)
     thm17             phi z_p C                (scalar-flat)
     thm18             phi f k1                 (scalar-flat)
@@ -82,8 +82,7 @@ class FamilyEntry(NamedTuple):
 # `yamabe family` writes each family's keys in this order
 FAMILY_TABLE = {
     "thm15": FamilyEntry(families.family_thm15, ("k1", "k2", "k3"),
-                         ("k4", "phi0", "q_variant", "w_branch",
-                          "construction"), n=3, d=3),
+                         ("k4", "phi0", "q_variant", "w_branch"), n=3, d=3),
     "thm16": FamilyEntry(families.family_thm16, ("k1", "k2"),
                          ("k3", "k4", "branch"), n=5, d=1, scalar_flat=True),
     "thm17": FamilyEntry(families.family_thm17, ("phi", "z_p", "C"), (),
@@ -96,7 +95,7 @@ FAMILY_TABLE = {
 }
 FAMILY_IDS = tuple(FAMILY_TABLE)
 _EXPRESSION_KEYS = ("phi", "f", "z_p")
-_CHOICE_KEYS = ("q_variant", "w_branch", "construction", "branch")
+_CHOICE_KEYS = ("q_variant", "w_branch", "branch")
 _DOCUMENT_KEYS = ("n", "d", "signature", "alpha", "rho", "lambda_f", "domain",
                   "profiles", "family", "tolerance", "grid", "label")
 

@@ -187,6 +187,15 @@ class TestFamily:
         assert code == 2
         assert json.loads(stdout)["report"]["verdict"] == "rejected"
 
+    def test_construction_is_not_a_flag(self, capfd):
+        code, stdout = run(["family", "thm15", "--range", "-0.3", "0.4",
+                            "--k3", "-0.2", "--lambda-f", "-0.5",
+                            "--construction", "ode"])
+        assert code == 1
+        assert stdout == ""
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and "--construction" in err
+
     def test_dimension_hypothesis_exit_one(self, capfd):
         code, _ = run(["family", "thm15", "--range", "-0.2", "0.2",
                        "--lambda-f", "-0.5", "--n", "4", "--d", "3"])
@@ -299,6 +308,8 @@ class TestPortrait:
         (["--xi-range", "0", "inf"], "--xi-range: expected a finite number"),
         (["--lambda-f", "nan"], "--lambda-f: expected a finite number"),
         (["--k2", "0"], "k2 must be nonzero"),
+        (["--xi-range", "1", "-1"], "xi_span (1.0, -1.0) must have lo < hi"),
+        (["--xi-range", "0", "0"], "xi_span (0.0, 0.0) must have lo < hi"),
     ])
     def test_bad_numeric_option_exits_one(self, capfd, argv, message):
         code, stdout = run(["portrait"] + argv)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -815,6 +816,20 @@ class TestPhasePortrait:
     def test_start_xi_validated(self):
         with pytest.raises(FamilyConstructionError, match="start_xi"):
             phase_portrait([(1.0, 0.0)], (0.0, 1.0), start_xi=5.0)
+
+    def test_q_variant_validated_on_a_scalar_flat_fiber(self):
+        # lambda_F = 0 makes q = 0 under either variant, but not under an
+        # unknown one
+        with pytest.raises(FamilyConstructionError, match="q_variant"):
+            phase_portrait([(1.0, 0.5)], (-1.0, 1.0), lambda_f=0.0,
+                           q_variant="bogus")
+
+    @pytest.mark.parametrize("span", [(1.0, -1.0), (0.0, 0.0)])
+    def test_span_validated(self, span):
+        # named before start_xi, which the default start would wrongly blame
+        with pytest.raises(FamilyConstructionError,
+                           match=re.escape(f"xi_span {span!r}")):
+            phase_portrait([(1.0, 0.5)], span)
 
     def test_multiple_initials_keep_order(self):
         inits = [(0.5, 0.0), (1.0, 0.5), (2.0, 0.0)]

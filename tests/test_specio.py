@@ -165,7 +165,14 @@ class TestLoadDocument:
                           "kk3": -0.05}), "family.kk3"),
         (doc_with(profiles=dict(BASE_DOC["profiles"], rho="1")),
          "profiles.rho"),
-    ], ids=["top-level", "family", "profiles"])
+        *[(dict(family_doc_with({"id": "thm15", "k1": 1.0, "k2": 1.0,
+                                 "k3": -0.2, "construction": construction},
+                                n=3, d=3, alpha=[1.0, 0.0, 0.0],
+                                lambda_f=-0.5), domain=[-0.3, 0.4]),
+           "family.construction")
+          for construction in ("quadrature", "ode")],
+    ], ids=["top-level", "family", "profiles", "thm15-construction-quadrature",
+            "thm15-construction-ode"])
     def test_unknown_field_is_rejected(self, doc, key):
         # each document certifies once the misspelt key is dropped
         with pytest.raises(SpecValidationError) as err:
@@ -302,8 +309,9 @@ class TestFamilyDocuments:
     def test_family_table_matches_its_constructor(self, fid):
         entry = specio.FAMILY_TABLE[fid]
         params = inspect.signature(entry.build).parameters
+        # thm15's construction is a Python-only reference, not a document key
         keys = set(params) - {"xi_range", "n", "d", "sig", "alpha",
-                              "lambda_f", "run_certify"}
+                              "lambda_f", "run_certify", "construction"}
         table_keys = entry.required + entry.optional
         assert sorted(table_keys) == sorted(keys)
         assert set(entry.required) == {
