@@ -216,8 +216,9 @@ def compile_array(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     sin, cos and sqrt are numpy's, which on x86-64 round as libm does.
     numpy's SIMD exp, log, tan and power round differently in the last bit
     on some inputs, and derivatives amplify that past a few ulp, so those go
-    through libm one element at a time (``^`` through ``np.float_power``).
-    W is ``lambert_w`` one element at a time, as the scalar form calls it.
+    through libm one element at a time (``^`` through ``np.float_power``),
+    each result written straight into a float array. W is ``lambert_w`` one
+    element at a time in the same way, as the scalar form calls it.
     """
     evaluate = compile_jet((node,))
 
@@ -269,13 +270,17 @@ def _output(xs: np.ndarray, value, raised: list) -> np.ndarray:
 # same step raises.
 
 def _elementwise(fn: Callable[[float], float], errors) -> Callable:
-    """fn applied to every element of an array; elements that raise one of
-    ``errors`` become NaN and are recorded."""
+    """fn applied to every element of an array, each result written
+    straight into the float output (``np.fromiter`` over ``map``, with no
+    list in between). If an element raises one of ``errors``, the elements
+    are taken again one at a time: those that raise become NaN and are
+    recorded."""
     def apply(xs, raised):
         xs = np.asarray(xs, dtype=float)
         values = xs.ravel().tolist()
         try:
-            out = list(map(fn, values))
+            return np.fromiter(map(fn, values), float,
+                               len(values)).reshape(xs.shape)
         except errors:
             out, failed = [], []
             for x in values:

@@ -19,10 +19,11 @@ flat fiber and an upper-half-space H^d fiber.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,6 +109,50 @@ def _col(x):
     return np.asarray(x)[..., None]
 
 
+class _BlockPattern(NamedTuple):
+    """The distinct entries of the n x n base block of one (alpha, eps):
+    ``outer`` (a_i a_j) and ``coef`` (2 a_i a_j - delta_ij eps_i
+    ||alpha||^2) per distinct entry, the slots ``diagonal`` of the entries
+    on the diagonal with their ``eps``, and ``index``, the n x n map from
+    each block position to its entry's slot."""
+
+    outer: np.ndarray
+    coef: np.ndarray
+    diagonal: np.ndarray
+    eps: np.ndarray
+    index: np.ndarray
+
+
+def _block_pattern(spec: WarpedSolitonSpec) -> _BlockPattern:
+    key = np.array((spec.direction.norm, *spec.direction.alpha)).tobytes()
+    return _block_pattern_of(key, spec.sig.epsilon)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_pattern_of(key: bytes, epsilon: tuple) -> _BlockPattern:
+    """``_block_pattern`` of the exact bits of (||alpha||^2, *alpha): two
+    positions share an entry when their a_i a_j, their coefficient and
+    (on the diagonal) their eps_i agree bit for bit."""
+    norm, *alpha = np.frombuffer(key)
+    n = len(epsilon)
+    eps = np.asarray(epsilon, dtype=float)
+    outer = np.outer(alpha, alpha)
+    coef = 2.0 * outer - np.diag(eps) * norm
+    on_diagonal = np.eye(n, dtype=bool)
+    keys = np.stack((outer.view(np.uint64), coef.view(np.uint64),
+                     on_diagonal.astype(np.uint64),
+                     np.where(on_diagonal, eps, 0.0).view(np.uint64)),
+                    axis=-1).reshape(n * n, 4)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    diagonal = np.flatnonzero(on_diagonal.ravel()[first])
+    arrays = (outer.ravel()[first], coef.ravel()[first], diagonal,
+              eps[first[diagonal] % n], inverse.reshape(n, n))
+    for array in arrays:
+        array.setflags(write=False)
+    return _BlockPattern(*arrays)
+
+
 class Terms:
     """The closed forms of the base geometry and every residual formula of
     the package, once, over a PointEval of floats at one xi or of arrays over
@@ -157,28 +202,42 @@ class Terms:
 
     def hessian(self) -> np.ndarray:
         """Hess(h)_ij of the base, an n x n block per point:
-        a_i a_j h'' + (2 a_i a_j - delta_ij eps_i ||alpha||^2) (phi'/phi) h'."""
-        spec, pv = self.spec, self.pv
-        eps = np.asarray(spec.sig.epsilon, dtype=float)
-        outer = np.outer(spec.direction.alpha, spec.direction.alpha)
-        return (outer * _col(_col(pv.ddh))
-                + (2.0 * outer - np.diag(eps) * spec.direction.norm)
-                * _col(_col(pv.dphi / pv.phi)) * _col(_col(pv.dh)))
+        a_i a_j h'' + (2 a_i a_j - delta_ij eps_i ||alpha||^2) (phi'/phi) h',
+        expanded from one value per distinct entry of the block (see
+        ``tensor_entries``)."""
+        return self._hessian_entries()[..., _block_pattern(self.spec).index]
 
     def tensor(self) -> tuple:
         """(n x n base block (S - rho) g_ij - Hess(h)_ij, fiber block per
-        unit fiber metric component (S - rho) f^2 - f <grad f, grad h>)."""
+        unit fiber metric component (S - rho) f^2 - f <grad f, grad h>); the
+        base block is ``tensor_entries`` expanded through its index map."""
+        entries, fiber = self.tensor_entries()
+        return entries[..., _block_pattern(self.spec).index], fiber
+
+    def tensor_entries(self) -> tuple:
+        """``tensor`` with the base block as its distinct entries, one per
+        slot of the last axis: entry (i, j) depends only on a_i a_j,
+        2 a_i a_j - delta_ij eps_i ||alpha||^2 and, on the diagonal, eps_i,
+        so the block of an n-dimensional base has at most n(n+1)/2 of
+        them, and 3-5 for the catalog's directions. Each is computed with
+        the operations, in the order, of the full block's entry."""
         spec, pv = self.spec, self.pv
         factor = self.s_minus_rho
         if self.sign_variant != "minus":
             factor = warped_scalar_curvature(
                 self.s_base, pv.f, self.lap_f, self.grad2_f, spec.lambda_f,
                 spec.d, self.sign_variant) - pv.rho
-        n = spec.n
-        eps = np.asarray(spec.sig.epsilon, dtype=float)
-        block = -self.hessian()
-        block[..., range(n), range(n)] += _col(factor) * (eps / _col(pv.phi * pv.phi))
-        return block, factor * (pv.f * pv.f) - pv.f * self.pair
+        pattern = _block_pattern(spec)
+        entries = -self._hessian_entries()
+        entries[..., pattern.diagonal] += _col(factor) * (
+            pattern.eps / _col(pv.phi * pv.phi))
+        return entries, factor * (pv.f * pv.f) - pv.f * self.pair
+
+    def _hessian_entries(self) -> np.ndarray:
+        """Hess(h) at each distinct entry of the base block."""
+        pattern, pv = _block_pattern(self.spec), self.pv
+        return (pattern.outer * _col(pv.ddh)
+                + pattern.coef * _col(pv.dphi / pv.phi) * _col(pv.dh))
 
     def lemma(self, s: Optional[float] = None) -> tuple:
         """(soliton function lambda, scalar identity residual, weighted
@@ -368,7 +427,18 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
     xi=...: non-finite <field>", and the maxima come from the points before
     it. 'rejected' means every evaluation was finite but some residual
     exceeds the tolerance.
+
+    Raises ValueError when grid_size is not an int >= 2 (a bool is not) or
+    a given tolerance is not positive and finite, the rules of the CLI's
+    --grid and --tol.
     """
+    if isinstance(grid_size, bool) or not isinstance(grid_size, int) \
+            or grid_size < 2:
+        raise ValueError(f"grid_size must be an int >= 2, got {grid_size!r}")
+    if tolerance is not None and not (math.isfinite(tolerance)
+                                      and tolerance > 0.0):
+        raise ValueError(
+            f"tolerance must be positive and finite, got {tolerance!r}")
     interval = (interval or spec.domain).clipped(spec.domain)
     if tolerance is None:
         tolerance = ANALYTIC_TOL
@@ -387,25 +457,34 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
                        spec.rho.jet(xs, True, False, False)[0]
                        if spec.is_almost else spec.rho)
         terms = Terms(spec, pv, sign_variant)
-        block, fiber = terms.tensor()
+        entries, fiber = terms.tensor_entries()
         residuals = {**terms.reduced(),
-                     "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
+                     "tensor-base": np.max(np.abs(entries), axis=-1),
                      "tensor-fiber": fiber}
         inequality = terms.s_base - terms.rhs
+    # one row per field, PointEval's and then the residuals, so one isfinite
+    # pass finds the first point where any of them is not finite
+    fields = {**vars(pv), **residuals}
+    table = np.empty((len(fields), size))
+    for row, values in zip(table, fields.values()):
+        row[...] = values
+    finite = np.isfinite(table)
     stop = size
     failure = None
-    for name, values in {**vars(pv), **residuals}.items():
-        bad = np.flatnonzero(~np.isfinite(np.broadcast_to(values, (size,))))
-        if bad.size and bad[0] < stop:
-            stop = int(bad[0])
-            failure = f"evaluation failed at xi={pts[stop]!r}: non-finite {name}"
+    if not finite.all():
+        # the earliest point, and at it the first field in table order
+        stop = int(finite.all(axis=0).argmin())
+        name = list(fields)[int(finite[:, stop].argmin())]
+        failure = f"evaluation failed at xi={pts[stop]!r}: non-finite {name}"
     notes = [] if failure is None else [failure]
 
     # argmax takes the first of tied maxima
-    maxima = {key: np.abs(np.broadcast_to(values, (size,))[:stop])
-              for key, values in residuals.items()} if stop else {}
-    stats = {key: EquationStat(float(v.max()), pts[int(v.argmax())], len(pts))
-             for key, v in maxima.items()}
+    stats = {}
+    if stop:
+        maxima = np.abs(table[-len(residuals):, :stop])
+        for key, top, at in zip(residuals, maxima.max(axis=1),
+                                maxima.argmax(axis=1)):
+            stats[key] = EquationStat(float(top), pts[at], len(pts))
     cls = _classification(spec, dh[size:])
     if cls.rejected:
         notes.extend(cls.guards)

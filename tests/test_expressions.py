@@ -318,6 +318,38 @@ class TestCompiledJet:
         assert got[2].tolist() == [1.0, 2.0]
 
 
+class TestLibmLoop:
+    """tan, exp, ln and W run one element at a time through libm (and
+    lambert_w), straight into the output array."""
+
+    FNS = [("exp(xi)", math.exp), ("ln(xi)", math.log),
+           ("tan(xi)", math.tan), ("W(xi)", _w)]
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (40, 50)])
+    @pytest.mark.parametrize("text,fn", FNS)
+    def test_bitwise_libm_in_the_input_shape(self, text, fn, shape):
+        xs = np.linspace(0.05, 3.0, math.prod(shape)).reshape(shape)
+        got = compile_array(parse_expression(text))(xs)
+        want = np.array([fn(x) for x in xs.ravel().tolist()],
+                        dtype=float).reshape(shape)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text,fn,bad", [
+        ("ln(xi)", math.log, -1.0), ("exp(xi)", math.exp, 1000.0)])
+    def test_a_raising_element_is_nan_and_masked(self, text, fn, bad):
+        xs = np.linspace(0.05, 3.0, 2000)
+        xs[1000] = bad
+        value = compile_array(parse_expression(text))(xs)
+        # x^0 is 1 in numpy at NaN too: only the mask keeps the NaN
+        masked = compile_array(parse_expression(f"({text})^0"))(xs)
+        assert np.isnan(value[1000]) and np.isnan(masked[1000])
+        keep = np.arange(2000) != 1000
+        want = np.array([fn(x) for x in xs[keep].tolist()])
+        assert value[keep].tobytes() == want.tobytes()
+        assert np.all(masked[keep] == 1.0)
+
+
 class TestDifferentiation:
     CASES = [
         ("xi^3 - 2*xi", lambda x: 3 * x * x - 2),

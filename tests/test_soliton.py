@@ -10,11 +10,12 @@ import pytest
 from yamabe import families, specio
 from yamabe.catalog import build_example, catalog
 from yamabe.errors import DimensionMismatchError
-from yamabe.geometry import SignatureSpec
+from yamabe.geometry import SignatureSpec, warped_scalar_curvature
 from yamabe.profiles import Interval, Profile, grid_points
 from yamabe.soliton import (ANALYTIC_TOL, PointEval, Terms,
                             WarpedSolitonSpec, certify, classify,
-                            full_tensor_residual, reduced_residuals)
+                            full_tensor_residual, point_eval,
+                            reduced_residuals)
 
 from conftest import (THM15_COMMON, THM15_QUADRATURE_CASES, make_spec,
                       random_polynomial_spec)
@@ -312,6 +313,21 @@ class TestCertify:
         assert set(d["equations"]) == set(report.equations)
         assert d["tolerance"] == report.tolerance
 
+    @pytest.mark.parametrize("grid_size", [0, -5, 1, True, 200.0])
+    def test_grid_size_must_be_an_int_of_at_least_2(self, grid_size):
+        spec = make_spec("exp(xi)", "exp(xi)", "xi")
+        with pytest.raises(ValueError, match="grid_size"):
+            certify(spec, grid_size=grid_size)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # the example-2 rho + 1e-3 twin is no soliton; an infinite
+        # tolerance would certify it
+        spec = build_example("example-2")
+        twin = dataclasses.replace(spec, rho=spec.rho + 1e-3)
+        with pytest.raises(ValueError, match="tolerance"):
+            certify(twin, tolerance=tolerance)
+
     def test_report_names_the_sampled_interval(self):
         # the grid is clipped 1 % inside each end of the named interval
         report = certify_entry("example-2")
@@ -462,6 +478,209 @@ class TestArrayCertifyEquivalence:
         assert report.verdict == "certified"
         assert all(st.argmax_xi == first and st.max_abs_residual == 0.0
                    for st in report.equations.values())
+
+
+def grid_eval(spec, xs):
+    """The PointEval of arrays that certify fills over the points xs."""
+    with np.errstate(all="ignore"):
+        return PointEval(xs, *spec.phi.jet(xs), *spec.f.jet(xs),
+                         *spec.h.jet(xs, value=False)[1:],
+                         spec.rho.jet(xs, True, False, False)[0]
+                         if spec.is_almost else spec.rho)
+
+
+def full_block_reference(spec, pv, sign_variant="minus"):
+    """(Hess h, base block of the tensor residual), each n x n in full over
+    the PointEval pv of floats or arrays:
+    -(outer h'' + (2 outer - diag(eps) ||alpha||^2) (phi'/phi) h'), plus
+    (S - rho) eps_i / phi^2 on the diagonal."""
+    def cell(x):
+        return np.asarray(x)[..., None, None]
+
+    terms = Terms(spec, pv, sign_variant)
+    factor = warped_scalar_curvature(
+        terms.s_base, pv.f, terms.lap_f, terms.grad2_f, spec.lambda_f,
+        spec.d, sign_variant) - pv.rho
+    n = spec.n
+    eps = np.asarray(spec.sig.epsilon, dtype=float)
+    outer = np.outer(spec.direction.alpha, spec.direction.alpha)
+    hess = (outer * cell(pv.ddh)
+            + (2.0 * outer - np.diag(eps) * spec.direction.norm)
+            * cell(pv.dphi / pv.phi) * cell(pv.dh))
+    block = -hess
+    block[..., range(n), range(n)] += (np.asarray(factor)[..., None]
+                                       * (eps / np.asarray(pv.phi * pv.phi)
+                                          [..., None]))
+    return hess, block
+
+
+def _random_direction(rng, eps):
+    """A direction for the signature eps whose components repeat, vanish
+    and change sign: each is drawn from a short list or uniformly."""
+    while True:
+        alpha = [float(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]))
+                 if rng.random() < 0.6 else float(rng.uniform(-2.0, 2.0))
+                 for _ in eps]
+        if any(alpha):
+            return tuple(alpha)
+
+
+def _block_cases():
+    """(n, eps, alpha) for n = 3..6, Euclidean and Lorentzian, random and
+    lightlike directions."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for n in range(3, 7):
+        for eps in ((1,) * n, (-1,) + (1,) * (n - 1)):
+            cases += [(n, eps, _random_direction(rng, eps)) for _ in range(3)]
+        lorentz = (-1,) + (1,) * (n - 1)
+        cases.append((n, lorentz, (1.0, 1.0) + (0.0,) * (n - 2)))
+        cases.append((n, lorentz, (-2.0,) + (0.0,) * (n - 2) + (2.0,)))
+    return cases
+
+
+class TestBlockEntries:
+    """Terms keeps the base block as its distinct entries; expanded, they
+    are the full block bit for bit, and certify's tensor-base is their
+    maximum."""
+
+    @staticmethod
+    def _assert_block(spec, pv, sign_variant):
+        want_hess, want = full_block_reference(spec, pv, sign_variant)
+        with np.errstate(all="ignore"):
+            terms = Terms(spec, pv, sign_variant)
+            got, got_hess = terms.tensor()[0], terms.hessian()
+        assert got.tobytes() == want.tobytes()
+        assert got_hess.tobytes() == want_hess.tobytes()
+        return want
+
+    @pytest.mark.parametrize("sign_variant", ["minus", "plus"])
+    @pytest.mark.parametrize("spec,interval", _catalog_cases())
+    def test_catalog_block_and_tensor_base(self, spec, interval,
+                                           sign_variant):
+        xs = np.array(grid_points(interval.clipped(spec.domain), 200))
+        with np.errstate(all="ignore"):
+            want = self._assert_block(spec, grid_eval(spec, xs),
+                                      sign_variant)
+        base = np.max(np.abs(want), axis=(-2, -1))
+        stat = certify(spec, interval=interval,
+                       sign_variant=sign_variant).equations["tensor-base"]
+        assert stat.max_abs_residual == base.max()
+        assert stat.argmax_xi == xs[base.argmax()]
+
+    @pytest.mark.parametrize("sign_variant", ["minus", "plus"])
+    @pytest.mark.parametrize("n,eps,alpha", _block_cases())
+    def test_random_directions(self, n, eps, alpha, sign_variant):
+        spec = make_spec("0.8 + 0.1*xi^2", "1.1 + 0.2*xi^2",
+                         "0.7*xi + 0.3*xi^2", n=n, d=2, eps=eps, alpha=alpha,
+                         rho=0.3, lambda_f=-0.4)
+        xs = np.linspace(-1.5, 1.5, 31)
+        with np.errstate(all="ignore"):
+            want = self._assert_block(spec, grid_eval(spec, xs),
+                                      sign_variant)
+        for xi in xs[::10].tolist():
+            point = base_point_for_xi(spec.direction, xi)
+            pv = point_eval(spec, spec.direction.xi_at(point))
+            want_at = self._assert_block(spec, pv, sign_variant)
+            got = full_tensor_residual(spec, point, sign_variant)
+            assert got[:n, :n].tobytes() == want_at.tobytes()
+        assert np.all(np.isfinite(want))
+
+    def test_infinite_second_derivative_gives_nan_off_the_support(self):
+        # h'' is infinite at one grid point; where a_i a_j = 0 the entry is
+        # 0 * inf = NaN, elsewhere it is infinite
+        pts = grid_points(Interval(-2.0, 2.0), 200)
+        bad = pts[60]
+
+        def h_arrays(xs, value, d1, d2):
+            return (xs.copy() if value else None,
+                    np.ones(xs.shape) if d1 else None,
+                    np.where(xs == bad, np.inf, 0.0) if d2 else None)
+
+        spec = make_spec("exp(xi)", "exp(xi)", Profile(h_arrays, (-2.0, 2.0)),
+                         n=4, eps=(-1, 1, 1, 1), alpha=(0.5, 0.0, -1.0, 0.0))
+        xs = np.array(pts)
+        for sign_variant in ("minus", "plus"):
+            with np.errstate(all="ignore"):
+                want = self._assert_block(spec, grid_eval(spec, xs),
+                                          sign_variant)
+            assert np.isnan(want[60, 0, 1]) and np.isinf(want[60, 0, 2])
+            report = certify(spec, sign_variant=sign_variant)
+            assert report.verdict == "inconclusive"
+            assert report.notes[0] == (f"evaluation failed at xi={bad!r}: "
+                                       "non-finite ddh")
+            base = np.max(np.abs(want[:60]), axis=(-2, -1))
+            stat = report.equations["tensor-base"]
+            assert stat.max_abs_residual == base.max()
+            assert stat.argmax_xi == pts[int(base.argmax())]
+
+
+def _jet_profile(value, d1, d2):
+    """A profile from three functions of the point array."""
+    def arrays(xs, want_value, want_d1, want_d2):
+        return (value(xs) if want_value else None,
+                d1(xs) if want_d1 else None, d2(xs) if want_d2 else None)
+    return Profile(arrays, (-2.0, 2.0))
+
+
+class TestFailureNote:
+    """The note names the earliest grid point where a field is not finite
+    and, at that point, the first field in PointEval order, then in residual
+    order; the maxima come from the points before it."""
+
+    PTS = grid_points(Interval(-2.0, 2.0), 200)
+
+    def _assert_failure(self, spec, stop, name):
+        report = certify(spec)
+        assert report.verdict == "inconclusive"
+        assert report.notes[0] == (f"evaluation failed at "
+                                   f"xi={self.PTS[stop]!r}: non-finite {name}")
+        xs = np.array(self.PTS[:stop])
+        with np.errstate(all="ignore"):
+            terms = Terms(spec, grid_eval(spec, xs))
+            block, fiber = terms.tensor()
+        residuals = {**terms.reduced(),
+                     "tensor-base": np.max(np.abs(block), axis=(-2, -1)),
+                     "tensor-fiber": fiber}
+        assert set(report.equations) == set(residuals)
+        for key, values in residuals.items():
+            values = np.abs(values)
+            stat = report.equations[key]
+            assert np.all(np.isfinite(values)), key
+            assert stat.max_abs_residual == values.max(), key
+            assert stat.argmax_xi == self.PTS[int(values.argmax())], key
+            assert stat.argmax_xi < self.PTS[stop]
+
+    def test_the_earliest_point_wins(self):
+        # phi is NaN from grid point 40 on; h' is infinite at point 12
+        phi = _jet_profile(
+            lambda xs: np.where(xs >= self.PTS[40], np.nan, np.exp(xs)),
+            np.exp, np.exp)
+        h = _jet_profile(
+            lambda xs: xs.copy(),
+            lambda xs: np.where(xs == self.PTS[12], np.inf, 1.0),
+            np.zeros_like)
+        self._assert_failure(make_spec(phi, "exp(xi)", h), 12, "dh")
+
+    def test_a_tie_goes_to_the_first_field(self):
+        # phi' and f are NaN first at the same point; phi' comes first in
+        # PointEval
+        phi = _jet_profile(
+            np.exp, lambda xs: np.where(xs >= self.PTS[25], np.nan,
+                                        np.exp(xs)), np.exp)
+        f = _jet_profile(
+            lambda xs: np.where(xs >= self.PTS[25], np.nan, np.exp(xs)),
+            np.exp, np.exp)
+        self._assert_failure(make_spec(phi, f, "xi"), 25, "dphi")
+
+    def test_a_residual_alone(self):
+        # f = 1e-160 from grid point 30 on: every profile value is finite,
+        # but f^2 underflows to 0 and S - rho carries lambda_F / f^2
+        f = _jet_profile(
+            lambda xs: np.where(xs >= self.PTS[30], 1e-160, 1.0),
+            np.zeros_like, np.zeros_like)
+        spec = make_spec("exp(xi)", f, "xi", lambda_f=1.0)
+        self._assert_failure(spec, 30, "diag-1")
 
 
 _BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
