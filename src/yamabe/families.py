@@ -163,6 +163,7 @@ def _six_spec(frame, d, lambda_f, k1, k2, phi: Profile, h_values: Callable,
 # --- Lambert-W family (lambda_F != 0) ------------------------------------------
 
 _Q_DIVISOR = {"statement": 10.0, "proof": 1.0}
+_PHI_FLOOR = 1e-9   # phi at which a phase-portrait side stops
 
 
 def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
@@ -173,7 +174,19 @@ def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
         return 0.0
     if k2 == 0.0:
         raise FamilyConstructionError("k2 must be nonzero")
-    return lambda_f / (_Q_DIVISOR[q_variant] * k2 ** 2 * norm)
+    divisor = _Q_DIVISOR[q_variant]
+    return _quotient(lambda_f, divisor * (k2 * k2) * norm,
+                     f"q = lambda_F/({divisor:g} k2^2 ||alpha||^2) at k2={k2!r}"
+                     f", lambda_F={lambda_f!r}, ||alpha||^2={norm!r}")
+
+
+def _quotient(num: float, den: float, what: str) -> float:
+    """num / den; FamilyConstructionError naming what where it comes out
+    zero or not finite, den = 0 included."""
+    value = num / den if den != 0.0 else math.nan
+    if not (math.isfinite(value) and value != 0.0):
+        raise FamilyConstructionError(f"{what} comes out zero or not finite")
+    return value
 
 
 def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
@@ -209,7 +222,8 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
     translated in xi (by 8.4233490036 for k1 = k2 = 1, k3 = -0.2,
     lambda_F = -0.5, phi0 = 1); with c < 0, -1/e < k3 < 0 it selects the
     other component. A range past the maximal interval raises
-    FamilyConstructionError.
+    FamilyConstructionError, and so do parameters whose p, q, c or s0 =
+    phi0^-2 comes out zero or not finite in double precision.
     """
     frame = _six_frame(n, d, k1, k2, sig, alpha)
     if lambda_f == 0.0:
@@ -222,13 +236,14 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
         raise FamilyConstructionError(
             f"w_branch must be 'principal' or 'lower', got {w_branch!r}")
 
-    p = k1 / 10.0
+    p = _quotient(k1, 10.0, f"p = k1/10 at k1={k1!r}")
     q = _q_value(k2, lambda_f, frame[1].norm, q_variant)
+    c = _quotient(-p * p, 4.0 * q, f"c = -p^2/(4q) at k1={k1!r}, q={q!r}")
     interval = Interval(*xi_range)
-    s0, w0 = 1.0 / (phi0 * phi0), 0.0
+    s0, w0 = _quotient(1.0, phi0 * phi0, f"s0 = phi0^-2 at phi0={phi0!r}"), 0.0
     if k3 != 0.0:
         with np.errstate(over="ignore"):
-            x0 = k3 * np.exp(-p * p / (4.0 * q) * (s0 * s0))
+            x0 = k3 * np.exp(c * (s0 * s0))
         try:
             w0 = lambert_w(x0, w_branch)
         except BranchDomainError:
@@ -237,7 +252,7 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
                 f"phi0={phi0!r}") from None
 
     if construction == "quadrature":
-        phi_profile = _thm15_chart(p, q, k3, k4, s0, w0, interval)
+        phi_profile = _thm15_chart(p, q, c, k3, k4, s0, w0, interval)
     elif construction == "ode":
         phi_profile = _thm15_phi_ode(p, q, k4, phi0, w0, interval)
         phi_profile.require_positive(interval, name="phi")
@@ -256,7 +271,7 @@ def family_thm15(k1: float, k2: float, k3: float, k4: float = 0.0, *,
                      interval, f"lambert-family(q={q_variant})", run_certify)
 
 
-def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
+def _thm15_chart(p, q, c, k3, k4, s0, w0, interval: Interval) -> Profile:
     """phi as a numpy form, one solve per array of points (the last is kept).
 
     xi + k4 = -(1/p) int_z0^z dt/s runs in x = z - z0 through y, dx/dy = 1
@@ -276,7 +291,6 @@ def _thm15_chart(p, q, k3, k4, s0, w0, interval: Interval) -> Profile:
     computed only for an array that holds such a node, and every such node
     takes it, so a node's value does not depend on its array.
     """
-    c = -p * p / (4.0 * q)
     # every point a profile reads lies inside the declared range, so its
     # ends are checked once, here
     if k3 == 0.0:
@@ -599,12 +613,13 @@ def riccati_general_solution(z0: Profile, d: int, C: Optional[float],
     _require_covers(z0, "z0", interval)
     potentials = _riccati_potentials(z0, interval, d)
     pts = grid_points(interval, 256)
-    signs = (C + 0.5 * (d + 1.0) * potentials(np.array(pts))[1]).tolist()
-    for left, right, sl, sr in zip(pts, pts[1:], signs, signs[1:]):
-        if sl == 0.0 or opposite(sl, sr):
-            raise FamilyConstructionError(
-                "denominator of the Riccati update crosses zero inside "
-                f"({left!r}, {right!r}); choose a different C or range")
+    signs = C + 0.5 * (d + 1.0) * potentials(pts)[1]
+    crossing = (signs[:-1] == 0.0) | opposite(signs[:-1], signs[1:])
+    if crossing.any():
+        left, right = pts[crossing.argmax():][:2].tolist()
+        raise FamilyConstructionError(
+            "denominator of the Riccati update crosses zero inside "
+            f"({left!r}, {right!r}); choose a different C or range")
 
     def arrays(xs, value, d1, d2):
         big_phi, integral = potentials(xs)
@@ -647,7 +662,7 @@ def family_thm17(phi: Profile, z_p: Profile, C: float, *,
 
     potentials = _riccati_potentials(z_p, interval, d)
     shift = 2.0 * C / (d + 1.0)
-    pts = np.array(grid_points(interval, 128))
+    pts = grid_points(interval, 128)
     bad = pts[potentials(pts)[1] + shift <= 0.0]
     if len(bad):
         raise FamilyConstructionError(
@@ -755,8 +770,8 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
                    xi_span: tuple[float, float], *,
                    k1: float = 1.0, k2: float = 1.0, lambda_f: float = -6.0,
                    q_variant: str = "statement",
-                   start_xi: Optional[float] = None, points_per_side: int = 120,
-                   phi_floor: float = 1e-9) -> list[PortraitTrajectory]:
+                   start_xi: Optional[float] = None, points_per_side: int = 120
+                   ) -> list[PortraitTrajectory]:
     """Trajectories of the profile ODE phi^2 phi'' - 3 phi phi'^2 + p phi' =
     -q phi^3 from the given (phi, phi') initial data at start_xi.
 
@@ -764,15 +779,16 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
     scalar curvature -6). One DOP853 call at rtol 1e-10, atol 1e-12 runs
     every initial toward both ends of the span; a side stops when phi falls
-    to phi_floor (positivity-loss), when |(phi, phi')| reaches 1e12 or the
+    to 1e-9 (positivity-loss), when |(phi, phi')| reaches 1e12 or the
     step size collapses (blowup). The first side that stops, toward the
-    lower end first, sets the status. A start with phi0 <= phi_floor is
+    lower end first, sets the status. A start with phi0 <= 1e-9 is
     positivity-loss with the start as its one row and is not integrated; a
     start with |(phi, phi')| >= 1e12 stops at its first step. An integrated
     trajectory's rows are the start once, then the points_per_side - 1
     points after it of linspace(start_xi, end, points_per_side) on each
     side, up to its stop. A span with lo >= hi, a start_xi outside it and
-    an unknown q_variant (at any lambda_f) raise FamilyConstructionError.
+    an unknown q_variant (at any lambda_f) raise FamilyConstructionError,
+    and so does a q out of double range at a nonzero lambda_f.
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, 1.0, q_variant)
@@ -786,7 +802,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
             f"start_xi={start_xi!r} outside span {xi_span!r}")
 
     def positivity(xi, y):
-        return y[:, 0] - phi_floor
+        return y[:, 0] - _PHI_FLOOR
     positivity.terminal = True
 
     def escape(xi, y):
@@ -797,7 +813,7 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     parts: dict[int, list] = {}   # rows of each integrated trajectory
     sides = []                    # one solver row per integrated side
     for k, (phi0, dphi0) in enumerate(initials):
-        if phi0 <= phi_floor:
+        if phi0 <= _PHI_FLOOR:
             out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss",
                                           np.array([[start_xi, phi0, dphi0]])))
         elif dphi0 == 0.0 and q * phi0 == 0.0:

@@ -55,8 +55,12 @@ class Interval:
         return (self.lo, self.hi)
 
 
-def grid_points(interval: Interval, count: int) -> list[float]:
-    """Uniform grid on the margin-clipped interval; needs finite endpoints."""
+def grid_points(interval: Interval, count: int) -> np.ndarray:
+    """The uniform grid a + i * step, i < count, on the margin-clipped
+    interval as a float array, each element the double of that scalar
+    expression. Needs finite ends and an int count >= 2 (not a bool)."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
+        raise ValueError(f"count must be an int >= 2, got {count!r}")
     if not interval.finite:
         raise DomainError(
             "grid evaluation needs a finite interval; pass an explicit one "
@@ -64,10 +68,8 @@ def grid_points(interval: Interval, count: int) -> list[float]:
     a, b = interval.lo, interval.hi
     pad = DEFAULT_GRID_MARGIN * (b - a)
     a, b = a + pad, b - pad
-    if count < 2:
-        return [0.5 * (a + b)]
     step = (b - a) / (count - 1)
-    return [a + i * step for i in range(count)]
+    return a + np.arange(count) * step
 
 
 class Profile:
@@ -199,12 +201,13 @@ class Profile:
         pts = grid_points(interval, 64)
         with np.errstate(all="ignore"):
             values = self.jet(pts, True, False, False)[0]
-        for xi, v in zip(pts, values.tolist()):
-            if not v > 0.0:
-                if not math.isfinite(v):
-                    raise EvaluationError(f"non-finite {name} at xi={xi!r}")
-                raise PositivityError(f"{name} must stay positive; "
-                                      f"{name}({xi!r}) = {v!r}")
+        bad = np.flatnonzero(~(values > 0.0))
+        if len(bad):
+            xi, v = float(pts[bad[0]]), float(values[bad[0]])
+            if not math.isfinite(v):
+                raise EvaluationError(f"non-finite {name} at xi={xi!r}")
+            raise PositivityError(f"{name} must stay positive; "
+                                  f"{name}({xi!r}) = {v!r}")
 
     def __repr__(self) -> str:
         src = f" source={self.source!r}" if self.source else ""

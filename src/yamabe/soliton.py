@@ -19,11 +19,10 @@ flat fiber and an upper-half-space H^d fiber.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,53 +103,25 @@ def point_eval(spec: WarpedSolitonSpec, xi: float) -> PointEval:
         rho=spec.rho_at(xi))
 
 
-def _col(x):
-    """One value per point, broadcast along a new last axis."""
-    return np.asarray(x)[..., None]
+def _col(x, axes: int = 1):
+    """One value per point, broadcast along that many new last axes."""
+    return np.asarray(x)[(...,) + (None,) * axes]
 
 
-class _BlockPattern(NamedTuple):
-    """The distinct entries of the n x n base block of one (alpha, eps):
-    ``outer`` (a_i a_j) and ``coef`` (2 a_i a_j - delta_ij eps_i
-    ||alpha||^2) per distinct entry, the slots ``diagonal`` of the entries
-    on the diagonal with their ``eps``, and ``index``, the n x n map from
-    each block position to its entry's slot."""
-
-    outer: np.ndarray
-    coef: np.ndarray
-    diagonal: np.ndarray
-    eps: np.ndarray
-    index: np.ndarray
+def _block(spec: WarpedSolitonSpec) -> tuple:
+    """(a_i a_j, 2 a_i a_j - delta_ij eps_i ||alpha||^2, delta_ij eps_i) on
+    the n x n base block, three n x n arrays."""
+    eps = np.diag(np.asarray(spec.sig.epsilon, dtype=float))
+    outer = np.outer(spec.direction.alpha, spec.direction.alpha)
+    return outer, 2.0 * outer - eps * spec.direction.norm, eps
 
 
-def _block_pattern(spec: WarpedSolitonSpec) -> _BlockPattern:
-    key = np.array((spec.direction.norm, *spec.direction.alpha)).tobytes()
-    return _block_pattern_of(key, spec.sig.epsilon)
-
-
-@functools.lru_cache(maxsize=64)
-def _block_pattern_of(key: bytes, epsilon: tuple) -> _BlockPattern:
-    """``_block_pattern`` of the exact bits of (||alpha||^2, *alpha): two
-    positions share an entry when their a_i a_j, their coefficient and
-    (on the diagonal) their eps_i agree bit for bit."""
-    norm, *alpha = np.frombuffer(key)
-    n = len(epsilon)
-    eps = np.asarray(epsilon, dtype=float)
-    outer = np.outer(alpha, alpha)
-    coef = 2.0 * outer - np.diag(eps) * norm
-    on_diagonal = np.eye(n, dtype=bool)
-    keys = np.stack((outer.view(np.uint64), coef.view(np.uint64),
-                     on_diagonal.astype(np.uint64),
-                     np.where(on_diagonal, eps, 0.0).view(np.uint64)),
-                    axis=-1).reshape(n * n, 4)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    diagonal = np.flatnonzero(on_diagonal.ravel()[first])
-    arrays = (outer.ravel()[first], coef.ravel()[first], diagonal,
-              eps[first[diagonal] % n], inverse.reshape(n, n))
-    for array in arrays:
-        array.setflags(write=False)
-    return _BlockPattern(*arrays)
+def _distinct_entries(spec: WarpedSolitonSpec) -> tuple:
+    """``_block``'s distinct triples as three 1-D arrays, on which entry
+    (i, j) of the tensor's base block alone depends: at most n(n+1)/2, and
+    3-5 for the catalog's directions."""
+    triples = set(zip(*(part.ravel().tolist() for part in _block(spec))))
+    return tuple(np.array(list(triples)).T)
 
 
 class Terms:
@@ -162,10 +133,11 @@ class Terms:
 
     Base terms of g = phi^-2 delta: ``s_base`` (scalar curvature), ``lap_f``
     and ``lap_h`` (Laplacians), ``pair`` = <grad f, grad h>, ``grad2_f`` =
-    |grad f|^2 and ``pair_ln`` = <grad ln f, grad h>. Each carries
-    ||alpha||^2, so a lightlike direction annihilates them exactly.
-    ``s_minus_rho`` is S - rho, S from ``warped_scalar_curvature``; both
-    diagonal equations and the lemma read it.
+    |grad f|^2 and ``pair_ln`` = <grad ln f, grad h>; ``lap_h`` and
+    ``pair_ln`` are computed when read. Each carries ||alpha||^2, so a
+    lightlike direction annihilates them exactly. ``s_minus_rho`` is
+    S - rho, S from ``warped_scalar_curvature``; both diagonal equations
+    and the lemma read it.
     """
 
     def __init__(self, spec: WarpedSolitonSpec, pv: PointEval,
@@ -174,8 +146,7 @@ class Terms:
         self.rhs = pv.rho - spec.lambda_f / (pv.f * pv.f)
         norm, n = spec.direction.norm, spec.n
         if norm == 0.0:
-            self.s_base = self.lap_f = self.pair = 0.0
-            self.grad2_f = self.lap_h = self.pair_ln = 0.0
+            self.s_base = self.lap_f = self.pair = self.grad2_f = 0.0
         else:
             p2 = pv.phi * pv.phi
             self.s_base = norm * (n - 1) * (2.0 * pv.phi * pv.ddphi
@@ -183,11 +154,21 @@ class Terms:
             self.lap_f = norm * p2 * (pv.ddf - (n - 2) * (pv.dphi / pv.phi) * pv.df)
             self.pair = norm * p2 * pv.df * pv.dh
             self.grad2_f = norm * p2 * (pv.df * pv.df)
-            self.lap_h = norm * p2 * (pv.ddh - (n - 2) * (pv.dphi / pv.phi) * pv.dh)
-            self.pair_ln = norm * p2 * (pv.df / pv.f) * pv.dh
         self.s_minus_rho = warped_scalar_curvature(
             self.s_base, pv.f, self.lap_f, self.grad2_f, spec.lambda_f,
             spec.d) - pv.rho
+
+    @property
+    def lap_h(self):
+        norm, pv = self.spec.direction.norm, self.pv
+        return 0.0 if norm == 0.0 else norm * (pv.phi * pv.phi) * (
+            pv.ddh - (self.spec.n - 2) * (pv.dphi / pv.phi) * pv.dh)
+
+    @property
+    def pair_ln(self):
+        norm, pv = self.spec.direction.norm, self.pv
+        return 0.0 if norm == 0.0 else (
+            norm * (pv.phi * pv.phi) * (pv.df / pv.f) * pv.dh)
 
     def reduced(self) -> dict:
         """{'h-ode', 'diag-1', 'diag-2'}, or {'h-ode', 'lightlike'}."""
@@ -203,41 +184,38 @@ class Terms:
     def hessian(self) -> np.ndarray:
         """Hess(h)_ij of the base, an n x n block per point:
         a_i a_j h'' + (2 a_i a_j - delta_ij eps_i ||alpha||^2) (phi'/phi) h',
-        expanded from one value per distinct entry of the block (see
-        ``tensor_entries``)."""
-        return self._hessian_entries()[..., _block_pattern(self.spec).index]
+        the formula that ``certify`` runs on the block's distinct entries."""
+        return self._hessian(*_block(self.spec)[:2])
 
     def tensor(self) -> tuple:
         """(n x n base block (S - rho) g_ij - Hess(h)_ij, fiber block per
-        unit fiber metric component (S - rho) f^2 - f <grad f, grad h>); the
-        base block is ``tensor_entries`` expanded through its index map."""
-        entries, fiber = self.tensor_entries()
-        return entries[..., _block_pattern(self.spec).index], fiber
+        unit fiber metric component (S - rho) f^2 - f <grad f, grad h>),
+        the formulas that ``certify`` runs on the base block's distinct
+        entries."""
+        return self._tensor(*_block(self.spec))
 
-    def tensor_entries(self) -> tuple:
-        """``tensor`` with the base block as its distinct entries, one per
-        slot of the last axis: entry (i, j) depends only on a_i a_j,
-        2 a_i a_j - delta_ij eps_i ||alpha||^2 and, on the diagonal, eps_i,
-        so the block of an n-dimensional base has at most n(n+1)/2 of
-        them, and 3-5 for the catalog's directions. Each is computed with
-        the operations, in the order, of the full block's entry."""
+    def _tensor(self, outer, coef, eps) -> tuple:
+        """``tensor`` with the base block at the entries whose a_i a_j,
+        2 a_i a_j - delta_ij eps_i ||alpha||^2 and delta_ij eps_i are
+        given: the last axes of the arrays outer, coef and eps."""
         spec, pv = self.spec, self.pv
         factor = self.s_minus_rho
         if self.sign_variant != "minus":
             factor = warped_scalar_curvature(
                 self.s_base, pv.f, self.lap_f, self.grad2_f, spec.lambda_f,
                 spec.d, self.sign_variant) - pv.rho
-        pattern = _block_pattern(spec)
-        entries = -self._hessian_entries()
-        entries[..., pattern.diagonal] += _col(factor) * (
-            pattern.eps / _col(pv.phi * pv.phi))
-        return entries, factor * (pv.f * pv.f) - pv.f * self.pair
+        base = -self._hessian(outer, coef)
+        diagonal = eps != 0.0
+        base[..., diagonal] += _col(factor) * (
+            eps[diagonal] / _col(pv.phi * pv.phi))
+        return base, factor * (pv.f * pv.f) - pv.f * self.pair
 
-    def _hessian_entries(self) -> np.ndarray:
-        """Hess(h) at each distinct entry of the base block."""
-        pattern, pv = _block_pattern(self.spec), self.pv
-        return (pattern.outer * _col(pv.ddh)
-                + pattern.coef * _col(pv.dphi / pv.phi) * _col(pv.dh))
+    def _hessian(self, outer, coef) -> np.ndarray:
+        """Hess(h) at the entries whose a_i a_j and 2 a_i a_j - delta_ij
+        eps_i ||alpha||^2 are the arrays outer and coef."""
+        pv, axes = self.pv, outer.ndim
+        return (outer * _col(pv.ddh, axes)
+                + coef * _col(pv.dphi / pv.phi, axes) * _col(pv.dh, axes))
 
     def lemma(self, s: Optional[float] = None) -> tuple:
         """(soliton function lambda, scalar identity residual, weighted
@@ -317,7 +295,7 @@ def _classify_points(spec: WarpedSolitonSpec) -> np.ndarray:
     soliton; none for an almost soliton or an infinite domain."""
     if spec.is_almost or not spec.domain.finite:
         return np.empty(0)
-    return np.array(grid_points(spec.domain, 16))
+    return grid_points(spec.domain, 16)
 
 
 def _classification(spec: WarpedSolitonSpec, dh: np.ndarray) -> Classification:
@@ -457,7 +435,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
                        spec.rho.jet(xs, True, False, False)[0]
                        if spec.is_almost else spec.rho)
         terms = Terms(spec, pv, sign_variant)
-        entries, fiber = terms.tensor_entries()
+        entries, fiber = terms._tensor(*_distinct_entries(spec))
         residuals = {**terms.reduced(),
                      "tensor-base": np.max(np.abs(entries), axis=-1),
                      "tensor-fiber": fiber}
@@ -475,7 +453,8 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
         # the earliest point, and at it the first field in table order
         stop = int(finite.all(axis=0).argmin())
         name = list(fields)[int(finite[:, stop].argmin())]
-        failure = f"evaluation failed at xi={pts[stop]!r}: non-finite {name}"
+        failure = (f"evaluation failed at xi={float(pts[stop])!r}: "
+                   f"non-finite {name}")
     notes = [] if failure is None else [failure]
 
     # argmax takes the first of tied maxima
@@ -484,7 +463,7 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
         maxima = np.abs(table[-len(residuals):, :stop])
         for key, top, at in zip(residuals, maxima.max(axis=1),
                                 maxima.argmax(axis=1)):
-            stats[key] = EquationStat(float(top), pts[at], len(pts))
+            stats[key] = EquationStat(float(top), float(pts[at]), size)
     cls = _classification(spec, dh[size:])
     if cls.rejected:
         notes.extend(cls.guards)
@@ -507,7 +486,8 @@ def certify(spec: WarpedSolitonSpec, grid_size: int = 200,
             f"on grid (min margin {min_inequality:.6e})")
 
     report = ResidualReport(verdict, cls, tolerance, grid_size,
-                            interval.as_tuple(), (pts[0], pts[-1]), stats,
+                            interval.as_tuple(), tuple(pts[[0, -1]].tolist()),
+                            stats,
                             tuple(notes))
     log.info("certify[%s]: %s (tol=%g, grid=%d)",
              spec.label or "spec", verdict, tolerance, grid_size)

@@ -334,7 +334,7 @@ def write_profile_csv(spec: WarpedSolitonSpec, out: IO, grid: int = 200,
         columns = [profile.jet(xs, True, False, False)[0].tolist()
                    for profile in profiles]
     out.write("xi,phi,f,h\n")
-    for xi, *row in zip(xs, *columns):
+    for xi, *row in zip(xs.tolist(), *columns):
         for name, v in zip(("phi", "f", "h"), row):
             if not math.isfinite(v):
                 raise EvaluationError(f"non-finite {name} at xi={xi!r}")

@@ -229,6 +229,23 @@ class TestFamily:
         err = capfd.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--k2", "1e200"], "k2=1e+200"),
+        (["--k2", "1e-200"], "k2=1e-200"),
+        (["--phi0", "1e-200"], "phi0=1e-200"),
+        (["--k1", "1e-320"], "k1=1e-320"),
+    ])
+    def test_thm15_parameters_past_double_range_exit_one(self, capfd, argv,
+                                                         named):
+        # k2^2 overflows or underflows, phi0^2 underflows, p^2 underflows
+        code, stdout = run(["family", "thm15", "--range", "-0.3", "0.4",
+                            "--k3", "-0.2", "--lambda-f", "-0.5", *argv])
+        assert code == 1
+        assert stdout == ""
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "comes out zero or not finite" in err
+
     def test_lightlike_family_runs(self):
         code, stdout = run(["family", "thm18", "--range", "-1", "1",
                             "--phi", "exp(0.2*xi)", "--f", "2 + sin(xi)",
@@ -310,6 +327,9 @@ class TestPortrait:
         (["--k2", "0"], "k2 must be nonzero"),
         (["--xi-range", "1", "-1"], "xi_span (1.0, -1.0) must have lo < hi"),
         (["--xi-range", "0", "0"], "xi_span (0.0, 0.0) must have lo < hi"),
+        # k2^2 overflows (q = 0) or underflows (q = lambda_F / 0)
+        (["--k2", "1e200"], "||alpha||^2) at k2=1e+200, lambda_F=-6.0"),
+        (["--k2", "1e-200"], "||alpha||^2) at k2=1e-200, lambda_F=-6.0"),
     ])
     def test_bad_numeric_option_exits_one(self, capfd, argv, message):
         code, stdout = run(["portrait"] + argv)
@@ -317,7 +337,7 @@ class TestPortrait:
         assert stdout == ""
         err = capfd.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestNegativeNumbers:

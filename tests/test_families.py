@@ -190,6 +190,24 @@ class TestLambertFamily:
                            match="leaves the positive axis"):
             family_thm15(1.0, 1.0, 0.0, lambda_f=-0.5, xi_range=(-0.2, 1.5))
 
+    @pytest.mark.parametrize("params,named", [
+        ({"k2": 1e200}, "q = lambda_F/(10 k2^2 ||alpha||^2) at k2=1e+200"),
+        ({"k2": 1e-200}, "q = lambda_F/(10 k2^2 ||alpha||^2) at k2=1e-200"),
+        ({"phi0": 1e-200}, "s0 = phi0^-2 at phi0=1e-200"),
+        ({"phi0": 1e200}, "s0 = phi0^-2 at phi0=1e+200"),
+        ({"k1": 1e-320}, "c = -p^2/(4q) at k1=1e-320"),
+        ({"k1": 5e-324}, "p = k1/10 at k1=5e-324"),
+    ])
+    @pytest.mark.parametrize("construction", ["quadrature", "ode"])
+    def test_parameters_past_double_range_rejected(self, params, named,
+                                                   construction):
+        # each of q, p, c and s0 under- or overflows to zero or infinity
+        with pytest.raises(FamilyConstructionError,
+                           match=re.escape(named) + ".* comes out zero or "
+                                                    "not finite"):
+            family_thm15(**{**THM15_COMMON, "k3": -0.2, **params},
+                         construction=construction)
+
     def test_second_derivative_against_stencil(self):
         # d2 comes through the Lambert chain rule; the stencil only sees
         # values
@@ -302,7 +320,7 @@ class TestLambertFamily:
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                             xi_range=(-9.08359732179, 1.3609272635),
                             run_certify=False)
-        xs = np.array(grid_points(spec.domain, 200))
+        xs = grid_points(spec.domain, 200)
         phi, dphi, _ = spec.phi.jet(xs)
         y0 = [1.0, -(q / p) * (1.0 + lambert_w(-0.2 * math.exp(0.05)))]
 
@@ -339,7 +357,7 @@ class TestLambertFamily:
         translate = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                                  xi_range=(-0.3 + shift, 0.4 + shift),
                                  w_branch="lower")
-        xs = np.array(grid_points(principal.domain, 50))
+        xs = grid_points(principal.domain, 50)
         assert np.allclose(principal.phi.jet(xs),
                            translate.phi.jet(xs + shift), rtol=0.0,
                            atol=1e-9)
@@ -387,7 +405,7 @@ class TestLambertFamilyArrays:
         spec = family_thm15(**{**THM15_COMMON, "k3": -0.2,
                                "construction": construction},
                             run_certify=False)
-        xs = np.array(grid_points(spec.domain, 40))
+        xs = grid_points(spec.domain, 40)
         spec.phi.jet(xs)
         calls = []
         for name in ("gauss_kronrod", "invert_monotone"):
@@ -466,7 +484,7 @@ class TestLambertFamilyArrays:
         array."""
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                             xi_range=(-5.1, 0.3), run_certify=False)
-        xs = np.array(grid_points(spec.domain, 200))
+        xs = grid_points(spec.domain, 200)
         whole = np.array(spec.phi.jet(xs))
         for i in range(0, 200, 8):
             x = float(xs[i])
@@ -495,7 +513,7 @@ class TestLambertFamilyArrays:
         spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
                             xi_range=(-9.08359732179, 1.3609272635),
                             run_certify=False)
-        xs = np.array(grid_points(spec.domain, 200))
+        xs = grid_points(spec.domain, 200)
         whole = [np.array(getattr(spec, name).jet(xs))
                  for name in ("phi", "f", "h")]
         (lower, upper), y = solved[-1]
@@ -605,7 +623,7 @@ class TestRiccati:
         phi = sec_profile()
         z = riccati_general_solution(z0, 3, 2.5, (0.0, 1.0))
         worst = max(abs(riccati_residual(z, phi, 4, 3, x))
-                    for x in [1e-300] + grid_points(Interval(0.0, 1.0), 32))
+                    for x in [1e-300, *grid_points(Interval(0.0, 1.0), 32)])
         assert worst < 1e-10
 
     def test_z0_not_covering_xi_range_rejected_at_build(self):
@@ -792,26 +810,36 @@ class TestPhasePortrait:
         assert np.allclose(trajs[0].rows[:, 1], 1.5)
         assert np.all(trajs[0].rows[:, 2] == 0.0)
 
-    def test_positivity_loss(self):
+    def test_positivity_loss(self, monkeypatch):
         # the cubic friction term makes |phi'| grow like phi^-3 on a falling
-        # branch, so the default 1e-9 floor is shadowed by the escape event;
-        # a raised floor catches the crossing while phi' is still moderate
+        # branch, so the 1e-9 floor is shadowed by the escape event; a
+        # raised floor catches the crossing while phi' is still moderate
+        import yamabe.families as families_module
+        monkeypatch.setattr(families_module, "_PHI_FLOOR", 0.05)
         trajs = phase_portrait([(0.5, -3.0)], (0.0, 2.0), k1=-1.0,
-                               lambda_f=0.0, phi_floor=0.05, start_xi=0.0)
+                               lambda_f=0.0, start_xi=0.0)
         assert trajs[0].status == "positivity-loss"
 
     def test_nonpositive_start_short_circuits(self):
         # a start on the floor is not integrated either; its one row is
         # the start
-        for initial, floor in (((-1.0, 0.0), 1e-9), ((0.05, 0.0), 0.05)):
-            trajs = phase_portrait([initial], (-1.0, 1.0), phi_floor=floor,
-                                   start_xi=0.25)
+        for initial in ((-1.0, 0.0), (1e-9, 0.0)):
+            trajs = phase_portrait([initial], (-1.0, 1.0), start_xi=0.25)
             assert trajs[0].status == "positivity-loss"
             assert trajs[0].rows.tolist() == [[0.25, *initial]]
 
     def test_blowup(self):
         trajs = phase_portrait([(2.0, 5.0)], (0.0, 20.0), lambda_f=-6.0)
         assert trajs[0].status == "blowup"
+
+    @pytest.mark.parametrize("k2", [1e200, 1e-200])
+    def test_q_past_double_range_rejected(self, k2):
+        with pytest.raises(FamilyConstructionError,
+                           match=re.escape(f"at k2={k2!r}, lambda_F=-6.0")):
+            phase_portrait([(1.0, 0.5)], (-1.0, 1.0), k2=k2)
+        # a scalar-flat fiber has q = 0 whatever k2 is
+        assert phase_portrait([(1.0, 0.0)], (-1.0, 1.0), k2=k2,
+                              lambda_f=0.0)[0].status == "stationary"
 
     def test_start_xi_validated(self):
         with pytest.raises(FamilyConstructionError, match="start_xi"):
@@ -945,8 +973,8 @@ def test_masked_jet_is_nan_outside_and_the_jet_inside(build):
     lo, hi = profile.domain.as_tuple()
     inner = grid_points(Interval(max(lo, -30.0), min(hi, 100.0)), 25)
     outer = [x for x in (lo - 1.0, lo, hi, hi + 1.0) if math.isfinite(x)]
-    xs = np.array(outer[:2] + inner[:12] + [math.nan] + inner[12:]
-                  + outer[2:])
+    xs = np.array([*outer[:2], *inner[:12], math.nan, *inner[12:],
+                   *outer[2:]])
     inside = np.isin(xs, inner)
     assert np.count_nonzero(~inside) == len(outer) + 1
     for want in ((True, True, True), (False, True, False)):

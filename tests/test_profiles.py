@@ -48,8 +48,24 @@ class TestGridPoints:
         with pytest.raises(DomainError):
             grid_points(Interval(0.0, math.inf), 5)
 
-    def test_single_point(self):
-        assert grid_points(Interval(0.0, 2.0), 1) == [1.0]
+    @pytest.mark.parametrize("count", [1, 0, -5, True, 5.0])
+    def test_count_must_be_an_int_of_at_least_2(self, count):
+        with pytest.raises(ValueError, match="count"):
+            grid_points(Interval(0.0, 2.0), count)
+
+    def test_each_point_is_the_scalar_expression_bit_for_bit(self):
+        # the array is a + i * step, element by element the double that
+        # scalar arithmetic gives
+        rng = np.random.default_rng(32)
+        for _ in range(500):
+            lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+            iv = Interval(lo, lo + float(10.0 ** rng.uniform(-6, 4)))
+            count = int(rng.integers(2, 3000))
+            pad = DEFAULT_GRID_MARGIN * (iv.hi - iv.lo)
+            a, b = iv.lo + pad, iv.hi - pad
+            step = (b - a) / (count - 1)
+            want = np.array([a + i * step for i in range(count)])
+            assert grid_points(iv, count).tobytes() == want.tobytes()
 
 
 class TestExpressionProfiles:

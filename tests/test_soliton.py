@@ -450,7 +450,7 @@ class TestArrayCertifyEquivalence:
         spec = make_spec(Profile(arrays, (-2.0, 2.0)), "exp(xi)", "xi")
         report = certify(spec, grid_size=50)
         pts = grid_points(spec.domain, 50)
-        first_bad = next(x for x in pts if x > 0.5)
+        first_bad = float(pts[pts > 0.5][0])
         assert report.verdict == "inconclusive"
         assert report.notes[0] == (f"evaluation failed at xi={first_bad!r}: "
                                    "non-finite phi")
@@ -466,7 +466,7 @@ class TestArrayCertifyEquivalence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = certify(spec)
-        first = grid_points(spec.domain, 200)[0]
+        first = float(grid_points(spec.domain, 200)[0])
         assert report.verdict == "inconclusive"
         assert any(note.startswith(f"evaluation failed at xi={first!r}")
                    for note in report.notes)
@@ -558,7 +558,7 @@ class TestBlockEntries:
     @pytest.mark.parametrize("spec,interval", _catalog_cases())
     def test_catalog_block_and_tensor_base(self, spec, interval,
                                            sign_variant):
-        xs = np.array(grid_points(interval.clipped(spec.domain), 200))
+        xs = grid_points(interval.clipped(spec.domain), 200)
         with np.errstate(all="ignore"):
             want = self._assert_block(spec, grid_eval(spec, xs),
                                       sign_variant)
@@ -590,7 +590,7 @@ class TestBlockEntries:
         # h'' is infinite at one grid point; where a_i a_j = 0 the entry is
         # 0 * inf = NaN, elsewhere it is infinite
         pts = grid_points(Interval(-2.0, 2.0), 200)
-        bad = pts[60]
+        bad = float(pts[60])
 
         def h_arrays(xs, value, d1, d2):
             return (xs.copy() if value else None,
@@ -599,10 +599,9 @@ class TestBlockEntries:
 
         spec = make_spec("exp(xi)", "exp(xi)", Profile(h_arrays, (-2.0, 2.0)),
                          n=4, eps=(-1, 1, 1, 1), alpha=(0.5, 0.0, -1.0, 0.0))
-        xs = np.array(pts)
         for sign_variant in ("minus", "plus"):
             with np.errstate(all="ignore"):
-                want = self._assert_block(spec, grid_eval(spec, xs),
+                want = self._assert_block(spec, grid_eval(spec, pts),
                                           sign_variant)
             assert np.isnan(want[60, 0, 1]) and np.isinf(want[60, 0, 2])
             report = certify(spec, sign_variant=sign_variant)
@@ -634,8 +633,9 @@ class TestFailureNote:
         report = certify(spec)
         assert report.verdict == "inconclusive"
         assert report.notes[0] == (f"evaluation failed at "
-                                   f"xi={self.PTS[stop]!r}: non-finite {name}")
-        xs = np.array(self.PTS[:stop])
+                                   f"xi={float(self.PTS[stop])!r}: "
+                                   f"non-finite {name}")
+        xs = self.PTS[:stop]
         with np.errstate(all="ignore"):
             terms = Terms(spec, grid_eval(spec, xs))
             block, fiber = terms.tensor()

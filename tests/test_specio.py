@@ -428,6 +428,14 @@ class TestCsvWriters:
             for xi in grid_points(spec.domain, 200)]
         assert buf.getvalue() == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("grid", [1, 0, -5])
+    def test_profile_csv_needs_two_grid_points(self, grid):
+        spec, _ = specio.load_document(doc_with())
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="count must be an int >= 2"):
+            specio.write_profile_csv(spec, buf, grid=grid)
+        assert buf.getvalue() == ""
+
     def test_profile_csv_raises_where_a_profile_cannot_be_evaluated(self):
         doc = doc_with(profiles=dict(BASE_DOC["profiles"], f="sqrt(xi - 5)"))
         spec, _ = specio.load_document(doc)
