@@ -67,6 +67,9 @@ def runs(documents: dict) -> list:
     out.append(("portrait-default", ["portrait"]))
     out.append(("portrait-samples30-seed3",
                 ["portrait", "--samples", "30", "--seed", "3"]))
+    out.append(("portrait-positivity-loss",
+                ["portrait", "--k1", "-1", "--lambda-f", "0", "--xi-range",
+                 "0", "2", "--start-xi", "0", "--initial", "0.5,-3"]))
     for key, (y, v) in GEODESIC_STARTS.items():
         for mode in ("full", "paper-reduced"):
             name = f"geodesic-{key}-{mode}"

@@ -163,7 +163,7 @@ def _six_spec(frame, d, lambda_f, k1, k2, phi: Profile, h_values: Callable,
 # --- Lambert-W family (lambda_F != 0) ------------------------------------------
 
 _Q_DIVISOR = {"statement": 10.0, "proof": 1.0}
-_PHI_FLOOR = 1e-9   # phi at which a phase-portrait side stops
+_PHI_FLOOR = 1e-9   # a portrait start at or below it is not integrated
 
 
 def _q_value(k2: float, lambda_f: float, norm: float, q_variant: str) -> float:
@@ -778,17 +778,21 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
     Defaults are the R^3 x H^3 configuration: k1 = k2 = 1 and the fiber
     curvature passed in lambda_f (a unit-curvature hyperbolic 3-space has
     scalar curvature -6). One DOP853 call at rtol 1e-10, atol 1e-12 runs
-    every initial toward both ends of the span; a side stops when phi falls
-    to 1e-9 (positivity-loss), when |(phi, phi')| reaches 1e12 or the
-    step size collapses (blowup). The first side that stops, toward the
-    lower end first, sets the status. A start with phi0 <= 1e-9 is
-    positivity-loss with the start as its one row and is not integrated; a
-    start with |(phi, phi')| >= 1e12 stops at its first step. An integrated
-    trajectory's rows are the start once, then the points_per_side - 1
-    points after it of linspace(start_xi, end, points_per_side) on each
-    side, up to its stop. A span with lo >= hi, a start_xi outside it and
-    an unknown q_variant (at any lambda_f) raise FamilyConstructionError,
-    and so does a q out of double range at a nonzero lambda_f.
+    every initial toward both ends of the span in s = phi^-2, where the ODE
+    is s'' = 2q s - p s s' and phi -> inf is the ordinary zero s = 0. A side
+    stops at that zero (blowup), or when s -> inf (phi -> 0) collapses its
+    step size or makes s'' non-finite (positivity-loss). A trajectory is
+    blowup if either side reached s = 0, else positivity-loss if either side
+    stopped, else ok. A start with phi0 <= 1e-9 is positivity-loss with the
+    start as its one row and is not integrated: the term p s s' makes the s
+    law stiff at such a start. An integrated trajectory's rows are the
+    start once, then the points_per_side - 1 points after it of
+    linspace(start_xi, end, points_per_side) on each side, up to its stop,
+    with (phi, phi') = (s^-1/2, -s'/(2 s^3/2)). A non-finite initial, or one
+    whose s' = -2 phi'/phi^3 overflows, a span with lo >= hi, a start_xi
+    outside it and an unknown q_variant (at any lambda_f) raise
+    FamilyConstructionError, and so does a q out of double range at a
+    nonzero lambda_f.
     """
     p = k1 / 10.0
     q = _q_value(k2, lambda_f, 1.0, q_variant)
@@ -801,18 +805,20 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
         raise FamilyConstructionError(
             f"start_xi={start_xi!r} outside span {xi_span!r}")
 
-    def positivity(xi, y):
-        return y[:, 0] - _PHI_FLOOR
-    positivity.terminal = True
+    def rhs(xi, y):               # rows (s, s')
+        return np.column_stack([y[:, 1], (2.0 * q - p * y[:, 1]) * y[:, 0]])
 
-    def escape(xi, y):
-        return 1e12 - np.hypot(y[:, 0], y[:, 1])
-    escape.terminal = True
+    def zero(xi, y):
+        return y[:, 0]
+    zero.terminal = True
 
     out = []
     parts: dict[int, list] = {}   # rows of each integrated trajectory
-    sides = []                    # one solver row per integrated side
+    sides = []                    # (k, end, (s, s')) of each integrated side
     for k, (phi0, dphi0) in enumerate(initials):
+        if not np.isfinite((phi0, dphi0)).all():
+            raise FamilyConstructionError(
+                f"initial ({phi0!r}, {dphi0!r}) is not finite")
         if phi0 <= _PHI_FLOOR:
             out.append(PortraitTrajectory((phi0, dphi0), "positivity-loss",
                                           np.array([[start_xi, phi0, dphi0]])))
@@ -822,23 +828,29 @@ def phase_portrait(initials: Sequence[tuple[float, float]],
             rows = np.array([[lo, phi0, 0.0], [hi, phi0, 0.0]])
             out.append(PortraitTrajectory((phi0, dphi0), "stationary", rows))
         else:
+            start = (phi0 ** -2, -2.0 * dphi0 * phi0 ** -3)
+            if not math.isfinite(start[1]):
+                raise FamilyConstructionError(
+                    f"initial ({phi0!r}, {dphi0!r}): s' overflows")
             out.append(PortraitTrajectory((phi0, dphi0), "ok"))
             parts[k] = [np.array([[start_xi, phi0, dphi0]])]
-            sides += [(k, end) for end in (lo, hi) if end != start_xi]
-    ends = np.array([end for _, end in sides])
-    run = solve_ivp(_profile_ode_rhs(p, q),
+            sides += [(k, end, start) for end in (lo, hi) if end != start_xi]
+    ends = np.array([end for _, end, _ in sides])
+    run = solve_ivp(rhs,
                     np.column_stack([np.full(len(sides), start_xi), ends]),
-                    np.array([out[k].initial for k, _ in sides]
-                             ).reshape(-1, 2),
+                    np.array([start for *_, start in sides]).reshape(-1, 2),
                     rtol=1e-10, atol=1e-12,
                     t_eval=np.linspace(start_xi, ends, points_per_side,
                                        axis=1)[:, 1:],
-                    events=[positivity, escape])
-    for row, (k, _) in enumerate(sides):
-        if out[k].status == "ok" and run.stop[row] != "completed":
-            out[k].status = ("positivity-loss" if run.event[row] == 0
-                             else "blowup")
-        parts[k].append(np.column_stack([run.t_eval[row], run.y_eval[row]]))
+                    events=[zero])
+    for row, (k, *_) in enumerate(sides):
+        if run.stop[row] == "event":
+            out[k].status = "blowup"
+        elif run.stop[row] != "completed" and out[k].status == "ok":
+            out[k].status = "positivity-loss"
+        s, ds = run.y_eval[row].T
+        parts[k].append(np.column_stack([run.t_eval[row], s ** -0.5,
+                                         -0.5 * ds * s ** -1.5]))
     for k, rows in parts.items():
         rows = np.vstack(rows)
         out[k].rows = rows[np.argsort(rows[:, 0])]

@@ -296,8 +296,8 @@ class TestPortrait:
 
     def test_starts_past_a_stop_end_at_once(self):
         # phi0 below the 1e-9 floor is positivity-loss with the start as
-        # its one row, and a state past the 1e12 escape norm is blowup at
-        # its first step
+        # its one row, and phi' = 1e13 at phi = 1 (s' = -2e13 in s = phi^-2)
+        # reaches s = 0, phi -> inf, within the first step: blowup
         proc = run_child(["portrait", "--initial", "1e-10,0",
                           "--initial", "1,1e13"])
         assert proc.returncode == 0

@@ -810,15 +810,55 @@ class TestPhasePortrait:
         assert np.allclose(trajs[0].rows[:, 1], 1.5)
         assert np.all(trajs[0].rows[:, 2] == 0.0)
 
-    def test_positivity_loss(self, monkeypatch):
-        # the cubic friction term makes |phi'| grow like phi^-3 on a falling
-        # branch, so the 1e-9 floor is shadowed by the escape event; a
-        # raised floor catches the crossing while phi' is still moderate
-        import yamabe.families as families_module
-        monkeypatch.setattr(families_module, "_PHI_FLOOR", 0.05)
+    def test_positivity_loss(self):
+        # phi -> 0 is s = phi^-2 -> inf, where the step size collapses
         trajs = phase_portrait([(0.5, -3.0)], (0.0, 2.0), k1=-1.0,
                                lambda_f=0.0, start_xi=0.0)
         assert trajs[0].status == "positivity-loss"
+
+    def test_either_side_reaching_s_zero_is_blowup(self):
+        # phi -> 0 (s -> inf) near xi = -0.810 below the start, phi -> inf
+        # (s = 0) near xi = 0.280 above it: blowup, whichever side stops
+        # first
+        (traj,) = phase_portrait(
+            [(0.2708592171614569, 0.5317794458275387)], (-1.0, 1.0))
+        assert traj.status == "blowup"
+        spacing = 1.0 / 119.0
+        (lo, phi_lo, _), (hi, phi_hi, _) = traj.rows[0], traj.rows[-1]
+        assert -0.810 < lo < -0.810 + spacing and phi_lo < 0.05
+        assert 0.280 - spacing < hi < 0.280 and phi_hi > 2.0
+
+    def test_f6_scan_reaches_positivity_loss(self):
+        """60 seeded samples over k1 in +-{0.1, 1, 10}, lambda_F in
+        {-6, 0, 6, 60}, phi0 in (0.01, 2), phi0' in (-10, 10) and the span
+        (-5, 5), one call per (k1, lambda_F): some lose positivity, and no
+        row is non-finite."""
+        rng = np.random.default_rng(6)
+        k1s = rng.choice([-10.0, -1.0, -0.1, 0.1, 1.0, 10.0], 60)
+        lambda_fs = rng.choice([-6.0, 0.0, 6.0, 60.0], 60)
+        initials = np.column_stack([rng.uniform(0.01, 2.0, 60),
+                                    rng.uniform(-10.0, 10.0, 60)])
+        trajs = []
+        for k1, lambda_f in sorted(set(zip(k1s, lambda_fs))):
+            pick = (k1s == k1) & (lambda_fs == lambda_f)
+            trajs += phase_portrait(initials[pick].tolist(), (-5.0, 5.0),
+                                    k1=k1, lambda_f=lambda_f)
+        assert len(trajs) == 60
+        assert "positivity-loss" in {t.status for t in trajs}
+        assert all(np.isfinite(t.rows).all() for t in trajs)
+
+    @pytest.mark.parametrize("initial", [
+        (math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+        (1e-9, math.nan)])
+    def test_nonfinite_initial_rejected(self, initial):
+        with pytest.raises(FamilyConstructionError,
+                           match=re.escape(f"initial {initial!r}")):
+            phase_portrait([(1.0, 0.5), initial], (-1.0, 1.0))
+
+    def test_initial_whose_s_slope_overflows_rejected(self):
+        # s' = -2 phi'/phi^3 = -2e309 is past double range
+        with pytest.raises(FamilyConstructionError, match="s' overflows"):
+            phase_portrait([(1e-3, 1e300)], (-1.0, 1.0))
 
     def test_nonpositive_start_short_circuits(self):
         # a start on the floor is not integrated either; its one row is
@@ -864,11 +904,15 @@ class TestPhasePortrait:
         trajs = phase_portrait(inits, (-0.5, 0.5), lambda_f=-6.0)
         assert [t.initial for t in trajs] == inits
 
-    @pytest.mark.parametrize("initial", [(0.6, 0.1), (1.5, -0.2)])
-    def test_rows_match_scipy_radau(self, initial):
-        """Each side of an ok trajectory, from the start to each end of the
-        span, against scipy's implicit Radau IIA on the ODE written out
-        again here (p = k1/10 = 0.1, q = lambda_f/10 = -0.6)."""
+    @pytest.mark.parametrize("initial, status", [
+        ((0.6, 0.1), "ok"), ((1.5, -0.2), "ok"),
+        ((0.2708592171614569, 0.5317794458275387), "blowup")],
+        ids=["initial0", "initial1", "blowup"])
+    def test_rows_match_scipy_radau(self, initial, status):
+        """Each side of a trajectory, from the start to its last row, against
+        scipy's implicit Radau IIA on the phi form of the ODE, written out
+        again here (p = k1/10 = 0.1, q = lambda_f/10 = -0.6), independent of
+        the s = phi^-2 form the portrait integrates."""
         radau = pytest.importorskip("scipy.integrate").solve_ivp
         p, q = 0.1, -0.6
 
@@ -878,7 +922,7 @@ class TestPhasePortrait:
                     / phi ** 2]
 
         (traj,) = phase_portrait([initial], (-1.0, 1.0))
-        assert traj.status == "ok"
+        assert traj.status == status
         xi = traj.rows[:, 0]
         for side in (traj.rows[xi < 0.0][::-1], traj.rows[xi > 0.0]):
             ref = radau(profile_ode, (0.0, side[-1, 0]), initial,
@@ -887,6 +931,24 @@ class TestPhasePortrait:
             assert ref.status == 0
             assert np.all(np.abs(side[:, 1:] - ref.y.T)
                           <= 1e-7 * np.abs(ref.y.T))
+
+    def test_readme_thm15_member_blows_up_at_both_ends(self):
+        """From the README member's (phi(0), phi'(0)) the portrait runs to
+        phi -> inf at both ends of its maximal interval (-9.0835973218,
+        1.3609272635), its last rows within one row spacing of them, and
+        agrees with the thm15 chart within 1e-7 relative."""
+        (traj,) = phase_portrait([(1.0, 0.36125068494033863)], (-10.0, 2.0),
+                                 lambda_f=-0.5)
+        assert traj.status == "blowup"
+        xi = traj.rows[:, 0]
+        assert -9.0835973218 < xi[0] < -9.0835973218 + 10.0 / 119.0
+        assert 1.3609272635 - 2.0 / 119.0 < xi[-1] < 1.3609272635
+        spec = family_thm15(1.0, 1.0, -0.2, lambda_f=-0.5,
+                            xi_range=(-9.08359732179, 1.3609272635),
+                            run_certify=False)
+        phi, dphi, _ = spec.phi.jet(xi)
+        assert np.max(np.abs(traj.rows[:, 1] - phi) / phi) <= 1e-7
+        assert np.max(np.abs(traj.rows[:, 2] - dphi) / np.abs(dphi)) <= 1e-7
 
     def test_batch_rows_equal_each_initial_alone_bitwise(self):
         # ok, blowup and positivity-loss trajectories and a short-circuited
